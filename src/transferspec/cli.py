@@ -34,11 +34,7 @@ from .determinant import (
     export_determinant_json,
     trace_table,
 )
-from .dynamics import (
-    DEFAULT_WORD_BUDGET,
-    contraction_details,
-    enclosing_radius,
-)
+from .dynamics import DEFAULT_WORD_BUDGET, _enclosing_ratio, contraction_details
 from .errors import (
     DescriptorError,
     DimensionUnsupported,
@@ -167,7 +163,7 @@ def cmd_validate(cfg, args):
     sys_ = _require_system(cfg)
     report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
     try:
-        enc = enclosing_radius(sys_, grid=cfg.grid)
+        enc = _enclosing_ratio(report, sys_.domain.radius)
     except NotEnclosed:
         enc = None
     contr = contraction_details(sys_, cfg.contraction_order, grid=cfg.grid,
@@ -280,8 +276,8 @@ def cmd_bounds(cfg, args):
     elif cfg.system is not None:
         sys_ = _require_system(cfg)
         val = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
-        r = enclosing_radius(sys_, grid=cfg.grid)
-        prof = BoundProfile(val.W, r, sys_.dim)
+        prof = BoundProfile(val.W, _enclosing_ratio(val, sys_.domain.radius),
+                            sys_.dim)
         seq = spectral_sequence(sys_, N=cfg.matrix_size)
         rep = verify_bounds(seq, prof)
         rows = rep.rows

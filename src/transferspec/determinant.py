@@ -20,7 +20,6 @@ order, so results are bit-identical across thread counts.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from ._format import json_g17
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     DEFAULT_WORD_BUDGET,
+    _word_count,
     batch_fixed_points,
     batch_orbit,
     compose,
@@ -37,7 +37,7 @@ from .dynamics import (
     letters_block,
     word_weight,
 )
-from .errors import BudgetExceeded, NotContracting, RootFindingFailure
+from .errors import NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
 from .systems import CountableTruncated, validate_system
 
@@ -87,30 +87,27 @@ class DeterminantSeries:
 # traces
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_validation(sys_):
-    return validate_system(sys_)
-
-
-def _tail_heuristic(sys_, n, max_multiplier):
-    """Per-order estimate of the omitted tail-word contribution."""
+def _tail_weight_sup(sys_):
+    """The weight sup W that the tail heuristic needs, or None when the
+    alphabet drops no weight."""
     alpha = sys_.alphabet
-    if not isinstance(alpha, CountableTruncated):
+    if (isinstance(alpha, CountableTruncated)
+            and float(alpha.weight_tail_bound) != 0.0):
+        return validate_system(sys_).W
+    return None
+
+
+def _tail_heuristic(sys_, n, max_multiplier, w_sup):
+    """Per-order estimate of the omitted tail-word contribution."""
+    if w_sup is None:
         return 0.0
-    tau = float(alpha.weight_tail_bound)
-    if tau == 0.0:
-        return 0.0
-    w_sup = _cached_validation(sys_).W
+    tau = float(sys_.alphabet.weight_tail_bound)
     gamma = min(float(max_multiplier), 0.99)
     return n * tau * w_sup ** (n - 1) * (1.0 - gamma) ** (-sys_.dim)
 
 
 def _trace_dim1(sys_, n, word_budget, tol, threads):
-    total = sys_.n_letters ** n
-    if total > word_budget:
-        raise BudgetExceeded(
-            f"{sys_.n_letters}^{n} = {total} words exceed the budget "
-            f"{word_budget}")
+    total = _word_count(sys_, n, word_budget)
 
     def handle(rng):
         lo, hi = rng
@@ -137,11 +134,7 @@ def _trace_dim1(sys_, n, word_budget, tol, threads):
 
 
 def _trace_dimN(sys_, n, word_budget, tol):
-    total = sys_.n_letters ** n
-    if total > word_budget:
-        raise BudgetExceeded(
-            f"{sys_.n_letters}^{n} = {total} words exceed the budget "
-            f"{word_budget}")
+    total = _word_count(sys_, n, word_budget)
     d = sys_.dim
     eye = np.eye(d, dtype=complex)
     res = []
@@ -177,12 +170,16 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """
     if n < 1:
         raise ValueError("trace order must be >= 1")
+    return _trace(sys_, n, word_budget, tol, threads, _tail_weight_sup(sys_))
+
+
+def _trace(sys_, n, word_budget, tol, threads, w_sup):
     if sys_.dim == 1:
         value, words, max_mult, max_res = _trace_dim1(
             sys_, n, word_budget, tol, threads)
     else:
         value, words, max_mult, max_res = _trace_dimN(sys_, n, word_budget, tol)
-    bound = _tail_heuristic(sys_, n, max_mult)
+    bound = _tail_heuristic(sys_, n, max_mult, w_sup)
     return TraceValue(n, value, bound, words, max_mult, max_res)
 
 
@@ -191,7 +188,9 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
     """Traces for orders 1..M as one table."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    rows = [trace(sys_, n, word_budget, tol, threads) for n in range(1, M + 1)]
+    w_sup = _tail_weight_sup(sys_)
+    rows = [_trace(sys_, n, word_budget, tol, threads, w_sup)
+            for n in range(1, M + 1)]
     return TraceTable(
         orders=tuple(r.order for r in rows),
         values=tuple(r.value for r in rows),

@@ -14,7 +14,6 @@ ratios and capped at 0.999; estimates are sampled, not rigorous.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     NotContracting,
     NotEnclosed,
 )
-from .systems import AnalyticMap, CountableTruncated, _branch_values_on_grid
+from .systems import AnalyticMap, validate_system
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
@@ -223,8 +222,9 @@ def batch_orbit(sys_, letters, z):
     y = np.array(z, dtype=complex, copy=True)
     for k in range(letters.shape[1]):
         col = letters[:, k]
-        wgt = wgt * sys_.weight_letters(col, y)
-        mult = mult * sys_.derivative_letters(col, y)
+        deriv = sys_.derivative_letters(col, y)
+        wgt = wgt * sys_.weight_letters(col, y, deriv=deriv)
+        mult = mult * deriv
         y = sys_.apply_letters(col, y)
     return wgt, mult, y
 
@@ -300,11 +300,6 @@ def contraction_factor(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
     return contraction_details(sys_, n, grid, word_budget, threads).value
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_contraction(sys_, n, grid):
-    return contraction_factor(sys_, n, grid)
-
-
 # ---------------------------------------------------------------------------
 # adapted metric
 
@@ -322,7 +317,7 @@ def adapted_distance(sys_, n, x, y, grid=256,
         raise DimensionUnsupported("the adapted metric sampler needs dim 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    gamma = _cached_contraction(sys_, n, int(grid))
+    gamma = contraction_factor(sys_, n, grid)
     if gamma >= 1.0:
         raise NotContracting(
             f"sampled contraction factor {gamma:.6g} >= 1 at order {n}")
@@ -354,28 +349,17 @@ def enclosing_radius(sys_, grid=1024):
     """Smallest sampled ratio r with all branch images inside the concentric
     ball of radius r * radius; includes truncated-tail branches through the
     alphabet's image_tail_sup."""
-    if sys_.dim != 1:
-        raise DimensionUnsupported("enclosing radius sampling needs dim 1")
-    ball = sys_.domain
-    g = max(int(grid), 16)
-    prev = None
-    while True:
-        zs = ball.boundary_points(g)
-        images, _ = _branch_values_on_grid(sys_, zs)
-        dist = np.abs(images - ball.center)
-        sup = float(dist.max())
-        if (prev is not None and abs(sup - prev) < 1e-10) or g >= (1 << 14):
-            break
-        prev = sup
-        g *= 2
-    safety = 0.5 * float(np.max(np.abs(np.diff(
-        np.concatenate([dist, dist[:, :1]], axis=1), axis=1))))
-    reach = sup + safety
-    if isinstance(sys_.alphabet, CountableTruncated):
-        reach = max(reach, float(sys_.alphabet.image_tail_sup))
-    r = reach / ball.radius
+    return _enclosing_ratio(validate_system(sys_, grid=grid),
+                            sys_.domain.radius)
+
+
+def _enclosing_ratio(report, radius):
+    """The enclosing ratio r read off a validation report's image sups."""
+    reach = max(report.image_sup + report.image_safety,
+                report.image_tail_sup)
+    r = reach / radius
     if r >= 1.0:
         raise NotEnclosed(
-            f"branch images reach {reach:.6g} >= radius {ball.radius:.6g} "
+            f"branch images reach {reach:.6g} >= radius {radius:.6g} "
             f"(sampled r = {r:.6g})")
     return r

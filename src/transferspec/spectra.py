@@ -24,7 +24,7 @@ import numpy as np
 
 from ._format import g17, json_g17
 from .errors import DimensionUnsupported, SolverFailure
-from .systems import CountableTruncated, MapWeightSystem
+from .systems import AnalyticMap, CountableTruncated, MapWeightSystem
 
 AGREEMENT_RTOL = 1e-8
 
@@ -69,19 +69,6 @@ class EigenvalueSequence:
 # Taylor coefficients
 
 
-def _eval_on(f, zs):
-    """Evaluate a callable (AnalyticMap or plain function) on a point array."""
-    try:
-        out = np.asarray(f(zs), dtype=complex)
-        if out.shape == zs.shape:
-            return out
-        if out.shape == ():
-            return np.full(zs.shape, complex(out))
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(z) for z in zs], dtype=complex)
-
-
 def taylor_coefficients(f, center, radius, count):
     """First `count` Taylor coefficients of f at center.
 
@@ -95,7 +82,7 @@ def taylor_coefficients(f, center, radius, count):
         raise ValueError("radius must be positive")
     m = max(4 * count, 16)
     zs = center + radius * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = _eval_on(f, zs)
+    vals = AnalyticMap._eval_array(f, zs)
     hat = np.fft.fft(vals) / m
     ks = np.arange(count)
     return hat[:count] / radius ** ks

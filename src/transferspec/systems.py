@@ -367,8 +367,9 @@ class MapWeightSystem:
             return (a[idx] * e[idx] - b[idx] * c[idx]) / (q * q)
         return self._gather(lambda br, pts: br.derivative(pts), letters, z)
 
-    def weight_letters(self, letters, z):
-        """w_{letters}(z) elementwise (dim 1 systems)."""
+    def weight_letters(self, letters, z, deriv=None):
+        """w_{letters}(z) elementwise (dim 1 systems). deriv, when given,
+        holds T'_{letters}(z) and saves recomputing it for +-T' weights."""
         idx = letters - 1
         codes = self._wcodes[idx]
         out = np.empty_like(np.asarray(z, dtype=complex))
@@ -377,7 +378,8 @@ class MapWeightSystem:
             out[plain] = self._wconsts[idx[plain]]
         dmask = (codes == _W_DERIV) | (codes == _W_NEG_DERIV)
         if dmask.any():
-            d = self.derivative_letters(letters[dmask], z[dmask])
+            d = (self.derivative_letters(letters[dmask], z[dmask])
+                 if deriv is None else deriv[dmask])
             sign = np.where(codes[dmask] == _W_NEG_DERIV, -1.0, 1.0)
             out[dmask] = sign * d
         gmask = codes == _W_GENERIC
@@ -764,12 +766,3 @@ def system_from_descriptor(desc):
         weights.append(_parse_weight(entry.get("weight", 1.0), br, where))
     return MapWeightSystem(branches, weights, domain, Finite(len(branches)),
                            label=family, descriptor=desc)
-
-
-def system_id_of(desc_or_system):
-    """Stable short id for a descriptor dict or a system."""
-    if isinstance(desc_or_system, MapWeightSystem):
-        return desc_or_system.system_id
-    blob = json.dumps(desc_or_system, sort_keys=True, separators=(",", ":"))
-    tag = desc_or_system.get("family", "custom")
-    return f"{tag}-{hashlib.sha1(blob.encode()).hexdigest()[:10]}"

@@ -2,12 +2,21 @@
 
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import transferspec
 from transferspec.cli import main
+
+try:
+    import tomllib
+except ModuleNotFoundError:     # Python 3.10: pytest depends on tomli there
+    import tomli as tomllib
 
 AFFINE_CFG = {
     "system": {
@@ -271,12 +280,30 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_console_script_smoke(tmp_path):
+def _console_script_command():
+    """The installed transferspec script, or else the entry point that
+    pyproject.toml declares for it, run in a fresh interpreter that imports
+    this same package."""
     exe = shutil.which("transferspec")
-    assert exe, "console script should be installed with the package"
+    if exe:
+        return [exe], None
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts.get("transferspec") == "transferspec.cli:main"
+    module, func = scripts["transferspec"].split(":")
+    src = os.path.dirname(os.path.dirname(transferspec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code], env
+
+
+def test_console_script_smoke(tmp_path):
+    command, env = _console_script_command()
     cfg = write_cfg(tmp_path, AFFINE_CFG)
     proc = subprocess.run(
-        [exe, "spectrum", "--config", cfg, "--matrix-size", "8"],
-        capture_output=True, text=True, timeout=120)
+        command + ["spectrum", "--config", cfg, "--matrix-size", "8"],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,re,im,abs,reliable\n")

@@ -1,6 +1,8 @@
 """Word compositions, fixed points, contraction sampling, adapted metric."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from transferspec import (
     make_affine,
     make_ball,
     make_const,
+    make_gauss_system,
+    make_moebius,
     make_system,
+    trace_table,
     word_weight,
 )
 from transferspec.dynamics import batch_fixed_points, batch_orbit, letters_block
@@ -297,3 +302,19 @@ def test_enclosing_radius_identity_fails():
                        make_ball(0.0, 1.0))
     with pytest.raises(NotEnclosed):
         enclosing_radius(sys_)
+
+
+# ---------------------------------------------------------------------------
+# no state kept between calls
+
+
+def test_library_calls_keep_no_reference_to_systems():
+    gauss = make_gauss_system(3, make_ball(1.0, 1.5))
+    moebius = make_system([make_moebius(0.0, 1.0, 1.0, e) for e in (1, 2)],
+                          [make_const(1.0)] * 2, make_ball(1.0, 1.5))
+    trace_table(gauss, 2)
+    adapted_distance(moebius, 2, 0.5, 1.0)
+    refs = [weakref.ref(gauss), weakref.ref(moebius)]
+    del gauss, moebius
+    gc.collect()
+    assert all(ref() is None for ref in refs)

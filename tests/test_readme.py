@@ -1,0 +1,27 @@
+"""The README's library quick tour runs as written and returns what its
+comments say."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_tour():
+    text = README.read_text()
+    section = text.split("## Library quick tour", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "README quick tour has no python block"
+    return match.group(1)
+
+
+def test_readme_quick_tour_runs():
+    ns = {}
+    exec(compile(_quick_tour(), str(README), "exec"), ns)
+    assert ns["seq"].values[0] == pytest.approx(1.0, abs=1e-12)
+    assert ns["table"].orders == (1, 2)
+    assert 1e-4 < ns["series"].trust_radius < 1.3e-4
+    assert ns["zeros"].values == ()
+    assert ns["verify_bounds"](ns["seq"], ns["prof"]).all_pass is True

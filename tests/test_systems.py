@@ -22,7 +22,6 @@ from transferspec import (
     system_from_descriptor,
     validate_system,
 )
-from transferspec.systems import system_id_of
 
 from conftest import AFFINE_DESC, GAUSS4_DESC
 
@@ -263,12 +262,13 @@ def test_descriptor_bad_weight():
 
 
 def test_system_id_stable_and_distinct():
-    a = system_id_of(AFFINE_DESC)
-    b = system_id_of(dict(AFFINE_DESC))     # equal content, fresh dict
-    c = system_id_of(GAUSS4_DESC)
+    a = system_from_descriptor(AFFINE_DESC).system_id
+    b = system_from_descriptor(dict(AFFINE_DESC)).system_id   # fresh dict
+    c = system_from_descriptor(GAUSS4_DESC).system_id
     assert a == b
     assert a != c
-    assert "-" in a
+    assert a.startswith("affine_list-")
+    assert c.startswith("moebius_list-")
 
 
 def test_alphabet_is_truncated_for_gauss(gauss200):

@@ -14,6 +14,7 @@ ratios and capped at 0.999; estimates are sampled, not rigorous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,19 @@ def compose(sys_, word):
 
     out = AnalyticMap(fn, deriv, dim=d, name=f"word{letters}")
     if d == 1 and all(hasattr(br, "moebius") for br in branches):
-        mat = np.eye(2, dtype=complex)
-        for br in branches:
-            a, b, c, e = br.moebius
-            mat = np.array([[a, b], [c, e]]) @ mat
-        out.moebius = (mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
+        out.moebius = _fold_moebius(br.moebius for br in branches)
     return out
+
+
+def _fold_moebius(steps):
+    """Coefficients (A, B, C, E) of the matrix product M_n ... M_1, where
+    steps yields the coefficients (a, b, c, e) of M_1, ..., M_n in letter
+    order. Entries are scalars, or equal-shape arrays holding one word per
+    element."""
+    A, B, C, E = 1.0, 0.0, 0.0, 1.0
+    for a, b, c, e in steps:
+        A, B, C, E = a * A + b * C, a * B + b * E, c * A + e * C, c * B + e * E
+    return A, B, C, E
 
 
 def word_weight(sys_, word):
@@ -254,13 +262,78 @@ def _word_count(sys_, n, word_budget):
 
 def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
                         threads=1):
-    """Sampled sup over all length-n words of |T_word'| on the boundary grid,
-    with the maximizing word and sample point."""
+    """Sup over all length-n words of |T_word'| on the boundary circle, with
+    the maximizing word and a boundary point where the sup is attained.
+
+    When every branch of a dim-1 system is a Moebius map the sup is exact:
+    the folded word (Az+B)/(Cz+E) has |T'| = |AE-BC| / |Cz+E|^2, which is
+    largest at the circle point nearest the pole -E/C, where |Cz+E| equals
+    | |Cc+E| - |C| rho |. grid is not used there and the report's grid is 0;
+    a word whose pole lies on the circle raises NotContracting. Any other
+    dim-1 system is sampled on grid equispaced boundary points, which is not
+    rigorous. Either way BudgetExceeded is raised before any work beyond
+    word_budget words, and ties go to the first word in lexicographic order
+    at any thread count.
+    """
     if sys_.dim != 1:
         raise DimensionUnsupported("contraction sampling needs dim 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     total = _word_count(sys_, n, word_budget)
+    if sys_._mob is not None:
+        return _exact_contraction(sys_, n, total, threads)
+    return _sampled_contraction(sys_, n, grid, total, threads)
+
+
+def _first_max(results, start):
+    """Reduce per-chunk (value, ...) maxima in index order; the strict >
+    keeps the first maximum, so the winner does not depend on chunking."""
+    best = start
+    for res in results:
+        if res[0] > best[0]:
+            best = res
+    return best
+
+
+def _word_at(sys_, n, idx):
+    row = letters_block(sys_.n_letters, n, idx, idx + 1)[0]
+    return tuple(int(l) for l in row)
+
+
+def _exact_contraction(sys_, n, total, threads):
+    c, rho = sys_.domain.center, sys_.domain.radius
+
+    def handle(rng):
+        lo, hi = rng
+        letters = letters_block(sys_.n_letters, n, lo, hi)
+        A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+                                   for col in letters.T)
+        gap = np.abs(C * c + E) - np.abs(C) * rho
+        on_circle = gap == 0.0
+        if on_circle.any():
+            r = int(np.argmax(on_circle))
+            return math.inf, lo + r, C[r], E[r]
+        vals = np.abs(A * E - B * C) / (gap * gap)
+        r = int(np.argmax(vals))
+        return float(vals[r]), lo + r, C[r], E[r]
+
+    value, idx, C, E = _first_max(
+        map_ordered(handle, chunk_ranges(total), threads), (-1.0, 0, 0.0, 1.0))
+    word = _word_at(sys_, n, idx)
+    if value == math.inf:
+        raise NotContracting(
+            f"word {word} has its pole {complex(-E / C):.6g} on the boundary "
+            "circle, so sup |T_word'| there is infinite")
+    point = c + rho
+    if C != 0:
+        off = -E / C - c
+        if off != 0:
+            point = c + rho * off / abs(off)
+    return ContractionReport(value, word, complex(point), 0, total,
+                             note="exact sup (Moebius closed form)")
+
+
+def _sampled_contraction(sys_, n, grid, total, threads):
     zs = sys_.domain.boundary_points(int(grid))
     g = zs.size
     # keep letter-expanded arrays around 1M entries per chunk
@@ -281,22 +354,19 @@ def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
         r, s = divmod(flat_idx, g)
         return float(mags[r, s]), lo + r, s
 
-    results = map_ordered(handle, chunk_ranges(total, chunk), threads)
-    best_val, best_word_idx, best_pt_idx = -1.0, 0, 0
-    for val, widx, pidx in results:     # index order: deterministic argmax
-        if val > best_val:
-            best_val, best_word_idx, best_pt_idx = val, widx, pidx
-    word = tuple(int(l) for l in
-                 letters_block(sys_.n_letters, n,
-                               best_word_idx, best_word_idx + 1)[0])
-    return ContractionReport(best_val, word, complex(zs[best_pt_idx]),
-                             int(grid), total)
+    best_val, best_word_idx, best_pt_idx = _first_max(
+        map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0, 0))
+    return ContractionReport(best_val, _word_at(sys_, n, best_word_idx),
+                             complex(zs[best_pt_idx]), int(grid), total)
 
 
 def contraction_factor(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
                        threads=1):
-    """Sampled contraction factor gamma(n); values < 1 certify (non-rigorously)
-    that every length-n branch composition is a strict contraction."""
+    """Contraction factor gamma(n), the value of contraction_details; values
+    < 1 certify that every length-n branch composition is a strict
+    contraction. It is exact when every branch of a dim-1 system is Moebius
+    (grid is then unused) and sampled on grid boundary points, so
+    non-rigorous, otherwise."""
     return contraction_details(sys_, n, grid, word_budget, threads).value
 
 
@@ -320,7 +390,7 @@ def adapted_distance(sys_, n, x, y, grid=256,
     gamma = contraction_factor(sys_, n, grid)
     if gamma >= 1.0:
         raise NotContracting(
-            f"sampled contraction factor {gamma:.6g} >= 1 at order {n}")
+            f"contraction factor {gamma:.6g} >= 1 at order {n}")
     x, y = complex(x), complex(y)
     if n == 1:
         return abs(x - y)

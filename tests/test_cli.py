@@ -83,6 +83,23 @@ def test_validate_identity_fails(tmp_path, capsys):
     assert out["ok"] is False
 
 
+def test_validate_pole_on_circle_is_error(tmp_path, capsys):
+    # the branch 1/(z + 0.5) has its pole -0.5 on the boundary circle
+    cfg = write_cfg(tmp_path, {
+        "system": {"family": "moebius_list",
+                   "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 0.5,
+                               "weight": 1.0}],
+                   "domain": {"center": [1.0, 0.0], "radius": 1.5,
+                              "dim": 1}},
+        "contraction_order": 1,
+    })
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_missing_domain_is_usage_error(tmp_path, capsys):
     broken = {"system": {"family": "affine_list",
                          "params": [{"a": 0.5, "b": 0.3}]}}

@@ -1,4 +1,4 @@
-"""Word compositions, fixed points, contraction sampling, adapted metric."""
+"""Word compositions, fixed points, contraction factors, adapted metric."""
 
 import gc
 import math
@@ -28,6 +28,7 @@ from transferspec import (
     make_gauss_system,
     make_moebius,
     make_system,
+    system_from_descriptor,
     trace_table,
     word_weight,
 )
@@ -81,6 +82,13 @@ def test_compose_associative(gauss4):
             da = whole.derivative(z)
             db = second.derivative(first(z)) * first.derivative(z)
             assert abs(da - db) <= 1e-13 * max(1.0, abs(da))
+
+
+def test_compose_moebius_coefficients_fold_in_word_order(gauss4):
+    f = compose(gauss4, (1, 2, 4))
+    a, b, c, e = f.moebius
+    for z in (0.0, 1.0 + 0.5j, -0.2 + 0.1j):
+        assert (a * z + b) / (c * z + e) == pytest.approx(f(z), rel=1e-14)
 
 
 def test_word_weight_single_letter(gauss4):
@@ -212,6 +220,70 @@ def test_contraction_submultiplicative(gauss4):
     g2 = contraction_factor(gauss4, 2, grid=512)
     g4 = contraction_factor(gauss4, 4, grid=512)
     assert g4 <= g2 ** 2 + 1e-6
+
+
+def _as_plain_maps(sys_):
+    """The same branches as plain callables with no Moebius coefficients,
+    so contraction_details samples the boundary instead of folding."""
+    branches = [AnalyticMap(br, br.derivative, dim=1) for br in sys_.branches]
+    return make_system(branches, sys_.weights, sys_.domain)
+
+
+def _complex_pair():
+    return make_system(
+        [make_moebius(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
+         make_moebius(0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8)],
+        [make_const(1.0)] * 2, make_ball(0.1 + 0.05j, 1.0))
+
+
+def test_contraction_exact_gauss_order_two(gauss200):
+    rep = contraction_details(gauss200, 2, grid=1024)
+    assert rep.value == pytest.approx(4 / 9, rel=1e-15)
+    assert rep.word == (1, 1)
+    assert rep.point == pytest.approx(-0.5, abs=1e-15)
+    assert rep.grid == 0
+    assert rep.words == 200 ** 2
+    assert "exact" in rep.note
+
+
+def test_contraction_exact_ties_go_to_first_word():
+    same = make_moebius(0.0, 1.0, 1.0, 2.0)
+    sys_ = make_system([same, same], [make_const(1.0)] * 2,
+                       make_ball(1.0, 1.5))
+    assert contraction_details(sys_, 3).word == (1, 1, 1)
+
+
+def test_contraction_exact_thread_count_independent():
+    # reversed shifts put the maximizing word (4, ..., 4) in the last chunk
+    sys_ = make_system([make_moebius(0.0, 1.0, 1.0, e) for e in (4, 3, 2, 1)],
+                       [make_const(1.0)] * 4, make_ball(1.0, 1.5))
+    one = contraction_details(sys_, 9, threads=1)
+    two = contraction_details(sys_, 9, threads=2)
+    assert one == two
+    assert one.word == (4,) * 9
+
+
+@pytest.mark.parametrize("name", ["gauss4", "two_thirds", "complex"])
+def test_contraction_exact_matches_sampled_plain_maps(name, request):
+    sys_ = (_complex_pair() if name == "complex"
+            else request.getfixturevalue(name))
+    plain = _as_plain_maps(sys_)
+    for n in (1, 2, 3):
+        exact = contraction_details(sys_, n)
+        sampled = contraction_details(plain, n, grid=1024)
+        assert "exact" in exact.note and sampled.grid == 1024
+        assert exact.word == sampled.word
+        assert exact.value >= sampled.value * (1.0 - 1e-14)
+        assert exact.value == pytest.approx(sampled.value, rel=1e-5)
+
+
+def test_contraction_exact_pole_on_circle():
+    desc = {"family": "moebius_list",
+            "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 0.5,
+                        "weight": 1.0}],
+            "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1}}
+    with pytest.raises(NotContracting, match=r"\(1,\)"):
+        contraction_details(system_from_descriptor(desc), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ._format import g17, json_g17
 from .bounds import (
@@ -47,13 +47,6 @@ from .systems import system_from_descriptor, validate_system
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_CONFIG_KEYS = {
-    "system", "profile", "matrix_size", "trace_order", "word_budget",
-    "fixed_point_tol", "agreement_tol", "margin", "contraction_order",
-    "grid", "threads", "out_dir",
-}
-
 
 @dataclass
 class RunConfig:
@@ -94,6 +87,9 @@ class RunConfig:
         return self
 
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
 def _resolve_config(args):
     data = {}
     if getattr(args, "config", None):
@@ -108,33 +104,22 @@ def _resolve_config(args):
         if data.get(key) is not None and not isinstance(data[key], dict):
             raise DescriptorError(f"config key {key!r} must be an object")
 
-    def pick(flag, key, default, cast):
-        if flag is not None:
-            return cast(flag)
-        if key in data and data[key] is not None:
+    # numeric fields: a flag beats the file, which beats the field default;
+    # the default's type is the cast
+    numbers = {}
+    for f in fields(RunConfig):
+        if not isinstance(f.default, (int, float)):
+            continue
+        flag = getattr(args, f.name, None)
+        value = flag if flag is not None else data.get(f.name)
+        if value is not None:
             try:
-                return cast(data[key])
+                numbers[f.name] = type(f.default)(value)
             except (TypeError, ValueError) as err:
-                raise DescriptorError(f"bad config value for {key}: {err}")
-        return default
-
-    cfg = RunConfig(
-        system=data.get("system"),
-        profile=data.get("profile"),
-        matrix_size=pick(getattr(args, "matrix_size", None),
-                         "matrix_size", 32, int),
-        trace_order=pick(getattr(args, "trace_order", None),
-                         "trace_order", 8, int),
-        word_budget=pick(getattr(args, "word_budget", None),
-                         "word_budget", DEFAULT_WORD_BUDGET, int),
-        fixed_point_tol=pick(None, "fixed_point_tol", 1e-13, float),
-        agreement_tol=pick(None, "agreement_tol", 1e-6, float),
-        margin=pick(None, "margin", 0.1, float),
-        contraction_order=pick(None, "contraction_order", 2, int),
-        grid=pick(None, "grid", 1024, int),
-        threads=pick(getattr(args, "threads", None), "threads", 1, int),
-        out_dir=getattr(args, "out", None) or data.get("out_dir"),
-    )
+                raise DescriptorError(f"bad config value for {f.name}: {err}")
+    cfg = RunConfig(system=data.get("system"), profile=data.get("profile"),
+                    out_dir=getattr(args, "out", None) or data.get("out_dir"),
+                    **numbers)
     return cfg.check()
 
 

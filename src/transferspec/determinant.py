@@ -106,11 +106,20 @@ def _tail_heuristic(sys_, n, max_multiplier, w_sup):
     return n * tau * w_sup ** (n - 1) * (1.0 - gamma) ** (-sys_.dim)
 
 
-def _trace_dim1(sys_, n, word_budget, tol, threads):
-    total = _word_count(sys_, n, word_budget)
+def _traces_dim1(sys_, orders, word_budget, tol, threads):
+    """(value, words, max multiplier, max residual) for each order.
 
-    def handle(rng):
-        lo, hi = rng
+    Every order's words are counted against the budget before any work, and
+    the chunks of all orders go through one ordered map, so one thread pool
+    serves the whole table. Each order's chunk partials combine in index
+    order, as they would in a map of that order alone.
+    """
+    totals = [_word_count(sys_, n, word_budget) for n in orders]
+    items = [(n, lo, hi) for n, total in zip(orders, totals)
+             for lo, hi in chunk_ranges(total)]
+
+    def handle(item):
+        n, lo, hi = item
         letters = letters_block(sys_.n_letters, n, lo, hi)
         z = batch_fixed_points(sys_, letters, tol)
         wgt, mult, end = batch_orbit(sys_, letters, z)
@@ -125,12 +134,15 @@ def _trace_dim1(sys_, n, word_budget, tol, threads):
         return (math.fsum(terms.real), math.fsum(terms.imag),
                 float(np.abs(mult).max()), float(np.abs(end - z).max()))
 
-    parts = map_ordered(handle, chunk_ranges(total), threads)
-    re = math.fsum(p[0] for p in parts)
-    im = math.fsum(p[1] for p in parts)
-    max_mult = max(p[2] for p in parts)
-    max_res = max(p[3] for p in parts)
-    return complex(re, im), total, max_mult, max_res
+    parts = map_ordered(handle, items, threads)
+    rows = []
+    for n, total in zip(orders, totals):
+        mine = [p for (m, _, _), p in zip(items, parts) if m == n]
+        value = complex(math.fsum(p[0] for p in mine),
+                        math.fsum(p[1] for p in mine))
+        rows.append((value, total, max(p[2] for p in mine),
+                     max(p[3] for p in mine)))
+    return rows
 
 
 def _trace_dimN(sys_, n, word_budget, tol):
@@ -170,27 +182,31 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """
     if n < 1:
         raise ValueError("trace order must be >= 1")
-    return _trace(sys_, n, word_budget, tol, threads, _tail_weight_sup(sys_))
+    return _traces(sys_, [n], word_budget, tol, threads,
+                   _tail_weight_sup(sys_))[0]
 
 
-def _trace(sys_, n, word_budget, tol, threads, w_sup):
+def _traces(sys_, orders, word_budget, tol, threads, w_sup):
     if sys_.dim == 1:
-        value, words, max_mult, max_res = _trace_dim1(
-            sys_, n, word_budget, tol, threads)
+        rows = _traces_dim1(sys_, orders, word_budget, tol, threads)
     else:
-        value, words, max_mult, max_res = _trace_dimN(sys_, n, word_budget, tol)
-    bound = _tail_heuristic(sys_, n, max_mult, w_sup)
-    return TraceValue(n, value, bound, words, max_mult, max_res)
+        rows = [_trace_dimN(sys_, n, word_budget, tol) for n in orders]
+    return [TraceValue(n, value, _tail_heuristic(sys_, n, max_mult, w_sup),
+                       words, max_mult, max_res)
+            for n, (value, words, max_mult, max_res) in zip(orders, rows)]
 
 
 def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
                 threads=1):
-    """Traces for orders 1..M as one table."""
+    """Traces for orders 1..M as one table.
+
+    On dim-1 systems BudgetExceeded is raised before any work when an
+    order needs more than word_budget words.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
-    w_sup = _tail_weight_sup(sys_)
-    rows = [_trace(sys_, n, word_budget, tol, threads, w_sup)
-            for n in range(1, M + 1)]
+    rows = _traces(sys_, range(1, M + 1), word_budget, tol, threads,
+                   _tail_weight_sup(sys_))
     return TraceTable(
         orders=tuple(r.order for r in rows),
         values=tuple(r.value for r in rows),
@@ -250,12 +266,12 @@ def _trust_radius(bounds):
 # zeros
 
 
-def _aberth_roots(coeffs, max_iter=400, rtol=1e-12):
+def _aberth_roots(coeffs):
     """All roots of the polynomial with descending coefficients coeffs.
 
     Simultaneous (Ehrlich-style third-order) iteration from a Newton-polygon
     inspired start. Each returned root x satisfies the backward-stable
-    residual contract |p(x)| <= rtol * sum_m |c_m| |x|^(deg-m).
+    residual contract |p(x)| <= 1e-12 * sum_m |c_m| |x|^(deg-m).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     coeffs = np.trim_zeros(coeffs, "b")      # trailing zeros: roots at infinity
@@ -277,7 +293,7 @@ def _aberth_roots(coeffs, max_iter=400, rtol=1e-12):
     x = mags * np.exp(2j * np.pi * (ks / deg + 0.13))
 
     dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
-    for _ in range(max_iter):
+    for _ in range(400):
         p = np.polyval(coeffs, x)
         dp = np.polyval(dcoeffs, x)
         dp = np.where(dp == 0, 1e-300, dp)
@@ -294,7 +310,7 @@ def _aberth_roots(coeffs, max_iter=400, rtol=1e-12):
     ax = np.abs(x)
     for m, c in enumerate(coeffs):
         scale += abs(c) * ax ** (deg - m)
-    bad = np.abs(np.polyval(coeffs, x)) > rtol * np.maximum(scale, 1e-300)
+    bad = np.abs(np.polyval(coeffs, x)) > 1e-12 * np.maximum(scale, 1e-300)
     if bad.any():
         worst = int(np.argmax(np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)))
         raise RootFindingFailure(

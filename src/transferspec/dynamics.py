@@ -33,6 +33,7 @@ from .systems import AnalyticMap, validate_system
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
+_MAX_SWEEPS = 5000
 DEFAULT_WORD_BUDGET = 2_000_000
 
 
@@ -188,7 +189,7 @@ def letters_block(n_letters, length, lo, hi):
     return out
 
 
-def batch_fixed_points(sys_, letters, tol=1e-13, max_sweeps=5000):
+def batch_fixed_points(sys_, letters, tol=1e-13):
     """Fixed points of many word compositions at once (dim 1).
 
     letters has shape (count, n). Every word is iterated from the ball
@@ -200,7 +201,7 @@ def batch_fixed_points(sys_, letters, tol=1e-13, max_sweeps=5000):
     z = np.full(count, complex(ball.center))
     q = 0.0
     prev_step = None
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         z1 = z
         for k in range(n):
             z1 = sys_.apply_letters(letters[:, k], z1)
@@ -218,7 +219,7 @@ def batch_fixed_points(sys_, letters, tol=1e-13, max_sweeps=5000):
         if step <= tol * (1.0 - q):
             return z
     raise NoConvergence(
-        f"word batch did not converge in {max_sweeps} sweeps "
+        f"word batch did not converge in {_MAX_SWEEPS} sweeps "
         f"(last step {step:.3g})")
 
 

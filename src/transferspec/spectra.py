@@ -24,7 +24,12 @@ import numpy as np
 
 from ._format import g17, json_g17
 from .errors import DimensionUnsupported, SolverFailure
-from .systems import AnalyticMap, CountableTruncated, MapWeightSystem
+from .systems import (
+    AnalyticMap,
+    CountableTruncated,
+    MapWeightSystem,
+    _branch_values_on_grid,
+)
 
 AGREEMENT_RTOL = 1e-8
 
@@ -111,11 +116,7 @@ def assemble_matrix(sys_, ball=None, N=32):
     grid = 4 * N
     zs = c + rho * np.exp(2j * np.pi * np.arange(grid) / grid)
 
-    nl = sys_.n_letters
-    letters = np.repeat(np.arange(1, nl + 1, dtype=np.int64), grid)
-    pts = np.tile(zs, nl)
-    t = sys_.apply_letters(letters, pts).reshape(nl, grid)
-    w = sys_.weight_letters(letters, pts).reshape(nl, grid)
+    t, w = _branch_values_on_grid(sys_, zs)
     s = (t - c) / rho
 
     g = np.empty((N, grid), dtype=complex)
@@ -146,11 +147,11 @@ def assemble_matrix(sys_, ball=None, N=32):
 # eigenvalues
 
 
-def sort_eigenvalues(values, tie_rtol=1e-10):
+def sort_eigenvalues(values):
     """Order by non-increasing modulus, ties by increasing principal
     argument in (-pi, pi].
 
-    Moduli within tie_rtol (relative to the larger) count as tied: genuine
+    Moduli within 1e-10 (relative to the larger) count as tied: genuine
     ties such as conjugate pairs come out of the eigensolver separated by
     ulps, and the argument order, not that noise, must decide.
     """
@@ -163,7 +164,7 @@ def sort_eigenvalues(values, tie_rtol=1e-10):
     out = []
     lo = 0
     for hi in range(1, len(values) + 1):
-        if hi == len(values) or mods[hi] < mods[lo] * (1.0 - tie_rtol):
+        if hi == len(values) or mods[hi] < mods[lo] * (1.0 - 1e-10):
             run = sorted(range(lo, hi), key=lambda k: args[k])
             out.extend(values[k] for k in run)
             lo = hi

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,11 +113,10 @@ class AnalyticMap:
     per-element fallback covers fn that does not.
     """
 
-    def __init__(self, fn, deriv=None, dim=1, domain=None, name=""):
+    def __init__(self, fn, deriv=None, dim=1, name=""):
         self._fn = fn
         self._deriv = deriv
         self.dim = int(dim)
-        self.domain = domain
         self.name = name
 
     def __repr__(self):
@@ -202,6 +201,22 @@ def make_const(value):
     return m
 
 
+def _derivative_weight(branch, kind):
+    """The weight T' ("derivative") or -T' ("neg_derivative") of a branch.
+
+    Values come from the branch's closed-form derivative; the weight's own
+    derivative, which the library never needs, is taken by dual numbers
+    through that closed form.
+    """
+    if kind == "derivative":
+        w = AnalyticMap(branch.derivative, dim=1, name=f"{branch.name}'")
+    else:
+        w = AnalyticMap(lambda z, b=branch: -b.derivative(z), dim=1,
+                        name=f"-{branch.name}'")
+    w.weight_kind = kind
+    return w
+
+
 def _lift_weight(w, dim):
     """A weight for a dim >= 2 system must consume a coordinate vector and
     return a scalar. Constant weights built for dim 1 are lifted; any other
@@ -213,7 +228,6 @@ def _lift_weight(w, dim):
         lifted = AnalyticMap(lambda z, v=cv: v, lambda z: 0.0 * np.asarray(z),
                              dim=dim, name=w.name)
         lifted.const_value = cv
-        lifted.weight_kind = "const"
         return lifted
     raise InvalidDomain(
         f"weight {w!r} has dim {getattr(w, 'dim', '?')} but the system "
@@ -491,7 +505,9 @@ def make_gauss_system(i_max, domain=None):
     sum telescopes against h(z) = 1/(1+z)). The alphabet is truncated at
     i_max with closed-form tail data, including exact weighted power sums of
     the dropped branches, so downstream consumers can represent the full
-    countable family.
+    countable family. Admissibility is closed-form geometry: the domain is
+    rejected when a pole touches it or when the exact image discs of the
+    branches reach past 98% of its radius.
     """
     if not isinstance(i_max, (int, np.integer)) or i_max < 1:
         raise InadmissibleDomain(f"i_max must be a positive integer, got {i_max!r}")
@@ -507,17 +523,19 @@ def make_gauss_system(i_max, domain=None):
             raise InadmissibleDomain(
                 f"pole of branch {i} at {-i} touches the closed ball")
 
+    # exact image discs of all branches i >= 1, with a 2% margin
+    reach = _gauss_image_tail_sup(0, domain)
+    if reach > 0.98 * rho:
+        raise InadmissibleDomain(
+            f"branch images reach {reach:.6g} from the center; not strictly "
+            f"inside radius {rho:.6g}")
+
     branches = []
-    weights = []
     for i in range(1, i_max + 1):
         br = make_moebius(0.0, 1.0, 1.0, float(i))
         br.name = f"1/({i}+z)"
-        w = AnalyticMap(lambda z, i=i: 1.0 / ((i + z) * (i + z)),
-                        lambda z, i=i: -2.0 / ((i + z) ** 3),
-                        dim=1, name=f"1/({i}+z)^2")
-        w.weight_kind = "neg_derivative"
         branches.append(br)
-        weights.append(w)
+    weights = [_derivative_weight(br, "neg_derivative") for br in branches]
 
     alphabet = CountableTruncated(
         i_max=i_max,
@@ -532,15 +550,8 @@ def make_gauss_system(i_max, domain=None):
         "domain": {"center": [c.real, c.imag], "radius": rho, "dim": 1},
         "i_max": i_max,
     }
-    sys_ = MapWeightSystem(branches, weights, domain, alphabet,
+    return MapWeightSystem(branches, weights, domain, alphabet,
                            label="gauss", descriptor=descriptor)
-    report = validate_system(sys_, margin=0.02)
-    if not report.images_compactly_contained:
-        raise InadmissibleDomain(
-            f"branch images reach {report.image_sup + report.image_safety:.6g} "
-            f"(tail {report.image_tail_sup:.6g}) from the center; not strictly "
-            f"inside radius {rho:.6g}")
-    return sys_
 
 
 # ---------------------------------------------------------------------------
@@ -566,31 +577,18 @@ class ValidationReport:
     note: str = "boundary grid sample, non-rigorous"
 
     def to_dict(self):
-        return {
-            "images_compactly_contained": self.images_compactly_contained,
-            "image_sup": self.image_sup,
-            "image_tail_sup": self.image_tail_sup,
-            "image_safety": self.image_safety,
-            "weight_sup": self.weight_sup,
-            "weight_safety": self.weight_safety,
-            "weight_tail_bound": self.weight_tail_bound,
-            "W": self.W,
-            "margin": self.margin,
-            "grid_used": self.grid_used,
-            "worst_branch": self.worst_branch,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _branch_values_on_grid(sys_, zs):
-    """(letters, grid) arrays of branch images and weight magnitudes."""
+    """(letters, grid) arrays of branch images and weights."""
     n = sys_.n_letters
     g = zs.size
     letters = np.repeat(np.arange(1, n + 1), g)
     pts = np.tile(zs, n)
     images = sys_.apply_letters(letters, pts).reshape(n, g)
-    wabs = np.abs(sys_.weight_letters(letters, pts)).reshape(n, g)
-    return images, wabs
+    weights = sys_.weight_letters(letters, pts).reshape(n, g)
+    return images, weights
 
 
 def validate_system(sys_, margin=0.1, grid=1024):
@@ -616,6 +614,7 @@ def validate_system(sys_, margin=0.1, grid=1024):
     while True:
         zs = ball.boundary_points(g)
         images, wabs = _branch_values_on_grid(sys_, zs)
+        wabs = np.abs(wabs)  # rebinding frees the complex table at once
         dist = np.abs(images - c)
         img_sup = float(dist.max())
         worst = int(np.argmax(dist.max(axis=1))) + 1
@@ -685,33 +684,14 @@ def _parse_domain(d):
 
 
 def _parse_weight(spec, branch, where):
-    if spec == "derivative":
-        w = AnalyticMap(branch.derivative,
-                        lambda z, b=branch: _second_derivative(b, z),
-                        dim=1, name=f"{branch.name}'")
-        w.weight_kind = "derivative"
-        return w
-    if spec == "neg_derivative":
-        w = AnalyticMap(lambda z, b=branch: -b.derivative(z),
-                        lambda z, b=branch: -_second_derivative(b, z),
-                        dim=1, name=f"-{branch.name}'")
-        w.weight_kind = "neg_derivative"
-        return w
+    if spec in ("derivative", "neg_derivative"):
+        return _derivative_weight(branch, spec)
     try:
         return make_const(_cnum(spec, where))
     except DescriptorError:
         raise DescriptorError(
             f"{where}: weight must be 'derivative', 'neg_derivative', or a "
             f"constant, got {spec!r}") from None
-
-
-def _second_derivative(branch, z):
-    """T'' for a Moebius branch (closed form); used by derivative weights."""
-    if hasattr(branch, "moebius"):
-        a, b, c, e = branch.moebius
-        q = c * z + e
-        return -2.0 * c * (a * e - b * c) / (q * q * q)
-    return derivative_scalar(branch.derivative, z)
 
 
 def system_from_descriptor(desc):
@@ -742,8 +722,7 @@ def system_from_descriptor(desc):
         if not isinstance(i_max, int) or i_max < 1:
             raise DescriptorError(
                 f"'i_max' must be a positive integer, got {i_max!r}")
-        sys_ = make_gauss_system(i_max, domain)
-        return sys_
+        return make_gauss_system(i_max, domain)
 
     params = desc.get("params")
     if not isinstance(params, list) or not params:

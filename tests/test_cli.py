@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import transferspec
+from transferspec import cli
 from transferspec.cli import main
 
 try:
@@ -112,6 +113,37 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     payload["matrix_sizes"] = 32  # typo must be caught, not ignored
     cfg = write_cfg(tmp_path, payload)
     assert main(["spectrum", "--config", cfg]) == 2
+
+
+def test_config_keys_are_the_run_config_fields():
+    assert cli._CONFIG_KEYS == {
+        "system", "profile", "matrix_size", "trace_order", "word_budget",
+        "fixed_point_tol", "agreement_tol", "margin", "contraction_order",
+        "grid", "threads", "out_dir"}
+
+
+_NUMERIC_KEYS = ("matrix_size", "trace_order", "word_budget",
+                 "fixed_point_tol", "agreement_tol", "margin",
+                 "contraction_order", "grid", "threads")
+
+
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+@pytest.mark.parametrize("value", ["x", [1]], ids=["str", "list"])
+def test_malformed_numeric_config_value_is_usage_error(tmp_path, capsys,
+                                                       key, value):
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG, **{key: value}))
+    assert main(["spectrum", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"bad config value for {key}" in captured.err
+    assert captured.out == ""
+
+
+def test_null_config_values_mean_defaults(tmp_path):
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG,
+                                   **{k: None for k in _NUMERIC_KEYS}))
+    args = cli.build_parser().parse_args(["spectrum", "--config", cfg])
+    assert cli._resolve_config(args) == cli.RunConfig(
+        system=AFFINE_CFG["system"])
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

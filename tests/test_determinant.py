@@ -22,6 +22,7 @@ from transferspec import (
     trace,
     trace_table,
 )
+from transferspec import determinant
 from transferspec.determinant import TRUST_CAP, _aberth_roots
 from transferspec.systems import AnalyticMap
 
@@ -114,6 +115,32 @@ def test_trace_table_contiguous_orders(gauss4):
     assert tt.orders == (1, 2, 3, 4, 5)
     assert len(tt.values) == 5
     assert tt.system_id == gauss4.system_id
+
+
+def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
+    # one ordered map, so one thread pool, serves every order of the table
+    sizes = []
+    real = determinant.map_ordered
+
+    def counted(fn, items, threads):
+        sizes.append(len(items))
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(determinant, "map_ordered", counted)
+    table = trace_table(gauss4, 9, threads=2)
+    assert sizes == [8 + 4]     # one chunk for each of orders 1..8, 4 for 9
+    monkeypatch.setattr(determinant, "map_ordered", real)
+    for n in (1, 8, 9):
+        assert table.values[n - 1] == trace(gauss4, n).value
+
+
+def test_trace_table_budget_checked_before_any_work(gauss4, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("words were evaluated")
+
+    monkeypatch.setattr(determinant, "batch_fixed_points", no_work)
+    with pytest.raises(BudgetExceeded):
+        trace_table(gauss4, 6, word_budget=1000)    # 4^5 = 1024 words
 
 
 def test_trace_dim2_diagonal_closed_form(diag2d):

@@ -12,6 +12,7 @@ from transferspec import (
     CountableTruncated,
     DegenerateMap,
     DescriptorError,
+    InadmissibleDomain,
     InvalidDomain,
     make_affine,
     make_ball,
@@ -20,6 +21,7 @@ from transferspec import (
     make_moebius,
     make_system,
     system_from_descriptor,
+    systems,
     validate_system,
 )
 
@@ -159,6 +161,26 @@ def test_gauss_empty_alphabet_rejected():
         make_gauss_system(0, make_ball(1.0, 1.5))
 
 
+def test_gauss_rejects_images_not_contained():
+    # no pole touches |z| <= 0.9, but branch 1 maps the disc onto the disc
+    # of center 1/0.19 and radius 0.9/0.19, which reaches exactly 10
+    with pytest.raises(InadmissibleDomain, match=r"reach 10 from the center"):
+        make_gauss_system(20, make_ball(0.0, 0.9))
+
+
+def test_gauss_build_samples_no_boundary(monkeypatch):
+    calls = []
+    real = systems.validate_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "validate_system", counting)
+    make_gauss_system(50)
+    assert calls == []
+
+
 def test_gauss_power_tail_matches_high_precision_sum():
     # row n of the tail closure is sum_{i>i_max} w_i(z) (T_i(z)-c)^n; the
     # oracle sums a few hundred branches exactly and closes the remainder
@@ -235,6 +257,45 @@ def test_descriptor_gauss4_weights_are_neg_derivative(gauss4):
     for i in (1, 2, 3, 4):
         got = gauss4.weight(i)(z)
         assert got == pytest.approx(-gauss4.branch(i).derivative(z), rel=1e-13)
+
+
+def _moebius_desc(weight, coeffs):
+    return {"family": "moebius_list",
+            "params": [dict(zip("abce", q), weight=weight) for q in coeffs],
+            "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}
+
+
+_REAL_COEFFS = [(0.0, 1.0, 1.0, 2.0), (0.5, 0.1, 0.2, 1.5)]
+_COMPLEX_COEFFS = [([0.4, 0.1], 0.1, [0.3, -0.2], 2.0),
+                   ([0.2, -0.3], [0.3, 0.1], [0.25, 0.15], 1.8)]
+
+
+@pytest.mark.parametrize("build, sign", [
+    (lambda: system_from_descriptor(
+        _moebius_desc("derivative", _REAL_COEFFS)), 1.0),
+    (lambda: system_from_descriptor(
+        _moebius_desc("derivative", _COMPLEX_COEFFS)), 1.0),
+    (lambda: system_from_descriptor(
+        _moebius_desc("neg_derivative", _COMPLEX_COEFFS)), -1.0),
+    (lambda: make_gauss_system(6), -1.0),
+], ids=["derivative", "derivative-complex", "neg-derivative-complex",
+        "gauss"])
+def test_derivative_weights_match_closed_forms(build, sign):
+    sys_ = build()
+    zs = sys_.domain.center + 0.9 * sys_.domain.radius * np.exp(
+        1j * np.linspace(0.0, 6.0, 11))
+    for i in range(1, sys_.n_letters + 1):
+        a, b, c, e = sys_.branch(i).moebius
+        det = a * e - b * c
+        d1 = sign * det / (c * zs + e) ** 2             # +-T'
+        d2 = -2.0 * sign * c * det / (c * zs + e) ** 3  # +-T''
+        w = sys_.weight(i)
+        assert np.allclose(w(zs), d1, rtol=1e-13, atol=0.0)
+        assert np.allclose(w.derivative(zs), d2, rtol=1e-13, atol=0.0)
+        for z, v1, v2 in zip(zs[:3], d1, d2):
+            assert w(complex(z)) == pytest.approx(v1, rel=1e-13, abs=0.0)
+            assert w.derivative(complex(z)) == pytest.approx(v2, rel=1e-13,
+                                                             abs=0.0)
 
 
 def test_descriptor_missing_domain():

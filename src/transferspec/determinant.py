@@ -128,8 +128,8 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
         if tiny.any():
             bad = int(np.argmax(tiny))
             raise NotContracting(
-                f"word {tuple(letters[bad])} has multiplier within 1e-9 of 1; "
-                "the trace summand is singular")
+                f"word {tuple(letters[bad].tolist())} has multiplier within "
+                "1e-9 of 1; the trace summand is singular")
         terms = wgt / gap
         return (math.fsum(terms.real), math.fsum(terms.imag),
                 float(np.abs(mult).max()), float(np.abs(end - z).max()))

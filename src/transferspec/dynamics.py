@@ -209,8 +209,8 @@ def batch_fixed_points(sys_, letters, tol=1e-13):
         if off.any():
             bad = int(np.argmax(off))
             raise EscapedDomain(
-                f"word {tuple(letters[bad])} maps the center orbit outside "
-                "the ball")
+                f"word {tuple(letters[bad].tolist())} maps the center orbit "
+                "outside the ball")
         step = float(np.max(np.abs(z1 - z)))
         if prev_step is not None and prev_step > 0.0:
             q = min(_Q_CAP, max(q * 0.5, step / prev_step))

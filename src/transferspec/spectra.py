@@ -29,6 +29,7 @@ from .systems import (
     CountableTruncated,
     MapWeightSystem,
     _branch_values_on_grid,
+    _power_sums,
 )
 
 AGREEMENT_RTOL = 1e-8
@@ -119,11 +120,8 @@ def assemble_matrix(sys_, ball=None, N=32):
     t, w = _branch_values_on_grid(sys_, zs)
     s = (t - c) / rho
 
-    g = np.empty((N, grid), dtype=complex)
-    powers = np.ones_like(s)
-    for n in range(N):
-        g[n] = (w * powers).sum(axis=0)
-        powers = powers * s
+    g = np.zeros((N, grid), dtype=complex)
+    _power_sums(w, s, g)
 
     tail_included = False
     tail_bound = 0.0

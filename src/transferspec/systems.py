@@ -41,6 +41,7 @@ from .errors import (
 
 _GRID_CAP = 1 << 14
 _REFINE_TOL = 1e-10
+_BLOCK_ENTRIES = 1 << 14  # entries of one column block of _power_sums
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +463,34 @@ def _gauss_image_tail_sup(i_max, domain):
     return max(probe, far)
 
 
+def _power_sums(w, base, out, base_first=False):
+    """out[n] += sum_i w[i] * base[i]**n for every row n of out.
+
+    w and base are (letters, grid) arrays. The grid is walked in column
+    blocks of about _BLOCK_ENTRIES entries, so the running power and the
+    product stay in cache and no step allocates a full-size temporary.
+    Each column gets the same operations in the same order as whole-array
+    code, with the power step p * base, or base * p when base_first is set:
+    numpy's complex multiply rounds the two orders differently in the last
+    bit, and each caller keeps the order it has always computed.
+    """
+    rows, cols = base.shape
+    width = max(1, _BLOCK_ENTRIES // rows)
+    for lo in range(0, cols, width):
+        # contiguous copies: each numpy call below is then one inner loop
+        wb = np.ascontiguousarray(w[:, lo:lo + width])
+        bb = np.ascontiguousarray(base[:, lo:lo + width])
+        p = np.ones_like(bb)
+        tmp = np.empty_like(bb)
+        for n in range(out.shape[0]):
+            np.multiply(wb, p, out=tmp)
+            out[n, lo:lo + width] += tmp.sum(axis=0)
+            if base_first:
+                np.multiply(bb, p, out=p)
+            else:
+                np.multiply(p, bb, out=p)
+
+
 def _gauss_power_tail(i_max, domain):
     """Closed-form tail power sums for the continued-fraction weights.
 
@@ -482,10 +511,8 @@ def _gauss_power_tail(i_max, domain):
             idx = np.arange(i_max + 1, cutoff + 1)
             t = 1.0 / (idx[:, None] + z[None, :])
             w = t * t
-            p = np.ones_like(t)
-            for n in range(count):
-                out[n] += (w * p).sum(axis=0)
-                p = p * (t - center)
+            np.subtract(t, center, out=t)
+            _power_sums(w, t, out, base_first=True)
         zetas = [hzeta_int(j + 2, cutoff + 1 + z) for j in range(count)]
         for n in range(count):
             s = np.zeros(z.size, dtype=complex)
@@ -581,14 +608,32 @@ class ValidationReport:
 
 
 def _branch_values_on_grid(sys_, zs):
-    """(letters, grid) arrays of branch images and weights."""
-    n = sys_.n_letters
-    g = zs.size
-    letters = np.repeat(np.arange(1, n + 1), g)
-    pts = np.tile(zs, n)
-    images = sys_.apply_letters(letters, pts).reshape(n, g)
-    weights = sys_.weight_letters(letters, pts).reshape(n, g)
-    return images, weights
+    """(letters, grid) arrays of branch images and weights.
+
+    An all-Moebius system whose weights are all +-T' or constants
+    broadcasts its (letters, 1) coefficient columns against the grid, with
+    the arithmetic of the letter gathers element for element; any other
+    system goes through the gathers.
+    """
+    codes = sys_._wcodes
+    if sys_._mob is None or (codes == _W_GENERIC).any():
+        n, g = sys_.n_letters, zs.size
+        letters = np.repeat(np.arange(1, n + 1), g)
+        pts = np.tile(zs, n)
+        images = sys_.apply_letters(letters, pts).reshape(n, g)
+        weights = sys_.weight_letters(letters, pts).reshape(n, g)
+        return images, weights
+    a, b, c, e = (col[:, None] for col in sys_._mob)
+    q = c * zs + e
+    images = (a * zs + b) / q
+    # q becomes the weight table in place: +-(ae - bc) / q^2, or constants
+    np.multiply(q, q, out=q)
+    np.divide(a * e - b * c, q, out=q)
+    sign = np.where(codes == _W_NEG_DERIV, -1.0, 1.0)
+    np.multiply(sign[:, None], q, out=q)
+    const = codes == _W_CONST
+    q[const] = sys_._wconsts[const, None]
+    return images, q
 
 
 def validate_system(sys_, margin=0.1, grid=1024):

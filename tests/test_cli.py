@@ -255,6 +255,16 @@ def test_determinant_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert one == four
 
 
+def test_determinant_error_names_word_plainly(tmp_path, capsys):
+    # the identity's only word has multiplier 1, so its trace summand is
+    # singular; the message names the word as plain integers
+    cfg = write_cfg(tmp_path, IDENTITY_CFG)
+    assert main(["determinant", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: word (1,) has multiplier")
+    assert "np." not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds output
 

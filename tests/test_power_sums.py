@@ -1,0 +1,168 @@
+"""The matrix route's tables, bit for bit against whole-array loops.
+
+The blocked power sums and the broadcast Moebius branch table must give
+every entry the same operations, in the same order, as the plain loops
+below. numpy's complex multiply rounds a * b and b * a differently in the
+last bit, so each reference keeps its site's operand order: the assembly
+steps powers * s, the Gauss tail steps (t - center) * p.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from transferspec import (
+    assemble_matrix,
+    make_ball,
+    make_const,
+    make_gauss_system,
+    make_moebius,
+    make_system,
+    system_from_descriptor,
+    systems,
+)
+from transferspec._zeta import hzeta_int
+from transferspec.systems import AnalyticMap, MapWeightSystem
+
+MIXED_DESC = {
+    "family": "moebius_list",
+    "params": [
+        {"a": [0.3, 0.1], "b": [0.2, -0.1], "c": [0.1, 0.05], "e": 1.0,
+         "weight": "derivative"},
+        {"a": [-0.25, 0.0], "b": [0.4, 0.2], "c": [0.0, 0.1],
+         "e": [1.0, 0.1], "weight": "neg_derivative"},
+        {"a": [0.2, -0.1], "b": [-0.3, 0.0], "c": 0.0, "e": 1.0,
+         "weight": [0.5, -0.25]},
+    ],
+    "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1},
+}
+
+
+def same_bits(x, y):
+    # integer views: signed zeros count as different
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.int64),
+        np.ascontiguousarray(y).view(np.int64))
+
+
+def gathered_table(sys_, zs):
+    n, g = sys_.n_letters, zs.size
+    letters = np.repeat(np.arange(1, n + 1), g)
+    pts = np.tile(zs, n)
+    return (sys_.apply_letters(letters, pts).reshape(n, g),
+            sys_.weight_letters(letters, pts).reshape(n, g))
+
+
+def reference_tail(i_max, z, count, center):
+    cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))))
+    out = np.zeros((count, z.size), dtype=complex)
+    t = 1.0 / (np.arange(i_max + 1, cutoff + 1)[:, None] + z[None, :])
+    w = t * t
+    p = np.ones_like(t)
+    for n in range(count):
+        out[n] += (w * p).sum(axis=0)
+        p = np.multiply(t - center, p)
+    zetas = [hzeta_int(j + 2, cutoff + 1 + z) for j in range(count)]
+    for n in range(count):
+        s = np.zeros(z.size, dtype=complex)
+        for j in range(n + 1):
+            s += math.comb(n, j) * (-center) ** (n - j) * zetas[j]
+        out[n] += s
+    return out
+
+
+def reference_matrix(sys_, N):
+    c, rho = complex(sys_.domain.center), float(sys_.domain.radius)
+    grid = 4 * N
+    zs = c + rho * np.exp(2j * np.pi * np.arange(grid) / grid)
+    t, w = gathered_table(sys_, zs)
+    s = (t - c) / rho
+    g = np.empty((N, grid), dtype=complex)
+    powers = np.ones_like(s)
+    for n in range(N):
+        g[n] = (w * powers).sum(axis=0)
+        powers = np.multiply(powers, s)
+    if isinstance(sys_.alphabet, systems.CountableTruncated):
+        tail = reference_tail(sys_.alphabet.i_max, zs, N, c)
+        g += tail * (rho ** -np.arange(N, dtype=float))[:, None]
+    cols = np.fft.fft(g, axis=1) / grid
+    return np.ascontiguousarray(cols[:, :N].T)
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    return system_from_descriptor(MIXED_DESC)
+
+
+@pytest.mark.parametrize("N", [5, 64, 134])
+def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
+    # at N = 134 the tail also sums branch 201 directly (cutoff 201)
+    got = assemble_matrix(gauss200, N=N).data
+    assert same_bits(got, reference_matrix(gauss200, N))
+
+
+@pytest.mark.parametrize("name", ["gauss4", "affine_half", "mixed",
+                                  "zero_weight"])
+def test_finite_matrix_matches_whole_array_loop(name, request):
+    sys_ = request.getfixturevalue(name)
+    for N in (7, 40):
+        assert same_bits(assemble_matrix(sys_, N=N).data,
+                         reference_matrix(sys_, N))
+
+
+@pytest.mark.parametrize("i_max, count, grid", [
+    (10, 16, 101),      # 22 explicit branches x 101 points: 2,222 entries
+    (100, 128, 300),    # 92 x 300 = 27,600 entries, the last block partial
+])
+def test_gauss_tail_matches_whole_array_loop(i_max, count, grid):
+    center = 1.0 + 0.0j
+    sys_ = make_gauss_system(i_max, make_ball(center, 1.5))
+    zs = sys_.domain.boundary_points(grid)
+    got = sys_.alphabet.power_tail(zs, count, center)
+    assert same_bits(got, reference_tail(i_max, zs, count, center))
+
+
+@pytest.mark.parametrize("name", ["gauss200", "gauss4", "affine_half",
+                                  "mixed"])
+def test_moebius_table_broadcast_matches_gathers(name, request, monkeypatch):
+    sys_ = request.getfixturevalue(name)
+    zs = sys_.domain.boundary_points(1000)
+    want_images, want_weights = gathered_table(sys_, zs)
+    calls = []
+    monkeypatch.setattr(MapWeightSystem, "_gather",
+                        lambda *a, **k: calls.append(a))
+    for method in ("apply_letters", "derivative_letters", "weight_letters"):
+        monkeypatch.setattr(MapWeightSystem, method,
+                            lambda *a, **k: calls.append(a))
+    images, weights = systems._branch_values_on_grid(sys_, zs)
+    assert calls == []
+    assert same_bits(images, want_images)
+    assert same_bits(weights, want_weights)
+
+
+def test_plain_callables_table_goes_through_gathers(monkeypatch):
+    moeb = make_moebius(0.0, 1.0, 1.0, 2.0)
+    plain = AnalyticMap(lambda z: 1.0 / (3.0 + z), name="T3")
+    wplain = AnalyticMap(lambda z: 1.0 / ((3.0 + z) * (3.0 + z)), name="w3")
+    ball = make_ball(1.0, 1.5)
+    zs = ball.boundary_points(64)
+    gathered = []
+    orig = MapWeightSystem._gather
+
+    def counting(self, call, letters, z, table=None):
+        gathered.append(table is None)
+        return orig(self, call, letters, z, table)
+
+    monkeypatch.setattr(MapWeightSystem, "_gather", counting)
+    # plain branches: images and weights both gathered
+    sys_ = make_system([plain], [wplain], ball)
+    images, weights = systems._branch_values_on_grid(sys_, zs)
+    assert gathered == [True, False]
+    assert np.allclose(images, 1.0 / (3.0 + zs), rtol=1e-15, atol=0)
+    # Moebius branches with a plain-callable weight keep the gathers too
+    gathered.clear()
+    sys_ = make_system([moeb, moeb], [make_const(0.5), wplain], ball)
+    images, weights = systems._branch_values_on_grid(sys_, zs)
+    assert gathered == [False]
+    assert np.array_equal(weights[0], np.full(64, 0.5 + 0j))

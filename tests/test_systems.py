@@ -1,6 +1,7 @@
 """Domain, map builders, family constructors, validation, descriptors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,25 +182,47 @@ def test_gauss_build_samples_no_boundary(monkeypatch):
     assert calls == []
 
 
+def _power_tail_oracle(i_max, zs, count):
+    # row n of the tail closure is sum_{i>i_max} w_i(z) (T_i(z)-c)^n at
+    # c = 1; the oracle sums a few hundred branches exactly and closes the
+    # remainder with the arbitrary-precision power sums of
+    # oracles.hzeta_reference
+    cut = 400
+    i = np.arange(i_max + 1, cut + 1, dtype=float)[:, None]
+    u = 1.0 / (i + zs[None, :])
+    want = np.stack([np.sum(u ** 2 * (u - 1.0) ** n, axis=0)
+                     for n in range(count)])
+    for p, z in enumerate(zs):
+        hz = [oracles.hzeta_reference(j + 2, cut + 1 + z)
+              for j in range(count)]
+        for n in range(count):
+            rem = sum(math.comb(n, j) * (-1.0) ** (n - j) * hz[j]
+                      for j in range(n + 1))
+            want[n, p] += rem
+    return want
+
+
 def test_gauss_power_tail_matches_high_precision_sum():
-    # row n of the tail closure is sum_{i>i_max} w_i(z) (T_i(z)-c)^n; the
-    # oracle sums a few hundred branches exactly and closes the remainder
-    # with the arbitrary-precision power sums of oracles.hzeta_reference
     sys_ = make_gauss_system(50, make_ball(1.0, 1.5))
     tail = sys_.alphabet.power_tail
     zs = make_ball(1.0, 1.5).boundary_points(7)
     got = tail(zs, 4, 1.0 + 0.0j)
-    cut = 400
-    i = np.arange(51, cut + 1, dtype=float)[:, None]
-    u = 1.0 / (i + zs[None, :])
-    want = np.stack([np.sum(u ** 2 * (u - 1.0) ** n, axis=0) for n in range(4)])
-    for p, z in enumerate(zs):
-        hz = [oracles.hzeta_reference(j + 2, cut + 1 + z) for j in range(4)]
-        for n in range(4):
-            rem = sum(math.comb(n, j) * (-1.0) ** (n - j) * hz[j]
-                      for j in range(n + 1))
-            want[n, p] += rem
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got - _power_tail_oracle(50, zs, 4))) < 1e-12
+
+
+def test_gauss_power_tail_explicit_branches_match_high_precision_sum():
+    # 16 rows put the stability cutoff at 32 > i_max = 10, so branches
+    # 11..32 are summed directly, in column blocks; the grid ends in a
+    # partial block, and the oracle checks columns of the first and the
+    # last block
+    sys_ = make_gauss_system(10, make_ball(1.0, 1.5))
+    width = systems._BLOCK_ENTRIES // 22
+    m = 2 * width + 5
+    zs = make_ball(1.0, 1.5).boundary_points(m)
+    got = sys_.alphabet.power_tail(zs, 16, 1.0 + 0.0j)
+    cols = [0, width - 1, width, 2 * width, m - 1]
+    want = _power_tail_oracle(10, zs[cols], 16)
+    assert np.max(np.abs(got[:, cols] - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +248,20 @@ def test_validate_gauss_weight_sup(gauss200):
     rep = validate_system(gauss200)
     assert rep.W <= math.pi ** 2 / 2 + 1e-12
     assert rep.W >= math.pi ** 2 / 2 - 1e-9
+
+
+def test_validate_gauss_memory_peak():
+    # the 200 x 2048 final grid holds about 13 MB of images and weights;
+    # building the branch table by broadcasting keeps the traced peak of
+    # the whole grid-doubling loop well under 50 MB
+    sys_ = make_gauss_system(200)
+    tracemalloc.start()
+    try:
+        validate_system(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_validate_monotone_in_margin(gauss200):

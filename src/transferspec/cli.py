@@ -207,12 +207,12 @@ def cmd_determinant(cfg, args):
     code = EXIT_OK
     if sys_.dim == 1:
         mat = spectral_sequence(sys_, N=cfg.matrix_size)
-        # leading values only: deep determinant zeros drift with the degree
-        # truncation faster than the reliability heuristic can certify
+        # leading values only (deep zeros drift with the degree truncation
+        # faster than reliability can certify); comparing none is no verdict
         count = min(zeros.reliable_count, mat.reliable_count, 5)
         diff = float(max((abs(zeros.values[k] - mat.values[k])
                           for k in range(count)), default=0.0))
-        agree = bool(diff <= cfg.agreement_tol)
+        agree = bool(diff <= cfg.agreement_tol) if count else None
         out["cross_check"] = {
             "count": int(count),
             "max_abs_diff": float(diff),

@@ -13,13 +13,14 @@ the word sum; the omitted contribution is estimated per order by the
 non-rigorous heuristic n * W^(n-1) * (weight tail sup) * (1-gamma)^(-d)
 and reported separately, never folded into the computed value.
 
-Word sums are evaluated in fixed-size lexicographic chunks with exactly
-compensated per-chunk summation, and chunk partials combine in index
-order, so results are bit-identical across thread counts.
+Word fixed points are closed-form for all-Moebius systems and iterated for
+user maps. Fixed-size lexicographic chunks give exactly rounded sums and
+remainders that combine in index order, bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,10 @@ import numpy as np
 from ._format import json_g17
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
+    _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
+    _fold_moebius,
+    _word_at,
     _word_count,
     batch_fixed_points,
     batch_orbit,
@@ -37,9 +41,10 @@ from .dynamics import (
     letters_block,
     word_weight,
 )
-from .errors import NotContracting, RootFindingFailure
+from .errors import EscapedDomain, NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import CountableTruncated, validate_system
+from .systems import (_W_CONST, _W_DERIV, _W_NEG_DERIV, CountableTruncated,
+                      validate_system)
 
 TRUST_CAP = 1e12
 _TRUST_SERIES_TOL = 1e-6
@@ -120,29 +125,83 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
 
     def handle(item):
         n, lo, hi = item
-        letters = letters_block(sys_.n_letters, n, lo, hi)
-        z = batch_fixed_points(sys_, letters, tol)
-        wgt, mult, end = batch_orbit(sys_, letters, z)
+        if sys_._mob is not None:
+            wgt, mult, z, end = _moebius_words(sys_, n, lo, hi)
+        else:
+            letters = letters_block(sys_.n_letters, n, lo, hi)
+            z = batch_fixed_points(sys_, letters, tol)
+            wgt, mult, end = batch_orbit(sys_, letters, z)
         gap = 1.0 - mult
         tiny = np.abs(gap) < 1e-9
         if tiny.any():
-            bad = int(np.argmax(tiny))
             raise NotContracting(
-                f"word {tuple(letters[bad].tolist())} has multiplier within "
-                "1e-9 of 1; the trace summand is singular")
+                f"word {_word_at(sys_, n, lo + int(np.argmax(tiny)))} has "
+                "multiplier within 1e-9 of 1; the trace summand is singular")
         terms = wgt / gap
-        return (math.fsum(terms.real), math.fsum(terms.imag),
+        return (_split_sum(terms.real), _split_sum(terms.imag),
                 float(np.abs(mult).max()), float(np.abs(end - z).max()))
 
     parts = map_ordered(handle, items, threads)
     rows = []
     for n, total in zip(orders, totals):
         mine = [p for (m, _, _), p in zip(items, parts) if m == n]
-        value = complex(math.fsum(p[0] for p in mine),
-                        math.fsum(p[1] for p in mine))
+        value = complex(math.fsum(x for p in mine for x in p[0]),
+                        math.fsum(x for p in mine for x in p[1]))
         rows.append((value, total, max(p[2] for p in mine),
                      max(p[3] for p in mine)))
     return rows
+
+
+def _moebius_words(sys_, n, lo, hi):
+    """Weight, multiplier, attracting fixed point z and T(z) of the words
+    lo..hi-1 of length n of an all-Moebius system, in closed form. Words
+    are folded a prefix-tree level at a time; q = C z + E is the root of
+    q^2 - tr q + det of larger modulus, and the multiplier is det / q^2.
+    A +-T' weight is (+-1)^k times the multiplier (k counts -T' letters),
+    constant weights multiply, and others are taken along the orbit of z.
+    """
+    size, mob, codes = sys_.n_letters, sys_._mob, sys_._wcodes
+    factor = np.where(codes == _W_CONST, sys_._wconsts,
+                      np.where(codes == _W_NEG_DERIV, -1.0, 1.0))
+    # a product of letter determinants: AE - BC of a long word cancels
+    dets = mob[0] * mob[3] - mob[1] * mob[2]
+    fold = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
+    det = wgt = np.ones(1)
+    for k in range(n - 1, -1, -1):     # (prefixes, letters) -> prefixes
+        head, tail = lo // size ** k, (hi - 1) // size ** k + 1
+        cut = slice(head % size, head % size + tail - head)
+        fold = tuple(x.reshape(-1)[cut] for x in _fold_moebius(
+            [mob], tuple(x[:, None] for x in fold)))
+        det = (det[:, None] * dets).reshape(-1)[cut]
+        wgt = (wgt[:, None] * factor).reshape(-1)[cut]
+    A, B, C, E = fold
+    tr = A + E
+    s = np.sqrt(tr * tr - 4.0 * det)
+    q = tr + s
+    tr -= s                     # the roots, doubled: keep the larger one
+    q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
+    mult = np.divide(det, q * q, out=det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(C != 0, (q - E) / C, B / (q - A))
+        end = (A * z + B) / (C * z + E)
+    ball = sys_.domain
+    off = np.abs(z - ball.center) > ball.radius * (1.0 + _ESCAPE_SLACK)
+    if off.any():
+        raise EscapedDomain(
+            f"word {_word_at(sys_, n, lo + int(np.argmax(off)))} has its "
+            "attracting fixed point outside the ball")
+    if np.isin(codes, (_W_DERIV, _W_NEG_DERIV)).all():
+        wgt = wgt * mult
+    elif not (codes == _W_CONST).all():
+        wgt = batch_orbit(sys_, letters_block(size, n, lo, hi), z)[0]
+    return wgt, mult, z, end
+
+
+def _split_sum(values):
+    """The exactly rounded sum of values and its rounded remainder."""
+    head = math.fsum(memoryview(values)) if values.any() else 0.0
+    rest = itertools.chain(memoryview(values), (-head,))
+    return head, math.fsum(rest) if head else 0.0
 
 
 def _trace_dimN(sys_, n, word_budget, tol):
@@ -153,22 +212,20 @@ def _trace_dimN(sys_, n, word_budget, tol):
     ims = []
     max_mult = 0.0
     max_res = 0.0
-    for lo, hi in chunk_ranges(total):
-        for row in letters_block(sys_.n_letters, n, lo, hi):
-            word = tuple(int(l) for l in row)
-            comp = compose(sys_, word)
-            fp = fixed_point(comp, sys_.domain, tol)
-            jac = np.asarray(comp.derivative(fp.point), dtype=complex)
-            spectralmax = float(np.abs(np.linalg.eigvals(jac)).max())
-            max_mult = max(max_mult, spectralmax)
-            max_res = max(max_res, fp.residual)
-            det = complex(np.linalg.det(eye - jac))
-            if abs(det) < 1e-12:
-                raise NotContracting(
-                    f"word {word}: det(I - T') = {det:.3g} is singular")
-            term = complex(word_weight(sys_, word)(fp.point)) / det
-            res.append(term.real)
-            ims.append(term.imag)
+    for word in itertools.product(range(1, sys_.n_letters + 1), repeat=n):
+        comp = compose(sys_, word)
+        fp = fixed_point(comp, sys_.domain, tol)
+        jac = np.asarray(comp.derivative(fp.point), dtype=complex)
+        spectralmax = float(np.abs(np.linalg.eigvals(jac)).max())
+        max_mult = max(max_mult, spectralmax)
+        max_res = max(max_res, fp.residual)
+        det = complex(np.linalg.det(eye - jac))
+        if abs(det) < 1e-12:
+            raise NotContracting(
+                f"word {word}: det(I - T') = {det:.3g} is singular")
+        term = complex(word_weight(sys_, word)(fp.point)) / det
+        res.append(term.real)
+        ims.append(term.imag)
     return complex(math.fsum(res), math.fsum(ims)), total, max_mult, max_res
 
 
@@ -176,9 +233,9 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """tau(L^n): the length-n word sum of weight / det(I - multiplier).
 
     Raises BudgetExceeded when |alphabet|^n > word_budget rather than
-    silently truncating. The fixed-point tolerance (default 1e-13) is
-    tighter than downstream eigenvalue targets because the summand's
-    sensitivity is bounded by the (1 - gamma)^(-d) factor.
+    silently truncating. The tolerance of iterated fixed points (default
+    1e-13) is tighter than downstream eigenvalue targets because the
+    summand's sensitivity is bounded by the (1 - gamma)^(-d) factor.
     """
     if n < 1:
         raise ValueError("trace order must be >= 1")
@@ -310,13 +367,11 @@ def _aberth_roots(coeffs):
     ax = np.abs(x)
     for m, c in enumerate(coeffs):
         scale += abs(c) * ax ** (deg - m)
-    bad = np.abs(np.polyval(coeffs, x)) > 1e-12 * np.maximum(scale, 1e-300)
-    if bad.any():
-        worst = int(np.argmax(np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)))
+    rel = np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)
+    if (rel > 1e-12).any():
         raise RootFindingFailure(
-            f"{int(bad.sum())} of {deg} roots failed the residual contract; "
-            f"worst relative residual "
-            f"{abs(np.polyval(coeffs, x[worst])) / max(scale[worst], 1e-300):.3g}")
+            f"{int((rel > 1e-12).sum())} of {deg} roots failed the residual "
+            f"contract; worst relative residual {rel.max():.3g}")
     return x
 
 

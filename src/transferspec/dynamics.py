@@ -5,9 +5,10 @@ composition T_{i_n} o ... o T_{i_1} (the first letter acts first). Word
 enumeration is lexicographic throughout, and batched evaluations reduce in
 index order, so every result is independent of chunking and thread count.
 
-Fixed points come from plain forward iteration: a branch system whose
-images lie strictly inside the ball contracts some adapted metric, so the
-orbit of the center converges geometrically. The stopping rule uses the
+Fixed points come from plain forward iteration (the trace route solves
+all-Moebius words in closed form instead): a branch system whose images
+lie strictly inside the ball contracts some adapted metric, so the orbit
+of the center converges geometrically. The stopping rule uses the
 a-posteriori bound step * q/(1-q) with q estimated from successive step
 ratios and capped at 0.999; estimates are sampled, not rigorous.
 """
@@ -53,11 +54,7 @@ def check_word(sys_, word):
 
 
 def compose(sys_, word):
-    """The composition map of a word, with chain-rule derivative.
-
-    For all-Moebius dim-1 systems the coefficient matrices are folded, so
-    the result is again an exact Moebius map.
-    """
+    """The composition map of a word, with chain-rule derivative."""
     letters = check_word(sys_, word)
     branches = [sys_.branches[l - 1] for l in letters]
     d = sys_.dim
@@ -82,18 +79,15 @@ def compose(sys_, word):
                 z = br(z)
             return jac
 
-    out = AnalyticMap(fn, deriv, dim=d, name=f"word{letters}")
-    if d == 1 and all(hasattr(br, "moebius") for br in branches):
-        out.moebius = _fold_moebius(br.moebius for br in branches)
-    return out
+    return AnalyticMap(fn, deriv, dim=d, name=f"word{letters}")
 
 
-def _fold_moebius(steps):
-    """Coefficients (A, B, C, E) of the matrix product M_n ... M_1, where
+def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
+    """Coefficients (A, B, C, E) of the matrix product M_n ... M_1 M_0, where
     steps yields the coefficients (a, b, c, e) of M_1, ..., M_n in letter
-    order. Entries are scalars, or equal-shape arrays holding one word per
-    element."""
-    A, B, C, E = 1.0, 0.0, 0.0, 1.0
+    order and start holds those of M_0. Entries are scalars, or equal-shape
+    arrays holding one word per element."""
+    A, B, C, E = start
     for a, b, c, e in steps:
         A, B, C, E = a * A + b * C, a * B + b * E, c * A + e * C, c * B + e * E
     return A, B, C, E
@@ -225,15 +219,16 @@ def batch_fixed_points(sys_, letters, tol=1e-13):
 
 def batch_orbit(sys_, letters, z):
     """Weight product, derivative product, and end point along each word's
-    orbit started at z (shape (count,) matching letters (count, n))."""
+    orbit started at z (shape (count,) matching letters (count, n)). In-place
+    products keep numpy from swapping operands on large batches."""
     wgt = np.ones(letters.shape[0], dtype=complex)
     mult = np.ones(letters.shape[0], dtype=complex)
     y = np.array(z, dtype=complex, copy=True)
     for k in range(letters.shape[1]):
         col = letters[:, k]
         deriv = sys_.derivative_letters(col, y)
-        wgt = wgt * sys_.weight_letters(col, y, deriv=deriv)
-        mult = mult * deriv
+        np.multiply(wgt, sys_.weight_letters(col, y, deriv=deriv), out=wgt)
+        np.multiply(mult, deriv, out=mult)
         y = sys_.apply_letters(col, y)
     return wgt, mult, y
 

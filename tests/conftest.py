@@ -29,6 +29,13 @@ GAUSS4_DESC = {
 }
 
 
+def as_plain_maps(sys_):
+    """The same branches as plain callables with no Moebius coefficients,
+    so word fixed points are iterated and contraction is sampled."""
+    branches = [AnalyticMap(br, br.derivative, dim=1) for br in sys_.branches]
+    return make_system(branches, sys_.weights, sys_.domain)
+
+
 @pytest.fixture(scope="session")
 def affine_half():
     """Single branch T(z) = 0.5 z + 0.3, w = 1, unit disc at the fixed point."""

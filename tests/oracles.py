@@ -9,6 +9,7 @@ rather than tautology.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
@@ -40,6 +41,58 @@ def moebius_image_disc(a, b, c, e, center, radius):
     inv_radius = rho / denom
     scale = -det / c
     return a / c + scale * inv_center, abs(scale) * inv_radius
+
+
+# ---------------------------------------------------------------------------
+# Moebius periodic-orbit traces in arbitrary precision
+
+
+def moebius_traces_mp(params, weights, orders, dps=40):
+    """Traces t_n = sum over length-n words of w_word(z*) / (1 - T_word'(z*))
+    for branches z -> (a z + b)/(c z + e), in mpmath arithmetic.
+
+    params lists (a, b, c, e) per branch and weights lists, per branch,
+    "derivative" (T'), "neg_derivative" (-T') or a constant. The word
+    (i_1, ..., i_n) acts as T_{i_n} o ... o T_{i_1}. Its fixed points are
+    the roots of C z^2 + (E - A) z - B for the folded matrix [[A, B],
+    [C, E]], and z* is the root where |T_word'| is smaller. The word's
+    weight is the product of the branch weights along the orbit of z*, by
+    definition, whatever the weight kinds.
+    """
+    with mp.workdps(dps):
+        mats = [tuple(mp.mpc(x) for x in p) for p in params]
+        out = []
+        for n in orders:
+            terms = []
+            for word in itertools.product(range(len(mats)), repeat=n):
+                A, B, C, E = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)
+                for l in word:
+                    a, b, c, e = mats[l]
+                    A, B, C, E = (a * A + b * C, a * B + b * E,
+                                  c * A + e * C, c * B + e * E)
+                det = A * E - B * C
+                if C == 0:
+                    roots = [B / (E - A)]
+                else:
+                    s = mp.sqrt((E - A) ** 2 + 4 * B * C)
+                    roots = [(A - E + s) / (2 * C), (A - E - s) / (2 * C)]
+                z = min(roots, key=lambda r: abs(det / (C * r + E) ** 2))
+                mult = det / (C * z + E) ** 2
+                wgt = mp.mpc(1)
+                for l in word:
+                    a, b, c, e = mats[l]
+                    deriv = (a * e - b * c) / (c * z + e) ** 2
+                    kind = weights[l]
+                    if kind == "derivative":
+                        wgt *= deriv
+                    elif kind == "neg_derivative":
+                        wgt *= -deriv
+                    else:
+                        wgt *= mp.mpc(kind)
+                    z = (a * z + b) / (c * z + e)
+                terms.append(wgt / (1 - mult))
+            out.append(complex(mp.fsum(terms)))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -245,14 +245,28 @@ def test_determinant_gauss4_cross_check(tmp_path, capsys):
 
 
 def test_determinant_thread_count_does_not_change_bytes(tmp_path, capsys):
+    # at order 8 the cross-check compares two eigenvalues
     cfg = write_cfg(tmp_path, GAUSS4_CFG)
-    assert main(["determinant", "--config", cfg, "--trace-order", "5",
+    assert main(["determinant", "--config", cfg, "--trace-order", "8",
                  "--threads", "1"]) == 0
     one = capsys.readouterr().out
-    assert main(["determinant", "--config", cfg, "--trace-order", "5",
+    assert main(["determinant", "--config", cfg, "--trace-order", "8",
                  "--threads", "4"]) == 0
     four = capsys.readouterr().out
     assert one == four
+    assert json.loads(one)["cross_check"]["count"] >= 1
+
+
+def test_determinant_cross_check_over_nothing_is_no_verdict(tmp_path,
+                                                            capsys):
+    # at order 5 no determinant zero counts as reliable, so the check
+    # compares nothing: it must neither agree nor exit 0
+    cfg = write_cfg(tmp_path, GAUSS4_CFG)
+    assert main(["determinant", "--config", cfg, "--trace-order", "5"]) == 1
+    text = capsys.readouterr().out
+    assert json.loads(text)["cross_check"] == {
+        "count": 0, "max_abs_diff": 0.0, "tol": 1e-6, "agree": None}
+    assert '"agree": null' in text
 
 
 def test_determinant_error_names_word_plainly(tmp_path, capsys):

@@ -10,10 +10,14 @@ import oracles
 from transferspec import (
     BudgetExceeded,
     DeterminantSeries,
+    EscapedDomain,
+    NotContracting,
     TraceTable,
+    compose,
     determinant_coefficients,
     determinant_zeros,
     export_determinant_json,
+    make_affine,
     make_ball,
     make_const,
     make_system,
@@ -24,9 +28,10 @@ from transferspec import (
 )
 from transferspec import determinant
 from transferspec.determinant import TRUST_CAP, _aberth_roots
+from transferspec.dynamics import _fold_moebius
 from transferspec.systems import AnalyticMap
 
-from conftest import GAUSS4_DESC
+from conftest import GAUSS4_DESC, as_plain_maps
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +139,147 @@ def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
         assert table.values[n - 1] == trace(gauss4, n).value
 
 
-def test_trace_table_budget_checked_before_any_work(gauss4, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("words were evaluated")
+def _no_work(*args):
+    raise AssertionError("words were evaluated")
 
-    monkeypatch.setattr(determinant, "batch_fixed_points", no_work)
+
+def test_trace_table_budget_checked_before_any_work(gauss4, monkeypatch):
+    # gauss4 is all-Moebius, so its words go through the closed form
+    monkeypatch.setattr(determinant, "_moebius_words", _no_work)
+    with pytest.raises(AssertionError, match="words were evaluated"):
+        trace_table(gauss4, 5, word_budget=1024)
     with pytest.raises(BudgetExceeded):
         trace_table(gauss4, 6, word_budget=1000)    # 4^5 = 1024 words
+
+
+def test_trace_table_budget_checked_before_any_work_user_maps(gauss4,
+                                                              monkeypatch):
+    plain = as_plain_maps(gauss4)
+    monkeypatch.setattr(determinant, "batch_fixed_points", _no_work)
+    with pytest.raises(AssertionError, match="words were evaluated"):
+        trace_table(plain, 5, word_budget=1024)
+    with pytest.raises(BudgetExceeded):
+        trace_table(plain, 6, word_budget=1000)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Moebius words
+
+
+def _moebius_case(entries, center, radius):
+    """A moebius_list system from (a, b, c, e, weight) tuples, and the same
+    data as oracle arguments."""
+    def num(v):
+        return [v.real, v.imag] if isinstance(v, complex) else v
+
+    desc = {"family": "moebius_list",
+            "params": [dict(zip("abce", map(num, entry[:4])),
+                            weight=num(entry[4])) for entry in entries],
+            "domain": {"center": center, "radius": radius, "dim": 1}}
+    return (system_from_descriptor(desc), [entry[:4] for entry in entries],
+            [entry[4] for entry in entries])
+
+
+_PAIR = [(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
+         (0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8)]
+ORACLE_CASES = {
+    "gauss4": ([(0.0, 1.0, 1.0, float(e), "neg_derivative")
+                for e in (1, 2, 3, 4)], [1.0, 0.0], 1.5, 5),
+    "complex-derivative": ([p + ("derivative",) for p in _PAIR],
+                           [0.1, 0.05], 1.0, 8),
+    "affine": ([(0.5, 0.3, 0.0, 1.0, 1.0)], [0.6, 0.0], 1.0, 10),
+    "constant-weight": ([(0.0, 1.0, 1.0, 2.0, 0.5),
+                         (0.0, 1.0, 1.0, 3.0, 0.25 + 0.1j)], [1.0, 0.0], 1.5, 8),
+    "mixed-weight": ([_PAIR[0] + ("derivative",), _PAIR[1] + (0.5 - 0.2j,)],
+                     [0.1, 0.05], 1.0, 8),
+    "signed-derivative": ([_PAIR[0] + ("derivative",),
+                           _PAIR[1] + ("neg_derivative",)], [0.1, 0.05], 1.0,
+                          6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_closed_form_traces_match_mp_oracle(name):
+    entries, center, radius, M = ORACLE_CASES[name]
+    sys_, params, weights = _moebius_case(entries, center, radius)
+    plain = as_plain_maps(sys_)
+    assert sys_._mob is not None and plain._mob is None
+    ref = oracles.moebius_traces_mp(params, weights, range(1, M + 1))
+    closed = trace_table(sys_, M).values
+    iterated = trace_table(plain, M).values
+    for got, want in zip(closed, ref):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def worst(values):
+        return max(abs(v - w) / abs(w) for v, w in zip(values, ref))
+
+    # no further from the oracle than fixed-point iteration on the same maps
+    assert worst(closed) <= worst(iterated)
+
+
+def test_moebius_words_fold_matches_letter_by_letter_fold():
+    # the prefix tree gives every word the bits of a letter by letter fold,
+    # also for ranges that start and end inside a prefix
+    sys_, _, _ = _moebius_case(
+        [_PAIR[0] + ("derivative",), _PAIR[1] + ("neg_derivative",),
+         (0.1 + 0.05j, -0.2, 0.1j, 2.2, "derivative")], [0.1, 0.05], 1.0)
+    n, total = 7, 3 ** 7
+    whole = determinant._moebius_words(sys_, n, 0, total)
+    for lo, hi in ((0, 1000), (1000, 1001), (1001, total)):
+        part = determinant._moebius_words(sys_, n, lo, hi)
+        for w, p in zip(whole, part):
+            assert np.array_equal(w[lo:hi], p)
+    letters = determinant.letters_block(3, n, 0, total)
+    A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+                               for col in letters.T)
+    _, _, z, end = whole
+    assert np.array_equal(end, (A * z + B) / (C * z + E))
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_identity_word_is_not_contracting(plain):
+    ident = make_system([make_affine(1.0, 0.0)], [make_const(1.0)],
+                        make_ball(0.0, 1.0))
+    with pytest.raises(NotContracting, match=r"word \(1,\) has multiplier"):
+        trace(as_plain_maps(ident) if plain else ident, 1)
+
+
+@pytest.mark.parametrize("plain", [False, True])
+@pytest.mark.parametrize("overshoot, escapes", [(0.5e-9, False),
+                                                (2e-9, True)])
+def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes):
+    # z -> z/2 + b fixes 2b; the ball is the unit disc, and both paths
+    # forgive the same slack of 1e-9 radius
+    sys_ = make_system([make_affine(0.5, (1.0 + overshoot) / 2)],
+                       [make_const(1.0)], make_ball(0.0, 1.0))
+    sys_ = as_plain_maps(sys_) if plain else sys_
+    if escapes:
+        with pytest.raises(EscapedDomain, match=r"word \(1, 1\)"):
+            trace(sys_, 2)
+    else:
+        assert trace(sys_, 2).value == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+
+def test_closed_form_fixed_point_without_pole(affine_half):
+    # C = 0: the fixed point is B / (q - A); z -> z/2 + 0.3 fixes 0.6
+    for n in (1, 5, 12):
+        _, mult, z, end = determinant._moebius_words(affine_half, n, 0, 1)
+        assert z[0] == pytest.approx(0.6, abs=1e-15)
+        assert end[0] == pytest.approx(z[0], abs=1e-15)
+        assert mult[0] == pytest.approx(0.5 ** n, rel=1e-15)
+
+
+def test_max_residual_is_word_map_at_fixed_point(gauss4):
+    n = 3
+    _, _, z, _ = determinant._moebius_words(gauss4, n, 0, 4 ** n)
+    words = [tuple(int(l) for l in row)
+             for row in determinant.letters_block(4, n, 0, 4 ** n)]
+    # composing the branches one by one rounds differently from the
+    # folded matrix, so the two residuals agree to a few ulps of |z| ~ 1
+    want = max(abs(compose(gauss4, w)(p) - p) for w, p in zip(words, z))
+    got = trace(gauss4, n).max_residual
+    assert abs(got - want) <= 4 * np.finfo(float).eps
+    assert 0.0 < got <= 1e-15
 
 
 def test_trace_dim2_diagonal_closed_form(diag2d):

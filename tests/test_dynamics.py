@@ -32,8 +32,15 @@ from transferspec import (
     trace_table,
     word_weight,
 )
-from transferspec.dynamics import batch_fixed_points, batch_orbit, letters_block
+from transferspec.dynamics import (
+    _fold_moebius,
+    batch_fixed_points,
+    batch_orbit,
+    letters_block,
+)
 from transferspec.systems import AnalyticMap
+
+from conftest import as_plain_maps
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +92,15 @@ def test_compose_associative(gauss4):
 
 
 def test_compose_moebius_coefficients_fold_in_word_order(gauss4):
-    f = compose(gauss4, (1, 2, 4))
-    a, b, c, e = f.moebius
+    # the fold of (1, 2, 4) is M_4 M_2 M_1, which acts as T_4 o T_2 o T_1
+    word = (1, 2, 4)
+    letter = [tuple(x[l - 1] for x in gauss4._mob) for l in word]
+    a, b, c, e = _fold_moebius(letter)
+    f = compose(gauss4, word)
     for z in (0.0, 1.0 + 0.5j, -0.2 + 0.1j):
         assert (a * z + b) / (c * z + e) == pytest.approx(f(z), rel=1e-14)
+    # a fold continued from a prefix's matrix repeats the full fold's bits
+    assert _fold_moebius(letter[2:], _fold_moebius(letter[:2])) == (a, b, c, e)
 
 
 def test_word_weight_single_letter(gauss4):
@@ -176,6 +188,32 @@ def test_batch_fixed_points_match_scalar(gauss4):
         assert abs(z - res.point) <= 1e-12
 
 
+# two Moebius branches with complex coefficients and weights T'
+COMPLEX_DESC = {
+    "family": "moebius_list",
+    "params": [
+        {"a": [0.4, 0.1], "b": 0.1, "c": [0.3, -0.2], "e": 2.0,
+         "weight": "derivative"},
+        {"a": [0.2, -0.3], "b": [0.3, 0.1], "c": [0.25, 0.15], "e": 1.8,
+         "weight": "derivative"},
+    ],
+    "domain": {"center": [0.1, 0.05], "radius": 1.0, "dim": 1},
+}
+
+
+def test_batch_orbit_bits_do_not_depend_on_batch_size():
+    # numpy evaluates wgt * (temporary) as temporary * wgt once a batch
+    # reaches 16,384 entries, and complex products round differently in
+    # the two orders; per-word results must not see the batch size
+    sys_ = system_from_descriptor(COMPLEX_DESC)
+    letters = letters_block(2, 15, 5_000, 5_000 + 16_385)
+    z = 0.1 + 0.05j + 0.6 * np.exp(1j * np.arange(16_385))
+    big = batch_orbit(sys_, letters, z)
+    small = batch_orbit(sys_, letters[:16_383], z[:16_383])
+    for b, s in zip(big, small):
+        assert np.array_equal(b[:16_383], s)
+
+
 def test_batch_orbit_matches_compose(gauss4):
     letters = letters_block(4, 3, 0, 64)
     z0 = 0.9 + 0.3j
@@ -222,13 +260,6 @@ def test_contraction_submultiplicative(gauss4):
     assert g4 <= g2 ** 2 + 1e-6
 
 
-def _as_plain_maps(sys_):
-    """The same branches as plain callables with no Moebius coefficients,
-    so contraction_details samples the boundary instead of folding."""
-    branches = [AnalyticMap(br, br.derivative, dim=1) for br in sys_.branches]
-    return make_system(branches, sys_.weights, sys_.domain)
-
-
 def _complex_pair():
     return make_system(
         [make_moebius(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
@@ -267,7 +298,7 @@ def test_contraction_exact_thread_count_independent():
 def test_contraction_exact_matches_sampled_plain_maps(name, request):
     sys_ = (_complex_pair() if name == "complex"
             else request.getfixturevalue(name))
-    plain = _as_plain_maps(sys_)
+    plain = as_plain_maps(sys_)
     for n in (1, 2, 3):
         exact = contraction_details(sys_, n)
         sampled = contraction_details(plain, n, grid=1024)

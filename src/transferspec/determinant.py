@@ -43,8 +43,7 @@ from .dynamics import (
 )
 from .errors import EscapedDomain, NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import (_W_CONST, _W_DERIV, _W_NEG_DERIV, CountableTruncated,
-                      validate_system)
+from .systems import CountableTruncated, validate_system
 
 TRUST_CAP = 1e12
 _TRUST_SERIES_TOL = 1e-6
@@ -131,13 +130,16 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
             letters = letters_block(sys_.n_letters, n, lo, hi)
             z = batch_fixed_points(sys_, letters, tol)
             wgt, mult, end = batch_orbit(sys_, letters, z)
-        gap = 1.0 - mult
-        tiny = np.abs(gap) < 1e-9
-        if tiny.any():
-            raise NotContracting(
-                f"word {_word_at(sys_, n, lo + int(np.argmax(tiny)))} has "
-                "multiplier within 1e-9 of 1; the trace summand is singular")
-        terms = wgt / gap
+        ball = sys_.domain
+        for bad, err, what in (
+                (~(np.abs(mult) < 1.0 - 1e-9), NotContracting, "multiplier "
+                 "of modulus >= 1 - 1e-9, so z* does not attract"),
+                (~(np.abs(z - ball.center) <= ball.radius * (1 + _ESCAPE_SLACK)),
+                 EscapedDomain, "its attracting fixed point outside the ball")):
+            if bad.any():
+                word = _word_at(sys_, n, lo + int(np.argmax(bad)))
+                raise err(f"word {word} has {what}")
+        terms = wgt / (1.0 - mult)
         return (_split_sum(terms.real), _split_sum(terms.imag),
                 float(np.abs(mult).max()), float(np.abs(end - z).max()))
 
@@ -154,15 +156,12 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
 
 def _moebius_words(sys_, n, lo, hi):
     """Weight, multiplier, attracting fixed point z and T(z) of the words
-    lo..hi-1 of length n of an all-Moebius system, in closed form. Words
-    are folded a prefix-tree level at a time; q = C z + E is the root of
-    q^2 - tr q + det of larger modulus, and the multiplier is det / q^2.
-    A +-T' weight is (+-1)^k times the multiplier (k counts -T' letters),
-    constant weights multiply, and others are taken along the orbit of z.
-    """
-    size, mob, codes = sys_.n_letters, sys_._mob, sys_._wcodes
-    factor = np.where(codes == _W_CONST, sys_._wconsts,
-                      np.where(codes == _W_NEG_DERIV, -1.0, 1.0))
+    lo..hi-1 of length n of an all-Moebius system, folded a prefix-tree
+    level at a time. q = C z + E is the larger root of q^2 - tr q + det, the
+    multiplier is det / q^2, a +-T' weight is (+-1)^k times it (k counts -T'
+    letters), constant weights multiply, other weights follow z's orbit."""
+    size, mob = sys_.n_letters, sys_._mob
+    factor, deriv = sys_._wfactors or (np.ones(size), None)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
     fold = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
@@ -181,18 +180,15 @@ def _moebius_words(sys_, n, lo, hi):
     tr -= s                     # the roots, doubled: keep the larger one
     q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
     mult = np.divide(det, q * q, out=det)
+    qa, qe = q - A, np.subtract(q, E, out=q)     # z = B / qa = qe / C, and
+    pick = (C == 0) | (np.abs(qa) > np.abs(qe))  # the larger keeps digits
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(C != 0, (q - E) / C, B / (q - A))
+        z = np.divide(qe, C, out=qe)
+        np.divide(B, qa, out=z, where=pick)
         end = (A * z + B) / (C * z + E)
-    ball = sys_.domain
-    off = np.abs(z - ball.center) > ball.radius * (1.0 + _ESCAPE_SLACK)
-    if off.any():
-        raise EscapedDomain(
-            f"word {_word_at(sys_, n, lo + int(np.argmax(off)))} has its "
-            "attracting fixed point outside the ball")
-    if np.isin(codes, (_W_DERIV, _W_NEG_DERIV)).all():
+    if deriv is not None and deriv.all():
         wgt = wgt * mult
-    elif not (codes == _W_CONST).all():
+    elif deriv is None or deriv.any():
         wgt = batch_orbit(sys_, letters_block(size, n, lo, hi), z)[0]
     return wgt, mult, z, end
 
@@ -212,20 +208,22 @@ def _trace_dimN(sys_, n, word_budget, tol):
     ims = []
     max_mult = 0.0
     max_res = 0.0
-    for word in itertools.product(range(1, sys_.n_letters + 1), repeat=n):
-        comp = compose(sys_, word)
-        fp = fixed_point(comp, sys_.domain, tol)
-        jac = np.asarray(comp.derivative(fp.point), dtype=complex)
-        spectralmax = float(np.abs(np.linalg.eigvals(jac)).max())
-        max_mult = max(max_mult, spectralmax)
-        max_res = max(max_res, fp.residual)
-        det = complex(np.linalg.det(eye - jac))
-        if abs(det) < 1e-12:
-            raise NotContracting(
-                f"word {word}: det(I - T') = {det:.3g} is singular")
-        term = complex(word_weight(sys_, word)(fp.point)) / det
-        res.append(term.real)
-        ims.append(term.imag)
+    for lo, hi in chunk_ranges(total):
+        for row in letters_block(sys_.n_letters, n, lo, hi):
+            word = tuple(int(l) for l in row)
+            comp = compose(sys_, word)
+            fp = fixed_point(comp, sys_.domain, tol)
+            jac = np.asarray(comp.derivative(fp.point), dtype=complex)
+            spectralmax = float(np.abs(np.linalg.eigvals(jac)).max())
+            max_mult = max(max_mult, spectralmax)
+            max_res = max(max_res, fp.residual)
+            det = complex(np.linalg.det(eye - jac))
+            if abs(det) < 1e-12:
+                raise NotContracting(
+                    f"word {word}: det(I - T') = {det:.3g} is singular")
+            term = complex(word_weight(sys_, word)(fp.point)) / det
+            res.append(term.real)
+            ims.append(term.imag)
     return complex(math.fsum(res), math.fsum(ims)), total, max_mult, max_res
 
 
@@ -367,11 +365,13 @@ def _aberth_roots(coeffs):
     ax = np.abs(x)
     for m, c in enumerate(coeffs):
         scale += abs(c) * ax ** (deg - m)
-    rel = np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)
-    if (rel > 1e-12).any():
+    bad = np.abs(np.polyval(coeffs, x)) > 1e-12 * np.maximum(scale, 1e-300)
+    if bad.any():
+        worst = int(np.argmax(np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)))
         raise RootFindingFailure(
-            f"{int((rel > 1e-12).sum())} of {deg} roots failed the residual "
-            f"contract; worst relative residual {rel.max():.3g}")
+            f"{int(bad.sum())} of {deg} roots failed the residual contract; "
+            f"worst relative residual "
+            f"{abs(np.polyval(coeffs, x[worst])) / max(scale[worst], 1e-300):.3g}")
     return x
 
 

@@ -356,14 +356,17 @@ class MapWeightSystem:
         for idx, w in enumerate(self.weights):
             kind = getattr(w, "weight_kind", None)
             if kind == "derivative":
-                codes[idx] = _W_DERIV
+                codes[idx], consts[idx] = _W_DERIV, 1.0
             elif kind == "neg_derivative":
-                codes[idx] = _W_NEG_DERIV
+                codes[idx], consts[idx] = _W_NEG_DERIV, -1.0
             elif hasattr(w, "const_value"):
-                codes[idx] = _W_CONST
-                consts[idx] = w.const_value
+                codes[idx], consts[idx] = _W_CONST, w.const_value
         self._wcodes = codes
         self._wconsts = consts
+        # per letter +-1 or the constant, and the letters whose weight is
+        # that factor times T'; None when some weight is generic
+        self._wfactors = (None if (codes == _W_GENERIC).any()
+                          else (consts, codes != _W_CONST))
 
     def apply_letters(self, letters, z):
         """T_{letters}(z) elementwise; letters int array, z complex array."""
@@ -395,8 +398,7 @@ class MapWeightSystem:
         if dmask.any():
             d = (self.derivative_letters(letters[dmask], z[dmask])
                  if deriv is None else deriv[dmask])
-            sign = np.where(codes[dmask] == _W_NEG_DERIV, -1.0, 1.0)
-            out[dmask] = sign * d
+            out[dmask] = self._wconsts[idx[dmask]] * d
         gmask = codes == _W_GENERIC
         if gmask.any():
             out[gmask] = self._gather(lambda w, pts: w(pts),
@@ -615,8 +617,7 @@ def _branch_values_on_grid(sys_, zs):
     the arithmetic of the letter gathers element for element; any other
     system goes through the gathers.
     """
-    codes = sys_._wcodes
-    if sys_._mob is None or (codes == _W_GENERIC).any():
+    if sys_._mob is None or sys_._wfactors is None:
         n, g = sys_.n_letters, zs.size
         letters = np.repeat(np.arange(1, n + 1), g)
         pts = np.tile(zs, n)
@@ -629,10 +630,9 @@ def _branch_values_on_grid(sys_, zs):
     # q becomes the weight table in place: +-(ae - bc) / q^2, or constants
     np.multiply(q, q, out=q)
     np.divide(a * e - b * c, q, out=q)
-    sign = np.where(codes == _W_NEG_DERIV, -1.0, 1.0)
-    np.multiply(sign[:, None], q, out=q)
-    const = codes == _W_CONST
-    q[const] = sys_._wconsts[const, None]
+    factor, deriv = sys_._wfactors
+    np.multiply(factor[:, None], q, out=q)
+    q[~deriv] = factor[~deriv, None]
     return images, q
 
 

@@ -270,8 +270,8 @@ def test_determinant_cross_check_over_nothing_is_no_verdict(tmp_path,
 
 
 def test_determinant_error_names_word_plainly(tmp_path, capsys):
-    # the identity's only word has multiplier 1, so its trace summand is
-    # singular; the message names the word as plain integers
+    # the identity's only word has multiplier 1, so its fixed point does
+    # not attract; the message names the word as plain integers
     cfg = write_cfg(tmp_path, IDENTITY_CFG)
     assert main(["determinant", "--config", cfg]) == 1
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Periodic-orbit traces, determinant coefficients, reciprocal zeros."""
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from transferspec import (
     BudgetExceeded,
     DeterminantSeries,
     EscapedDomain,
+    NoConvergence,
     NotContracting,
     TraceTable,
     compose,
@@ -192,6 +194,10 @@ ORACLE_CASES = {
                          (0.0, 1.0, 1.0, 3.0, 0.25 + 0.1j)], [1.0, 0.0], 1.5, 8),
     "mixed-weight": ([_PAIR[0] + ("derivative",), _PAIR[1] + (0.5 - 0.2j,)],
                      [0.1, 0.05], 1.0, 8),
+    # C ~ 1e-9: q is E to rounding, so z = (q - E) / C would keep 7 digits
+    "near-affine-mixed": ([(0.4 + 0.1j, 0.1, 1e-9, 2.0, "derivative"),
+                           (0.2 - 0.3j, 0.3 + 0.1j, 1e-9 - 0.5e-9j, 1.8,
+                            0.5 - 0.2j)], [0.1, 0.05], 1.0, 8),
     "signed-derivative": ([_PAIR[0] + ("derivative",),
                            _PAIR[1] + ("neg_derivative",)], [0.1, 0.05], 1.0,
                           6),
@@ -236,12 +242,27 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     assert np.array_equal(end, (A * z + B) / (C * z + E))
 
 
+_MATCH = {NotContracting: r"word \(1,\) has multiplier",
+          EscapedDomain: r"word \(1,\)", NoConvergence: "did not converge"}
+
+
 @pytest.mark.parametrize("plain", [False, True])
-def test_identity_word_is_not_contracting(plain):
-    ident = make_system([make_affine(1.0, 0.0)], [make_const(1.0)],
-                        make_ball(0.0, 1.0))
-    with pytest.raises(NotContracting, match=r"word \(1,\) has multiplier"):
-        trace(as_plain_maps(ident) if plain else ident, 1)
+@pytest.mark.parametrize("a, center, closed, iterated", [
+    (1.0, 0.0, NotContracting, NotContracting),
+    # |a| = 1: the fixed points 0 and infinity have multipliers of equal
+    # modulus, so neither attracts and iteration never settles
+    (-1.0, 0.1, NotContracting, NoConvergence),
+    (cmath.exp(1j), 0.1, NotContracting, NoConvergence),
+    # z -> 2z attracts only at infinity, where the closed form gives 0/0
+    (2.0, 0.1, EscapedDomain, EscapedDomain),
+])
+def test_word_without_attracting_fixed_point_is_rejected(plain, a, center,
+                                                         closed, iterated):
+    sys_ = make_system([make_affine(a, 0.0)], [make_const(1.0)],
+                       make_ball(center, 1.0))
+    err = iterated if plain else closed
+    with pytest.raises(err, match=_MATCH[err]):
+        trace(as_plain_maps(sys_) if plain else sys_, 1)
 
 
 @pytest.mark.parametrize("plain", [False, True])
@@ -267,6 +288,15 @@ def test_closed_form_fixed_point_without_pole(affine_half):
         assert z[0] == pytest.approx(0.6, abs=1e-15)
         assert end[0] == pytest.approx(z[0], abs=1e-15)
         assert mult[0] == pytest.approx(0.5 ** n, rel=1e-15)
+
+
+def test_closed_form_fixed_point_near_affine():
+    # C ~ 1e-9 with |A| < |E|: z comes from B / (q - A), not from the
+    # cancelling (q - E) / C, so every word map fixes z to rounding
+    entries, center, radius, _ = ORACLE_CASES["near-affine-mixed"]
+    sys_, _, _ = _moebius_case(entries, center, radius)
+    for n in (1, 3, 6):
+        assert trace(sys_, n).max_residual <= 1e-15
 
 
 def test_max_residual_is_word_map_at_fixed_point(gauss4):

@@ -5,7 +5,8 @@ the remainder around b = a + shift. The shift is chosen so that the
 asymptotic correction terms decay well below double precision before the
 Bernoulli series starts diverging; with ten Bernoulli terms the result is
 accurate to a few ulp for every s up to several hundred (checked against
-high-precision direct summation in the tests).
+high-precision direct summation in the tests). hzeta_rows evaluates the
+orders 2, ..., count+1 at once, at arguments that need no shift.
 
 The argument a may be a numpy array (vectorized over grid points); Re(a+k)
 must be positive for all summed k, which holds for the tail sums this
@@ -25,6 +26,11 @@ _BERN = (
 )
 
 
+def unshifted_floor(s):
+    """The |a| from which order s needs no shifted head sum."""
+    return 1.3 * s + 25
+
+
 def hzeta_int(s, a):
     """zeta(s, a) for integer s >= 2; a scalar or ndarray with Re a > 0."""
     if not isinstance(s, (int, np.integer)) or s < 2:
@@ -39,7 +45,7 @@ def hzeta_int(s, a):
     # factors in the Bernoulli terms grow like s^(2v).
     amin = float(np.min(np.abs(a)))
     shift = 0
-    while amin + shift < 1.3 * s + 25:
+    while amin + shift < unshifted_floor(s):
         shift += 16
 
     head = np.zeros_like(a)
@@ -56,6 +62,30 @@ def hzeta_int(s, a):
         fac *= (s + 2 * v - 1) * (s + 2 * v)
         bpow = bpow * binv * binv
     return head + tail
+
+
+def hzeta_rows(count, a):
+    """Row j holds zeta(j+2, a) for j < count, for a 1-d array a with
+    Re a > 0 and |a| >= unshifted_floor(count + 1), so no order needs a
+    shifted head sum: zeta(s, a) = a^(-s) (a/(s-1) + 1/2 + sum_v B_2v/(2v)!
+    (s)_(2v-1) a^(1-2v)), the brackets of all orders one matrix product.
+    """
+    a = np.asarray(a, dtype=complex)
+    floor = unshifted_floor(count + 1)
+    if np.any(a.real <= 0) or np.any(np.abs(a) < floor):
+        raise ValueError(f"hzeta_rows needs Re a > 0 and |a| >= {floor:.6g}")
+    s = np.arange(2.0, count + 2)[:, None]
+    odd = np.arange(1, 2 * len(_BERN), 2)          # 2v - 1 for v = 1..10
+    rising = np.cumprod(s + np.arange(odd[-1]), axis=1)[:, odd - 1]
+    bern = [b / math.factorial(k + 1) for k, b in zip(odd, _BERN)]
+    coef = np.hstack([1.0 / (s - 1.0), np.full_like(s, 0.5), rising * bern])
+    rows = coef @ a ** np.concatenate(([1, 0], -odd))[:, None]
+    binv = 1.0 / a
+    step = binv * binv                  # a^(-s), stepped once per row
+    for row in rows:
+        row *= step
+        step *= binv
+    return rows
 
 
 def trigamma(x):

@@ -395,7 +395,9 @@ def determinant_zeros(series, count=None):
     runs at the effective degree: coefficients that underflowed to exact
     zero carry no refinement information, so the last nonzero coefficient
     decides which two truncations are compared. An effective degree of one
-    is its own refinement limit and counts as reliable.
+    counts as reliable only below a higher truncation whose extra
+    coefficients vanished (the rank-one case); a degree-1 series has no
+    lower truncation to compare against and certifies nothing.
     """
     if count is not None and count > series.degree:
         raise ValueError(
@@ -409,7 +411,7 @@ def determinant_zeros(series, count=None):
         drop = _zeros_from_coeffs(tuple(coeffs[:-1]), series.trust_radius)
         rc = _agreeing_prefix(full, drop, lead_scale=False)
     else:
-        rc = eff_degree
+        rc = eff_degree if series.degree >= 2 else 0
     values = tuple(full if count is None else full[:count])
     return EigenvalueSequence(values, min(rc, len(values)), "determinant")
 

@@ -298,18 +298,24 @@ def _word_at(sys_, n, idx):
 
 def _exact_contraction(sys_, n, total, threads):
     c, rho = sys_.domain.center, sys_.domain.radius
+    # |det| of a word is the product of its letters' |det|: AE - BC of the
+    # folded word cancels on long words
+    dets = np.abs(sys_._mob[0] * sys_._mob[3] - sys_._mob[1] * sys_._mob[2])
 
     def handle(rng):
         lo, hi = rng
         letters = letters_block(sys_.n_letters, n, lo, hi)
-        A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+        _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
                                    for col in letters.T)
         gap = np.abs(C * c + E) - np.abs(C) * rho
         on_circle = gap == 0.0
         if on_circle.any():
             r = int(np.argmax(on_circle))
             return math.inf, lo + r, C[r], E[r]
-        vals = np.abs(A * E - B * C) / (gap * gap)
+        det = 1.0
+        for col in letters.T:
+            det = det * dets[col - 1]
+        vals = det / (gap * gap)
         r = int(np.argmax(vals))
         return float(vals[r]), lo + r, C[r], E[r]
 

@@ -122,6 +122,7 @@ def assemble_matrix(sys_, ball=None, N=32):
 
     g = np.zeros((N, grid), dtype=complex)
     _power_sums(w, s, g)
+    del t, w, s                 # freed before the tail builds its own tables
 
     tail_included = False
     tail_bound = 0.0

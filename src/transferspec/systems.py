@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._dual import Dual, derivative_scalar, jacobian
-from ._zeta import hzeta_int, trigamma
+from ._zeta import hzeta_rows, trigamma, unshifted_floor
 from .errors import (
     BadIndex,
     DegenerateMap,
@@ -41,7 +41,7 @@ from .errors import (
 
 _GRID_CAP = 1 << 14
 _REFINE_TOL = 1e-10
-_BLOCK_ENTRIES = 1 << 14  # entries of one column block of _power_sums
+_BLOCK_ENTRIES = 1 << 14  # entries of one column block of the power sums
 
 
 # ---------------------------------------------------------------------------
@@ -499,28 +499,34 @@ def _gauss_power_tail(i_max, domain):
     Returns tail(z, count, center) with row n holding
     sum_{i > i_max} (i+z)^(-2) * (1/(i+z) - center)^n
     = sum_{j<=n} C(n,j) (-center)^(n-j) * zeta(j+2, K+1+z)
-    for a stability cutoff K >= i_max chosen so the binomial terms do not
-    cancel catastrophically; branches between i_max and K are summed
-    directly.
+    for a cutoff K >= i_max; branches between i_max and K are summed
+    directly. K keeps the binomial terms from cancelling catastrophically,
+    and |K+1+z| >= K+1+Re z reaches the floor from which the zeta rows
+    need no shifted head sum. The binomial recombination is one product of
+    the Pascal table C(n,j) (-center)^(n-j) with the zeta rows.
     """
 
     def tail(z, count, center, i_max=i_max):
         z = np.asarray(z, dtype=complex)
-        cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))))
-        out = np.zeros((count, z.size), dtype=complex)
-        # explicit branches i_max+1 .. cutoff keep the zeta block far right
+        cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))),
+                     math.ceil(unshifted_floor(count + 1) - 1 - z.real.min()))
+        pascal = np.zeros((count, count), dtype=complex)
+        pascal[0, 0] = 1.0
+        for n in range(1, count):
+            pascal[n, 1:n + 1] = pascal[n - 1, :n]
+            pascal[n, :n] -= center * pascal[n - 1, :n]
+        out = np.empty((count, z.size), dtype=complex)
+        # in column blocks, so no (count x len(z)) zeta table sits next to out
+        width = max(1, _BLOCK_ENTRIES // count)
+        for lo in range(0, z.size, width):
+            np.matmul(pascal, hzeta_rows(count, cutoff + 1 + z[lo:lo + width]),
+                      out=out[:, lo:lo + width])
         if cutoff > i_max:
             idx = np.arange(i_max + 1, cutoff + 1)
             t = 1.0 / (idx[:, None] + z[None, :])
             w = t * t
             np.subtract(t, center, out=t)
             _power_sums(w, t, out, base_first=True)
-        zetas = [hzeta_int(j + 2, cutoff + 1 + z) for j in range(count)]
-        for n in range(count):
-            s = np.zeros(z.size, dtype=complex)
-            for j in range(n + 1):
-                s += math.comb(n, j) * (-center) ** (n - j) * zetas[j]
-            out[n] += s
         return out
 
     return tail
@@ -658,6 +664,7 @@ def validate_system(sys_, margin=0.1, grid=1024):
     prev = None
     while True:
         zs = ball.boundary_points(g)
+        images = wabs = dist = None     # free the coarser grid's tables first
         images, wabs = _branch_values_on_grid(sys_, zs)
         wabs = np.abs(wabs)  # rebinding frees the complex table at once
         dist = np.abs(images - c)

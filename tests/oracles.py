@@ -95,6 +95,24 @@ def moebius_traces_mp(params, weights, orders, dps=40):
         return out
 
 
+def moebius_contraction_mp(params, center, radius, n, dps=40):
+    """max over length-n words of |det| / (|C c + E| - |C| rho)^2, the sup
+    of |T_word'| on the circle |z - c| = rho, for branches
+    z -> (a z + b)/(c z + e) given as (a, b, c, e), in mpmath arithmetic.
+    [[A, B], [C, E]] is the word's folded matrix and det = AE - BC; the
+    words are folded a letter at a time over all prefixes."""
+    with mp.workdps(dps):
+        mats = [tuple(mp.mpc(x) for x in p) for p in params]
+        level = [(mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))]
+        for _ in range(n):
+            level = [(a * A + b * C, a * B + b * E, c * A + e * C,
+                      c * B + e * E)
+                     for A, B, C, E in level for a, b, c, e in mats]
+        cm, rm = mp.mpc(center), mp.mpf(radius)
+        return float(max(abs(A * E - B * C) / (abs(C * cm + E) - abs(C) * rm)
+                         ** 2 for A, B, C, E in level))
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev collocation on [0, 1]
 

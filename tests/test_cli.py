@@ -269,6 +269,15 @@ def test_determinant_cross_check_over_nothing_is_no_verdict(tmp_path,
     assert '"agree": null' in text
 
 
+def test_determinant_at_order_one_is_no_verdict(tmp_path, capsys):
+    # a degree-1 determinant certifies no zero, so nothing is compared
+    cfg = write_cfg(tmp_path, AFFINE_CFG)
+    assert main(["determinant", "--config", cfg, "--trace-order", "1"]) == 1
+    text = capsys.readouterr().out
+    assert json.loads(text)["cross_check"]["count"] == 0
+    assert '"agree": null' in text
+
+
 def test_determinant_error_names_word_plainly(tmp_path, capsys):
     # the identity's only word has multiplier 1, so its fixed point does
     # not attract; the message names the word as plain integers

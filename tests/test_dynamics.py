@@ -260,11 +260,13 @@ def test_contraction_submultiplicative(gauss4):
     assert g4 <= g2 ** 2 + 1e-6
 
 
+COMPLEX_PAIR = ((0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
+                (0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8))
+
+
 def _complex_pair():
-    return make_system(
-        [make_moebius(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
-         make_moebius(0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8)],
-        [make_const(1.0)] * 2, make_ball(0.1 + 0.05j, 1.0))
+    return make_system([make_moebius(*p) for p in COMPLEX_PAIR],
+                       [make_const(1.0)] * 2, make_ball(0.1 + 0.05j, 1.0))
 
 
 def test_contraction_exact_gauss_order_two(gauss200):
@@ -306,6 +308,16 @@ def test_contraction_exact_matches_sampled_plain_maps(name, request):
         assert exact.word == sampled.word
         assert exact.value >= sampled.value * (1.0 - 1e-14)
         assert exact.value == pytest.approx(sampled.value, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_contraction_exact_long_words_match_mp_fold(n):
+    # |AE - BC| of a folded word cancels on long words with non-integer
+    # coefficients (6e-12 relative at order 9, 9e-9 at 14); the product of
+    # the letter determinants does not
+    rep = contraction_details(_complex_pair(), n)
+    want = oracles.moebius_contraction_mp(COMPLEX_PAIR, 0.1 + 0.05j, 1.0, n)
+    assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_contraction_exact_pole_on_circle():

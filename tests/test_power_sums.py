@@ -4,10 +4,16 @@ The blocked power sums and the broadcast Moebius branch table must give
 every entry the same operations, in the same order, as the plain loops
 below. numpy's complex multiply rounds a * b and b * a differently in the
 last bit, so each reference keeps its site's operand order: the assembly
-steps powers * s, the Gauss tail steps (t - center) * p.
+steps powers * s, the Gauss tail steps (t - center) * p. The Gauss tail's
+closed-form part is one product of the Pascal table C(n, j) (-c)^(n-j)
+with the zeta rows of hzeta_rows; the reference builds it with the same
+numpy operations, then adds the explicit branches row by row.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from transferspec import (
     system_from_descriptor,
     systems,
 )
-from transferspec._zeta import hzeta_int
+from transferspec._zeta import hzeta_rows
 from transferspec.systems import AnalyticMap, MapWeightSystem
 
 MIXED_DESC = {
@@ -55,20 +61,20 @@ def gathered_table(sys_, zs):
 
 
 def reference_tail(i_max, z, count, center):
-    cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))))
-    out = np.zeros((count, z.size), dtype=complex)
+    cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))),
+                 math.ceil(1.3 * (count + 1) + 25 - 1 - z.real.min()))
+    pascal = np.zeros((count, count), dtype=complex)
+    pascal[0, 0] = 1.0
+    for n in range(1, count):
+        pascal[n, 1:n + 1] = pascal[n - 1, :n]
+        pascal[n, :n] -= center * pascal[n - 1, :n]
+    out = pascal @ hzeta_rows(count, cutoff + 1 + z)
     t = 1.0 / (np.arange(i_max + 1, cutoff + 1)[:, None] + z[None, :])
     w = t * t
     p = np.ones_like(t)
     for n in range(count):
         out[n] += (w * p).sum(axis=0)
         p = np.multiply(t - center, p)
-    zetas = [hzeta_int(j + 2, cutoff + 1 + z) for j in range(count)]
-    for n in range(count):
-        s = np.zeros(z.size, dtype=complex)
-        for j in range(n + 1):
-            s += math.comb(n, j) * (-center) ** (n - j) * zetas[j]
-        out[n] += s
     return out
 
 
@@ -102,6 +108,29 @@ def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
     assert same_bits(got, reference_matrix(gauss200, N))
 
 
+def test_gauss_matrix_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the tail's binomial recombination and its zeta rows are BLAS matrix
+    # products; the matrices CLI spectrum assembles at --matrix-size 128
+    # must come out the same at one and at two OpenBLAS threads
+    src = os.path.dirname(os.path.dirname(systems.__file__))
+    code = ("import sys, numpy as np, transferspec as ts; "
+            "s = ts.make_gauss_system(200, ts.make_ball(1.0, 1.5)); "
+            "np.concatenate([ts.assemble_matrix(s, N=n).data.ravel() "
+            "for n in (128, 256)]).tofile(sys.argv[1])")
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / threads)], env=env))
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    one, two = ((tmp_path / t).read_bytes() for t in ("1", "2"))
+    assert len(one) == (128 ** 2 + 256 ** 2) * 16
+    assert one == two
+
+
 @pytest.mark.parametrize("name", ["gauss4", "affine_half", "mixed",
                                   "zero_weight"])
 def test_finite_matrix_matches_whole_array_loop(name, request):
@@ -112,8 +141,8 @@ def test_finite_matrix_matches_whole_array_loop(name, request):
 
 
 @pytest.mark.parametrize("i_max, count, grid", [
-    (10, 16, 101),      # 22 explicit branches x 101 points: 2,222 entries
-    (100, 128, 300),    # 92 x 300 = 27,600 entries, the last block partial
+    (10, 16, 101),      # 37 explicit branches x 101 points: 3,737 entries
+    (100, 128, 300),    # 93 x 300 = 27,900 entries, the last block partial
 ])
 def test_gauss_tail_matches_whole_array_loop(i_max, count, grid):
     center = 1.0 + 0.0j

@@ -182,24 +182,39 @@ def test_gauss_build_samples_no_boundary(monkeypatch):
     assert calls == []
 
 
-def _power_tail_oracle(i_max, zs, count):
-    # row n of the tail closure is sum_{i>i_max} w_i(z) (T_i(z)-c)^n at
-    # c = 1; the oracle sums a few hundred branches exactly and closes the
-    # remainder with the arbitrary-precision power sums of
-    # oracles.hzeta_reference
+def _power_tail_oracle(i_max, zs, count, center=1.0):
+    # row n of the tail closure is sum_{i>i_max} w_i(z) (T_i(z)-c)^n; the
+    # oracle sums the branches up to cut in extended precision and closes
+    # the remainder sum_j C(n,j) (-c)^(n-j) zeta(j+2, cut+1+z) with the
+    # arbitrary-precision power sums of oracles.hzeta_reference. With
+    # R = cut + 1 + min Re z, zeta(j+2, .) <= 2 R^-(j+1), so term j is at
+    # most 2 C(n,j) (|c| R)^-j times term 0; orders past the point where
+    # that factor drops below 1e-30 change no double digit and are left out
     cut = 400
-    i = np.arange(i_max + 1, cut + 1, dtype=float)[:, None]
-    u = 1.0 / (i + zs[None, :])
-    want = np.stack([np.sum(u ** 2 * (u - 1.0) ** n, axis=0)
-                     for n in range(count)])
-    for p, z in enumerate(zs):
+    c = np.clongdouble(center)
+    u = 1 / (np.arange(i_max + 1, cut + 1, dtype=np.longdouble)[:, None]
+             + zs[None, :].astype(np.clongdouble))
+    p = u * u
+    want = np.empty((count, zs.size), dtype=np.clongdouble)
+    for n in range(count):
+        want[n] = p.sum(axis=0)
+        p *= u - c
+    ratio = 1.0 / (min(1.0, abs(center)) * (cut + 1 + float(zs.real.min())))
+    orders = next((j for j in range(count)
+                   if 2 * math.comb(count - 1, j) * ratio ** j < 1e-30), count)
+    for col, z in enumerate(zs):
         hz = [oracles.hzeta_reference(j + 2, cut + 1 + z)
-              for j in range(count)]
+              for j in range(orders)]
         for n in range(count):
-            rem = sum(math.comb(n, j) * (-1.0) ** (n - j) * hz[j]
-                      for j in range(n + 1))
-            want[n, p] += rem
-    return want
+            want[n, col] += sum(
+                math.comb(n, j) * (-center) ** (n - j) * hz[j]
+                for j in range(min(n + 1, orders)))
+    return want.astype(complex)
+
+
+def _worst_row_distance(got, want):
+    return float(np.max(np.max(np.abs(got - want), axis=1)
+                        / np.max(np.abs(want), axis=1)))
 
 
 def test_gauss_power_tail_matches_high_precision_sum():
@@ -211,18 +226,33 @@ def test_gauss_power_tail_matches_high_precision_sum():
 
 
 def test_gauss_power_tail_explicit_branches_match_high_precision_sum():
-    # 16 rows put the stability cutoff at 32 > i_max = 10, so branches
-    # 11..32 are summed directly, in column blocks; the grid ends in a
-    # partial block, and the oracle checks columns of the first and the
-    # last block
+    # 16 rows put the cutoff at 47 > i_max = 10 (|48 + z| must reach the
+    # zeta rows' no-shift floor 1.3 * 17 + 25), so branches 11..47 are
+    # summed directly, in column blocks; the grid ends in a partial block,
+    # and the oracle checks columns on both sides of each block boundary
     sys_ = make_gauss_system(10, make_ball(1.0, 1.5))
-    width = systems._BLOCK_ENTRIES // 22
+    width = systems._BLOCK_ENTRIES // 37
     m = 2 * width + 5
     zs = make_ball(1.0, 1.5).boundary_points(m)
     got = sys_.alphabet.power_tail(zs, 16, 1.0 + 0.0j)
     cols = [0, width - 1, width, 2 * width, m - 1]
     want = _power_tail_oracle(10, zs[cols], 16)
     assert np.max(np.abs(got[:, cols] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("center, radius", [(1.0, 1.5), (0.8, 1.2)])
+@pytest.mark.parametrize("count", [128, 256])
+def test_gauss_power_tail_at_cli_sizes_matches_oracle(center, radius, count):
+    # the matrix route's own call: i_max 200, grid 4 * count, the disc's
+    # center; every row of four spread columns, relative to the row's scale
+    ball = make_ball(center, radius)
+    grid = 4 * count
+    zs = center + radius * np.exp(2j * np.pi * np.arange(grid) / grid)
+    got = make_gauss_system(200, ball).alphabet.power_tail(
+        zs, count, complex(center))
+    cols = [0, grid // 4 + 1, grid // 2, grid - 3]
+    want = _power_tail_oracle(200, zs[cols], count, center)
+    assert _worst_row_distance(got[:, cols], want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from transferspec._zeta import hzeta_int, trigamma
+from transferspec._zeta import hzeta_int, hzeta_rows, trigamma
 
 
 def test_trigamma_at_one():
@@ -47,6 +47,31 @@ def test_hzeta_recurrence():
         for a in (1.25, 4.0 + 0.5j):
             lhs = complex(hzeta_int(s, a)) - complex(hzeta_int(s, a + 1))
             assert lhs == pytest.approx(a ** (-s), rel=1e-13)
+
+
+@pytest.mark.parametrize("count, a", [
+    (256, 359.5 + 1.5j),    # just past the no-shift floor 1.3 * 257 + 25
+    (256, 386.2 - 1.1j),    # the tail's own argument at matrix size 128
+    (128, 193.0 - 1.2j),
+    (128, 900.0 + 300.0j),
+])
+def test_hzeta_rows_vs_arbitrary_precision(count, a):
+    rows = hzeta_rows(count, np.array([a]))
+    assert rows.shape == (count, 1)
+    # past s of about 120 the values leave the normal range (0 or
+    # subnormal in double), so they are checked to the smallest normal
+    for s in [*range(2, count + 2, 5), count + 1]:
+        want = oracles.hzeta_reference(s, a)
+        assert abs(rows[s - 2, 0] - want) <= (5e-13 * abs(want)
+                                              + np.finfo(float).tiny)
+
+
+def test_hzeta_rows_refuses_arguments_it_would_need_to_shift():
+    hzeta_rows(256, np.array([359.2]))
+    with pytest.raises(ValueError, match="359.1"):
+        hzeta_rows(256, np.array([359.0, 400.0]))
+    with pytest.raises(ValueError):
+        hzeta_rows(4, np.array([-400.0]))
 
 
 def test_hzeta_rejects_bad_arguments():

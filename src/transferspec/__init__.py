@@ -23,10 +23,8 @@ from .bounds import (
     bound_table,
     crossover_N,
     crossover_report,
-    export_bounds_csv,
     t_sequence,
     verify_bounds,
-    weyl_product_bound,
 )
 from .determinant import (
     DeterminantSeries,
@@ -42,10 +40,8 @@ from .dynamics import (
     DEFAULT_WORD_BUDGET,
     ContractionReport,
     FixedPointResult,
-    adapted_distance,
     compose,
     contraction_details,
-    contraction_factor,
     enclosing_radius,
     fixed_point,
     word_weight,
@@ -72,10 +68,8 @@ from .spectra import (
     OperatorMatrix,
     assemble_matrix,
     eigenvalues,
-    export_matrix_csv,
     sort_eigenvalues,
     spectral_sequence,
-    taylor_coefficients,
 )
 from .systems import (
     AnalyticMap,
@@ -104,16 +98,15 @@ __all__ = [
     "EscapedDomain", "Finite", "FixedPointResult", "InadmissibleDomain",
     "InvalidDomain", "MapWeightSystem", "NoConvergence", "NotContracting",
     "NotEnclosed", "OperatorMatrix", "RootFindingFailure", "SolverFailure",
-    "TraceTable", "TraceValue", "TransferOperatorError", "ValidationReport",
-    "VerificationReport", "WeylRow", "WrongDimension", "adapted_distance",
+    "TraceTable", "TraceValue", "TransferOperatorError",
+    "ValidationReport", "VerificationReport", "WeylRow", "WrongDimension",
     "assemble_matrix", "bound_combined", "bound_d1", "bound_general",
     "bound_hardy", "bound_table", "compose", "contraction_details",
-    "contraction_factor", "crossover_N", "crossover_report",
-    "determinant_coefficients", "determinant_zeros", "eigenvalues",
-    "enclosing_radius", "export_bounds_csv", "export_determinant_json",
-    "export_matrix_csv", "fixed_point", "make_affine", "make_ball",
+    "crossover_N", "crossover_report", "determinant_coefficients",
+    "determinant_zeros", "eigenvalues", "enclosing_radius",
+    "export_determinant_json", "fixed_point", "make_affine", "make_ball",
     "make_const", "make_gauss_system", "make_moebius", "make_system",
     "sort_eigenvalues", "spectral_sequence", "system_from_descriptor",
-    "t_sequence", "taylor_coefficients", "trace", "trace_table",
-    "validate_system", "verify_bounds", "weyl_product_bound",
+    "t_sequence", "trace", "trace_table", "validate_system",
+    "verify_bounds",
 ]

@@ -79,14 +79,6 @@ def _stretched(profile, n):
     return profile.r ** expo
 
 
-def weyl_product_bound(profile, n):
-    """W n^(1/2) r^(mean of t_1..t_n): the raw product-inequality form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t_mean = sum(t_sequence(profile.d, n)) / n
-    return profile.W * math.sqrt(n) * profile.r ** t_mean
-
-
 def bound_d1(profile, n):
     """W n^(1/2) r^((n-1)/2): the sharper one-dimensional bound."""
     if profile.d != 1:
@@ -290,9 +282,3 @@ def bounds_csv_text(report_rows):
             cell(r.bound_general), cell(r.bound_hardy),
             cell(r.bound_combined), cell(r.passed)]))
     return "\n".join(lines) + "\n"
-
-
-def export_bounds_csv(report_rows, path):
-    """bounds_csv_text written to a file with fixed line endings."""
-    with open(path, "w", newline="") as fh:
-        fh.write(bounds_csv_text(report_rows))

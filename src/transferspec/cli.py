@@ -57,7 +57,6 @@ class RunConfig:
     matrix_size: int = 32
     trace_order: int = 8
     word_budget: int = DEFAULT_WORD_BUDGET
-    fixed_point_tol: float = 1e-13
     agreement_tol: float = 1e-6
     margin: float = 0.1
     contraction_order: int = 2
@@ -72,8 +71,6 @@ class RunConfig:
             raise DescriptorError("trace_order must be >= 1")
         if self.word_budget < 1:
             raise DescriptorError("word_budget must be >= 1")
-        if not (self.fixed_point_tol > 0.0):
-            raise DescriptorError("fixed_point_tol must be positive")
         if not (self.agreement_tol > 0.0):
             raise DescriptorError("agreement_tol must be positive")
         if not (0.0 < self.margin < 1.0):
@@ -112,6 +109,9 @@ def _resolve_config(args):
             continue
         flag = getattr(args, f.name, None)
         value = flag if flag is not None else data.get(f.name)
+        if isinstance(value, bool):
+            raise DescriptorError(f"bad config value for {f.name}: expected "
+                                  f"a number, got {value!r}")
         if value is not None:
             try:
                 numbers[f.name] = type(f.default)(value)
@@ -192,7 +192,7 @@ def cmd_spectrum(cfg, args):
 def cmd_determinant(cfg, args):
     sys_ = _require_system(cfg)
     table = trace_table(sys_, cfg.trace_order, word_budget=cfg.word_budget,
-                        tol=cfg.fixed_point_tol, threads=cfg.threads)
+                        threads=cfg.threads)
     series = determinant_coefficients(table)
     zeros = determinant_zeros(series)
     out = export_determinant_json(table, series)
@@ -228,6 +228,8 @@ def cmd_determinant(cfg, args):
 
 
 def _profile_from_dict(raw):
+    if any(isinstance(raw.get(k), bool) for k in ("W", "r", "d")):
+        raise DescriptorError("bad bound profile: W, r and d must be numbers")
     try:
         return BoundProfile(W=float(raw["W"]), r=float(raw["r"]),
                             d=int(raw.get("d", 1)))

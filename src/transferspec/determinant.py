@@ -31,7 +31,7 @@ from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
-    _fold_moebius,
+    _fold_words,
     _word_at,
     _word_count,
     batch_fixed_points,
@@ -156,24 +156,15 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
 
 def _moebius_words(sys_, n, lo, hi):
     """Weight, multiplier, attracting fixed point z and T(z) of the words
-    lo..hi-1 of length n of an all-Moebius system, folded a prefix-tree
-    level at a time. q = C z + E is the larger root of q^2 - tr q + det, the
+    lo..hi-1 of length n of an all-Moebius system, folded over their
+    prefix tree. q = C z + E is the larger root of q^2 - tr q + det, the
     multiplier is det / q^2, a +-T' weight is (+-1)^k times it (k counts -T'
     letters), constant weights multiply, other weights follow z's orbit."""
     size, mob = sys_.n_letters, sys_._mob
     factor, deriv = sys_._wfactors or (np.ones(size), None)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
-    fold = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
-    det = wgt = np.ones(1)
-    for k in range(n - 1, -1, -1):     # (prefixes, letters) -> prefixes
-        head, tail = lo // size ** k, (hi - 1) // size ** k + 1
-        cut = slice(head % size, head % size + tail - head)
-        fold = tuple(x.reshape(-1)[cut] for x in _fold_moebius(
-            [mob], tuple(x[:, None] for x in fold)))
-        det = (det[:, None] * dets).reshape(-1)[cut]
-        wgt = (wgt[:, None] * factor).reshape(-1)[cut]
-    A, B, C, E = fold
+    (A, B, C, E), (det, wgt) = _fold_words(mob, n, lo, hi, dets, factor)
     tr = A + E
     s = np.sqrt(tr * tr - 4.0 * det)
     q = tr + s

@@ -1,4 +1,4 @@
-"""Word compositions, fixed points, contraction certification, adapted metric.
+"""Word compositions, fixed points, contraction certification.
 
 Words are tuples of 1-based letters; the word (i_1, ..., i_n) denotes the
 composition T_{i_n} o ... o T_{i_1} (the first letter acts first). Word
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import WORD_CHUNK, chunk_ranges, map_ordered
+from ._parallel import chunk_ranges, map_ordered
 from .errors import (
     BadIndex,
     BudgetExceeded,
@@ -91,6 +91,25 @@ def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
     for a, b, c, e in steps:
         A, B, C, E = a * A + b * C, a * B + b * E, c * A + e * C, c * B + e * E
     return A, B, C, E
+
+
+def _fold_words(mob, n, lo, hi, *factors):
+    """Folded coefficients (A, B, C, E) of the length-n words lo..hi-1 of
+    the Moebius letters mob, and for each per-letter array in factors its
+    product along each word. Level k of the prefix tree holds the range's
+    distinct length-k prefixes, each its parent times one letter, so every
+    word gets the bits of a letter-by-letter fold in letter order."""
+    size = len(mob[0])
+    fold = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
+    prods = [np.ones(1)] * len(factors)
+    for k in range(n - 1, -1, -1):     # (prefixes, letters) -> prefixes
+        head, tail = lo // size ** k, (hi - 1) // size ** k + 1
+        cut = slice(head % size, head % size + tail - head)
+        fold = tuple(x.reshape(-1)[cut] for x in _fold_moebius(
+            [mob], tuple(x[:, None] for x in fold)))
+        prods = [(p[:, None] * f).reshape(-1)[cut]
+                 for p, f in zip(prods, factors)]
+    return fold, prods
 
 
 def word_weight(sys_, word):
@@ -292,8 +311,9 @@ def _first_max(results, start):
 
 
 def _word_at(sys_, n, idx):
-    row = letters_block(sys_.n_letters, n, idx, idx + 1)[0]
-    return tuple(int(l) for l in row)
+    """Word idx of the lexicographic enumeration of length-n words."""
+    size = sys_.n_letters
+    return tuple(idx // size ** (n - 1 - k) % size + 1 for k in range(n))
 
 
 def _exact_contraction(sys_, n, total, threads):
@@ -304,17 +324,12 @@ def _exact_contraction(sys_, n, total, threads):
 
     def handle(rng):
         lo, hi = rng
-        letters = letters_block(sys_.n_letters, n, lo, hi)
-        _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
-                                   for col in letters.T)
+        (_, _, C, E), (det,) = _fold_words(sys_._mob, n, lo, hi, dets)
         gap = np.abs(C * c + E) - np.abs(C) * rho
         on_circle = gap == 0.0
         if on_circle.any():
             r = int(np.argmax(on_circle))
             return math.inf, lo + r, C[r], E[r]
-        det = 1.0
-        for col in letters.T:
-            det = det * dets[col - 1]
         vals = det / (gap * gap)
         r = int(np.argmax(vals))
         return float(vals[r]), lo + r, C[r], E[r]
@@ -360,57 +375,6 @@ def _sampled_contraction(sys_, n, grid, total, threads):
         map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0, 0))
     return ContractionReport(best_val, _word_at(sys_, n, best_word_idx),
                              complex(zs[best_pt_idx]), int(grid), total)
-
-
-def contraction_factor(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
-                       threads=1):
-    """Contraction factor gamma(n), the value of contraction_details; values
-    < 1 certify that every length-n branch composition is a strict
-    contraction. It is exact when every branch of a dim-1 system is Moebius
-    (grid is then unused) and sampled on grid boundary points, so
-    non-rigorous, otherwise."""
-    return contraction_details(sys_, n, grid, word_budget, threads).value
-
-
-# ---------------------------------------------------------------------------
-# adapted metric
-
-
-def adapted_distance(sys_, n, x, y, grid=256,
-                     word_budget=DEFAULT_WORD_BUDGET):
-    """Distance in which every branch is a beta = gamma(n)^(1/n) contraction.
-
-    dist(x, y) = sup over words u of length n-1 of
-    sum_{k=0}^{n-1} beta^(n-1-k) |T_{P_k u}(x) - T_{P_k u}(y)|,
-    where P_k u keeps the first k letters. For n = 1 this is the Euclidean
-    distance.
-    """
-    if sys_.dim != 1:
-        raise DimensionUnsupported("the adapted metric sampler needs dim 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gamma = contraction_factor(sys_, n, grid)
-    if gamma >= 1.0:
-        raise NotContracting(
-            f"contraction factor {gamma:.6g} >= 1 at order {n}")
-    x, y = complex(x), complex(y)
-    if n == 1:
-        return abs(x - y)
-    beta = gamma ** (1.0 / n)
-    total = _word_count(sys_, n - 1, word_budget)
-    acc = None
-    for lo, hi in chunk_ranges(total, WORD_CHUNK):
-        letters = letters_block(sys_.n_letters, n - 1, lo, hi)
-        xs = np.full(hi - lo, x)
-        ys = np.full(hi - lo, y)
-        sums = np.full(hi - lo, beta ** (n - 1) * abs(x - y))
-        for k in range(n - 1):
-            xs = sys_.apply_letters(letters[:, k], xs)
-            ys = sys_.apply_letters(letters[:, k], ys)
-            sums += beta ** (n - 2 - k) * np.abs(xs - ys)
-        m = float(sums.max())
-        acc = m if acc is None else max(acc, m)
-    return acc
 
 
 # ---------------------------------------------------------------------------

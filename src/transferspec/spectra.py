@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import g17, json_g17
 from .errors import DimensionUnsupported, SolverFailure
 from .systems import (
-    AnalyticMap,
     CountableTruncated,
     MapWeightSystem,
     _branch_values_on_grid,
@@ -72,29 +70,6 @@ class EigenvalueSequence:
 
 
 # ---------------------------------------------------------------------------
-# Taylor coefficients
-
-
-def taylor_coefficients(f, center, radius, count):
-    """First `count` Taylor coefficients of f at center.
-
-    Trapezoidal (DFT) extraction on the circle of the given radius with a
-    4x oversampled grid; exponentially accurate for f analytic past the
-    circle.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    m = max(4 * count, 16)
-    zs = center + radius * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = AnalyticMap._eval_array(f, zs)
-    hat = np.fft.fft(vals) / m
-    ks = np.arange(count)
-    return hat[:count] / radius ** ks
-
-
-# ---------------------------------------------------------------------------
 # assembly
 
 
@@ -115,6 +90,9 @@ def assemble_matrix(sys_, ball=None, N=32):
     ball = sys_.domain if ball is None else ball
     c, rho = complex(ball.center), float(ball.radius)
     grid = 4 * N
+    # not BallDomain.boundary_points: its exp(1j * (2 pi k / m)) differs from
+    # this exp(2j pi k / m) in the last bit at some k, which moves noise
+    # digits of the spectrum CSV, so the grids stay two formulas
     zs = c + rho * np.exp(2j * np.pi * np.arange(grid) / grid)
 
     t, w = _branch_values_on_grid(sys_, zs)
@@ -230,30 +208,3 @@ def spectral_sequence(sys_, ball=None, N=32):
     large = eigenvalues(assemble_matrix(sys_, ball, 2 * N))
     rc = _agreeing_prefix(small.values, large.values)
     return EigenvalueSequence(large.values, rc, "matrix")
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_matrix_csv(matrix, path):
-    """CSV of interleaved (re, im) entries, row-major, preceded by a one-line
-    JSON header comment with the basis and provenance."""
-    header = json_g17({
-        "center": [matrix.center.real, matrix.center.imag],
-        "radius": float(matrix.radius),
-        "size": int(matrix.size),
-        "system": matrix.system_id,
-    })
-    data = np.asarray(matrix.data)
-    lines = [f"# {header}"]
-    for row in data:
-        cells = []
-        for value in row:
-            cells.append(g17(value.real))
-            cells.append(g17(value.imag))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return path

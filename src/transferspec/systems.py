@@ -712,11 +712,16 @@ def validate_system(sys_, margin=0.1, grid=1024):
 # JSON descriptors
 
 
+def _is_number(value):
+    """A JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _cnum(value, where):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise DescriptorError(f"{where}: expected a number or [re, im], got {value!r}")
 
@@ -727,9 +732,9 @@ def _parse_domain(d):
     for key in ("center", "radius", "dim"):
         if key not in d:
             raise DescriptorError(f"descriptor: domain is missing '{key}'")
-    if d["dim"] != 1:
+    if not _is_number(d["dim"]) or d["dim"] != 1:
         raise DescriptorError("descriptor: only dim 1 domains are supported")
-    if not isinstance(d["radius"], (int, float)) or d["radius"] <= 0:
+    if not _is_number(d["radius"]) or d["radius"] <= 0:
         raise DescriptorError(
             f"descriptor: domain radius must be positive, got {d['radius']!r}")
     return make_ball(_cnum(d["center"], "domain.center"), float(d["radius"]), 1)
@@ -771,7 +776,7 @@ def system_from_descriptor(desc):
         if "i_max" not in desc:
             raise DescriptorError("gauss descriptor needs 'i_max'")
         i_max = desc["i_max"]
-        if not isinstance(i_max, int) or i_max < 1:
+        if isinstance(i_max, bool) or not isinstance(i_max, int) or i_max < 1:
             raise DescriptorError(
                 f"'i_max' must be a positive integer, got {i_max!r}")
         return make_gauss_system(i_max, domain)

@@ -21,7 +21,6 @@ from transferspec import (
     t_sequence,
     validate_system,
     verify_bounds,
-    weyl_product_bound,
 )
 from transferspec.bounds import bounds_csv_text
 
@@ -88,15 +87,6 @@ def test_t_sequence_monotone_and_blocked(d, n):
 # the four bounds
 
 
-def test_weyl_product_bound_examples():
-    p1 = BoundProfile(1.0, 0.5, 1)
-    assert weyl_product_bound(p1, 3) == pytest.approx(math.sqrt(3) * 0.5, rel=1e-14)
-    assert weyl_product_bound(p1, 1) == pytest.approx(1.0, rel=1e-14)
-    p2 = BoundProfile(1.0, 0.5, 2)
-    assert weyl_product_bound(p2, 3) == pytest.approx(
-        math.sqrt(3) * 0.5 ** (2 / 3), rel=1e-14)
-
-
 def test_bound_d1_examples():
     p = BoundProfile(1.0, 0.5, 1)
     assert bound_d1(p, 1) == pytest.approx(1.0, rel=1e-14)
@@ -111,9 +101,11 @@ def test_bound_d1_rejects_higher_dimension():
 
 
 def test_bound_d1_equals_weyl_product_exactly():
+    # the product-inequality form W n^(1/2) r^(mean of t_1..t_n)
     p = BoundProfile(2.0, 0.7, 1)
     for n in range(1, 51):
-        assert bound_d1(p, n) == weyl_product_bound(p, n)
+        weyl = p.W * math.sqrt(n) * p.r ** (sum(t_sequence(1, n)) / n)
+        assert bound_d1(p, n) == weyl
 
 
 def test_bound_general_examples():

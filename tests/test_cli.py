@@ -118,17 +118,18 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 def test_config_keys_are_the_run_config_fields():
     assert cli._CONFIG_KEYS == {
         "system", "profile", "matrix_size", "trace_order", "word_budget",
-        "fixed_point_tol", "agreement_tol", "margin", "contraction_order",
-        "grid", "threads", "out_dir"}
+        "agreement_tol", "margin", "contraction_order", "grid", "threads",
+        "out_dir"}
 
 
 _NUMERIC_KEYS = ("matrix_size", "trace_order", "word_budget",
-                 "fixed_point_tol", "agreement_tol", "margin",
-                 "contraction_order", "grid", "threads")
+                 "agreement_tol", "margin", "contraction_order", "grid",
+                 "threads")
 
 
 @pytest.mark.parametrize("key", _NUMERIC_KEYS)
-@pytest.mark.parametrize("value", ["x", [1]], ids=["str", "list"])
+@pytest.mark.parametrize("value", ["x", [1], True],
+                         ids=["str", "list", "bool"])
 def test_malformed_numeric_config_value_is_usage_error(tmp_path, capsys,
                                                        key, value):
     cfg = write_cfg(tmp_path, dict(AFFINE_CFG, **{key: value}))
@@ -326,6 +327,12 @@ def test_bounds_profile_only_table(tmp_path, capsys):
     assert len(rows) == 12
     assert all(row[1] == "" and row[-1] == "" for row in rows)
     assert (out_dir / "bounds-profile.csv").read_text() == text
+
+
+def test_boolean_profile_value_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"profile": {"W": 1.0, "r": 0.5, "d": True}})
+    assert main(["bounds", "--config", cfg]) == 2
+    assert "bad bound profile" in capsys.readouterr().err
 
 
 def test_bounds_crossover_flag(tmp_path, capsys):

@@ -30,7 +30,7 @@ from transferspec import (
 )
 from transferspec import determinant
 from transferspec.determinant import TRUST_CAP, _aberth_roots
-from transferspec.dynamics import _fold_moebius
+from transferspec.dynamics import _fold_moebius, _fold_words
 from transferspec.systems import AnalyticMap
 
 from conftest import GAUSS4_DESC, as_plain_maps
@@ -240,6 +240,16 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
                                for col in letters.T)
     _, _, z, end = whole
     assert np.array_equal(end, (A * z + B) / (C * z + E))
+    # the contraction's fold: C, E and the product of letter |det|
+    a, b, c, e = sys_._mob
+    dets = np.abs(a * e - b * c)
+    lo, hi = 1001, 2000
+    (_, _, got_c, got_e), (got_det,) = _fold_words(sys_._mob, n, lo, hi, dets)
+    want_det = 1.0
+    for col in letters[lo:hi].T:
+        want_det = want_det * dets[col - 1]
+    assert np.array_equal(got_c, C[lo:hi]) and np.array_equal(got_e, E[lo:hi])
+    assert np.array_equal(got_det, want_det)
 
 
 _MATCH = {NotContracting: r"word \(1,\) has multiplier",

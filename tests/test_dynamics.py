@@ -1,4 +1,4 @@
-"""Word compositions, fixed points, contraction factors, adapted metric."""
+"""Word compositions, fixed points, contraction factors."""
 
 import gc
 import math
@@ -6,7 +6,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from transferspec import (
@@ -16,10 +15,8 @@ from transferspec import (
     NoConvergence,
     NotContracting,
     NotEnclosed,
-    adapted_distance,
     compose,
     contraction_details,
-    contraction_factor,
     enclosing_radius,
     fixed_point,
     make_affine,
@@ -239,24 +236,25 @@ def test_contraction_gauss_order_two(gauss200):
 
 
 def test_contraction_gauss_order_one(gauss200):
-    assert contraction_factor(gauss200, 1) >= 1.0
+    assert contraction_details(gauss200, 1).value >= 1.0
 
 
 def test_contraction_single_affine_exact():
     sys_ = make_system([make_affine(0.35, 0.1)], [make_const(1.0)],
                        make_ball(0.0, 1.0))
     for n in (1, 2, 3):
-        assert contraction_factor(sys_, n) == pytest.approx(0.35 ** n, rel=1e-12)
+        assert contraction_details(sys_, n).value == pytest.approx(
+            0.35 ** n, rel=1e-12)
 
 
 def test_contraction_budget(gauss200):
     with pytest.raises(BudgetExceeded):
-        contraction_factor(gauss200, 4)
+        contraction_details(gauss200, 4)
 
 
 def test_contraction_submultiplicative(gauss4):
-    g2 = contraction_factor(gauss4, 2, grid=512)
-    g4 = contraction_factor(gauss4, 4, grid=512)
+    g2 = contraction_details(gauss4, 2, grid=512).value
+    g4 = contraction_details(gauss4, 4, grid=512).value
     assert g4 <= g2 ** 2 + 1e-6
 
 
@@ -330,63 +328,6 @@ def test_contraction_exact_pole_on_circle():
 
 
 # ---------------------------------------------------------------------------
-# adapted metric
-
-
-def test_adapted_distance_order_one_reduces_to_euclidean(two_thirds):
-    x, y = 0.2 + 0.1j, 1.2 - 0.3j
-    assert adapted_distance(two_thirds, 1, x, y) == abs(x - y)
-
-
-def test_adapted_distance_coincident_points(gauss4):
-    assert adapted_distance(gauss4, 2, 0.5, 0.5) == 0.0
-
-
-def test_adapted_distance_formula_order_two(gauss4):
-    # for n = 2 the defining sup runs over single letters:
-    # max_i [beta |x-y| + |T_i x - T_i y|]
-    x, y = 0.0, 1.0
-    beta = math.sqrt(contraction_factor(gauss4, 2, grid=256))
-    want = max(
-        beta * abs(x - y) + abs(gauss4.branch(i)(x) - gauss4.branch(i)(y))
-        for i in (1, 2, 3, 4)
-    )
-    assert adapted_distance(gauss4, 2, x, y) == pytest.approx(want, rel=1e-12)
-
-
-def test_adapted_distance_symmetry_and_triangle(gauss4):
-    rng = np.random.default_rng(3)
-    pts = 1.0 + 0.6 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    pts = [z for z in pts if abs(z - 1.0) < 1.4]
-    for x, y, z in zip(pts[0::3], pts[1::3], pts[2::3]):
-        dxy = adapted_distance(gauss4, 2, x, y)
-        dyx = adapted_distance(gauss4, 2, y, x)
-        assert dxy == pytest.approx(dyx, rel=1e-12)
-        dxz = adapted_distance(gauss4, 2, x, z)
-        dzy = adapted_distance(gauss4, 2, z, y)
-        assert dxy <= dxz + dzy + 1e-12
-
-
-def test_adapted_distance_branch_lipschitz(gauss4):
-    n = 2
-    beta = contraction_factor(gauss4, n, grid=256) ** (1.0 / n)
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        x = 1.0 + 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
-        y = 1.0 + 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
-        base = adapted_distance(gauss4, n, x, y)
-        for i in (1, 2, 3, 4):
-            moved = adapted_distance(gauss4, n,
-                                     gauss4.branch(i)(x), gauss4.branch(i)(y))
-            assert moved <= beta * base + 1e-12
-
-
-def test_adapted_distance_not_contracting(gauss200):
-    with pytest.raises(NotContracting):
-        adapted_distance(gauss200, 1, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # enclosing radius
 
 
@@ -428,7 +369,7 @@ def test_library_calls_keep_no_reference_to_systems():
     moebius = make_system([make_moebius(0.0, 1.0, 1.0, e) for e in (1, 2)],
                           [make_const(1.0)] * 2, make_ball(1.0, 1.5))
     trace_table(gauss, 2)
-    adapted_distance(moebius, 2, 0.5, 1.0)
+    contraction_details(moebius, 2)
     refs = [weakref.ref(gauss), weakref.ref(moebius)]
     del gauss, moebius
     gc.collect()

@@ -25,3 +25,12 @@ def test_readme_quick_tour_runs():
     assert 1e-4 < ns["series"].trust_radius < 1.3e-4
     assert ns["zeros"].values == ()
     assert ns["verify_bounds"](ns["seq"], ns["prof"]).all_pass is True
+
+
+def test_readme_layout_names_every_module():
+    layout = README.read_text().split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", layout, re.S).group(1)
+    named = set(re.findall(r"^\s+(\w+\.py)\s", block, re.M))
+    package = README.parent / "src" / "transferspec"
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py"}
+    assert named == modules

@@ -1,6 +1,5 @@
 """Circle-basis discretization, eigenvalue extraction, sequence ordering."""
 
-import json
 import math
 
 import numpy as np
@@ -13,60 +12,15 @@ from transferspec import (
     OperatorMatrix,
     assemble_matrix,
     eigenvalues,
-    export_matrix_csv,
     make_affine,
     make_ball,
     make_const,
     make_system,
     sort_eigenvalues,
     spectral_sequence,
-    taylor_coefficients,
     trace,
 )
 from transferspec.spectra import _agreeing_prefix
-from transferspec.systems import AnalyticMap
-
-
-# ---------------------------------------------------------------------------
-# Taylor coefficients
-
-
-def test_taylor_monomial():
-    f = AnalyticMap(lambda z: z ** 2)
-    got = taylor_coefficients(f, 0.0, 1.0, 4)
-    assert np.allclose(got, [0, 0, 1, 0], atol=1e-14)
-
-
-def test_taylor_geometric():
-    # the pole at z = 2 makes coefficients decay like 2^-k, so trapezoidal
-    # aliasing on |z| = 1 is ~2^-M; the 4x oversampling contract puts M >= 12
-    f = AnalyticMap(lambda z: 1.0 / (1.0 - z / 2.0))
-    got = taylor_coefficients(f, 0.0, 1.0, 3)
-    assert np.allclose(got, [1.0, 0.5, 0.25], atol=2 ** -12)
-    # asking for more coefficients raises the sample count and the accuracy
-    deep = taylor_coefficients(f, 0.0, 1.0, 10)
-    assert np.allclose(deep[:3], [1.0, 0.5, 0.25], atol=1e-9)
-
-
-def test_taylor_shifted_center():
-    # pole at -1, two radii from the center: same 2^-M aliasing as above
-    f = AnalyticMap(lambda z: 1.0 / (1.0 + z))
-    got = taylor_coefficients(f, 1.0, 1.0, 3)
-    assert np.allclose(got, [0.5, -0.25, 0.125], atol=2 ** -12)
-    deep = taylor_coefficients(f, 1.0, 1.0, 12)
-    assert np.allclose(deep[:3], [0.5, -0.25, 0.125], atol=1e-10)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=0.3, max_value=1.25))
-def test_taylor_radius_independent(radius):
-    # for f analytic past the contour the coefficients cannot depend on it,
-    # up to aliasing, which stays below 1e-10 while the pole at -4 is more
-    # than three radii away
-    f = AnalyticMap(lambda z: (z - 0.2) ** 3 / (z + 4.0))
-    got = taylor_coefficients(f, 0.0, radius, 6)
-    ref = taylor_coefficients(f, 0.0, 1.0, 6)
-    assert np.allclose(got, ref, rtol=1e-9, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +185,3 @@ def test_agreeing_prefix_lead_scale_semantics():
 def test_agreeing_prefix_zero_pairs_count():
     assert _agreeing_prefix((0.0, 0.0), (0.0, 0.0), lead_scale=False) == 2
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_export_matrix_csv_roundtrip(tmp_path, affine_half):
-    m = assemble_matrix(affine_half, N=6)
-    path = tmp_path / "matrix.csv"
-    export_matrix_csv(m, path)
-    text = path.read_text()
-    header, *rows = text.strip().split("\n")
-    assert header.startswith("#")
-    meta = json.loads(header[1:].strip())
-    assert meta["size"] == 6
-    assert meta["radius"] == 1.0
-    assert meta["center"] == [0.6, 0.0]
-    assert meta["system"] == m.system_id
-    got = np.array([[float(x) for x in row.split(",")] for row in rows])
-    assert got.shape == (6, 12)
-    rebuilt = got[:, 0::2] + 1j * got[:, 1::2]
-    assert np.array_equal(rebuilt, m.data)

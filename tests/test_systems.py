@@ -389,6 +389,25 @@ def test_descriptor_bad_weight():
         system_from_descriptor(desc)
 
 
+@pytest.mark.parametrize("where", ["b", "weight", "center", "radius", "dim",
+                                   "i_max"])
+def test_descriptor_boolean_is_not_a_number(where):
+    # JSON true is a Python int; read as a number it would stand for 1
+    entry = {"a": 0.5, "b": 0.0, "weight": 1.0}
+    domain = {"center": [0.0, 0.0], "radius": 1.5, "dim": 1}
+    if where == "i_max":
+        desc = {"family": "gauss", "i_max": True,
+                "domain": dict(domain, center=[1.0, 0.0])}
+    elif where in entry:
+        desc = {"family": "affine_list", "params": [dict(entry, **{where: True})],
+                "domain": domain}
+    else:
+        desc = {"family": "affine_list", "params": [entry],
+                "domain": dict(domain, **{where: True})}
+    with pytest.raises(DescriptorError):
+        system_from_descriptor(desc)
+
+
 def test_system_id_stable_and_distinct():
     a = system_from_descriptor(AFFINE_DESC).system_id
     b = system_from_descriptor(dict(AFFINE_DESC)).system_id   # fresh dict

@@ -89,19 +89,21 @@ def derivative_scalar(fn, z):
 
 
 def jacobian(fn, z, dim):
-    """dim x dim complex Jacobian of fn: C^dim -> C^dim at point z (a sequence).
+    """dim x dim complex Jacobian of fn: C^dim -> C^dim at z, a sequence of
+    dim coordinates. Coordinates that are arrays of m points give a
+    (dim, dim, m) stack, entry [i, j] holding d fn_i / d z_j.
 
     fn must accept a sequence of scalars (here Duals) and return a sequence
-    of length dim.
+    of length dim. One call carries every direction: coordinate k is seeded
+    with the k-th unit vector.
     """
     import numpy as np
 
-    z = [complex(c) for c in z]
-    jac = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        args = [Dual(z[k], 1.0 if k == j else 0.0) for k in range(dim)]
-        out = fn(args)
-        for i in range(dim):
-            o = out[i]
-            jac[i, j] = o.eps if isinstance(o, Dual) else 0.0
+    z = np.asarray(z, dtype=complex)
+    seeds = np.eye(dim).reshape((dim, dim) + (1,) * (z.ndim - 1))
+    out = fn([Dual(z[k], seeds[k]) for k in range(dim)])
+    jac = np.zeros((dim, dim) + z.shape[1:], dtype=complex)
+    for i in range(dim):
+        if isinstance(out[i], Dual):
+            jac[i] = out[i].eps
     return jac

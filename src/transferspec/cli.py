@@ -102,7 +102,8 @@ def _resolve_config(args):
             raise DescriptorError(f"config key {key!r} must be an object")
 
     # numeric fields: a flag beats the file, which beats the field default;
-    # the default's type is the cast
+    # the default's type is the cast, and an integer field refuses a float
+    # with a fractional part rather than truncating it
     numbers = {}
     for f in fields(RunConfig):
         if not isinstance(f.default, (int, float)):
@@ -115,8 +116,12 @@ def _resolve_config(args):
         if value is not None:
             try:
                 numbers[f.name] = type(f.default)(value)
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise DescriptorError(f"bad config value for {f.name}: {err}")
+            if (isinstance(f.default, int) and isinstance(value, float)
+                    and numbers[f.name] != value):
+                raise DescriptorError(f"bad config value for {f.name}: "
+                                      f"expected an integer, got {value!r}")
     cfg = RunConfig(system=data.get("system"), profile=data.get("profile"),
                     out_dir=getattr(args, "out", None) or data.get("out_dir"),
                     **numbers)

@@ -31,19 +31,18 @@ from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
+    _batch_center,
     _fold_words,
+    _point_norm,
     _word_at,
     _word_count,
     batch_fixed_points,
     batch_orbit,
-    compose,
-    fixed_point,
     letters_block,
-    word_weight,
 )
 from .errors import EscapedDomain, NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import CountableTruncated, validate_system
+from .systems import CountableTruncated, _letter_groups, validate_system
 
 TRUST_CAP = 1e12
 _TRUST_SERIES_TOL = 1e-6
@@ -110,17 +109,21 @@ def _tail_heuristic(sys_, n, max_multiplier, w_sup):
     return n * tau * w_sup ** (n - 1) * (1.0 - gamma) ** (-sys_.dim)
 
 
-def _traces_dim1(sys_, orders, word_budget, tol, threads):
+def _trace_rows(sys_, orders, word_budget, tol, threads):
     """(value, words, max multiplier, max residual) for each order.
 
     Every order's words are counted against the budget before any work, and
     the chunks of all orders go through one ordered map, so one thread pool
     serves the whole table. Each order's chunk partials combine in index
-    order, as they would in a map of that order alone.
+    order, as they would in a map of that order alone. In dim >= 2 the
+    multiplier is the spectral radius of the word's Jacobian.
     """
     totals = [_word_count(sys_, n, word_budget) for n in orders]
     items = [(n, lo, hi) for n, total in zip(orders, totals)
              for lo, hi in chunk_ranges(total)]
+    d, ball = sys_.dim, sys_.domain
+    center = _batch_center(ball)
+    reach = ball.radius * (1 + _ESCAPE_SLACK)
 
     def handle(item):
         n, lo, hi = item
@@ -128,20 +131,29 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
             wgt, mult, z, end = _moebius_words(sys_, n, lo, hi)
         else:
             letters = letters_block(sys_.n_letters, n, lo, hi)
-            z = batch_fixed_points(sys_, letters, tol)
-            wgt, mult, end = batch_orbit(sys_, letters, z)
-        ball = sys_.domain
+            groups = [_letter_groups(col) for col in letters.T]
+            z = batch_fixed_points(sys_, letters, tol, groups)
+            wgt, mult, end = batch_orbit(sys_, letters, z, groups)
+        if d == 1:
+            spectral, denom = np.abs(mult), 1.0 - mult
+            refused = ~(spectral < 1.0 - 1e-9)
+            why = "multiplier of modulus >= 1 - 1e-9, so z* does not attract"
+        else:
+            spectral = np.abs(np.linalg.eigvals(mult)).max(axis=1)
+            denom = np.linalg.det(np.eye(d) - mult)
+            refused = ~(np.abs(denom) >= 1e-12)
+            why = "det(I - T') = {:.3g}, which is singular"
         for bad, err, what in (
-                (~(np.abs(mult) < 1.0 - 1e-9), NotContracting, "multiplier "
-                 "of modulus >= 1 - 1e-9, so z* does not attract"),
-                (~(np.abs(z - ball.center) <= ball.radius * (1 + _ESCAPE_SLACK)),
-                 EscapedDomain, "its attracting fixed point outside the ball")):
+                (refused, NotContracting, why),
+                (~(_point_norm(z - center) <= reach), EscapedDomain,
+                 "its attracting fixed point outside the ball")):
             if bad.any():
-                word = _word_at(sys_, n, lo + int(np.argmax(bad)))
-                raise err(f"word {word} has {what}")
-        terms = wgt / (1.0 - mult)
+                r = int(np.argmax(bad))
+                word = _word_at(sys_, n, lo + r)
+                raise err(f"word {word} has " + what.format(denom[r]))
+        terms = wgt / denom if d == 1 else _quotient(wgt, denom)
         return (_split_sum(terms.real), _split_sum(terms.imag),
-                float(np.abs(mult).max()), float(np.abs(end - z).max()))
+                float(spectral.max()), float(_point_norm(end - z).max()))
 
     parts = map_ordered(handle, items, threads)
     rows = []
@@ -152,6 +164,22 @@ def _traces_dim1(sys_, orders, word_budget, tol, threads):
         rows.append((value, total, max(p[2] for p in mine),
                      max(p[3] for p in mine)))
     return rows
+
+
+def _quotient(a, b):
+    """a / b elementwise, rounded as Python divides complex numbers: scaled
+    by the larger part of b and divided once. numpy's a / b multiplies by
+    a rounded reciprocal, one rounding more (a real b gives a * (1/b))."""
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(wide, b.real, b.imag)
+    small = np.where(wide, b.imag, b.real)
+    ratio = small / big
+    denom = big + small * ratio
+    re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    out = np.empty(denom.shape, dtype=complex)
+    out.real, out.imag = re / denom, im / denom
+    return out
 
 
 def _moebius_words(sys_, n, lo, hi):
@@ -191,33 +219,6 @@ def _split_sum(values):
     return head, math.fsum(rest) if head else 0.0
 
 
-def _trace_dimN(sys_, n, word_budget, tol):
-    total = _word_count(sys_, n, word_budget)
-    d = sys_.dim
-    eye = np.eye(d, dtype=complex)
-    res = []
-    ims = []
-    max_mult = 0.0
-    max_res = 0.0
-    for lo, hi in chunk_ranges(total):
-        for row in letters_block(sys_.n_letters, n, lo, hi):
-            word = tuple(int(l) for l in row)
-            comp = compose(sys_, word)
-            fp = fixed_point(comp, sys_.domain, tol)
-            jac = np.asarray(comp.derivative(fp.point), dtype=complex)
-            spectralmax = float(np.abs(np.linalg.eigvals(jac)).max())
-            max_mult = max(max_mult, spectralmax)
-            max_res = max(max_res, fp.residual)
-            det = complex(np.linalg.det(eye - jac))
-            if abs(det) < 1e-12:
-                raise NotContracting(
-                    f"word {word}: det(I - T') = {det:.3g} is singular")
-            term = complex(word_weight(sys_, word)(fp.point)) / det
-            res.append(term.real)
-            ims.append(term.imag)
-    return complex(math.fsum(res), math.fsum(ims)), total, max_mult, max_res
-
-
 def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """tau(L^n): the length-n word sum of weight / det(I - multiplier).
 
@@ -233,10 +234,7 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
 
 
 def _traces(sys_, orders, word_budget, tol, threads, w_sup):
-    if sys_.dim == 1:
-        rows = _traces_dim1(sys_, orders, word_budget, tol, threads)
-    else:
-        rows = [_trace_dimN(sys_, n, word_budget, tol) for n in orders]
+    rows = _trace_rows(sys_, orders, word_budget, tol, threads)
     return [TraceValue(n, value, _tail_heuristic(sys_, n, max_mult, w_sup),
                        words, max_mult, max_res)
             for n, (value, words, max_mult, max_res) in zip(orders, rows)]
@@ -246,8 +244,8 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
                 threads=1):
     """Traces for orders 1..M as one table.
 
-    On dim-1 systems BudgetExceeded is raised before any work when an
-    order needs more than word_budget words.
+    BudgetExceeded is raised before any work when an order needs more than
+    word_budget words.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -30,7 +30,7 @@ from .errors import (
     NotContracting,
     NotEnclosed,
 )
-from .systems import AnalyticMap, validate_system
+from .systems import AnalyticMap, _letter_groups, validate_system
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
@@ -189,42 +189,62 @@ def fixed_point(map_, domain, tol=1e-13, max_iter=200_000):
 
 
 # ---------------------------------------------------------------------------
-# batched word evaluation (dim 1)
+# batched word evaluation
+#
+# A batch of count points is a (count,) array in dim 1 and a (dim, count)
+# array, one point per column, in dim >= 2.
 
 
 def letters_block(n_letters, length, lo, hi):
-    """Rows lo..hi-1 of the lexicographic enumeration of length-n words."""
+    """Rows lo..hi-1 of the lexicographic enumeration of length-n words, in
+    the smallest unsigned integer type that holds the letters."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, length), dtype=np.int64)
+    out = np.empty((hi - lo, length), dtype=np.min_scalar_type(n_letters))
     for k in range(length):
         p = n_letters ** (length - 1 - k)
         out[:, k] = (idx // p) % n_letters + 1
     return out
 
 
-def batch_fixed_points(sys_, letters, tol=1e-13):
-    """Fixed points of many word compositions at once (dim 1).
+def _point_norm(x):
+    """|x| of each point of a batch."""
+    return np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=0)
+
+
+def _batch_center(ball):
+    """The ball's center, shaped to broadcast against a batch of points."""
+    return np.asarray(ball.center, dtype=complex).reshape(
+        (-1, 1) if ball.dim > 1 else ())
+
+
+def batch_fixed_points(sys_, letters, tol=1e-13, groups=None):
+    """Fixed points of many word compositions at once.
 
     letters has shape (count, n). Every word is iterated from the ball
     center with the same stopping rule as fixed_point, using the worst
-    step/ratio across the batch so all points meet the tolerance.
+    step/ratio across the batch so all points meet the tolerance. groups
+    holds each column's letter groups; by default they are built here, once
+    for all sweeps.
     """
     count, n = letters.shape
     ball = sys_.domain
-    z = np.full(count, complex(ball.center))
+    center = _batch_center(ball)
+    if groups is None:
+        groups = [_letter_groups(col) for col in letters.T]
+    z = np.full(center.shape[:1] + (count,), center)
     q = 0.0
     prev_step = None
     for _ in range(_MAX_SWEEPS):
         z1 = z
-        for k in range(n):
-            z1 = sys_.apply_letters(letters[:, k], z1)
-        off = np.abs(z1 - ball.center) > ball.radius * (1.0 + _ESCAPE_SLACK)
+        for col, grp in zip(letters.T, groups):
+            z1 = sys_.apply_letters(col, z1, grp)
+        off = _point_norm(z1 - center) > ball.radius * (1.0 + _ESCAPE_SLACK)
         if off.any():
             bad = int(np.argmax(off))
             raise EscapedDomain(
                 f"word {tuple(letters[bad].tolist())} maps the center orbit "
                 "outside the ball")
-        step = float(np.max(np.abs(z1 - z)))
+        step = float(np.max(_point_norm(z1 - z)))
         if prev_step is not None and prev_step > 0.0:
             q = min(_Q_CAP, max(q * 0.5, step / prev_step))
         prev_step = step
@@ -236,19 +256,28 @@ def batch_fixed_points(sys_, letters, tol=1e-13):
         f"(last step {step:.3g})")
 
 
-def batch_orbit(sys_, letters, z):
+def batch_orbit(sys_, letters, z, groups=None):
     """Weight product, derivative product, and end point along each word's
-    orbit started at z (shape (count,) matching letters (count, n)). In-place
-    products keep numpy from swapping operands on large batches."""
-    wgt = np.ones(letters.shape[0], dtype=complex)
-    mult = np.ones(letters.shape[0], dtype=complex)
+    orbit started at the batch z, one point per row of letters (count, n).
+    In dim >= 2 the derivative product is a (count, dim, dim) stack of
+    Jacobians, later letters on the left. groups is as for
+    batch_fixed_points; each column is grouped when it is reached if it is
+    not given. In-place products keep numpy from swapping operands on large
+    batches."""
+    count, n = letters.shape
+    d = sys_.dim
+    wgt = np.ones(count, dtype=complex)
+    mult = (np.ones(count, dtype=complex) if d == 1
+            else np.tile(np.eye(d, dtype=complex), (count, 1, 1)))
     y = np.array(z, dtype=complex, copy=True)
-    for k in range(letters.shape[1]):
-        col = letters[:, k]
-        deriv = sys_.derivative_letters(col, y)
-        np.multiply(wgt, sys_.weight_letters(col, y, deriv=deriv), out=wgt)
-        np.multiply(mult, deriv, out=mult)
-        y = sys_.apply_letters(col, y)
+    for col, grp in zip(letters.T, groups or [None] * n):
+        deriv = sys_.derivative_letters(col, y, grp)
+        np.multiply(wgt, sys_.weight_letters(col, y, deriv, grp), out=wgt)
+        if d == 1:
+            np.multiply(mult, deriv, out=mult)
+        else:
+            mult = np.matmul(deriv, mult)
+        y = sys_.apply_letters(col, y, grp)
     return wgt, mult, y
 
 

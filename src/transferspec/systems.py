@@ -78,10 +78,11 @@ class BallDomain:
 
 def make_ball(center, radius, dim=1):
     """Build a BallDomain, normalizing the center representation."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if (isinstance(dim, bool) or not isinstance(dim, (int, np.integer))
+            or dim < 1):
         raise InvalidDomain(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
-    if not (float(radius) > 0.0):
+    if isinstance(radius, bool) or not (float(radius) > 0.0):
         raise InvalidDomain(f"radius must be positive, got {radius!r}")
     if dim == 1:
         if isinstance(center, (list, tuple, np.ndarray)):
@@ -111,7 +112,10 @@ class AnalyticMap:
     works for any fn built from field arithmetic and integer powers.
 
     Scalar evaluation accepts numpy arrays wherever fn broadcasts; a
-    per-element fallback covers fn that does not.
+    per-element fallback covers fn that does not. For dim >= 2 a (dim, m)
+    array holds m points, one per column, and gives m images ((dim, m), or
+    (m,) for a weight) and a (dim, dim, m) stack of Jacobians; a fn that
+    does not broadcast so is evaluated one point at a time.
     """
 
     def __init__(self, fn, deriv=None, dim=1, name=""):
@@ -124,15 +128,22 @@ class AnalyticMap:
         return f"AnalyticMap({self.name or '<anonymous>'}, dim={self.dim})"
 
     def __call__(self, z):
-        if self.dim != 1:
+        if not isinstance(z, np.ndarray):
             return self._fn(z)
-        if isinstance(z, np.ndarray):
+        if self.dim == 1:
             return self._eval_array(self._fn, z)
+        if z.ndim == 2:
+            m = z.shape[1]
+            return self._eval_points(self._fn, z, ((self.dim, m), (m,)))
         return self._fn(z)
 
     def derivative(self, z):
-        """Derivative at z: a complex scalar for dim 1, else a dim x dim matrix."""
+        """Derivative at z: a complex scalar for dim 1, else a dim x dim
+        matrix, or a (dim, dim, m) stack at the m columns of a (dim, m)
+        array."""
         if self.dim != 1:
+            if isinstance(z, np.ndarray) and z.ndim == 2:
+                return self._jacobians(z)
             if self._deriv is not None:
                 return np.asarray(self._deriv(z), dtype=complex)
             return jacobian(self._fn, z, self.dim)
@@ -153,6 +164,18 @@ class AnalyticMap:
             return vals.reshape(z.shape)
         return derivative_scalar(self._fn, z)
 
+    def _jacobians(self, z):
+        """The (dim, dim, m) Jacobians at the m columns of z. A closed-form
+        derivative that returns one matrix is taken as constant."""
+        d, m = z.shape
+        if self._deriv is not None:
+            jac = self._eval_points(self._deriv, z, ((d, d), (d, d, m)))
+        else:
+            jac = self._eval_points(lambda pts: jacobian(self._fn, pts, d), z,
+                                    ((d, d, m),))
+        return np.broadcast_to(jac[..., None] if jac.ndim == 2 else jac,
+                               (d, d, m))
+
     @staticmethod
     def _eval_array(fn, z):
         try:
@@ -167,6 +190,22 @@ class AnalyticMap:
         flat = z.ravel()
         vals = np.array([fn(zz) for zz in flat], dtype=complex)
         return vals.reshape(z.shape)
+
+    def _eval_points(self, fn, z, shapes):
+        """fn on the m columns of the (dim, m) array z at once when its result
+        has one of shapes, else one column at a time (points last). m = dim
+        also goes column by column: there a map that adds a length-dim
+        vector broadcasts without error, but along the wrong axis."""
+        m = z.shape[1]
+        if m != self.dim:
+            try:
+                out = np.asarray(fn(z), dtype=complex)
+                if out.shape in shapes:
+                    return out
+            except (TypeError, ValueError):
+                pass
+        vals = np.array([fn(z[:, j]) for j in range(m)], dtype=complex)
+        return np.moveaxis(vals, 0, -1)
 
 
 def make_moebius(a, b, c, e):
@@ -363,34 +402,48 @@ class MapWeightSystem:
                 codes[idx], consts[idx] = _W_CONST, w.const_value
         self._wcodes = codes
         self._wconsts = consts
+        self._generic_weights = tuple(
+            w if code == _W_GENERIC else None
+            for w, code in zip(self.weights, codes))
         # per letter +-1 or the constant, and the letters whose weight is
         # that factor times T'; None when some weight is generic
         self._wfactors = (None if (codes == _W_GENERIC).any()
                           else (consts, codes != _W_CONST))
 
-    def apply_letters(self, letters, z):
-        """T_{letters}(z) elementwise; letters int array, z complex array."""
-        idx = letters - 1
+    def apply_letters(self, letters, z, groups=None):
+        """T_{letters}(z) elementwise; letters int array, z complex array
+        ((dim, count) for dim >= 2). groups, the column's letter groups
+        from _letter_groups, spares regrouping a column that is reused."""
         if self._mob is not None:
+            idx = letters - 1
             a, b, c, e = self._mob
             return (a[idx] * z + b[idx]) / (c[idx] * z + e[idx])
-        return self._gather(lambda br, pts: br(pts), letters, z)
+        out = self._gather(lambda br, pts: br(pts), letters, z,
+                           groups=groups)
+        return out if self.dim == 1 else out.T
 
-    def derivative_letters(self, letters, z):
-        """T'_{letters}(z) elementwise (dim 1 systems)."""
-        idx = letters - 1
+    def derivative_letters(self, letters, z, groups=None):
+        """T'_{letters}(z) elementwise; for dim >= 2 a (count, dim, dim)
+        stack of Jacobians."""
         if self._mob is not None:
+            idx = letters - 1
             a, b, c, e = self._mob
             q = c[idx] * z + e[idx]
             return (a[idx] * e[idx] - b[idx] * c[idx]) / (q * q)
-        return self._gather(lambda br, pts: br.derivative(pts), letters, z)
+        return self._gather(lambda br, pts: br.derivative(pts), letters, z,
+                            groups=groups)
 
-    def weight_letters(self, letters, z, deriv=None):
-        """w_{letters}(z) elementwise (dim 1 systems). deriv, when given,
-        holds T'_{letters}(z) and saves recomputing it for +-T' weights."""
+    def weight_letters(self, letters, z, deriv=None, groups=None):
+        """w_{letters}(z) elementwise. deriv, when given, holds
+        T'_{letters}(z) and saves recomputing it for +-T' weights (dim 1)."""
         idx = letters - 1
         codes = self._wcodes[idx]
-        out = np.empty_like(np.asarray(z, dtype=complex))
+        if (codes == _W_GENERIC).any():
+            # the gather skips the letters whose weights are filled in below
+            out = self._gather(lambda w, pts: w(pts), letters, z,
+                               self._generic_weights, groups)
+        else:
+            out = np.empty(letters.shape, dtype=complex)
         plain = codes == _W_CONST
         if plain.any():
             out[plain] = self._wconsts[idx[plain]]
@@ -399,21 +452,33 @@ class MapWeightSystem:
             d = (self.derivative_letters(letters[dmask], z[dmask])
                  if deriv is None else deriv[dmask])
             out[dmask] = self._wconsts[idx[dmask]] * d
-        gmask = codes == _W_GENERIC
-        if gmask.any():
-            out[gmask] = self._gather(lambda w, pts: w(pts),
-                                      letters[gmask], z[gmask],
-                                      table=self.weights)
         return out
 
-    def _gather(self, call, letters, z, table=None):
+    def _gather(self, call, letters, z, table=None, groups=None):
+        """call(table[l - 1], points) for each letter l of the column letters
+        on the points (last axis of z) that use it, assembled point by point
+        along the first axis of the result. Letters whose table entry is
+        None are left unset."""
         table = self.branches if table is None else table
         z = np.asarray(z, dtype=complex)
-        out = np.empty_like(z)
-        for letter in np.unique(letters):
-            mask = letters == letter
-            out[mask] = call(table[int(letter) - 1], z[mask])
+        out = None
+        if groups is None:
+            groups = _letter_groups(letters)
+        for letter, pos in groups:
+            if table[letter - 1] is None:
+                continue
+            vals = call(table[letter - 1], z.take(pos, axis=-1))
+            if out is None:
+                out = np.empty(letters.shape + vals.shape[:-1], dtype=complex)
+            out[pos] = vals if vals.ndim == 1 else np.moveaxis(vals, -1, 0)
         return out
+
+
+def _letter_groups(letters):
+    """(letter, positions) for each letter that occurs in the int column
+    letters, in letter order; the positions ascend."""
+    return [(letter, np.flatnonzero(letters == letter))
+            for letter in np.flatnonzero(np.bincount(letters)).tolist()]
 
 
 def make_system(branches, weights, domain, label="custom", descriptor=None):
@@ -544,7 +609,8 @@ def make_gauss_system(i_max, domain=None):
     rejected when a pole touches it or when the exact image discs of the
     branches reach past 98% of its radius.
     """
-    if not isinstance(i_max, (int, np.integer)) or i_max < 1:
+    if (isinstance(i_max, bool) or not isinstance(i_max, (int, np.integer))
+            or i_max < 1):
         raise InadmissibleDomain(f"i_max must be a positive integer, got {i_max!r}")
     i_max = int(i_max)
     if domain is None:

@@ -139,6 +139,28 @@ def test_malformed_numeric_config_value_is_usage_error(tmp_path, capsys,
     assert captured.out == ""
 
 
+_INT_KEYS = ("matrix_size", "trace_order", "word_budget",
+             "contraction_order", "grid", "threads")
+
+
+@pytest.mark.parametrize("key", _INT_KEYS)
+def test_fractional_integer_config_value_is_usage_error(tmp_path, capsys,
+                                                        key):
+    # 12.9 used to run silently at 12
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG, **{key: 12.9}))
+    assert main(["spectrum", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: bad config value for {key}" in captured.err
+    assert "expected an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_integral_float_config_value_is_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG, matrix_size=12.0))
+    args = cli.build_parser().parse_args(["spectrum", "--config", cfg])
+    assert cli._resolve_config(args).matrix_size == 12
+
+
 def test_null_config_values_mean_defaults(tmp_path):
     cfg = write_cfg(tmp_path, dict(AFFINE_CFG,
                                    **{k: None for k in _NUMERIC_KEYS}))

@@ -1,6 +1,8 @@
 """Periodic-orbit traces, determinant coefficients, reciprocal zeros."""
 
 import cmath
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from transferspec import (
     determinant_coefficients,
     determinant_zeros,
     export_determinant_json,
+    fixed_point,
     make_affine,
     make_ball,
     make_const,
@@ -27,6 +30,7 @@ from transferspec import (
     system_from_descriptor,
     trace,
     trace_table,
+    word_weight,
 )
 from transferspec import determinant
 from transferspec.determinant import TRUST_CAP, _aberth_roots
@@ -329,6 +333,142 @@ def test_trace_dim2_diagonal_closed_form(diag2d):
         t = trace(diag2d, n)
         want = 1.0 / ((1.0 - 0.5 ** n) * (1.0 - 0.4 ** n))
         assert abs(t.value - want) <= 1e-13 * abs(want)
+
+
+# dimension 2 on the stacked word path: the bench's two-branch C^2 system
+DIAG_RATES = ((0.4, 0.25), (0.3, 0.35))
+DIAG_OFFSETS = ((0.2, -0.1), (-0.2, 0.1))
+DIAG_WEIGHTS = (1.0, 0.5)
+
+
+def _diag2(branch=None, weights=None):
+    """Branches z -> (a z_1 + s, b z_2 + t) as plain callables with no
+    derivative, or built by branch(a, b, s, t); constant weights 1 and 0.5
+    unless weights are given."""
+    def plain(a, b, s, t):
+        return AnalyticMap(lambda z: [a * z[0] + s, b * z[1] + t], dim=2)
+    branches = [(branch or plain)(a, b, s, t) for (a, b), (s, t)
+                in zip(DIAG_RATES, DIAG_OFFSETS)]
+    return make_system(branches,
+                       weights or [make_const(w) for w in DIAG_WEIGHTS],
+                       make_ball((0.0, 0.0), 1.0, dim=2))
+
+
+def _diag2_trace(n):
+    """The exact n-th trace: a word with k letters 1 contributes
+    w1^k w2^(n-k) / ((1 - a1^k a2^(n-k)) (1 - b1^k b2^(n-k)))."""
+    (a1, b1), (a2, b2) = [[Fraction(x) for x in r] for r in DIAG_RATES]
+    w1, w2 = map(Fraction, DIAG_WEIGHTS)
+    return sum(math.comb(n, k) * w1 ** k * w2 ** (n - k)
+               / (1 - a1 ** k * a2 ** (n - k)) / (1 - b1 ** k * b2 ** (n - k))
+               for k in range(n + 1))
+
+
+def test_trace_dim2_two_branch_closed_form():
+    table = trace_table(_diag2(), 10)
+    for n, got in enumerate(table.values, start=1):
+        want = float(_diag2_trace(n))
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert table.max_multiplier == pytest.approx(0.4)
+
+
+def _coupled(exp):
+    """Branches z -> (a z_1 exp(z_2 / 10) + s, b z_2 + t) and their
+    closed-form Jacobians, with exp taken from cmath or numpy."""
+    def build(a, b, s, t):
+        def fn(z):
+            return [a * z[0] * exp(0.1 * z[1]) + s, b * z[1] + t]
+
+        def deriv(z):
+            e = exp(0.1 * z[1])
+            return [[a * e, 0.1 * a * z[0] * e], [0.0 * e, b + 0.0 * e]]
+        return AnalyticMap(fn, deriv, dim=2)
+    return build
+
+
+def _per_word_traces(sys_, M):
+    """Traces 1..M as a loop over words, each composed, iterated to its
+    fixed point and divided by det(I - T') in Python complex arithmetic."""
+    eye = np.eye(sys_.dim)
+    out = []
+    for n in range(1, M + 1):
+        terms = []
+        for word in itertools.product(range(1, sys_.n_letters + 1), repeat=n):
+            comp = compose(sys_, word)
+            z = fixed_point(comp, sys_.domain).point
+            det = complex(np.linalg.det(eye - comp.derivative(z)))
+            terms.append(complex(word_weight(sys_, word)(z)) / det)
+        out.append(complex(math.fsum(t.real for t in terms),
+                           math.fsum(t.imag for t in terms)))
+    return tuple(out)
+
+
+def test_trace_dim2_keeps_the_per_word_bits():
+    # affine maps with constant weights: each term is fixed by the Jacobian
+    # product alone, so the stacked path must give the loop's bits
+    sys_ = _diag2(weights=[make_const(0.93), make_const(0.61)])
+    assert trace_table(sys_, 8).values == _per_word_traces(sys_, 8)
+
+
+def test_trace_dim2_map_that_does_not_broadcast():
+    # cmath refuses arrays, so that system goes one point at a time
+    with pytest.raises(TypeError):
+        cmath.exp(np.zeros(3, dtype=complex))
+    want = trace_table(_diag2(_coupled(np.exp)), 6).values
+    got = trace_table(_diag2(_coupled(cmath.exp)), 6).values
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def test_trace_dim2_batch_of_dim_points_goes_point_by_point():
+    # A @ z + v on a (2, 2) batch of two points adds v along the wrong axis
+    # without an error; at order 2 every letter group holds two words. The
+    # weight makes each term depend on the word's fixed point.
+    def matrix(a, b, s, t):
+        A, v = np.diag([a, b]), np.array([s, t])
+        return AnalyticMap(lambda z: A @ np.asarray(z) + v, lambda z: A,
+                           dim=2)
+    weight = AnalyticMap(lambda z: 1.0 + 0.5 * z[0] * z[1], dim=2)
+    want = trace_table(_diag2(weights=[weight, weight]), 3).values
+    got = trace_table(_diag2(matrix, [weight, weight]), 3).values
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def test_trace_dim2_thread_count_is_invisible():
+    sys_ = _diag2()
+    assert trace_table(sys_, 10, threads=1) == trace_table(sys_, 10,
+                                                           threads=2)
+
+
+def test_trace_dim2_escape_names_the_word():
+    # the second branch fixes (1.8, 0); word (2, 2) leaves the unit ball on
+    # the first sweep, the first word of the batch to do so
+    sys_ = make_system(
+        [AnalyticMap(lambda z: [0.5 * z[0] + 0.1, 0.5 * z[1]], dim=2),
+         AnalyticMap(lambda z: [0.5 * z[0] + 0.9, 0.5 * z[1]], dim=2)],
+        [make_const(1.0), make_const(1.0)], make_ball((0.0, 0.0), 1.0, dim=2))
+    with pytest.raises(EscapedDomain,
+                       match=r"^word \(2, 2\) maps the center orbit"):
+        trace(sys_, 2)
+
+
+def test_trace_dim2_singular_word_is_refused():
+    # the first coordinate is fixed pointwise, so det(I - T') = 0
+    sys_ = make_system([AnalyticMap(lambda z: [z[0], 0.5 * z[1]], dim=2)],
+                       [make_const(1.0)], make_ball((0.0, 0.0), 1.0, dim=2))
+    with pytest.raises(NotContracting,
+                       match=r"^word \(1,\) has det\(I - T'\) = 0"):
+        trace(sys_, 1)
+
+
+def test_trace_table_budget_checked_before_any_work_dim2(monkeypatch):
+    sys_ = _diag2()
+    monkeypatch.setattr(determinant, "batch_fixed_points", _no_work)
+    with pytest.raises(AssertionError, match="words were evaluated"):
+        trace_table(sys_, 5, word_budget=32)
+    with pytest.raises(BudgetExceeded):
+        trace_table(sys_, 6, word_budget=40)    # 2^6 = 64 words
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,9 @@ def test_plain_callables_table_goes_through_gathers(monkeypatch):
     gathered = []
     orig = MapWeightSystem._gather
 
-    def counting(self, call, letters, z, table=None):
+    def counting(self, call, letters, z, table=None, groups=None):
         gathered.append(table is None)
-        return orig(self, call, letters, z, table)
+        return orig(self, call, letters, z, table, groups)
 
     monkeypatch.setattr(MapWeightSystem, "_gather", counting)
     # plain branches: images and weights both gathered

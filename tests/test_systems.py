@@ -58,6 +58,19 @@ def test_ball_dim_mismatch():
         make_ball((0.0, 0.0), 1.0, dim=3)
 
 
+@pytest.mark.parametrize("args", [(0.0, 1.0, True), (0.0, True, 1),
+                                  ((0.0,), 1.0, False)])
+def test_ball_refuses_booleans(args):
+    # isinstance(True, int) holds, so a bool used to pass as dim 1 or radius 1
+    with pytest.raises(InvalidDomain):
+        make_ball(*args)
+
+
+def test_gauss_system_refuses_boolean_i_max():
+    with pytest.raises(InadmissibleDomain):
+        make_gauss_system(True)
+
+
 def test_ball_boundary_points_lie_on_circle():
     b = make_ball(2.0 - 1.0j, 0.75)
     zs = b.boundary_points(64)

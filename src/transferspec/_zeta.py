@@ -6,7 +6,11 @@ asymptotic correction terms decay well below double precision before the
 Bernoulli series starts diverging; with ten Bernoulli terms the result is
 accurate to a few ulp for every s up to several hundred (checked against
 high-precision direct summation in the tests). hzeta_rows evaluates the
-orders 2, ..., count+1 at once, at arguments that need no shift.
+orders 2, ..., count+1 at once with no shift. It needs the no-shift floor
+only of the orders whose value can be a normal double at its arguments:
+past them zeta(s, a) is below the smallest normal number, and dropping
+such an order (normal_orders says where that starts) changes a sum by less
+than an underflow does.
 
 The argument a may be a numpy array (vectorized over grid points); Re(a+k)
 must be positive for all summed k, which holds for the tail sums this
@@ -24,11 +28,25 @@ _BERN = (
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
     -691.0 / 2730, 7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
 )
+_LOG_TINY = math.log(np.finfo(float).tiny)   # of the smallest normal double
 
 
 def unshifted_floor(s):
     """The |a| from which order s needs no shifted head sum."""
     return 1.3 * s + 25
+
+
+def normal_orders(count, x):
+    """How many of the orders s = 2, ..., count+1 can give a normal double
+    zeta(s, a) at some a with Re a >= x > 0. Since |zeta(s, a)| <=
+    x^(-s) + x^(1-s)/(s-1) = x^(-s) (1 + x/(s-1)), they are the orders at
+    which this bound reaches the smallest normal number. For x >= 1 the
+    bound falls with s, so these are the leading orders 2, ..., result+1;
+    for x < 1 every order is held.
+    """
+    s = np.arange(2.0, count + 2)
+    log_bound = np.log1p(x / (s - 1.0)) - s * math.log(x)
+    return int(np.count_nonzero(log_bound >= _LOG_TINY))
 
 
 def hzeta_int(s, a):
@@ -66,14 +84,22 @@ def hzeta_int(s, a):
 
 def hzeta_rows(count, a):
     """Row j holds zeta(j+2, a) for j < count, for a 1-d array a with
-    Re a > 0 and |a| >= unshifted_floor(count + 1), so no order needs a
-    shifted head sum: zeta(s, a) = a^(-s) (a/(s-1) + 1/2 + sum_v B_2v/(2v)!
-    (s)_(2v-1) a^(1-2v)), the brackets of all orders one matrix product.
+    Re a > 0 and |a| >= unshifted_floor(top), where top is the last order
+    that normal_orders holds at min Re a, so no order whose value can be
+    normal needs a shifted head sum: zeta(s, a) = a^(-s) (a/(s-1) + 1/2 +
+    sum_v B_2v/(2v)! (s)_(2v-1) a^(1-2v)), the brackets of all orders one
+    matrix product. Rows past top hold values below the smallest normal
+    number, to within it.
     """
     a = np.asarray(a, dtype=complex)
-    floor = unshifted_floor(count + 1)
-    if np.any(a.real <= 0) or np.any(np.abs(a) < floor):
-        raise ValueError(f"hzeta_rows needs Re a > 0 and |a| >= {floor:.6g}")
+    if np.any(a.real <= 0):
+        raise ValueError("hzeta_rows needs Re a > 0")
+    top = normal_orders(count, float(a.real.min())) + 1
+    floor = unshifted_floor(top)
+    if np.any(np.abs(a) < floor):
+        raise ValueError(
+            f"hzeta_rows needs |a| >= {floor:.6g}, the no-shift floor of "
+            f"order {top}, the last whose value can be a normal double here")
     s = np.arange(2.0, count + 2)[:, None]
     odd = np.arange(1, 2 * len(_BERN), 2)          # 2v - 1 for v = 1..10
     rising = np.cumprod(s + np.arange(odd[-1]), axis=1)[:, odd - 1]

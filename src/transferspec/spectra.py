@@ -97,10 +97,11 @@ def assemble_matrix(sys_, ball=None, N=32):
 
     t, w = _branch_values_on_grid(sys_, zs)
     s = (t - c) / rho
+    del t                       # freed before the power sums run
 
     g = np.zeros((N, grid), dtype=complex)
     _power_sums(w, s, g)
-    del t, w, s                 # freed before the tail builds its own tables
+    del w, s                    # freed before the tail builds its own tables
 
     tail_included = False
     tail_bound = 0.0
@@ -108,8 +109,9 @@ def assemble_matrix(sys_, ball=None, N=32):
     if isinstance(alpha, CountableTruncated):
         if alpha.power_tail is not None:
             tail = alpha.power_tail(zs, N, c)
-            scale = rho ** -np.arange(N, dtype=float)
-            g += tail * scale[:, None]
+            tail *= (rho ** -np.arange(N, dtype=float))[:, None]
+            g += tail
+            del tail
             tail_included = True
         else:
             tail_bound = float(alpha.weight_tail_bound)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._dual import Dual, derivative_scalar, jacobian
-from ._zeta import hzeta_rows, trigamma, unshifted_floor
+from ._zeta import hzeta_rows, normal_orders, trigamma, unshifted_floor
 from .errors import (
     BadIndex,
     DegenerateMap,
@@ -476,9 +476,14 @@ class MapWeightSystem:
 
 def _letter_groups(letters):
     """(letter, positions) for each letter that occurs in the int column
-    letters, in letter order; the positions ascend."""
-    return [(letter, np.flatnonzero(letters == letter))
-            for letter in np.flatnonzero(np.bincount(letters)).tolist()]
+    letters, in letter order; the positions ascend. One stable sort splits
+    the column, so the cost does not grow with the alphabet."""
+    counts = np.bincount(letters)
+    # on keys of one or two bytes a stable argsort is a radix sort
+    keys = letters.astype(np.min_scalar_type(counts.size - 1), copy=False)
+    parts = np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
+    return [(letter, parts[letter])
+            for letter in np.flatnonzero(counts).tolist()]
 
 
 def make_system(branches, weights, domain, label="custom", descriptor=None):
@@ -558,33 +563,68 @@ def _power_sums(w, base, out, base_first=False):
                 np.multiply(p, bb, out=p)
 
 
+_TAIL_CANCELLATION = 32.0   # loss the tail's binomial recombination may take
+
+
+def _gauss_tail_cutoff(i_max, count, center, low):
+    """The Gauss tail's cutoff K >= i_max at count rows, for points z with
+    Re z >= low: the least K at which x = K+1+low meets two bounds.
+
+    - x reaches the zeta rows' no-shift floor of the last order a double
+      can hold as a normal number at Re a >= x (normal_orders); the floor
+      falls as K grows, so K is stepped up to it until it holds.
+    - The recombination's cancellation factor ((|c|+u)/(|c|-u))^(count-1),
+      u = 1/x, the ratio of the binomial terms' moduli to the row they sum
+      to, stays within _TAIL_CANCELLATION: u <= |c| tanh(log(cap) /
+      (2 (count-1))). This is closed form, so the rule ends for every
+      centre, |c| <= u at i_max included. With c = 0 the Pascal table is
+      the identity and nothing cancels.
+    """
+    cutoff = max(i_max, math.floor(-low))           # so that x > 0
+    if count > 1 and center != 0:
+        u = abs(center) * math.tanh(math.log(_TAIL_CANCELLATION)
+                                    / (2 * (count - 1)))
+        cutoff = max(cutoff, math.ceil(1.0 / u - 1 - low))
+    while True:
+        top = normal_orders(count, cutoff + 1 + low) + 1
+        need = math.ceil(unshifted_floor(top) - 1 - low)
+        if need <= cutoff:
+            return cutoff
+        cutoff = need
+
+
 def _gauss_power_tail(i_max, domain):
     """Closed-form tail power sums for the continued-fraction weights.
 
     Returns tail(z, count, center) with row n holding
     sum_{i > i_max} (i+z)^(-2) * (1/(i+z) - center)^n
     = sum_{j<=n} C(n,j) (-center)^(n-j) * zeta(j+2, K+1+z)
-    for a cutoff K >= i_max; branches between i_max and K are summed
-    directly. K keeps the binomial terms from cancelling catastrophically,
-    and |K+1+z| >= K+1+Re z reaches the floor from which the zeta rows
-    need no shifted head sum. The binomial recombination is one product of
-    the Pascal table C(n,j) (-center)^(n-j) with the zeta rows.
+    for the cutoff K >= i_max of _gauss_tail_cutoff; branches between
+    i_max and K are summed directly, and at the CLI's sizes there are none
+    (K = i_max = 200 up to count 256 on its discs). The binomial
+    recombination is one product of the Pascal table C(n,j) (-center)^(n-j)
+    with the zeta rows, truncated to the orders j+2 whose values can be
+    normal doubles at K+1+min Re z (normal_orders): a later order's value
+    is below the smallest normal number, so leaving it out moves row n by
+    at most C(n,j) |center|^(n-j) times that number.
     """
 
     def tail(z, count, center, i_max=i_max):
         z = np.asarray(z, dtype=complex)
-        cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))),
-                     math.ceil(unshifted_floor(count + 1) - 1 - z.real.min()))
+        low = float(z.real.min())
+        cutoff = _gauss_tail_cutoff(i_max, count, center, low)
+        orders = normal_orders(count, cutoff + 1 + low)
         pascal = np.zeros((count, count), dtype=complex)
         pascal[0, 0] = 1.0
         for n in range(1, count):
             pascal[n, 1:n + 1] = pascal[n - 1, :n]
             pascal[n, :n] -= center * pascal[n - 1, :n]
+        pascal = pascal[:, :orders].copy()
         out = np.empty((count, z.size), dtype=complex)
-        # in column blocks, so no (count x len(z)) zeta table sits next to out
+        # in column blocks, so no (orders x len(z)) zeta table sits next to out
         width = max(1, _BLOCK_ENTRIES // count)
         for lo in range(0, z.size, width):
-            np.matmul(pascal, hzeta_rows(count, cutoff + 1 + z[lo:lo + width]),
+            np.matmul(pascal, hzeta_rows(orders, cutoff + 1 + z[lo:lo + width]),
                       out=out[:, lo:lo + width])
         if cutoff > i_max:
             idx = np.arange(i_max + 1, cutoff + 1)

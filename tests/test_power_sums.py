@@ -5,12 +5,14 @@ every entry the same operations, in the same order, as the plain loops
 below. numpy's complex multiply rounds a * b and b * a differently in the
 last bit, so each reference keeps its site's operand order: the assembly
 steps powers * s, the Gauss tail steps (t - center) * p. The Gauss tail's
-closed-form part is one product of the Pascal table C(n, j) (-c)^(n-j)
-with the zeta rows of hzeta_rows; the reference builds it with the same
-numpy operations, then adds the explicit branches row by row.
+closed-form part is one product of the Pascal table C(n, j) (-c)^(n-j),
+truncated to the orders a double holds as normal numbers, with the zeta
+rows of hzeta_rows; the reference takes the cutoff and those orders from
+the tail's own rules (systems._gauss_tail_cutoff, normal_orders), builds
+the product with the same numpy operations on the whole grid at once,
+then adds the explicit branches row by row.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from transferspec import (
     system_from_descriptor,
     systems,
 )
-from transferspec._zeta import hzeta_rows
+from transferspec._zeta import hzeta_rows, normal_orders
 from transferspec.systems import AnalyticMap, MapWeightSystem
 
 MIXED_DESC = {
@@ -61,14 +63,15 @@ def gathered_table(sys_, zs):
 
 
 def reference_tail(i_max, z, count, center):
-    cutoff = max(i_max, 32, math.ceil(1.5 * count * max(1.0, abs(center))),
-                 math.ceil(1.3 * (count + 1) + 25 - 1 - z.real.min()))
+    low = float(z.real.min())
+    cutoff = systems._gauss_tail_cutoff(i_max, count, center, low)
+    orders = normal_orders(count, cutoff + 1 + low)
     pascal = np.zeros((count, count), dtype=complex)
     pascal[0, 0] = 1.0
     for n in range(1, count):
         pascal[n, 1:n + 1] = pascal[n - 1, :n]
         pascal[n, :n] -= center * pascal[n - 1, :n]
-    out = pascal @ hzeta_rows(count, cutoff + 1 + z)
+    out = pascal[:, :orders].copy() @ hzeta_rows(orders, cutoff + 1 + z)
     t = 1.0 / (np.arange(i_max + 1, cutoff + 1)[:, None] + z[None, :])
     w = t * t
     p = np.ones_like(t)
@@ -101,9 +104,11 @@ def mixed():
     return system_from_descriptor(MIXED_DESC)
 
 
-@pytest.mark.parametrize("N", [5, 64, 134])
+@pytest.mark.parametrize("N", [5, 64, 134, 360])
 def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
-    # at N = 134 the tail also sums branch 201 directly (cutoff 201)
+    # at N = 134 the zeta orders past 133 are dropped (132 of 134 kept);
+    # at N = 360 the cancellation bound puts the cutoff at 207, so the
+    # tail also sums branches 201..207 directly
     got = assemble_matrix(gauss200, N=N).data
     assert same_bits(got, reference_matrix(gauss200, N))
 

@@ -254,10 +254,52 @@ def test_gauss_power_tail_explicit_branches_match_high_precision_sum():
 
 
 @pytest.mark.parametrize("center, radius", [(1.0, 1.5), (0.8, 1.2)])
-@pytest.mark.parametrize("count", [128, 256])
+def test_gauss_tail_cutoff_is_i_max_at_cli_sizes(center, radius):
+    # spectrum --matrix-size 128 assembles at 128 and 256: the tail sums no
+    # branch past i_max there; at 512 the cancellation bound raises the
+    # cutoff (to 295 on disc (1, 1.5), to 369 on disc (0.8, 1.2))
+    low = center - radius
+    for count in (128, 256):
+        assert systems._gauss_tail_cutoff(200, count, center, low) == 200
+    assert systems._gauss_tail_cutoff(200, 512, center, low) > 200
+
+
+def test_gauss_power_tail_asks_only_for_normal_zeta_orders(monkeypatch):
+    # at 201 + z, z on the disc (1, 1.5), zeta(s, .) is below the smallest
+    # normal double from s = 134 on, so 132 of the 256 orders are computed
+    calls = []
+    real = systems.hzeta_rows
+
+    def counting(count, a):
+        calls.append(count)
+        return real(count, a)
+
+    monkeypatch.setattr(systems, "hzeta_rows", counting)
+    zs = make_ball(1.0, 1.5).boundary_points(1024)
+    out = make_gauss_system(200).alphabet.power_tail(zs, 256, 1.0 + 0.0j)
+    assert out.shape == (256, 1024)
+    assert calls and set(calls) == {132}
+
+
+def test_gauss_tail_cutoff_keeps_both_bounds():
+    # c = 0: the Pascal table is the identity, only the zeta floor binds
+    assert systems._gauss_tail_cutoff(1, 4, 0.0, -0.5) == 31
+    # |c| far below 1/(i_max + 1 + low): the cancellation bound raises K
+    # until u = 1/(K + 1 + low) is small against |c|
+    cutoff = systems._gauss_tail_cutoff(1, 64, 0.01, 0.0)
+    u = 1.0 / (cutoff + 1)
+    assert ((0.01 + u) / (0.01 - u)) ** 63 <= systems._TAIL_CANCELLATION
+    u = 1.0 / cutoff
+    assert ((0.01 + u) / (0.01 - u)) ** 63 > systems._TAIL_CANCELLATION
+
+
+@pytest.mark.parametrize("center, radius", [(1.0, 1.5), (0.8, 1.2)])
+@pytest.mark.parametrize("count", [128, 256, 512])
 def test_gauss_power_tail_at_cli_sizes_matches_oracle(center, radius, count):
     # the matrix route's own call: i_max 200, grid 4 * count, the disc's
-    # center; every row of four spread columns, relative to the row's scale
+    # center; every row of four spread columns, relative to the row's scale.
+    # At 128 and 256 the tail is all zeta rows; at 512 it also sums
+    # branches past i_max directly
     ball = make_ball(center, radius)
     grid = 4 * count
     zs = center + radius * np.exp(2j * np.pi * np.arange(grid) / grid)
@@ -434,6 +476,23 @@ def test_system_id_stable_and_distinct():
 def test_alphabet_is_truncated_for_gauss(gauss200):
     assert isinstance(gauss200.alphabet, CountableTruncated)
     assert gauss200.alphabet.i_max == 200
+
+
+@pytest.mark.parametrize("n_letters, dtype", [(4, np.uint8), (200, np.uint8),
+                                              (200, np.int64)])
+def test_letter_groups_match_per_letter_scan(n_letters, dtype):
+    # a strided column of a (words, length) letter block, as the trace
+    # chunks pass it; one letter of the alphabet never occurs
+    rng = np.random.default_rng(n_letters)
+    block = rng.integers(1, n_letters, (5000, 3)).astype(dtype)
+    col = block[:, 1]
+    got = systems._letter_groups(col)
+    want = [(letter, np.flatnonzero(col == letter))
+            for letter in range(1, n_letters + 1) if np.any(col == letter)]
+    assert [letter for letter, _ in got] == [letter for letter, _ in want]
+    assert all(type(letter) is int for letter, _ in got)
+    for (_, pos), (_, ref) in zip(got, want):
+        assert pos.dtype == ref.dtype and np.array_equal(pos, ref)
 
 
 def test_vectorized_branch_evaluation_matches_scalar(gauss4):

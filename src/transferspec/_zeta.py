@@ -6,11 +6,10 @@ asymptotic correction terms decay well below double precision before the
 Bernoulli series starts diverging; with ten Bernoulli terms the result is
 accurate to a few ulp for every s up to several hundred (checked against
 high-precision direct summation in the tests). hzeta_rows evaluates the
-orders 2, ..., count+1 at once with no shift. It needs the no-shift floor
-only of the orders whose value can be a normal double at its arguments:
-past them zeta(s, a) is below the smallest normal number, and dropping
-such an order (normal_orders says where that starts) changes a sum by less
-than an underflow does.
+orders 2, ..., count+1 at once, at arguments that need no shift.
+normal_orders counts the leading orders whose value can be a normal double
+at given arguments; past them zeta(s, a) is below the smallest normal
+number, so a caller may ask hzeta_rows for those orders only.
 
 The argument a may be a numpy array (vectorized over grid points); Re(a+k)
 must be positive for all summed k, which holds for the tail sums this
@@ -84,22 +83,14 @@ def hzeta_int(s, a):
 
 def hzeta_rows(count, a):
     """Row j holds zeta(j+2, a) for j < count, for a 1-d array a with
-    Re a > 0 and |a| >= unshifted_floor(top), where top is the last order
-    that normal_orders holds at min Re a, so no order whose value can be
-    normal needs a shifted head sum: zeta(s, a) = a^(-s) (a/(s-1) + 1/2 +
-    sum_v B_2v/(2v)! (s)_(2v-1) a^(1-2v)), the brackets of all orders one
-    matrix product. Rows past top hold values below the smallest normal
-    number, to within it.
+    Re a > 0 and |a| >= unshifted_floor(count + 1), so no order needs a
+    shifted head sum: zeta(s, a) = a^(-s) (a/(s-1) + 1/2 + sum_v B_2v/(2v)!
+    (s)_(2v-1) a^(1-2v)), the brackets of all orders one matrix product.
     """
     a = np.asarray(a, dtype=complex)
-    if np.any(a.real <= 0):
-        raise ValueError("hzeta_rows needs Re a > 0")
-    top = normal_orders(count, float(a.real.min())) + 1
-    floor = unshifted_floor(top)
-    if np.any(np.abs(a) < floor):
-        raise ValueError(
-            f"hzeta_rows needs |a| >= {floor:.6g}, the no-shift floor of "
-            f"order {top}, the last whose value can be a normal double here")
+    floor = unshifted_floor(count + 1)
+    if np.any(a.real <= 0) or np.any(np.abs(a) < floor):
+        raise ValueError(f"hzeta_rows needs Re a > 0 and |a| >= {floor:.6g}")
     s = np.arange(2.0, count + 2)[:, None]
     odd = np.arange(1, 2 * len(_BERN), 2)          # 2v - 1 for v = 1..10
     rising = np.cumprod(s + np.arange(odd[-1]), axis=1)[:, odd - 1]

@@ -476,14 +476,9 @@ class MapWeightSystem:
 
 def _letter_groups(letters):
     """(letter, positions) for each letter that occurs in the int column
-    letters, in letter order; the positions ascend. One stable sort splits
-    the column, so the cost does not grow with the alphabet."""
-    counts = np.bincount(letters)
-    # on keys of one or two bytes a stable argsort is a radix sort
-    keys = letters.astype(np.min_scalar_type(counts.size - 1), copy=False)
-    parts = np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
-    return [(letter, parts[letter])
-            for letter in np.flatnonzero(counts).tolist()]
+    letters, in letter order; the positions ascend."""
+    return [(letter, np.flatnonzero(letters == letter))
+            for letter in np.flatnonzero(np.bincount(letters)).tolist()]
 
 
 def make_system(branches, weights, domain, label="custom", descriptor=None):
@@ -603,10 +598,13 @@ def _gauss_power_tail(i_max, domain):
     i_max and K are summed directly, and at the CLI's sizes there are none
     (K = i_max = 200 up to count 256 on its discs). The binomial
     recombination is one product of the Pascal table C(n,j) (-center)^(n-j)
-    with the zeta rows, truncated to the orders j+2 whose values can be
-    normal doubles at K+1+min Re z (normal_orders): a later order's value
-    is below the smallest normal number, so leaving it out moves row n by
-    at most C(n,j) |center|^(n-j) times that number.
+    with the zeta rows, both built only for the orders j+2 whose values can
+    be normal doubles at K+1+min Re z (normal_orders): a later order's
+    value is below the smallest normal number, so leaving it out moves row
+    n by at most C(n,j) |center|^(n-j) times that number. The table is
+    built in long double and rounded once, so its entries carry about one
+    rounding each, not one per row of the recurrence; where long double is
+    double (as on some platforms) it has the double recurrence's rounding.
     """
 
     def tail(z, count, center, i_max=i_max):
@@ -614,12 +612,16 @@ def _gauss_power_tail(i_max, domain):
         low = float(z.real.min())
         cutoff = _gauss_tail_cutoff(i_max, count, center, low)
         orders = normal_orders(count, cutoff + 1 + low)
-        pascal = np.zeros((count, count), dtype=complex)
+        # Pascal's rule in long double, rounded once: the recombination
+        # amplifies the table's rounding by up to _TAIL_CANCELLATION
+        pascal = np.zeros((count, orders), dtype=np.clongdouble)
         pascal[0, 0] = 1.0
+        c = np.clongdouble(center)
         for n in range(1, count):
-            pascal[n, 1:n + 1] = pascal[n - 1, :n]
-            pascal[n, :n] -= center * pascal[n - 1, :n]
-        pascal = pascal[:, :orders].copy()
+            m, k = min(n, orders - 1), min(n, orders)
+            pascal[n, 1:m + 1] = pascal[n - 1, :m]
+            pascal[n, :k] -= c * pascal[n - 1, :k]
+        pascal = pascal.astype(complex)
         out = np.empty((count, z.size), dtype=complex)
         # in column blocks, so no (orders x len(z)) zeta table sits next to out
         width = max(1, _BLOCK_ENTRIES // count)

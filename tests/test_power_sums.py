@@ -6,11 +6,11 @@ below. numpy's complex multiply rounds a * b and b * a differently in the
 last bit, so each reference keeps its site's operand order: the assembly
 steps powers * s, the Gauss tail steps (t - center) * p. The Gauss tail's
 closed-form part is one product of the Pascal table C(n, j) (-c)^(n-j),
-truncated to the orders a double holds as normal numbers, with the zeta
-rows of hzeta_rows; the reference takes the cutoff and those orders from
-the tail's own rules (systems._gauss_tail_cutoff, normal_orders), builds
-the product with the same numpy operations on the whole grid at once,
-then adds the explicit branches row by row.
+built in long double for the orders a double holds as normal numbers, with
+the zeta rows of hzeta_rows; the reference takes the cutoff and those
+orders from the tail's own rules (systems._gauss_tail_cutoff,
+normal_orders), builds the product with the same numpy operations on the
+whole grid at once, then adds the explicit branches row by row.
 """
 
 import os
@@ -66,12 +66,14 @@ def reference_tail(i_max, z, count, center):
     low = float(z.real.min())
     cutoff = systems._gauss_tail_cutoff(i_max, count, center, low)
     orders = normal_orders(count, cutoff + 1 + low)
-    pascal = np.zeros((count, count), dtype=complex)
+    pascal = np.zeros((count, orders), dtype=np.clongdouble)
     pascal[0, 0] = 1.0
+    c = np.clongdouble(center)
     for n in range(1, count):
-        pascal[n, 1:n + 1] = pascal[n - 1, :n]
-        pascal[n, :n] -= center * pascal[n - 1, :n]
-    out = pascal[:, :orders].copy() @ hzeta_rows(orders, cutoff + 1 + z)
+        m, k = min(n, orders - 1), min(n, orders)
+        pascal[n, 1:m + 1] = pascal[n - 1, :m]
+        pascal[n, :k] -= c * pascal[n - 1, :k]
+    out = pascal.astype(complex) @ hzeta_rows(orders, cutoff + 1 + z)
     t = 1.0 / (np.arange(i_max + 1, cutoff + 1)[:, None] + z[None, :])
     w = t * t
     p = np.ones_like(t)

@@ -307,7 +307,13 @@ def test_gauss_power_tail_at_cli_sizes_matches_oracle(center, radius, count):
         zs, count, complex(center))
     cols = [0, grid // 4 + 1, grid // 2, grid - 3]
     want = _power_tail_oracle(200, zs[cols], count, center)
-    assert _worst_row_distance(got[:, cols], want) < 1e-12
+    distance = _worst_row_distance(got[:, cols], want)
+    assert distance < 1e-12
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        # with a Pascal table rounded once, the recombination's cancellation
+        # (up to 24x on disc (0.8, 1.2) at 256) does not show: a table built
+        # by Pascal's rule in double left these rows up to 3.0e-15 away
+        assert distance < 1.6e-15
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +482,6 @@ def test_system_id_stable_and_distinct():
 def test_alphabet_is_truncated_for_gauss(gauss200):
     assert isinstance(gauss200.alphabet, CountableTruncated)
     assert gauss200.alphabet.i_max == 200
-
-
-@pytest.mark.parametrize("n_letters, dtype", [(4, np.uint8), (200, np.uint8),
-                                              (200, np.int64)])
-def test_letter_groups_match_per_letter_scan(n_letters, dtype):
-    # a strided column of a (words, length) letter block, as the trace
-    # chunks pass it; one letter of the alphabet never occurs
-    rng = np.random.default_rng(n_letters)
-    block = rng.integers(1, n_letters, (5000, 3)).astype(dtype)
-    col = block[:, 1]
-    got = systems._letter_groups(col)
-    want = [(letter, np.flatnonzero(col == letter))
-            for letter in range(1, n_letters + 1) if np.any(col == letter)]
-    assert [letter for letter, _ in got] == [letter for letter, _ in want]
-    assert all(type(letter) is int for letter, _ in got)
-    for (_, pos), (_, ref) in zip(got, want):
-        assert pos.dtype == ref.dtype and np.array_equal(pos, ref)
 
 
 def test_vectorized_branch_evaluation_matches_scalar(gauss4):

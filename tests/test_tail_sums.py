@@ -50,11 +50,8 @@ def test_hzeta_recurrence():
 
 
 @pytest.mark.parametrize("count, a", [
-    (256, 359.5 + 1.5j),    # past 1.3 * 257 + 25, the floor of every order
-    (256, 386.2 - 1.1j),    # the tail's argument at matrix size 128 before
-    (256, 200.5),           # the tail's arguments at 256, disc (1, 1.5),
-    (256, 200.6),           # disc (0.8, 1.2) and off the real axis: the
-    (256, 201.3 - 1.1j),    # orders past 133 hold no normal double there
+    (256, 359.5 + 1.5j),    # just past the no-shift floor 1.3 * 257 + 25
+    (256, 386.2 - 1.1j),    # the tail's own argument at matrix size 128
     (128, 193.0 - 1.2j),
     (128, 900.0 + 300.0j),
 ])
@@ -63,6 +60,20 @@ def test_hzeta_rows_vs_arbitrary_precision(count, a):
     assert rows.shape == (count, 1)
     # past s of about 120 the values leave the normal range (0 or
     # subnormal in double), so they are checked to the smallest normal
+    for s in [*range(2, count + 2, 5), count + 1]:
+        want = oracles.hzeta_reference(s, a)
+        assert abs(rows[s - 2, 0] - want) <= (5e-13 * abs(want)
+                                              + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("a", [200.5, 200.6, 201.3 - 1.1j])
+def test_hzeta_rows_at_the_tail_arguments_vs_arbitrary_precision(a):
+    # the Gauss tail at matrix size 256 on discs (1, 1.5) and (0.8, 1.2)
+    # and off the real axis: it asks only for the orders that can be
+    # normal doubles there, all of them checked
+    count = normal_orders(256, a.real)
+    rows = hzeta_rows(count, np.array([a]))
+    assert 130 <= count < 140 and rows.shape == (count, 1)
     for s in range(2, count + 2):
         want = oracles.hzeta_reference(s, a)
         assert abs(rows[s - 2, 0] - want) <= (5e-13 * abs(want)
@@ -80,18 +91,9 @@ def test_normal_orders_ends_where_the_values_leave_the_normal_range():
 
 
 def test_hzeta_rows_refuses_arguments_it_would_need_to_shift():
-    # the guard is the no-shift floor 1.3 s + 25 of the last order s whose
-    # value can be a normal double at min Re a: order 133 (floor 197.9) at
-    # 199.1, order 134 (floor 199.2) at 199, order 141 (floor 208.3) at 150
-    hzeta_rows(256, np.array([199.1, 400.0]))
-    with pytest.raises(ValueError, match="199.2"):
-        hzeta_rows(256, np.array([199.0, 400.0]))
-    with pytest.raises(ValueError, match="208.3"):
-        hzeta_rows(256, np.array([150.0]))
-    # where every order is normal, the last one's floor 1.3 * 5 + 25
-    hzeta_rows(4, np.array([31.5]))
-    with pytest.raises(ValueError, match="31.5"):
-        hzeta_rows(4, np.array([31.4]))
+    hzeta_rows(256, np.array([359.2]))
+    with pytest.raises(ValueError, match="359.1"):
+        hzeta_rows(256, np.array([359.0, 400.0]))
     with pytest.raises(ValueError):
         hzeta_rows(4, np.array([-400.0]))
 

@@ -18,6 +18,10 @@ recorded through the alphabet's weight tail bound.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +129,65 @@ def assemble_matrix(sys_, ball=None, N=32):
 # ---------------------------------------------------------------------------
 # eigenvalues
 
+# (setter, getter) thread-count symbols of the OpenBLAS builds numpy ships:
+# the scipy-openblas wheels prefix and suffix them, older builds do not
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+_BLAS_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """(set, get) thread-count functions of the OpenBLAS already loaded
+    into this process, or None where none is found (no /proc/self/maps, a
+    BLAS other than OpenBLAS, or none of the known symbols)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, then restore the previous count.
+
+    LAPACK's eigenvalues change in their last digits with the BLAS thread
+    count, so pinning it makes the spectrum bytes independent of
+    OPENBLAS_NUM_THREADS. The lock keeps concurrent callers from restoring
+    each other's counts mid-call. Without a known OpenBLAS this does
+    nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    with _BLAS_LOCK:
+        before = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(before)
+
 
 def sort_eigenvalues(values):
     """Order by non-increasing modulus, ties by increasing principal
@@ -161,7 +224,8 @@ def eigenvalues(matrix):
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
     try:
-        vals = np.linalg.eigvals(data)
+        with _one_blas_thread():
+            vals = np.linalg.eigvals(data)
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"dense eigensolver failed: {err}") from err
     ordered = sort_eigenvalues(vals)
@@ -201,12 +265,16 @@ def _agreeing_prefix(a, b, rtol=AGREEMENT_RTOL, lead_scale=True):
 def spectral_sequence(sys_, ball=None, N=32):
     """Eigenvalues with a refinement-based reliability count.
 
-    Assembles at sizes N and 2N; reliable_count is the length of the leading
+    Assembles once, at size 2N, and returns that matrix's eigenvalues. The
+    size-N discretization is the leading N x N block of the same matrix:
+    entry (m, n) is the m-th coefficient of L p_n whatever the size, so the
+    block is the size-N Galerkin matrix, taken on the 2N grid (8N points)
+    rather than its own 4N. reliable_count is the length of the leading
     eigenvalue run agreeing to relative tolerance 1e-8 between the two
-    discretizations (a heuristic: no a-posteriori eigenvalue bound is
-    claimed). The returned values come from the finer run.
+    sizes (a heuristic: no a-posteriori eigenvalue bound is claimed).
     """
-    small = eigenvalues(assemble_matrix(sys_, ball, N))
-    large = eigenvalues(assemble_matrix(sys_, ball, 2 * N))
+    big = assemble_matrix(sys_, ball, 2 * N)
+    large = eigenvalues(big)
+    small = eigenvalues(big.data[:N, :N])
     rc = _agreeing_prefix(small.values, large.values)
     return EigenvalueSequence(large.values, rc, "matrix")

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import transferspec
-from transferspec import cli
+from transferspec import cli, spectra
 from transferspec.cli import main
 
 try:
@@ -389,6 +389,27 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["spectrum", "--config", cfg]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+    if spectra._openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS thread setter found; the eigenvalues' "
+                    "last digits may follow the BLAS thread count")
+    cfg = write_cfg(tmp_path, GAUSS_PRESET_CFG)
+    src = os.path.dirname(os.path.dirname(transferspec.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "transferspec.cli", "spectrum",
+             "--config", cfg, "--matrix-size", "128"],
+            capture_output=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count(b"\n") == 257       # header and 256 rows
+    assert outs[0] == outs[1]
 
 
 def _console_script_command():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from transferspec import spectra
 from transferspec import (
     DimensionUnsupported,
     OperatorMatrix,
@@ -159,6 +160,65 @@ def test_trace_consistency(gauss4):
     total = sum(seq.values)
     slack = abs(seq.values[min(seq.reliable_count, len(seq.values) - 1)])
     assert abs(total - t1.value) <= slack + 1e-10
+
+
+# the two discs of the CLI examples: the preset's own, and a smaller one
+DISC_B = make_ball(0.8, 1.2)
+
+
+@pytest.mark.parametrize("N", [32, 128])
+@pytest.mark.parametrize("case", ["gauss-a", "gauss-b", "gauss4"])
+def test_sequence_values_are_the_2N_matrix_eigenvalues(case, N, gauss200,
+                                                       gauss4):
+    sys_, ball = {"gauss-a": (gauss200, None), "gauss-b": (gauss200, DISC_B),
+                  "gauss4": (gauss4, None)}[case]
+    want = eigenvalues(assemble_matrix(sys_, ball, 2 * N)).values
+    assert spectral_sequence(sys_, ball, N).values == want
+
+
+def test_sequence_assembles_once(gauss4, monkeypatch):
+    sizes = []
+
+    def counted(sys_, ball=None, N=32):
+        sizes.append(N)
+        return assemble_matrix(sys_, ball, N)
+
+    monkeypatch.setattr(spectra, "assemble_matrix", counted)
+    spectral_sequence(gauss4, N=16)
+    assert sizes == [32]
+
+
+def test_reliable_values_are_space_independent(gauss200):
+    # the spectrum does not depend on the disc: every value the size-32
+    # check certifies on disc B matches the disc-A values at size 128
+    ref = spectral_sequence(gauss200, N=128).values
+    seq = spectral_sequence(gauss200, DISC_B, 32)
+    assert seq.reliable_count >= 10
+    for k in range(seq.reliable_count):
+        assert abs(seq.values[k] - ref[k]) <= 1e-8
+
+
+def test_eigensolver_runs_on_one_blas_thread(monkeypatch):
+    calls = spectra._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread setter found in this process")
+    set_threads, get_threads = calls
+    seen = []
+    solve = np.linalg.eigvals
+
+    def watched(a):
+        seen.append(get_threads())
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", watched)
+    before = get_threads()
+    try:
+        set_threads(2)
+        eigenvalues(_matrix_of(np.eye(3)))
+        assert seen == [1]
+        assert get_threads() == 2       # the caller's count comes back
+    finally:
+        set_threads(before)
 
 
 # ---------------------------------------------------------------------------

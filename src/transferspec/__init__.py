@@ -40,14 +40,11 @@ from .dynamics import (
     DEFAULT_WORD_BUDGET,
     ContractionReport,
     FixedPointResult,
-    compose,
     contraction_details,
     enclosing_radius,
     fixed_point,
-    word_weight,
 )
 from .errors import (
-    BadIndex,
     BudgetExceeded,
     DegenerateMap,
     DescriptorError,
@@ -91,7 +88,7 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticMap", "BadIndex", "BallDomain", "BoundProfile", "BoundRow",
+    "AnalyticMap", "BallDomain", "BoundProfile", "BoundRow",
     "BudgetExceeded", "ContractionReport", "CountableTruncated",
     "DEFAULT_WORD_BUDGET", "DegenerateMap", "DescriptorError",
     "DeterminantSeries", "DimensionUnsupported", "EigenvalueSequence",
@@ -101,7 +98,7 @@ __all__ = [
     "TraceTable", "TraceValue", "TransferOperatorError",
     "ValidationReport", "VerificationReport", "WeylRow", "WrongDimension",
     "assemble_matrix", "bound_combined", "bound_d1", "bound_general",
-    "bound_hardy", "bound_table", "compose", "contraction_details",
+    "bound_hardy", "bound_table", "contraction_details",
     "crossover_N", "crossover_report", "determinant_coefficients",
     "determinant_zeros", "eigenvalues", "enclosing_radius",
     "export_determinant_json", "fixed_point", "make_affine", "make_ball",

@@ -37,7 +37,6 @@ from .determinant import (
 from .dynamics import DEFAULT_WORD_BUDGET, _enclosing_ratio, contraction_details
 from .errors import (
     DescriptorError,
-    DimensionUnsupported,
     NotEnclosed,
     TransferOperatorError,
 )
@@ -343,15 +342,10 @@ def main(argv=None):
     try:
         cfg = _resolve_config(args)
         return _DISPATCH[args.command](cfg, args)
-    except DescriptorError as err:
+    # DescriptorError is a TransferOperatorError, so its arm comes first
+    except (DescriptorError, OSError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DimensionUnsupported as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
     except TransferOperatorError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

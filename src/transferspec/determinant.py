@@ -34,7 +34,6 @@ from .dynamics import (
     _batch_center,
     _fold_words,
     _point_norm,
-    _word_at,
     _word_count,
     batch_fixed_points,
     batch_orbit,
@@ -149,7 +148,8 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
                  "its attracting fixed point outside the ball")):
             if bad.any():
                 r = int(np.argmax(bad))
-                word = _word_at(sys_, n, lo + r)
+                word = tuple(letters_block(sys_.n_letters, n, lo + r,
+                                           lo + r + 1)[0].tolist())
                 raise err(f"word {word} has " + what.format(denom[r]))
         terms = wgt / denom if d == 1 else _quotient(wgt, denom)
         return (_split_sum(terms.real), _split_sum(terms.imag),

@@ -1,9 +1,10 @@
-"""Word compositions, fixed points, contraction certification.
+"""Batched words, fixed points, contraction certification.
 
-Words are tuples of 1-based letters; the word (i_1, ..., i_n) denotes the
-composition T_{i_n} o ... o T_{i_1} (the first letter acts first). Word
-enumeration is lexicographic throughout, and batched evaluations reduce in
-index order, so every result is independent of chunking and thread count.
+Words are rows of 1-based letters from letters_block; the word
+(i_1, ..., i_n) denotes the composition T_{i_n} o ... o T_{i_1} (the first
+letter acts first). Word enumeration is lexicographic throughout, and
+batched evaluations reduce in index order, so every result is independent
+of chunking and thread count.
 
 Fixed points come from plain forward iteration (the trace route solves
 all-Moebius words in closed form instead): a branch system whose images
@@ -22,7 +23,6 @@ import numpy as np
 
 from ._parallel import chunk_ranges, map_ordered
 from .errors import (
-    BadIndex,
     BudgetExceeded,
     DimensionUnsupported,
     EscapedDomain,
@@ -30,56 +30,12 @@ from .errors import (
     NotContracting,
     NotEnclosed,
 )
-from .systems import AnalyticMap, _letter_groups, validate_system
+from .systems import _letter_groups, validate_system
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
 _MAX_SWEEPS = 5000
 DEFAULT_WORD_BUDGET = 2_000_000
-
-
-def check_word(sys_, word):
-    """Validate a word and return it as a tuple of ints."""
-    try:
-        letters = tuple(int(l) for l in word)
-    except (TypeError, ValueError):
-        raise BadIndex(f"word {word!r} is not a sequence of letters") from None
-    if len(letters) == 0:
-        raise BadIndex("words must have length >= 1")
-    n = sys_.n_letters
-    for l in letters:
-        if not 1 <= l <= n:
-            raise BadIndex(f"letter {l} outside alphabet 1..{n}")
-    return letters
-
-
-def compose(sys_, word):
-    """The composition map of a word, with chain-rule derivative."""
-    letters = check_word(sys_, word)
-    branches = [sys_.branches[l - 1] for l in letters]
-    d = sys_.dim
-
-    def fn(z):
-        for br in branches:
-            z = br(z)
-        return z
-
-    if d == 1:
-        def deriv(z):
-            acc = 1.0 + 0.0 * z
-            for br in branches:
-                acc = acc * br.derivative(z)
-                z = br(z)
-            return acc
-    else:
-        def deriv(z):
-            jac = np.eye(d, dtype=complex)
-            for br in branches:
-                jac = np.asarray(br.derivative(z), dtype=complex) @ jac
-                z = br(z)
-            return jac
-
-    return AnalyticMap(fn, deriv, dim=d, name=f"word{letters}")
 
 
 def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
@@ -110,21 +66,6 @@ def _fold_words(mob, n, lo, hi, *factors):
         prods = [(p[:, None] * f).reshape(-1)[cut]
                  for p, f in zip(prods, factors)]
     return fold, prods
-
-
-def word_weight(sys_, word):
-    """The scalar weight of a word: the product of branch weights along the
-    orbit, w_{i_1}(z) * w_{i_2}(T_{i_1} z) * ... """
-    letters = check_word(sys_, word)
-
-    def fn(z):
-        acc = 1.0
-        for l in letters:
-            acc = acc * sys_.weights[l - 1](z)
-            z = sys_.branches[l - 1](z)
-        return acc
-
-    return AnalyticMap(fn, None, dim=sys_.dim, name=f"weight{letters}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +280,6 @@ def _first_max(results, start):
     return best
 
 
-def _word_at(sys_, n, idx):
-    """Word idx of the lexicographic enumeration of length-n words."""
-    size = sys_.n_letters
-    return tuple(idx // size ** (n - 1 - k) % size + 1 for k in range(n))
-
-
 def _exact_contraction(sys_, n, total, threads):
     c, rho = sys_.domain.center, sys_.domain.radius
     # |det| of a word is the product of its letters' |det|: AE - BC of the
@@ -365,7 +300,7 @@ def _exact_contraction(sys_, n, total, threads):
 
     value, idx, C, E = _first_max(
         map_ordered(handle, chunk_ranges(total), threads), (-1.0, 0, 0.0, 1.0))
-    word = _word_at(sys_, n, idx)
+    word = tuple(letters_block(sys_.n_letters, n, idx, idx + 1)[0].tolist())
     if value == math.inf:
         raise NotContracting(
             f"word {word} has its pole {complex(-E / C):.6g} on the boundary "
@@ -402,7 +337,8 @@ def _sampled_contraction(sys_, n, grid, total, threads):
 
     best_val, best_word_idx, best_pt_idx = _first_max(
         map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0, 0))
-    return ContractionReport(best_val, _word_at(sys_, n, best_word_idx),
+    word = letters_block(sys_.n_letters, n, best_word_idx, best_word_idx + 1)
+    return ContractionReport(best_val, tuple(word[0].tolist()),
                              complex(zs[best_pt_idx]), int(grid), total)
 
 

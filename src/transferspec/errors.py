@@ -24,10 +24,6 @@ class InadmissibleDomain(TransferOperatorError):
     branch images not strictly inside the ball)."""
 
 
-class BadIndex(TransferOperatorError):
-    """Word letter outside the system's (truncated) alphabet, or an empty word."""
-
-
 class NoConvergence(TransferOperatorError):
     """Fixed-point iteration did not reach the requested tolerance."""
 

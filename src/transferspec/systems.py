@@ -31,7 +31,6 @@ import numpy as np
 from ._dual import Dual, derivative_scalar, jacobian
 from ._zeta import hzeta_rows, normal_orders, trigamma, unshifted_floor
 from .errors import (
-    BadIndex,
     DegenerateMap,
     DescriptorError,
     DimensionUnsupported,
@@ -233,16 +232,22 @@ def make_affine(a, b):
 
 
 def make_const(value):
-    """Constant scalar map, used for constant weights."""
+    """Constant scalar map, used for constant weights.
+
+    Like the +-T' weights it carries form = (factor, uses_derivative), here
+    (value, False); the letter gathers read the form instead of calling the
+    map. A weight without a form is generic.
+    """
     value = complex(value)
     m = AnalyticMap(lambda z: value + 0.0 * z, lambda z: 0.0 * z,
                     dim=1, name=f"const({value})")
-    m.const_value = value
+    m.form = (value, False)
     return m
 
 
 def _derivative_weight(branch, kind):
-    """The weight T' ("derivative") or -T' ("neg_derivative") of a branch.
+    """The weight T' ("derivative") or -T' ("neg_derivative") of a branch,
+    with form (+-1.0, True): the factor times the branch derivative.
 
     Values come from the branch's closed-form derivative; the weight's own
     derivative, which the library never needs, is taken by dual numbers
@@ -253,7 +258,7 @@ def _derivative_weight(branch, kind):
     else:
         w = AnalyticMap(lambda z, b=branch: -b.derivative(z), dim=1,
                         name=f"-{branch.name}'")
-    w.weight_kind = kind
+    w.form = (1.0 if kind == "derivative" else -1.0, True)
     return w
 
 
@@ -263,11 +268,12 @@ def _lift_weight(w, dim):
     dimension mismatch is the caller's bug and is rejected."""
     if getattr(w, "dim", None) == dim:
         return w
-    cv = getattr(w, "const_value", None)
-    if cv is not None:
-        lifted = AnalyticMap(lambda z, v=cv: v, lambda z: 0.0 * np.asarray(z),
-                             dim=dim, name=w.name)
-        lifted.const_value = cv
+    form = getattr(w, "form", None)
+    if form is not None and not form[1]:
+        lifted = AnalyticMap(lambda z, v=form[0]: v,
+                             lambda z: 0.0 * np.asarray(z), dim=dim,
+                             name=w.name)
+        lifted.form = form
         return lifted
     raise InvalidDomain(
         f"weight {w!r} has dim {getattr(w, 'dim', '?')} but the system "
@@ -303,10 +309,6 @@ class CountableTruncated:
     image_tail_sup: float
     power_tail: object = None
     note: str = ""
-
-
-# weight gather codes for the vectorized engine
-_W_DERIV, _W_NEG_DERIV, _W_CONST, _W_GENERIC = 0, 1, 2, 3
 
 
 class MapWeightSystem:
@@ -353,19 +355,6 @@ class MapWeightSystem:
         """Number of enumerable letters (i_max for truncated alphabets)."""
         return len(self.branches)
 
-    def branch(self, i):
-        self._check_letter(i)
-        return self.branches[i - 1]
-
-    def weight(self, i):
-        self._check_letter(i)
-        return self.weights[i - 1]
-
-    def _check_letter(self, i):
-        if not isinstance(i, (int, np.integer)) or not 1 <= i <= self.n_letters:
-            raise BadIndex(
-                f"letter {i!r} outside alphabet 1..{self.n_letters}")
-
     @property
     def system_id(self):
         """Short stable identifier derived from the descriptor (or label)."""
@@ -390,25 +379,12 @@ class MapWeightSystem:
         if self.dim == 1 and all(hasattr(b, "moebius") for b in self.branches):
             quad = np.array([b.moebius for b in self.branches], dtype=complex)
             self._mob = (quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3])
-        codes = np.full(len(self.weights), _W_GENERIC, dtype=np.int64)
-        consts = np.zeros(len(self.weights), dtype=complex)
-        for idx, w in enumerate(self.weights):
-            kind = getattr(w, "weight_kind", None)
-            if kind == "derivative":
-                codes[idx], consts[idx] = _W_DERIV, 1.0
-            elif kind == "neg_derivative":
-                codes[idx], consts[idx] = _W_NEG_DERIV, -1.0
-            elif hasattr(w, "const_value"):
-                codes[idx], consts[idx] = _W_CONST, w.const_value
-        self._wcodes = codes
-        self._wconsts = consts
-        self._generic_weights = tuple(
-            w if code == _W_GENERIC else None
-            for w, code in zip(self.weights, codes))
+        forms = [getattr(w, "form", None) for w in self.weights]
         # per letter +-1 or the constant, and the letters whose weight is
         # that factor times T'; None when some weight is generic
-        self._wfactors = (None if (codes == _W_GENERIC).any()
-                          else (consts, codes != _W_CONST))
+        self._wfactors = None if None in forms else (
+            np.array([f[0] for f in forms], dtype=complex),
+            np.array([f[1] for f in forms]))
 
     def apply_letters(self, letters, z, groups=None):
         """T_{letters}(z) elementwise; letters int array, z complex array
@@ -434,39 +410,33 @@ class MapWeightSystem:
                             groups=groups)
 
     def weight_letters(self, letters, z, deriv=None, groups=None):
-        """w_{letters}(z) elementwise. deriv, when given, holds
-        T'_{letters}(z) and saves recomputing it for +-T' weights (dim 1)."""
+        """w_{letters}(z) elementwise: the constant, the factor times T',
+        or, when some weight of the system is generic, each weight map
+        called on its points. deriv, when given, holds T'_{letters}(z) and
+        saves recomputing it for factor * T' weights (dim 1)."""
+        if self._wfactors is None:
+            return self._gather(lambda w, pts: w(pts), letters, z,
+                                self.weights, groups)
+        factor, uses_deriv = self._wfactors
         idx = letters - 1
-        codes = self._wcodes[idx]
-        if (codes == _W_GENERIC).any():
-            # the gather skips the letters whose weights are filled in below
-            out = self._gather(lambda w, pts: w(pts), letters, z,
-                               self._generic_weights, groups)
-        else:
-            out = np.empty(letters.shape, dtype=complex)
-        plain = codes == _W_CONST
-        if plain.any():
-            out[plain] = self._wconsts[idx[plain]]
-        dmask = (codes == _W_DERIV) | (codes == _W_NEG_DERIV)
+        out = factor[idx]
+        dmask = uses_deriv[idx]
         if dmask.any():
             d = (self.derivative_letters(letters[dmask], z[dmask])
                  if deriv is None else deriv[dmask])
-            out[dmask] = self._wconsts[idx[dmask]] * d
+            out[dmask] = factor[idx[dmask]] * d
         return out
 
     def _gather(self, call, letters, z, table=None, groups=None):
         """call(table[l - 1], points) for each letter l of the column letters
         on the points (last axis of z) that use it, assembled point by point
-        along the first axis of the result. Letters whose table entry is
-        None are left unset."""
+        along the first axis of the result."""
         table = self.branches if table is None else table
         z = np.asarray(z, dtype=complex)
         out = None
         if groups is None:
             groups = _letter_groups(letters)
         for letter, pos in groups:
-            if table[letter - 1] is None:
-                continue
             vals = call(table[letter - 1], z.take(pos, axis=-1))
             if out is None:
                 out = np.empty(letters.shape + vals.shape[:-1], dtype=complex)

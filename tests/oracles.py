@@ -44,6 +44,56 @@ def moebius_image_disc(a, b, c, e, center, radius):
 
 
 # ---------------------------------------------------------------------------
+# one word at a time: the per-word reference for the batched word path
+
+
+def compose(sys_, word):
+    """The composition T_{i_n} o ... o T_{i_1} of the word (i_1, ..., i_n)
+    of 1-based letters of sys_, applied a branch at a time, with the chain
+    rule as its derivative: a product in letter order in dim 1, and in
+    dim >= 2 each branch Jacobian multiplied on the left of the identity."""
+    return _Composition([sys_.branches[l - 1] for l in word], sys_.dim)
+
+
+class _Composition:
+    def __init__(self, branches, dim):
+        self.branches = branches
+        self.dim = dim
+
+    def __call__(self, z):
+        for br in self.branches:
+            z = br(z)
+        return z
+
+    def derivative(self, z):
+        if self.dim == 1:
+            acc = 1.0 + 0.0 * z
+            for br in self.branches:
+                acc = acc * br.derivative(z)
+                z = br(z)
+            return acc
+        jac = np.eye(self.dim, dtype=complex)
+        for br in self.branches:
+            jac = np.asarray(br.derivative(z), dtype=complex) @ jac
+            z = br(z)
+        return jac
+
+
+def word_weight(sys_, word):
+    """The weight of a word as a function of z: the product of the branch
+    weights along the orbit, w_{i_1}(z) * w_{i_2}(T_{i_1} z) * ..."""
+
+    def fn(z):
+        acc = 1.0
+        for l in word:
+            acc = acc * sys_.weights[l - 1](z)
+            z = sys_.branches[l - 1](z)
+        return acc
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # Moebius periodic-orbit traces in arbitrary precision
 
 

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Every test prints a single "criterion N: PASS/FAIL (measured ...)" line
-to the live terminal before asserting, so a full run leaves a ten-line
-scoreboard even under output capture.
+Every criterion test prints a single "criterion N: PASS/FAIL (measured
+...)" line to the live terminal before asserting, so a full run leaves a
+ten-line scoreboard even under output capture. A last check guards the
+public surface the criteria are written against.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import transferspec
 from oracles import (
     collocation_eigenvalues_finite,
     collocation_eigenvalues_gauss,
@@ -219,3 +221,12 @@ def test_criterion_10_cli_thread_determinism(tmp_path, capsys):
         stable = stable and same
         detail.append(f"{cmd}: {'stable' if same else 'DIFFERS'}")
     _report(capsys, 10, stable, "; ".join(detail))
+
+
+def test_public_names_resolve_once():
+    # a name left in __all__ after its definition is gone breaks
+    # "from transferspec import *"; a repeated name hides a stale entry
+    names = transferspec.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(transferspec, name, None) is not None, name

@@ -1,4 +1,4 @@
-"""Word compositions, fixed points, contraction factors."""
+"""Batched words, fixed points, contraction factors."""
 
 import gc
 import math
@@ -9,13 +9,11 @@ import pytest
 
 import oracles
 from transferspec import (
-    BadIndex,
     BudgetExceeded,
     EscapedDomain,
     NoConvergence,
     NotContracting,
     NotEnclosed,
-    compose,
     contraction_details,
     enclosing_radius,
     fixed_point,
@@ -27,7 +25,6 @@ from transferspec import (
     make_system,
     system_from_descriptor,
     trace_table,
-    word_weight,
 )
 from transferspec.dynamics import (
     _fold_moebius,
@@ -41,33 +38,33 @@ from conftest import as_plain_maps
 
 
 # ---------------------------------------------------------------------------
-# composition
+# single words on the batched path
+
+
+def _orbit(sys_, word, z):
+    """batch_orbit of one word from one point: weight, derivative, image."""
+    wgt, mult, end = batch_orbit(sys_, np.array([word]),
+                                 np.array([z], dtype=complex))
+    return wgt[0], mult[0], end[0]
 
 
 def test_compose_gauss_one_one_derivative(gauss200):
-    f = compose(gauss200, (1, 1))
-    assert f.derivative(-0.5) == pytest.approx(4 / 9, rel=1e-13)
+    _, mult, _ = _orbit(gauss200, (1, 1), -0.5)
+    assert mult == pytest.approx(4 / 9, rel=1e-13)
 
 
 def test_compose_single_letter(gauss200):
-    f = compose(gauss200, (3,))
     zs = make_ball(1.0, 1.5).boundary_points(11)
-    assert np.allclose(f(zs), gauss200.branch(3)(zs), rtol=1e-14)
+    _, _, end = batch_orbit(gauss200, np.full((11, 1), 3), zs)
+    assert np.allclose(end, gauss200.branches[2](zs), rtol=1e-14)
 
 
 def test_compose_affine_square():
     sys_ = make_system([make_affine(0.5, 0.3)], [make_const(1.0)],
                        make_ball(0.6, 1.0))
-    f = compose(sys_, (1, 1))
     for z in (0.0, 0.6, -0.2 + 0.4j):
-        assert f(z) == pytest.approx(0.25 * z + 0.45, rel=1e-14)
-
-
-def test_compose_bad_index(gauss4):
-    with pytest.raises(BadIndex):
-        compose(gauss4, (1, 5))
-    with pytest.raises(BadIndex):
-        compose(gauss4, (0,))
+        assert _orbit(sys_, (1, 1), z)[2] == pytest.approx(0.25 * z + 0.45,
+                                                           rel=1e-14)
 
 
 def test_compose_associative(gauss4):
@@ -76,16 +73,15 @@ def test_compose_associative(gauss4):
     for _ in range(10):
         w1 = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
         w2 = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-        whole = compose(gauss4, w1 + w2)
-        first = compose(gauss4, w1)
-        second = compose(gauss4, w2)
         for z in zs:
-            a = whole(z)
-            b = second(first(z))
+            wa, da, a = _orbit(gauss4, w1 + w2, z)
+            w_first, d_first, mid = _orbit(gauss4, w1, z)
+            w_second, d_second, b = _orbit(gauss4, w2, mid)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
-            da = whole.derivative(z)
-            db = second.derivative(first(z)) * first.derivative(z)
+            db = d_second * d_first
             assert abs(da - db) <= 1e-13 * max(1.0, abs(da))
+            wb = w_first * w_second
+            assert abs(wa - wb) <= 1e-13 * max(1.0, abs(wa))
 
 
 def test_compose_moebius_coefficients_fold_in_word_order(gauss4):
@@ -93,22 +89,21 @@ def test_compose_moebius_coefficients_fold_in_word_order(gauss4):
     word = (1, 2, 4)
     letter = [tuple(x[l - 1] for x in gauss4._mob) for l in word]
     a, b, c, e = _fold_moebius(letter)
-    f = compose(gauss4, word)
     for z in (0.0, 1.0 + 0.5j, -0.2 + 0.1j):
-        assert (a * z + b) / (c * z + e) == pytest.approx(f(z), rel=1e-14)
+        assert (a * z + b) / (c * z + e) == pytest.approx(
+            _orbit(gauss4, word, z)[2], rel=1e-14)
     # a fold continued from a prefix's matrix repeats the full fold's bits
     assert _fold_moebius(letter[2:], _fold_moebius(letter[:2])) == (a, b, c, e)
 
 
 def test_word_weight_single_letter(gauss4):
-    f = word_weight(gauss4, (2,))
     z = 0.3 + 0.2j
-    assert f(z) == pytest.approx(gauss4.weight(2)(z), rel=1e-14)
+    assert _orbit(gauss4, (2,), z)[0] == pytest.approx(gauss4.weights[1](z),
+                                                       rel=1e-14)
 
 
 def test_word_weight_gauss_example(gauss200):
-    f = word_weight(gauss200, (1, 2))
-    assert f(0.0) == pytest.approx(1 / 9, rel=1e-13)
+    assert _orbit(gauss200, (1, 2), 0.0)[0] == pytest.approx(1 / 9, rel=1e-13)
 
 
 def test_word_weight_affine_linear_weight():
@@ -117,9 +112,9 @@ def test_word_weight_affine_linear_weight():
     branch = make_affine(a, 0.0)
     ident = AnalyticMap(lambda z: z, lambda z: 1.0 + 0.0 * z, name="id-weight")
     sys_ = make_system([branch], [ident], make_ball(0.0, 1.0))
-    f = word_weight(sys_, (1, 1))
     for z in (0.5, -0.3 + 0.1j):
-        assert f(z) == pytest.approx(a * z ** 2, rel=1e-14)
+        assert _orbit(sys_, (1, 1), z)[0] == pytest.approx(a * z ** 2,
+                                                           rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +129,11 @@ def test_fixed_point_affine():
 
 
 def test_fixed_point_gauss_branch_golden_ratio(gauss200):
-    res = fixed_point(gauss200.branch(1), make_ball(1.0, 1.5))
+    res = fixed_point(gauss200.branches[0], make_ball(1.0, 1.5))
     want = (math.sqrt(5) - 1) / 2
     assert res.point == pytest.approx(want, abs=1e-12)
     # residual re-verified against the map itself
-    assert abs(gauss200.branch(1)(res.point) - res.point) <= 1e-13
+    assert abs(gauss200.branches[0](res.point) - res.point) <= 1e-13
 
 
 def test_fixed_point_identity_fails():
@@ -180,8 +175,9 @@ def test_batch_fixed_points_match_scalar(gauss4):
     letters = letters_block(4, 2, 0, 16)
     zs = batch_fixed_points(gauss4, letters, tol=1e-13)
     for row, z in zip(letters, zs):
-        res = fixed_point(compose(gauss4, tuple(int(l) for l in row)),
-                          gauss4.domain, tol=1e-13)
+        word = tuple(int(l) for l in row)
+        res = fixed_point(oracles.compose(gauss4, word), gauss4.domain,
+                          tol=1e-13)
         assert abs(z - res.point) <= 1e-12
 
 
@@ -217,8 +213,8 @@ def test_batch_orbit_matches_compose(gauss4):
     wgt, mult, end = batch_orbit(gauss4, letters, np.full(64, z0))
     for k in (0, 17, 40, 63):
         word = tuple(int(l) for l in letters[k])
-        f = compose(gauss4, word)
-        w = word_weight(gauss4, word)
+        f = oracles.compose(gauss4, word)
+        w = oracles.word_weight(gauss4, word)
         assert abs(end[k] - f(z0)) <= 1e-13
         assert abs(mult[k] - f.derivative(z0)) <= 1e-13 * max(1.0, abs(mult[k]))
         assert abs(wgt[k] - w(z0)) <= 1e-13 * max(1.0, abs(wgt[k]))

@@ -26,7 +26,7 @@ from transferspec import (
     validate_system,
 )
 
-from conftest import AFFINE_DESC, GAUSS4_DESC
+from conftest import AFFINE_DESC, GAUSS4_DESC, as_plain_maps
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_derivative_matches_central_differences(z):
 def test_gauss_branch_one_at_zero():
     sys_ = make_gauss_system(50, make_ball(1.0, 1.5))
     assert sys_.n_letters == 50
-    assert sys_.branch(1)(0.0) == pytest.approx(1.0)
+    assert sys_.branches[0](0.0) == pytest.approx(1.0)
 
 
 def test_gauss_weight_tail_bound_closed_form():
@@ -376,15 +376,16 @@ def test_validate_margin_range():
 
 def test_descriptor_roundtrip_affine(affine_half):
     assert affine_half.n_letters == 1
-    assert affine_half.branch(1)(0.6) == pytest.approx(0.6)
-    assert affine_half.weight(1)(0.1) == pytest.approx(1.0)
+    assert affine_half.branches[0](0.6) == pytest.approx(0.6)
+    assert affine_half.weights[0](0.1) == pytest.approx(1.0)
 
 
 def test_descriptor_gauss4_weights_are_neg_derivative(gauss4):
     z = 0.25 + 0.1j
     for i in (1, 2, 3, 4):
-        got = gauss4.weight(i)(z)
-        assert got == pytest.approx(-gauss4.branch(i).derivative(z), rel=1e-13)
+        got = gauss4.weights[i - 1](z)
+        assert got == pytest.approx(-gauss4.branches[i - 1].derivative(z),
+                                    rel=1e-13)
 
 
 def _moebius_desc(weight, coeffs):
@@ -413,11 +414,11 @@ def test_derivative_weights_match_closed_forms(build, sign):
     zs = sys_.domain.center + 0.9 * sys_.domain.radius * np.exp(
         1j * np.linspace(0.0, 6.0, 11))
     for i in range(1, sys_.n_letters + 1):
-        a, b, c, e = sys_.branch(i).moebius
+        a, b, c, e = sys_.branches[i - 1].moebius
         det = a * e - b * c
         d1 = sign * det / (c * zs + e) ** 2             # +-T'
         d2 = -2.0 * sign * c * det / (c * zs + e) ** 3  # +-T''
-        w = sys_.weight(i)
+        w = sys_.weights[i - 1]
         assert np.allclose(w(zs), d1, rtol=1e-13, atol=0.0)
         assert np.allclose(w.derivative(zs), d2, rtol=1e-13, atol=0.0)
         for z, v1, v2 in zip(zs[:3], d1, d2):
@@ -488,8 +489,67 @@ def test_vectorized_branch_evaluation_matches_scalar(gauss4):
     zs = make_ball(1.0, 1.5).boundary_points(17)
     letters = np.array([1, 2, 3, 4, 2, 1, 3] * 3)[:17]
     got = gauss4.apply_letters(letters, zs)
-    want = np.array([gauss4.branch(int(l))(z) for l, z in zip(letters, zs)])
+    want = np.array([gauss4.branches[l - 1](z) for l, z in zip(letters, zs)])
     assert np.allclose(got, want, rtol=1e-14)
     gotw = gauss4.weight_letters(letters, zs)
-    wantw = np.array([gauss4.weight(int(l))(z) for l, z in zip(letters, zs)])
+    wantw = np.array([gauss4.weights[l - 1](z) for l, z in zip(letters, zs)])
     assert np.allclose(gotw, wantw, rtol=1e-14)
+
+
+# one letter per weight kind; the fourth weight is swapped for a generic
+# map in the mixed system
+_MIXED_DESC = {
+    "family": "moebius_list",
+    "params": [
+        {"a": [0.4, 0.1], "b": 0.1, "c": [0.3, -0.2], "e": 2.0,
+         "weight": "derivative"},
+        {"a": [0.2, -0.3], "b": [0.3, 0.1], "c": [0.25, 0.15], "e": 1.8,
+         "weight": "neg_derivative"},
+        {"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0, "weight": [0.7, -0.2]},
+        {"a": 0.5, "b": 0.1, "c": 0.2, "e": 1.5, "weight": 1.0},
+    ],
+    "domain": {"center": [0.1, 0.05], "radius": 1.0, "dim": 1},
+}
+
+
+def _mixed_system():
+    base = system_from_descriptor(_MIXED_DESC)
+    generic = AnalyticMap(lambda z: 0.3 / (3.0 + z) + 0.1j * z, name="generic")
+    return make_system(base.branches, base.weights[:3] + (generic,),
+                       base.domain)
+
+
+@pytest.mark.parametrize("build, consts", [
+    (_mixed_system, (2,)),
+    (lambda: as_plain_maps(_mixed_system()), (2,)),
+    (lambda: system_from_descriptor(_MIXED_DESC), (2, 3)),
+    (lambda: as_plain_maps(system_from_descriptor(_MIXED_DESC)), (2, 3)),
+], ids=["mixed", "mixed-plain", "no-generic", "no-generic-plain"])
+def test_mixed_weight_kinds_match_per_letter_evaluation(build, consts):
+    # consts holds the 0-based letters whose weights are constants
+    sys_ = build()
+    zs = sys_.domain.center + 0.8 * np.exp(1j * np.linspace(0.0, 6.0, 13))
+    n, g = sys_.n_letters, zs.size
+    letters = np.repeat(np.arange(1, n + 1), g)
+    gathered = sys_.weight_letters(letters, np.tile(zs, n)).reshape(n, g)
+    _, grid = systems._branch_values_on_grid(sys_, zs)
+    for k, w in enumerate(sys_.weights):
+        want = np.array([w(complex(z)) for z in zs])
+        for got in (gathered[k], grid[k]):
+            if k in consts:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_lifted_constant_weight_keeps_its_form():
+    # a dim-1 constant lifted into a dim-2 system is still read as a
+    # constant by the gathers, not called one point at a time
+    branch = AnalyticMap(lambda z: [0.5 * z[0], 0.5 * z[1]], dim=2)
+    sys_ = make_system([branch], [make_const(0.5)],
+                       make_ball((0.0, 0.0), 1.0, dim=2))
+    assert sys_.weights[0].dim == 2
+    assert sys_.weights[0].form == (0.5, False)
+    got = sys_.weight_letters(np.ones(3, dtype=np.uint8),
+                              np.zeros((2, 3), dtype=complex))
+    assert np.array_equal(got, np.full(3, 0.5 + 0j))

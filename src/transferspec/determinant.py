@@ -13,6 +13,19 @@ the word sum; the omitted contribution is estimated per order by the
 non-rigorous heuristic n * W^(n-1) * (weight tail sup) * (1-gamma)^(-d)
 and reported separately, never folded into the computed value.
 
+The n rotations of a word trace one periodic orbit: they share its
+multiplier, its weight and so its term, and the fixed point of the word
+rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
+runs over necklaces: each chunk of the lexicographic word range evaluates
+only the least rotation of each word in it, and counts its term once for
+each of its period d (the number of distinct rotations) as d * t, split
+exactly into two doubles. Each representative's orbit is walked so that
+every rotation's fixed point is still checked against the ball. Counting
+one rotation's rounding d times cannot grow the relative error of a sum
+whose terms share one sign, but where terms cancel it can, so a chunk whose
+terms are not all real of one sign is evaluated word by word, as every
+chunk is in dim >= 2.
+
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. Fixed-size lexicographic chunks give exactly rounded sums and
 remainders that combine in index order, bit-identical at any thread count.
@@ -29,15 +42,14 @@ import numpy as np
 from ._format import json_g17
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
-    _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
-    _batch_center,
     _fold_words,
+    _mark_exits,
     _point_norm,
     _word_count,
     batch_fixed_points,
     batch_orbit,
-    letters_block,
+    word_letters,
 )
 from .errors import EscapedDomain, NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
@@ -114,25 +126,25 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     Every order's words are counted against the budget before any work, and
     the chunks of all orders go through one ordered map, so one thread pool
     serves the whole table. Each order's chunk partials combine in index
-    order, as they would in a map of that order alone. In dim >= 2 the
+    order, as they would in a map of that order alone. In dim 1 a chunk
+    first evaluates its necklace representatives, and again word by word
+    when their terms can cancel (see the module docstring). The multiplier
+    and residual are those of the words evaluated. In dim >= 2 the
     multiplier is the spectral radius of the word's Jacobian.
     """
     totals = [_word_count(sys_, n, word_budget) for n in orders]
     items = [(n, lo, hi) for n, total in zip(orders, totals)
              for lo, hi in chunk_ranges(total)]
-    d, ball = sys_.dim, sys_.domain
-    center = _batch_center(ball)
-    reach = ball.radius * (1 + _ESCAPE_SLACK)
+    d = sys_.dim
 
-    def handle(item):
+    def handle(item, necklaces):
         n, lo, hi = item
-        if sys_._mob is not None:
-            wgt, mult, z, end = _moebius_words(sys_, n, lo, hi)
-        else:
-            letters = letters_block(sys_.n_letters, n, lo, hi)
-            groups = [_letter_groups(col) for col in letters.T]
-            z = batch_fixed_points(sys_, letters, tol, groups)
-            wgt, mult, end = batch_orbit(sys_, letters, z, groups)
+        words = (_moebius_words(sys_, n, lo, hi, necklaces)
+                 if sys_._mob is not None
+                 else _iterated_words(sys_, n, lo, hi, tol, necklaces))
+        if words is None:
+            return (0.0, 0.0), (0.0, 0.0), 0.0, 0.0, False
+        letters, period, wgt, mult, z, end, exits = words
         if d == 1:
             spectral, denom = np.abs(mult), 1.0 - mult
             refused = ~(spectral < 1.0 - 1e-9)
@@ -142,20 +154,32 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
             denom = np.linalg.det(np.eye(d) - mult)
             refused = ~(np.abs(denom) >= 1e-12)
             why = "det(I - T') = {:.3g}, which is singular"
-        for bad, err, what in (
-                (refused, NotContracting, why),
-                (~(_point_norm(z - center) <= reach), EscapedDomain,
-                 "its attracting fixed point outside the ball")):
-            if bad.any():
-                r = int(np.argmax(bad))
-                word = tuple(letters_block(sys_.n_letters, n, lo + r,
-                                           lo + r + 1)[0].tolist())
-                raise err(f"word {word} has " + what.format(denom[r]))
+        # every rotation of a word shares its multiplier, and the fixed
+        # point of its rotation by k is the k-th point of its orbit
+        if refused.any():
+            r = int(np.argmax(refused))
+            raise NotContracting(f"word {tuple(letters[r].tolist())} has "
+                                 + why.format(denom[r]))
+        if (exits >= 0).any():
+            r = int(np.argmax(exits >= 0))
+            word = np.roll(letters[r], -exits[r]).tolist()
+            raise EscapedDomain(f"word {tuple(word)} has its attracting "
+                                "fixed point outside the ball")
         terms = wgt / denom if d == 1 else _quotient(wgt, denom)
-        return (_split_sum(terms.real), _split_sum(terms.imag),
-                float(spectral.max()), float(_point_norm(end - z).max()))
+        return (_split_sum(_times(period, terms.real)),
+                _split_sum(_times(period, terms.imag)),
+                float(spectral.max()), float(_point_norm(end - z).max()),
+                necklaces and _can_cancel(terms))
 
-    parts = map_ordered(handle, items, threads)
+    parts = map_ordered(lambda item: handle(item, d == 1), items, threads)
+    # a class's rotations may lie in other chunks, so an order whose terms
+    # can cancel in any chunk is evaluated word by word in all of them
+    cancel = {n for (n, _, _), p in zip(items, parts) if p[4]}
+    redo = [item for item in items if item[0] in cancel]
+    if redo:
+        again = dict(zip(redo, map_ordered(lambda item: handle(item, False),
+                                           redo, threads)))
+        parts = [again.get(item, p) for item, p in zip(items, parts)]
     rows = []
     for n, total in zip(orders, totals):
         mine = [p for (m, _, _), p in zip(items, parts) if m == n]
@@ -164,6 +188,12 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
         rows.append((value, total, max(p[2] for p in mine),
                      max(p[3] for p in mine)))
     return rows
+
+
+def _can_cancel(terms):
+    """Whether the complex terms are not all real of one sign."""
+    return not ((terms.imag == 0).all()
+                and ((terms.real >= 0).all() or (terms.real <= 0).all()))
 
 
 def _quotient(a, b):
@@ -182,17 +212,43 @@ def _quotient(a, b):
     return out
 
 
-def _moebius_words(sys_, n, lo, hi):
-    """Weight, multiplier, attracting fixed point z and T(z) of the words
-    lo..hi-1 of length n of an all-Moebius system, folded over their
-    prefix tree. q = C z + E is the larger root of q^2 - tr q + det, the
-    multiplier is det / q^2, a +-T' weight is (+-1)^k times it (k counts -T'
-    letters), constant weights multiply, other weights follow z's orbit."""
-    size, mob = sys_.n_letters, sys_._mob
+def _iterated_words(sys_, n, lo, hi, tol, necklaces):
+    """Letters, periods, weight, multiplier, fixed point z, T(z) and the
+    first orbit point outside the ball (as batch_orbit marks them) of the
+    words lo..hi-1 of length n, by fixed-point iteration: the necklace
+    representatives with necklaces, else every word, each checked at its
+    own fixed point. None when the range holds no word to evaluate."""
+    size, ball = sys_.n_letters, sys_.domain
+    words, period, _, _ = _fold_words(size, n, lo, hi, necklaces=necklaces)
+    if not words.size:
+        return None
+    letters = word_letters(size, n, words)
+    groups = [_letter_groups(col) for col in letters.T]
+    z = batch_fixed_points(sys_, letters, tol, groups)
+    if necklaces:
+        wgt, mult, end, exits = batch_orbit(sys_, letters, z, groups, ball)
+    else:
+        (wgt, mult, end), exits = (batch_orbit(sys_, letters, z, groups),
+                                   _mark_exits(ball, z))
+    return letters, period, wgt, mult, z, end, exits
+
+
+def _moebius_words(sys_, n, lo, hi, necklaces):
+    """As _iterated_words, for an all-Moebius system in closed form. The
+    words are folded over their prefix tree. q = C z + E is the larger root
+    of q^2 - tr q + det, the multiplier is det / q^2, a +-T' weight is
+    (+-1)^k times it (k counts -T' letters), constant weights multiply,
+    other weights follow z's orbit. With necklaces, n - 1 Moebius steps walk
+    each orbit for the rotations' fixed points."""
+    size, mob, ball = sys_.n_letters, sys_._mob, sys_.domain
     factor, deriv = sys_._wfactors or (np.ones(size), None)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
-    (A, B, C, E), (det, wgt) = _fold_words(mob, n, lo, hi, dets, factor)
+    words, period, (A, B, C, E), (det, wgt) = _fold_words(
+        size, n, lo, hi, mob, (dets, factor), necklaces)
+    if not words.size:
+        return None
+    letters = word_letters(size, n, words)
     tr = A + E
     s = np.sqrt(tr * tr - 4.0 * det)
     q = tr + s
@@ -205,11 +261,25 @@ def _moebius_words(sys_, n, lo, hi):
         z = np.divide(qe, C, out=qe)
         np.divide(B, qa, out=z, where=pick)
         end = (A * z + B) / (C * z + E)
+        exits, y = _mark_exits(ball, z), z
+        for k, col in enumerate(letters.T[:-1] if necklaces else (), 1):
+            y = sys_.apply_letters(col, y)
+            _mark_exits(ball, y, exits, k)
     if deriv is not None and deriv.all():
         wgt = wgt * mult
     elif deriv is None or deriv.any():
-        wgt = batch_orbit(sys_, letters_block(size, n, lo, hi), z)[0]
-    return wgt, mult, z, end
+        wgt = batch_orbit(sys_, letters, z)[0]
+    return letters, period, wgt, mult, z, end, exits
+
+
+def _times(k, x):
+    """The products k * x, for integers 1 <= k < 2^26, as one array of
+    doubles whose sum is exactly their sum: Dekker's TwoProduct, with x
+    split by Veltkamp into two 26-bit halves that k multiplies exactly."""
+    p = k * x
+    s = x * 134217729.0         # 2^27 + 1
+    hi = s - (s - x)
+    return np.concatenate((p, (k * hi - p) + k * (x - hi)))
 
 
 def _split_sum(values):

@@ -49,23 +49,57 @@ def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
     return A, B, C, E
 
 
-def _fold_words(mob, n, lo, hi, *factors):
-    """Folded coefficients (A, B, C, E) of the length-n words lo..hi-1 of
-    the Moebius letters mob, and for each per-letter array in factors its
-    product along each word. Level k of the prefix tree holds the range's
-    distinct length-k prefixes, each its parent times one letter, so every
-    word gets the bits of a letter-by-letter fold in letter order."""
-    size = len(mob[0])
-    fold = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
+def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
+    """Walk the prefix tree of the length-n words lo..hi-1 over size letters.
+
+    Returns the lexicographic indices of the words kept, their periods, the
+    folded coefficients (A, B, C, E) of the Moebius letters mob (None
+    without mob), and for each per-letter array in factors its product
+    along each word. Level k of the tree holds the range's length-k
+    prefixes, each its parent times one letter, so every word gets the bits
+    of a letter-by-letter fold in letter order.
+
+    Without necklaces every word is kept, with period 1. With necklaces
+    only the least rotation of each word is kept, and its period is its
+    number of distinct rotations. The tree is pruned to prenecklaces
+    by the FKM rule: letter k+1 is at least letter k+1-p, where p is the
+    length of the prefix's longest Lyndon prefix; an equal letter keeps p,
+    a larger one makes it k+1. A prenecklace of length n is a necklace, of
+    period p, when p divides n.
+    """
+    word = np.zeros(1, dtype=np.int64)
+    period = np.ones(1, dtype=np.int64)
+    fold = None if mob is None else tuple(
+        np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
     prods = [np.ones(1)] * len(factors)
-    for k in range(n - 1, -1, -1):     # (prefixes, letters) -> prefixes
-        head, tail = lo // size ** k, (hi - 1) // size ** k + 1
-        cut = slice(head % size, head % size + tail - head)
-        fold = tuple(x.reshape(-1)[cut] for x in _fold_moebius(
-            [mob], tuple(x[:, None] for x in fold)))
-        prods = [(p[:, None] * f).reshape(-1)[cut]
+    letter = np.arange(size)
+    for k in range(n):          # (prefixes, letters) -> prefixes
+        span = size ** (n - 1 - k)
+        head, tail = lo // span, (hi - 1) // span + 1
+        if necklaces:
+            child = word[:, None] * size + letter
+            ref = (word // size ** (period - 1) % size if k
+                   else np.full(1, -1))[:, None]
+            keep = ((child >= head) & (child < tail)
+                    & (letter >= ref)).reshape(-1)
+            period = np.where(letter > ref, k + 1,
+                              period[:, None]).reshape(-1)[keep]
+            word = child.reshape(-1)[keep]
+        else:                   # the range's prefixes are consecutive
+            keep = slice(head - word[0] * size, tail - word[0] * size)
+            word = np.arange(head, tail)
+        if fold is not None:
+            fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
+                [mob], tuple(x[:, None] for x in fold)))
+        prods = [(p[:, None] * f).reshape(-1)[keep]
                  for p, f in zip(prods, factors)]
-    return fold, prods
+    if not necklaces:
+        return word, np.ones(len(word), dtype=np.int64), fold, prods
+    whole = n % period == 0
+    if fold is not None:
+        fold = tuple(x[whole] for x in fold)
+    return (word[whole], period[whole], fold,
+            [p[whole] for p in prods])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +173,13 @@ def fixed_point(map_, domain, tol=1e-13, max_iter=200_000):
 def letters_block(n_letters, length, lo, hi):
     """Rows lo..hi-1 of the lexicographic enumeration of length-n words, in
     the smallest unsigned integer type that holds the letters."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, length), dtype=np.min_scalar_type(n_letters))
+    return word_letters(n_letters, length, np.arange(lo, hi, dtype=np.int64))
+
+
+def word_letters(n_letters, length, idx):
+    """The rows idx (int64) of the lexicographic enumeration of length-n
+    words, as in letters_block."""
+    out = np.empty((len(idx), length), dtype=np.min_scalar_type(n_letters))
     for k in range(length):
         p = n_letters ** (length - 1 - k)
         out[:, k] = (idx // p) % n_letters + 1
@@ -197,21 +236,28 @@ def batch_fixed_points(sys_, letters, tol=1e-13, groups=None):
         f"(last step {step:.3g})")
 
 
-def batch_orbit(sys_, letters, z, groups=None):
+def batch_orbit(sys_, letters, z, groups=None, ball=None):
     """Weight product, derivative product, and end point along each word's
     orbit started at the batch z, one point per row of letters (count, n).
     In dim >= 2 the derivative product is a (count, dim, dim) stack of
     Jacobians, later letters on the left. groups is as for
     batch_fixed_points; each column is grouped when it is reached if it is
     not given. In-place products keep numpy from swapping operands on large
-    batches."""
+    batches.
+
+    With a ball, a fourth array gives for each word the first k < n whose
+    orbit point z_k (z_0 = z, z_k the image of z_(k-1) under letter k) lies
+    outside the ball, or -1. When z is the word's fixed point, z_k is the
+    fixed point of the word rotated left by k.
+    """
     count, n = letters.shape
     d = sys_.dim
     wgt = np.ones(count, dtype=complex)
     mult = (np.ones(count, dtype=complex) if d == 1
             else np.tile(np.eye(d, dtype=complex), (count, 1, 1)))
     y = np.array(z, dtype=complex, copy=True)
-    for col, grp in zip(letters.T, groups or [None] * n):
+    exits = None if ball is None else _mark_exits(ball, y)
+    for k, (col, grp) in enumerate(zip(letters.T, groups or [None] * n)):
         deriv = sys_.derivative_letters(col, y, grp)
         np.multiply(wgt, sys_.weight_letters(col, y, deriv, grp), out=wgt)
         if d == 1:
@@ -219,7 +265,21 @@ def batch_orbit(sys_, letters, z, groups=None):
         else:
             mult = np.matmul(deriv, mult)
         y = sys_.apply_letters(col, y, grp)
-    return wgt, mult, y
+        if exits is not None and k < n - 1:
+            _mark_exits(ball, y, exits, k + 1)
+    return (wgt, mult, y) if ball is None else (wgt, mult, y, exits)
+
+
+def _mark_exits(ball, y, exits=None, k=0):
+    """Mark with k each point of the batch y that is not in the ball, up to
+    the escape slack (NaN is not in it), unless it already has a mark; the
+    marks start at -1 when exits is not given."""
+    if exits is None:
+        exits = np.full(y.shape[-1], -1)
+    out = ~(_point_norm(y - _batch_center(ball))
+            <= ball.radius * (1 + _ESCAPE_SLACK))
+    exits[out & (exits < 0)] = k
+    return exits
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +348,8 @@ def _exact_contraction(sys_, n, total, threads):
 
     def handle(rng):
         lo, hi = rng
-        (_, _, C, E), (det,) = _fold_words(sys_._mob, n, lo, hi, dets)
+        _, _, (_, _, C, E), (det,) = _fold_words(
+            sys_.n_letters, n, lo, hi, sys_._mob, (dets,))
         gap = np.abs(C * c + E) - np.abs(C) * rho
         on_circle = gap == 0.0
         if on_circle.any():

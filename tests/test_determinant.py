@@ -32,7 +32,12 @@ from transferspec import (
 )
 from transferspec import determinant
 from transferspec.determinant import TRUST_CAP, _aberth_roots
-from transferspec.dynamics import _fold_moebius, _fold_words
+from transferspec.dynamics import (
+    _fold_moebius,
+    _fold_words,
+    letters_block,
+    word_letters,
+)
 from transferspec.systems import AnalyticMap
 
 from conftest import GAUSS4_DESC, as_plain_maps
@@ -226,32 +231,126 @@ def test_closed_form_traces_match_mp_oracle(name):
 
 
 def test_moebius_words_fold_matches_letter_by_letter_fold():
-    # the prefix tree gives every word the bits of a letter by letter fold,
-    # also for ranges that start and end inside a prefix
+    # the prefix tree gives every representative the bits of a letter by
+    # letter fold, also for ranges that start and end inside a prefix
     sys_, _, _ = _moebius_case(
         [_PAIR[0] + ("derivative",), _PAIR[1] + ("neg_derivative",),
          (0.1 + 0.05j, -0.2, 0.1j, 2.2, "derivative")], [0.1, 0.05], 1.0)
     n, total = 7, 3 ** 7
-    whole = determinant._moebius_words(sys_, n, 0, total)
+    reps = _fold_words(3, n, 0, total, necklaces=True)[0]
+    whole = determinant._moebius_words(sys_, n, 0, total, True)
     for lo, hi in ((0, 1000), (1000, 1001), (1001, total)):
-        part = determinant._moebius_words(sys_, n, lo, hi)
+        inside = (reps >= lo) & (reps < hi)
+        part = determinant._moebius_words(sys_, n, lo, hi, True)
+        if part is None:
+            assert not inside.any()
+            continue
         for w, p in zip(whole, part):
-            assert np.array_equal(w[lo:hi], p)
-    letters = determinant.letters_block(3, n, 0, total)
+            assert np.array_equal(w[inside], p)
+    letters = whole[0]
+    assert np.array_equal(letters, word_letters(3, n, reps))
     A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
                                for col in letters.T)
-    _, _, z, end = whole
+    z, end = whole[4], whole[5]
     assert np.array_equal(end, (A * z + B) / (C * z + E))
-    # the contraction's fold: C, E and the product of letter |det|
+    # the contraction's fold over every word: C, E and the product of
+    # letter |det|
     a, b, c, e = sys_._mob
     dets = np.abs(a * e - b * c)
     lo, hi = 1001, 2000
-    (_, _, got_c, got_e), (got_det,) = _fold_words(sys_._mob, n, lo, hi, dets)
+    every = letters_block(3, n, lo, hi)
+    words, period, (_, _, got_c, got_e), (got_det,) = _fold_words(
+        3, n, lo, hi, sys_._mob, (dets,))
+    assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
+    _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+                               for col in every.T)
     want_det = 1.0
-    for col in letters[lo:hi].T:
+    for col in every.T:
         want_det = want_det * dets[col - 1]
-    assert np.array_equal(got_c, C[lo:hi]) and np.array_equal(got_e, E[lo:hi])
+    assert np.array_equal(got_c, C) and np.array_equal(got_e, E)
     assert np.array_equal(got_det, want_det)
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_escape_of_a_rotation_is_refused(plain):
+    # (1, 2) fixes -0.945, inside the unit disc, and its rotation (2, 1)
+    # fixes 1.05, outside: the sum over the class of (1, 2) still refuses
+    # the rotation, by name
+    sys_ = make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0)],
+                       [make_const(1.0), make_const(1.0)],
+                       make_ball(0.0, 1.0))
+    with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its attr"):
+        trace(as_plain_maps(sys_) if plain else sys_, 2)
+
+
+# T' on an increasing branch, -T' on a decreasing one and a positive
+# constant: every term is positive, so the representatives are summed
+PERIODIC_MIX = {
+    "real": ([(0.3, 0.1, 0.2, 2.0, "derivative"),
+              (0.0, 1.0, 1.0, 3.0, "neg_derivative"),
+              (0.25, -0.1, 0.1, 1.5, 0.5)], [0.1, 0.0]),
+    "complex": ([_PAIR[0] + ("derivative",), _PAIR[1] + ("neg_derivative",),
+                 (0.1 + 0.05j, -0.2, 0.1j, 2.2, 0.5 - 0.2j)], [0.1, 0.05]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_MIX))
+def test_periodic_mix_traces_match_mp_oracle(name, monkeypatch):
+    # order 6 holds words of period 1, 2, 3 and 6; a mixed weight goes
+    # through batch_orbit on both paths
+    entries, center = PERIODIC_MIX[name]
+    sys_, params, weights = _moebius_case(entries, center, 1.0)
+    ref = oracles.moebius_traces_mp(params, weights, range(1, 7))
+    necklaces = []
+    words = determinant._moebius_words
+
+    def recorded(*args):
+        necklaces.append(args[-1])
+        return words(*args)
+
+    monkeypatch.setattr(determinant, "_moebius_words", recorded)
+    for path in (sys_, as_plain_maps(sys_)):
+        for got, want in zip(trace_table(path, 6).values, ref):
+            assert abs(got - want) <= 1e-13 * abs(want)
+    # complex terms cancel, so those chunks are summed word by word
+    assert (False in necklaces) == (name == "complex")
+
+
+def test_cancelling_terms_are_summed_word_by_word():
+    entries, center, radius, _ = ORACLE_CASES["complex-derivative"]
+    sys_, _, _ = _moebius_case(entries, center, radius)
+    n = 6
+    _, _, wgt, mult, _, _, _ = determinant._moebius_words(sys_, n, 0, 2 ** n,
+                                                          False)
+    terms = wgt / (1.0 - mult)
+    assert trace(sys_, n).value == complex(math.fsum(terms.real),
+                                           math.fsum(terms.imag))
+
+
+def test_cancelling_order_is_summed_word_by_word_in_every_chunk():
+    # at order 17 the 2^17 words fill two chunks, and a class's rotations
+    # lie in both. The second chunk's only representative, (2, ..., 2),
+    # has a real term, the first chunk's terms cancel: the whole order
+    # falls back to every word, or none of it
+    sys_, _, _ = _moebius_case([_PAIR[0] + ("derivative",),
+                                (0.2, 0.3, 0.25, 1.8, "derivative")],
+                               [0.1, 0.05], 1.0)
+    n = 17
+    _, _, wgt, mult, _, _, _ = determinant._moebius_words(sys_, n, 0, 2 ** n,
+                                                          False)
+    terms = wgt / (1.0 - mult)
+    want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    assert abs(trace(sys_, n).value - want) <= 1e-14 * abs(want)
+
+
+def test_period_times_term_is_split_exactly():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)
+    k = rng.integers(1, 64, 300)
+    parts = determinant._times(k, x)
+    for i in range(300):
+        assert (Fraction(parts[i]) + Fraction(parts[300 + i])
+                == int(k[i]) * Fraction(x[i]))
 
 
 _MATCH = {NotContracting: r"word \(1,\) has multiplier",
@@ -296,7 +395,8 @@ def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes):
 def test_closed_form_fixed_point_without_pole(affine_half):
     # C = 0: the fixed point is B / (q - A); z -> z/2 + 0.3 fixes 0.6
     for n in (1, 5, 12):
-        _, mult, z, end = determinant._moebius_words(affine_half, n, 0, 1)
+        _, _, _, mult, z, end, _ = determinant._moebius_words(
+            affine_half, n, 0, 1, True)
         assert z[0] == pytest.approx(0.6, abs=1e-15)
         assert end[0] == pytest.approx(z[0], abs=1e-15)
         assert mult[0] == pytest.approx(0.5 ** n, rel=1e-15)
@@ -312,10 +412,12 @@ def test_closed_form_fixed_point_near_affine():
 
 
 def test_max_residual_is_word_map_at_fixed_point(gauss4):
+    # the residual is over the words evaluated: gauss4's terms share one
+    # sign, so those are the necklace representatives
     n = 3
-    _, _, z, _ = determinant._moebius_words(gauss4, n, 0, 4 ** n)
-    words = [tuple(int(l) for l in row)
-             for row in determinant.letters_block(4, n, 0, 4 ** n)]
+    letters, _, _, _, z, _, _ = determinant._moebius_words(gauss4, n, 0,
+                                                           4 ** n, True)
+    words = [tuple(int(l) for l in row) for row in letters]
     # composing the branches one by one rounds differently from the
     # folded matrix, so the two residuals agree to a few ulps of |z| ~ 1
     want = max(abs(oracles.compose(gauss4, w)(p) - p)

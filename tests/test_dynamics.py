@@ -26,11 +26,14 @@ from transferspec import (
     system_from_descriptor,
     trace_table,
 )
+from transferspec._parallel import chunk_ranges
 from transferspec.dynamics import (
     _fold_moebius,
+    _fold_words,
     batch_fixed_points,
     batch_orbit,
     letters_block,
+    word_letters,
 )
 from transferspec.systems import AnalyticMap
 
@@ -169,6 +172,67 @@ def test_letters_block_lexicographic():
     assert [tuple(r) for r in rows] == want
     # windowing agrees with the full enumeration
     assert np.array_equal(letters_block(3, 2, 4, 7), rows[4:7])
+
+
+def _least_rotations(size, n, lo, hi):
+    """(index, period) of each word lo..hi-1 that is the least of its
+    rotations, by brute force over the rotations."""
+    out = []
+    for idx, row in enumerate(letters_block(size, n, lo, hi), start=lo):
+        word = tuple(row.tolist())
+        rotations = {word[k:] + word[:k] for k in range(n)}
+        if word == min(rotations):
+            out.append((idx, len(rotations)))
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_necklace_representatives(size, n):
+    # the pruned prefix tree keeps each word's least rotation, in
+    # lexicographic order, with its count of distinct rotations, whatever
+    # the chunks; the periods count every word once
+    total = size ** n
+    if total <= 5000:
+        want = _least_rotations(size, n, 0, total)
+        for chunk in (total, 1000, 64, 7):
+            got = []
+            for lo, hi in chunk_ranges(total, chunk):
+                words, period, fold, prods = _fold_words(size, n, lo, hi,
+                                                         necklaces=True)
+                assert fold is None and prods == []
+                got += zip(words.tolist(), period.tolist())
+            assert got == want
+    else:   # brute force on a few windows, the period sum on all of it
+        for lo in (0, total // 3 + 5, total - 1500):
+            words, period, _, _ = _fold_words(size, n, lo, lo + 1500,
+                                              necklaces=True)
+            assert (list(zip(words.tolist(), period.tolist()))
+                    == _least_rotations(size, n, lo, lo + 1500))
+    periods = sum(int(_fold_words(size, n, lo, hi, necklaces=True)[1].sum())
+                  for lo, hi in chunk_ranges(total))
+    assert periods == total
+
+
+def test_word_letters_match_letters_block():
+    idx = np.array([0, 5, 17, 80])
+    assert np.array_equal(word_letters(3, 4, idx),
+                          letters_block(3, 4, 0, 81)[idx])
+
+
+def test_batch_orbit_marks_first_point_outside():
+    # z -> -0.9 z + 0.1995 and z -> -0.9 z on the unit disc: from the fixed
+    # point -0.945 of (1, 2), the orbit's next point 1.05 is outside, and it
+    # is the fixed point of the rotation (2, 1)
+    sys_ = make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0)],
+                       [make_const(1.0), make_const(1.0)],
+                       make_ball(0.0, 1.0))
+    letters = np.array([[1, 2], [2, 1], [1, 1]], dtype=np.uint8)
+    z = np.array([-0.945, 1.05, 0.105], dtype=complex)
+    *plain, exits = batch_orbit(sys_, letters, z, ball=sys_.domain)
+    assert exits.tolist() == [1, 0, -1]
+    assert all(np.array_equal(a, b) for a, b in
+               zip(plain, batch_orbit(sys_, letters, z)))
 
 
 def test_batch_fixed_points_match_scalar(gauss4):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from transferspec import spectra
+from transferspec import spectra, systems
 from transferspec import (
     DimensionUnsupported,
     OperatorMatrix,
@@ -16,6 +16,7 @@ from transferspec import (
     make_affine,
     make_ball,
     make_const,
+    make_gauss_system,
     make_system,
     sort_eigenvalues,
     spectral_sequence,
@@ -215,6 +216,34 @@ def test_eigensolver_runs_on_one_blas_thread(monkeypatch):
     try:
         set_threads(2)
         eigenvalues(_matrix_of(np.eye(3)))
+        assert seen == [1]
+        assert get_threads() == 2       # the caller's count comes back
+    finally:
+        set_threads(before)
+
+
+def test_gauss_tail_runs_on_one_blas_thread(monkeypatch):
+    calls = spectra._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread setter found in this process")
+    set_threads, get_threads = calls
+    seen = []
+    factory = systems._gauss_power_tail
+
+    def watched_factory(*args, **kwargs):
+        tail = factory(*args, **kwargs)
+
+        def watched(*targs, **tkwargs):
+            seen.append(get_threads())
+            return tail(*targs, **tkwargs)
+        return watched
+
+    monkeypatch.setattr(systems, "_gauss_power_tail", watched_factory)
+    sys_ = make_gauss_system(20)
+    before = get_threads()
+    try:
+        set_threads(2)
+        assemble_matrix(sys_, N=8)
         assert seen == [1]
         assert get_threads() == 2       # the caller's count comes back
     finally:

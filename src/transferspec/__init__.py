@@ -72,7 +72,6 @@ from .systems import (
     AnalyticMap,
     BallDomain,
     CountableTruncated,
-    Finite,
     MapWeightSystem,
     ValidationReport,
     make_affine,
@@ -92,7 +91,7 @@ __all__ = [
     "BudgetExceeded", "ContractionReport", "CountableTruncated",
     "DEFAULT_WORD_BUDGET", "DegenerateMap", "DescriptorError",
     "DeterminantSeries", "DimensionUnsupported", "EigenvalueSequence",
-    "EscapedDomain", "Finite", "FixedPointResult", "InadmissibleDomain",
+    "EscapedDomain", "FixedPointResult", "InadmissibleDomain",
     "InvalidDomain", "MapWeightSystem", "NoConvergence", "NotContracting",
     "NotEnclosed", "OperatorMatrix", "RootFindingFailure", "SolverFailure",
     "TraceTable", "TraceValue", "TransferOperatorError",

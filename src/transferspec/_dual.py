@@ -13,6 +13,8 @@ Values may be numpy arrays; all operations broadcast elementwise.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Dual:
     __slots__ = ("val", "eps")
@@ -81,10 +83,12 @@ class Dual:
 
 
 def derivative_scalar(fn, z):
-    """d fn/dz at a point (or elementwise on an array) for scalar analytic fn."""
-    out = fn(Dual(z, z * 0 + 1.0))
+    """d fn/dz at a point (or elementwise on an array) for scalar analytic fn,
+    in z's shape: the dual part plus zeros_like(z), which also makes its
+    zero parts +0.0, or z * 0 for a fn that ignores its argument."""
+    out = fn(Dual(z, np.ones_like(z)))
     if isinstance(out, Dual):
-        return out.eps
+        return out.eps + np.zeros_like(z)
     return z * 0  # fn ignored its argument, constant map
 
 
@@ -97,8 +101,6 @@ def jacobian(fn, z, dim):
     of length dim. One call carries every direction: coordinate k is seeded
     with the k-th unit vector.
     """
-    import numpy as np
-
     z = np.asarray(z, dtype=complex)
     seeds = np.eye(dim).reshape((dim, dim) + (1,) * (z.ndim - 1))
     out = fn([Dual(z[k], seeds[k]) for k in range(dim)])

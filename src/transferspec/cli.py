@@ -80,6 +80,9 @@ class RunConfig:
             raise DescriptorError("grid must be >= 8")
         if self.threads < 1:
             raise DescriptorError("threads must be >= 1")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise DescriptorError(
+                f"out_dir must be a string, got {self.out_dir!r}")
         return self
 
 
@@ -234,9 +237,12 @@ def cmd_determinant(cfg, args):
 def _profile_from_dict(raw):
     if any(isinstance(raw.get(k), bool) for k in ("W", "r", "d")):
         raise DescriptorError("bad bound profile: W, r and d must be numbers")
+    d = raw.get("d", 1)
+    if isinstance(d, float) and not d.is_integer():
+        raise DescriptorError(
+            f"bad bound profile: d must be an integer, got {d!r}")
     try:
-        return BoundProfile(W=float(raw["W"]), r=float(raw["r"]),
-                            d=int(raw.get("d", 1)))
+        return BoundProfile(W=float(raw["W"]), r=float(raw["r"]), d=int(d))
     except (KeyError, TypeError, ValueError) as err:
         raise DescriptorError(f"bad bound profile: {err}")
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import json_g17
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     DEFAULT_WORD_BUDGET,
@@ -479,8 +478,9 @@ def determinant_zeros(series, count=None):
 # export
 
 
-def export_determinant_json(table, series, path=None):
-    """The trace/coefficient export dict; optionally written as JSON."""
+def export_determinant_json(table, series):
+    """The trace/coefficient export dict, the core of the CLI's
+    determinant-<id>.json."""
     out = {
         "orders": [int(n) for n in table.orders],
         "traces_re": [v.real for v in table.values],
@@ -489,7 +489,4 @@ def export_determinant_json(table, series, path=None):
         "coeffs_im": [c.imag for c in series.coefficients],
         "trust_radius": float(series.trust_radius),
     }
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(json_g17(out) + "\n")
     return out

@@ -1,6 +1,6 @@
 """Batched words, fixed points, contraction certification.
 
-Words are rows of 1-based letters from letters_block; the word
+Words are rows of 1-based letters from word_letters; the word
 (i_1, ..., i_n) denotes the composition T_{i_n} o ... o T_{i_1} (the first
 letter acts first). Word enumeration is lexicographic throughout, and
 batched evaluations reduce in index order, so every result is independent
@@ -170,15 +170,9 @@ def fixed_point(map_, domain, tol=1e-13, max_iter=200_000):
 # array, one point per column, in dim >= 2.
 
 
-def letters_block(n_letters, length, lo, hi):
-    """Rows lo..hi-1 of the lexicographic enumeration of length-n words, in
-    the smallest unsigned integer type that holds the letters."""
-    return word_letters(n_letters, length, np.arange(lo, hi, dtype=np.int64))
-
-
 def word_letters(n_letters, length, idx):
     """The rows idx (int64) of the lexicographic enumeration of length-n
-    words, as in letters_block."""
+    words, in the smallest unsigned integer type that holds the letters."""
     out = np.empty((len(idx), length), dtype=np.min_scalar_type(n_letters))
     for k in range(length):
         p = n_letters ** (length - 1 - k)
@@ -218,7 +212,7 @@ def batch_fixed_points(sys_, letters, tol=1e-13, groups=None):
         z1 = z
         for col, grp in zip(letters.T, groups):
             z1 = sys_.apply_letters(col, z1, grp)
-        off = _point_norm(z1 - center) > ball.radius * (1.0 + _ESCAPE_SLACK)
+        off = _outside(ball, z1)
         if off.any():
             bad = int(np.argmax(off))
             raise EscapedDomain(
@@ -270,15 +264,19 @@ def batch_orbit(sys_, letters, z, groups=None, ball=None):
     return (wgt, mult, y) if ball is None else (wgt, mult, y, exits)
 
 
+def _outside(ball, y):
+    """Whether each point of the batch y is not in the ball, up to the
+    escape slack; NaN is not in it."""
+    return ~(_point_norm(y - _batch_center(ball))
+             <= ball.radius * (1 + _ESCAPE_SLACK))
+
+
 def _mark_exits(ball, y, exits=None, k=0):
-    """Mark with k each point of the batch y that is not in the ball, up to
-    the escape slack (NaN is not in it), unless it already has a mark; the
-    marks start at -1 when exits is not given."""
+    """Mark with k each point of the batch y _outside the ball that has no
+    mark yet; the marks start at -1 when exits is not given."""
     if exits is None:
         exits = np.full(y.shape[-1], -1)
-    out = ~(_point_norm(y - _batch_center(ball))
-            <= ball.radius * (1 + _ESCAPE_SLACK))
-    exits[out & (exits < 0)] = k
+    exits[_outside(ball, y) & (exits < 0)] = k
     return exits
 
 
@@ -361,7 +359,7 @@ def _exact_contraction(sys_, n, total, threads):
 
     value, idx, C, E = _first_max(
         map_ordered(handle, chunk_ranges(total), threads), (-1.0, 0, 0.0, 1.0))
-    word = tuple(letters_block(sys_.n_letters, n, idx, idx + 1)[0].tolist())
+    word = tuple(word_letters(sys_.n_letters, n, np.array([idx]))[0].tolist())
     if value == math.inf:
         raise NotContracting(
             f"word {word} has its pole {complex(-E / C):.6g} on the boundary "
@@ -383,7 +381,7 @@ def _sampled_contraction(sys_, n, grid, total, threads):
 
     def handle(rng):
         lo, hi = rng
-        letters = letters_block(sys_.n_letters, n, lo, hi)
+        letters = word_letters(sys_.n_letters, n, np.arange(lo, hi))
         rows = hi - lo
         flat_z = np.tile(zs, rows)
         acc = np.ones(rows * g, dtype=complex)
@@ -398,7 +396,7 @@ def _sampled_contraction(sys_, n, grid, total, threads):
 
     best_val, best_word_idx, best_pt_idx = _first_max(
         map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0, 0))
-    word = letters_block(sys_.n_letters, n, best_word_idx, best_word_idx + 1)
+    word = word_letters(sys_.n_letters, n, np.array([best_word_idx]))
     return ContractionReport(best_val, tuple(word[0].tolist()),
                              complex(zs[best_pt_idx]), int(grid), total)
 

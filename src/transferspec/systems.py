@@ -25,10 +25,11 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from ._dual import Dual, derivative_scalar, jacobian
+from ._dual import derivative_scalar, jacobian
 from ._zeta import hzeta_rows, normal_orders, trigamma, unshifted_floor
 from .errors import (
     DegenerateMap,
@@ -110,101 +111,64 @@ class AnalyticMap:
     derivative is supplied, forward-mode dual numbers differentiate fn, which
     works for any fn built from field arithmetic and integer powers.
 
-    Scalar evaluation accepts numpy arrays wherever fn broadcasts; a
-    per-element fallback covers fn that does not. For dim >= 2 a (dim, m)
-    array holds m points, one per column, and gives m images ((dim, m), or
-    (m,) for a weight) and a (dim, dim, m) stack of Jacobians; a fn that
-    does not broadcast so is evaluated one point at a time.
+    A numpy array is a batch of points: each element in dim 1, each column
+    of a (dim, m) array in dim >= 2. Values, derivatives and Jacobians of a
+    batch follow one rule. fn (or the derivative rule) is called on the
+    whole batch, and the result is kept when it holds one result per point:
+    the batch's shape in dim 1, and (dim, m) images, (m,) weights or
+    (dim, dim, m) Jacobians in dim >= 2. A result of one point's shape, such
+    as one number in dim 1, is a constant map and holds at every point.
+    Otherwise the rule is called one point at a time: each element in dim 1,
+    each column in dim >= 2. With m = dim the batch always goes column by
+    column, because there a map that adds a length-dim vector broadcasts
+    without error, but along the wrong axis. Anything that is not a batch,
+    such as a scalar or one point, is passed to the rule as it is.
     """
 
     def __init__(self, fn, deriv=None, dim=1, name=""):
+        self.dim = int(dim)
+        if deriv is None:
+            deriv = (partial(derivative_scalar, fn) if self.dim == 1
+                     else partial(jacobian, fn, dim=self.dim))
         self._fn = fn
         self._deriv = deriv
-        self.dim = int(dim)
         self.name = name
 
     def __repr__(self):
         return f"AnalyticMap({self.name or '<anonymous>'}, dim={self.dim})"
 
     def __call__(self, z):
-        if not isinstance(z, np.ndarray):
-            return self._fn(z)
-        if self.dim == 1:
-            return self._eval_array(self._fn, z)
-        if z.ndim == 2:
-            m = z.shape[1]
-            return self._eval_points(self._fn, z, ((self.dim, m), (m,)))
-        return self._fn(z)
+        return self._apply(self._fn, z, ((self.dim,), ()))
 
     def derivative(self, z):
         """Derivative at z: a complex scalar for dim 1, else a dim x dim
         matrix, or a (dim, dim, m) stack at the m columns of a (dim, m)
         array."""
-        if self.dim != 1:
-            if isinstance(z, np.ndarray) and z.ndim == 2:
-                return self._jacobians(z)
-            if self._deriv is not None:
-                return np.asarray(self._deriv(z), dtype=complex)
-            return jacobian(self._fn, z, self.dim)
-        if self._deriv is not None:
-            if isinstance(z, np.ndarray):
-                return self._eval_array(self._deriv, z)
-            return self._deriv(z)
-        if isinstance(z, np.ndarray):
-            try:
-                out = self._fn(Dual(z, np.ones_like(z)))
-                if isinstance(out, Dual) and np.shape(out.val) == z.shape:
-                    return np.asarray(out.eps, dtype=complex) + np.zeros_like(z)
-            except (TypeError, ValueError):
-                pass
-            flat = z.ravel()
-            vals = np.array([derivative_scalar(self._fn, zz) for zz in flat],
-                            dtype=complex)
-            return vals.reshape(z.shape)
-        return derivative_scalar(self._fn, z)
+        out = self._apply(self._deriv, z, ((self.dim, self.dim),))
+        return out if self.dim == 1 else np.asarray(out, dtype=complex)
 
-    def _jacobians(self, z):
-        """The (dim, dim, m) Jacobians at the m columns of z. A closed-form
-        derivative that returns one matrix is taken as constant."""
-        d, m = z.shape
-        if self._deriv is not None:
-            jac = self._eval_points(self._deriv, z, ((d, d), (d, d, m)))
+    def _apply(self, rule, z, heads):
+        """rule at z by the rule above. heads are the shapes one point's
+        result may have in dim >= 2; in dim 1 it is a number."""
+        if not (isinstance(z, np.ndarray) and (self.dim == 1 or z.ndim == 2)):
+            return rule(z)
+        if self.dim == 1:
+            heads, points, each = ((),), z.shape, z.flat
         else:
-            jac = self._eval_points(lambda pts: jacobian(self._fn, pts, d), z,
-                                    ((d, d, m),))
-        return np.broadcast_to(jac[..., None] if jac.ndim == 2 else jac,
-                               (d, d, m))
-
-    @staticmethod
-    def _eval_array(fn, z):
-        try:
-            out = fn(z)
-            arr = np.asarray(out, dtype=complex)
-            if arr.shape == z.shape:
-                return arr
-            if arr.shape == ():  # constant map evaluated on an array
-                return np.full(z.shape, complex(arr), dtype=complex)
-        except (TypeError, ValueError):
-            pass
-        flat = z.ravel()
-        vals = np.array([fn(zz) for zz in flat], dtype=complex)
-        return vals.reshape(z.shape)
-
-    def _eval_points(self, fn, z, shapes):
-        """fn on the m columns of the (dim, m) array z at once when its result
-        has one of shapes, else one column at a time (points last). m = dim
-        also goes column by column: there a map that adds a length-dim
-        vector broadcasts without error, but along the wrong axis."""
-        m = z.shape[1]
-        if m != self.dim:
+            points, each = z.shape[1:], z.T
+        if self.dim == 1 or z.shape[1] != self.dim:
             try:
-                out = np.asarray(fn(z), dtype=complex)
-                if out.shape in shapes:
-                    return out
+                out = np.asarray(rule(z), dtype=complex)
+                for head in heads:
+                    if out.shape == head + points:
+                        return out
+                    if out.shape == head:       # a constant map
+                        out = out.reshape(head + (1,) * len(points))
+                        return np.broadcast_to(out, head + points).copy()
             except (TypeError, ValueError):
                 pass
-        vals = np.array([fn(z[:, j]) for j in range(m)], dtype=complex)
-        return np.moveaxis(vals, 0, -1)
+        vals = np.array([rule(p) for p in each], dtype=complex)
+        return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + points)
 
 
 def make_moebius(a, b, c, e):
@@ -284,13 +248,6 @@ def _lift_weight(w, dim):
 # alphabets and the system aggregate
 
 
-@dataclass(frozen=True)
-class Finite:
-    """Alphabet {1, ..., count}."""
-
-    count: int
-
-
 @dataclass(frozen=True, eq=False)
 class CountableTruncated:
     """Alphabet {1, 2, ...} truncated at i_max, with analytic tail data.
@@ -308,19 +265,19 @@ class CountableTruncated:
     weight_tail_bound: float
     image_tail_sup: float
     power_tail: object = None
-    note: str = ""
 
 
 class MapWeightSystem:
     """Branches, weights, domain, and alphabet, plus vectorized gather tables.
 
     Instances are immutable by convention. Letters are 1-based; letter l
-    uses branches[l-1] and weights[l-1]. For CountableTruncated alphabets
-    the stored lists cover letters 1..i_max and the tail is represented by
-    the alphabet's analytic data.
+    uses branches[l-1] and weights[l-1]. alphabet None means the finite
+    alphabet of the branches. For CountableTruncated alphabets the stored
+    lists cover letters 1..i_max and the tail is represented by the
+    alphabet's analytic data.
     """
 
-    def __init__(self, branches, weights, domain, alphabet,
+    def __init__(self, branches, weights, domain, alphabet=None,
                  label="custom", descriptor=None):
         branches = tuple(branches)
         weights = tuple(weights)
@@ -329,11 +286,10 @@ class MapWeightSystem:
         if len(branches) != len(weights):
             raise InvalidDomain(
                 f"{len(branches)} branches but {len(weights)} weights")
-        count = alphabet.count if isinstance(alphabet, Finite) else alphabet.i_max
-        if count != len(branches):
+        if alphabet is not None and alphabet.i_max != len(branches):
             raise InvalidDomain(
-                f"alphabet describes {count} letters but {len(branches)} "
-                "branches were supplied")
+                f"alphabet describes {alphabet.i_max} letters but "
+                f"{len(branches)} branches were supplied")
         if domain.dim >= 2:
             weights = tuple(_lift_weight(w, domain.dim) for w in weights)
         self.branches = branches
@@ -369,8 +325,9 @@ class MapWeightSystem:
         return f"{tag}-{digest}"
 
     def __repr__(self):
+        kind = "finite" if self.alphabet is None else "truncated"
         return (f"MapWeightSystem({self.label}, letters={self.n_letters}, "
-                f"dim={self.dim}, alphabet={type(self.alphabet).__name__})")
+                f"dim={self.dim}, alphabet={kind})")
 
     # -- vectorized letter gathers -------------------------------------------
 
@@ -452,10 +409,8 @@ def _letter_groups(letters):
 
 
 def make_system(branches, weights, domain, label="custom", descriptor=None):
-    """Finite system from explicit branch and weight lists."""
-    branches = tuple(branches)
-    return MapWeightSystem(branches, tuple(weights), domain,
-                           Finite(len(branches)), label=label,
+    """A finite system from explicit branch and weight lists."""
+    return MapWeightSystem(branches, weights, domain, label=label,
                            descriptor=descriptor)
 
 
@@ -655,7 +610,6 @@ def make_gauss_system(i_max, domain=None):
         weight_tail_bound=_gauss_weight_tail_bound(i_max, domain),
         image_tail_sup=_gauss_image_tail_sup(i_max, domain),
         power_tail=_gauss_power_tail(i_max, domain),
-        note="closed-form tail: shifted power-sum zeta values",
     )
     descriptor = {
         "family": "gauss",
@@ -878,5 +832,5 @@ def system_from_descriptor(desc):
             raise DescriptorError(f"{where}: missing coefficient {missing}") from None
         branches.append(br)
         weights.append(_parse_weight(entry.get("weight", 1.0), br, where))
-    return MapWeightSystem(branches, weights, domain, Finite(len(branches)),
-                           label=family, descriptor=desc)
+    return MapWeightSystem(branches, weights, domain, label=family,
+                           descriptor=desc)

@@ -155,6 +155,16 @@ def test_fractional_integer_config_value_is_usage_error(tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", [5, True, []], ids=["int", "bool", "list"])
+def test_non_string_out_dir_is_usage_error(tmp_path, capsys, value):
+    # refused before any work, not by a traceback after stdout is written
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG, out_dir=value))
+    assert main(["spectrum", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out_dir must be a string")
+    assert captured.out == ""
+
+
 def test_integral_float_config_value_is_accepted(tmp_path):
     cfg = write_cfg(tmp_path, dict(AFFINE_CFG, matrix_size=12.0))
     args = cli.build_parser().parse_args(["spectrum", "--config", cfg])
@@ -355,6 +365,15 @@ def test_boolean_profile_value_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"profile": {"W": 1.0, "r": 0.5, "d": True}})
     assert main(["bounds", "--config", cfg]) == 2
     assert "bad bound profile" in capsys.readouterr().err
+    # a fractional d used to run silently at d = 1; an integral one runs
+    cfg = write_cfg(tmp_path, {"profile": {"W": 1.0, "r": 0.5, "d": 1.5}})
+    assert main(["bounds", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "bad bound profile: d must be an integer" in captured.err
+    assert captured.out == ""
+    cfg = write_cfg(tmp_path, {"profile": {"W": 1.0, "r": 0.5, "d": 2.0}})
+    assert main(["bounds", "--config", cfg]) == 0
+    assert '"d": 2}' in capsys.readouterr().out
 
 
 def test_bounds_crossover_flag(tmp_path, capsys):

@@ -31,11 +31,11 @@ from transferspec import (
     trace_table,
 )
 from transferspec import determinant
+from transferspec._format import json_g17
 from transferspec.determinant import TRUST_CAP, _aberth_roots
 from transferspec.dynamics import (
     _fold_moebius,
     _fold_words,
-    letters_block,
     word_letters,
 )
 from transferspec.systems import AnalyticMap
@@ -258,7 +258,7 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     a, b, c, e = sys_._mob
     dets = np.abs(a * e - b * c)
     lo, hi = 1001, 2000
-    every = letters_block(3, n, lo, hi)
+    every = word_letters(3, n, np.arange(lo, hi))
     words, period, (_, _, got_c, got_e), (got_det,) = _fold_words(
         3, n, lo, hi, sys_._mob, (dets,))
     assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
@@ -743,17 +743,17 @@ def test_aberth_agrees_with_companion_solver():
 # export
 
 
-def test_export_determinant_json(tmp_path, affine_half):
+def test_export_determinant_json(affine_half):
     tt = trace_table(affine_half, 6)
     series = determinant_coefficients(tt)
-    path = tmp_path / "det.json"
-    out = export_determinant_json(tt, series, path)
+    out = export_determinant_json(tt, series)
     assert set(out) == {"orders", "traces_re", "traces_im", "coeffs_re",
                         "coeffs_im", "trust_radius"}
     assert out["orders"] == [1, 2, 3, 4, 5, 6]
     assert len(out["coeffs_re"]) == 7
+    # written as the CLI writes determinant-<id>.json
     import json
-    on_disk = json.loads(path.read_text())
+    on_disk = json.loads(json_g17(out) + "\n")
     assert on_disk == out
     # 17 significant digits round-trip exactly
     assert on_disk["traces_re"][0] == tt.values[0].real

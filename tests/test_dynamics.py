@@ -32,7 +32,6 @@ from transferspec.dynamics import (
     _fold_words,
     batch_fixed_points,
     batch_orbit,
-    letters_block,
     word_letters,
 )
 from transferspec.systems import AnalyticMap
@@ -166,19 +165,23 @@ def test_fixed_point_bad_tol():
 # batched word machinery
 
 
-def test_letters_block_lexicographic():
-    rows = letters_block(3, 2, 0, 9)
+def test_word_letters_lexicographic():
+    rows = word_letters(3, 2, np.arange(9))
     want = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
     assert [tuple(r) for r in rows] == want
-    # windowing agrees with the full enumeration
-    assert np.array_equal(letters_block(3, 2, 4, 7), rows[4:7])
+    # windowing agrees with the full enumeration, and so do scattered rows
+    assert np.array_equal(word_letters(3, 2, np.arange(4, 7)), rows[4:7])
+    idx = np.array([0, 5, 17, 80])
+    assert np.array_equal(word_letters(3, 4, idx),
+                          word_letters(3, 4, np.arange(81))[idx])
 
 
 def _least_rotations(size, n, lo, hi):
     """(index, period) of each word lo..hi-1 that is the least of its
     rotations, by brute force over the rotations."""
     out = []
-    for idx, row in enumerate(letters_block(size, n, lo, hi), start=lo):
+    for idx, row in enumerate(word_letters(size, n, np.arange(lo, hi)),
+                              start=lo):
         word = tuple(row.tolist())
         rotations = {word[k:] + word[:k] for k in range(n)}
         if word == min(rotations):
@@ -214,12 +217,6 @@ def test_necklace_representatives(size, n):
     assert periods == total
 
 
-def test_word_letters_match_letters_block():
-    idx = np.array([0, 5, 17, 80])
-    assert np.array_equal(word_letters(3, 4, idx),
-                          letters_block(3, 4, 0, 81)[idx])
-
-
 def test_batch_orbit_marks_first_point_outside():
     # z -> -0.9 z + 0.1995 and z -> -0.9 z on the unit disc: from the fixed
     # point -0.945 of (1, 2), the orbit's next point 1.05 is outside, and it
@@ -235,8 +232,31 @@ def test_batch_orbit_marks_first_point_outside():
                zip(plain, batch_orbit(sys_, letters, z)))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_iterate_escapes_on_the_first_sweep(monkeypatch):
+    # NaN is not inside the ball: the first word through the NaN branch is
+    # refused on the first sweep, not iterated to the sweep limit
+    sys_ = make_system([make_affine(0.5, 0.1),
+                        AnalyticMap(lambda z: z * np.nan, name="nan")],
+                       [make_const(1.0), make_const(1.0)],
+                       make_ball(0.0, 1.0))
+    columns = []
+    apply_letters = sys_.apply_letters
+
+    def counting(col, *args):
+        columns.append(col)
+        return apply_letters(col, *args)
+
+    monkeypatch.setattr(sys_, "apply_letters", counting)
+    with pytest.raises(EscapedDomain, match=r"word \(1, 1, 2\) maps"):
+        batch_fixed_points(sys_, word_letters(2, 3, np.arange(8)))
+    assert len(columns) == 3        # one sweep over the three letters
+    with pytest.raises(EscapedDomain, match=r"word \(2,\) maps"):
+        trace_table(sys_, 3)
+
+
 def test_batch_fixed_points_match_scalar(gauss4):
-    letters = letters_block(4, 2, 0, 16)
+    letters = word_letters(4, 2, np.arange(16))
     zs = batch_fixed_points(gauss4, letters, tol=1e-13)
     for row, z in zip(letters, zs):
         word = tuple(int(l) for l in row)
@@ -263,7 +283,7 @@ def test_batch_orbit_bits_do_not_depend_on_batch_size():
     # reaches 16,384 entries, and complex products round differently in
     # the two orders; per-word results must not see the batch size
     sys_ = system_from_descriptor(COMPLEX_DESC)
-    letters = letters_block(2, 15, 5_000, 5_000 + 16_385)
+    letters = word_letters(2, 15, np.arange(5_000, 5_000 + 16_385))
     z = 0.1 + 0.05j + 0.6 * np.exp(1j * np.arange(16_385))
     big = batch_orbit(sys_, letters, z)
     small = batch_orbit(sys_, letters[:16_383], z[:16_383])
@@ -272,7 +292,7 @@ def test_batch_orbit_bits_do_not_depend_on_batch_size():
 
 
 def test_batch_orbit_matches_compose(gauss4):
-    letters = letters_block(4, 3, 0, 64)
+    letters = word_letters(4, 3, np.arange(64))
     z0 = 0.9 + 0.3j
     wgt, mult, end = batch_orbit(gauss4, letters, np.full(64, z0))
     for k in (0, 17, 40, 63):

@@ -1,5 +1,6 @@
 """Domain, map builders, family constructors, validation, descriptors."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -133,6 +134,84 @@ def test_derivative_matches_central_differences(z):
     fd = (f(z + h) - f(z - h)) / (2 * h)
     d = f.derivative(z)
     assert abs(d - fd) <= 1e-6 * max(1.0, abs(d))
+
+
+def _counted(fn, calls):
+    def counting(z):
+        calls.append(np.shape(z))
+        return fn(z)
+    return counting
+
+
+_ZS = 0.3 - 0.2j + 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 12))
+_A = np.array([[0.4, 0.1], [-0.2, 0.3]])
+_PTS = np.stack([0.5 * _ZS[:5], 0.4j * _ZS[5:10]])
+
+
+@pytest.mark.parametrize("zs", [_ZS, _ZS.reshape(3, 4)], ids=["1d", "2d"])
+def test_batch_rule_dim1(zs):
+    # a broadcasting fn and its dual-number derivative: one call each
+    calls = []
+    f = AnalyticMap(_counted(lambda z: z * z + 0.5 * z, calls))
+    assert np.array_equal(f(zs), zs * zs + 0.5 * zs) and len(calls) == 1
+    assert np.array_equal(f.derivative(zs), 2.0 * zs + 0.5)
+    assert len(calls) == 2
+    # a closed-form derivative that broadcasts is called once, fn not at all
+    calls, dcalls = [], []
+    f = AnalyticMap(_counted(lambda z: z * z, calls),
+                    _counted(lambda z: 2.0 * z, dcalls))
+    assert np.array_equal(f.derivative(zs), 2.0 * zs)
+    assert (len(calls), len(dcalls)) == (0, 1)
+    # cmath takes one number: one call per element after the batch fails
+    calls, dcalls = [], []
+    f = AnalyticMap(_counted(cmath.exp, calls), _counted(cmath.exp, dcalls))
+    want = np.array([cmath.exp(z) for z in zs.ravel()]).reshape(zs.shape)
+    assert np.array_equal(f(zs), want) and np.array_equal(f.derivative(zs), want)
+    assert calls.count(()) == dcalls.count(()) == zs.size
+    # one number for a batch is a constant map
+    calls = []
+    f = AnalyticMap(_counted(lambda z: 2.0 - 1.0j, calls))
+    assert np.array_equal(f(zs), np.full(zs.shape, 2.0 - 1.0j))
+    assert len(calls) == 1
+    del calls[:]
+    assert np.array_equal(f.derivative(zs), np.zeros(zs.shape))
+    assert len(calls) <= 1 + zs.size    # the batch, at most once per point
+
+
+def _columns(method, z):
+    """method on each column of z, stacked along the last axis."""
+    return np.moveaxis(np.array([method(z[:, j]) for j in range(z.shape[1])],
+                                dtype=complex), 0, -1)
+
+
+def test_batch_rule_dim2():
+    calls, dcalls = [], []
+    bcast = AnalyticMap(_counted(
+        lambda z: [0.5 * z[0] + 0.1, 0.4 * z[1] - 0.2 * z[0] * z[1]], calls),
+        dim=2)
+    affine = AnalyticMap(
+        _counted(lambda z: _A @ np.asarray(z) + [0.1, 0.2], calls),
+        _counted(lambda z: _A, dcalls), dim=2)
+    m = _PTS.shape[1]
+    # map, points, calls for the images, calls for the Jacobians
+    cases = [
+        (bcast, _PTS, 1, 1),            # broadcasting: one call each
+        (bcast, _PTS[:, :2], 2, 2),     # m = dim: column by column
+        # A @ z + v fails on the batch, then goes column by column; its
+        # closed-form Jacobian is one constant matrix
+        (affine, _PTS, 1 + m, 1),
+    ]
+    for f, z, n_value, n_jac in cases:
+        del calls[:], dcalls[:]
+        got = f(z)
+        assert len(calls) == n_value
+        jac = f.derivative(z)
+        assert len(calls) + len(dcalls) == n_value + n_jac
+        assert np.array_equal(got, _columns(f, z))
+        assert jac.shape == (2, 2, z.shape[1])
+        assert np.array_equal(jac, _columns(f.derivative, z))
+    assert np.array_equal(affine.derivative(_PTS),
+                          np.repeat(_A[..., None], m, axis=2))
 
 
 # ---------------------------------------------------------------------------

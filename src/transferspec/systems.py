@@ -116,9 +116,11 @@ class AnalyticMap:
     batch follow one rule. fn (or the derivative rule) is called on the
     whole batch, and the result is kept when it holds one result per point:
     the batch's shape in dim 1, and (dim, m) images, (m,) weights or
-    (dim, dim, m) Jacobians in dim >= 2. A result of one point's shape, such
-    as one number in dim 1, is a constant map and holds at every point.
-    Otherwise the rule is called one point at a time: each element in dim 1,
+    (dim, dim, m) Jacobians in dim >= 2. One number in dim 1, or one
+    (dim, dim) Jacobian in dim >= 2, is a constant map and holds at every
+    point; a dim >= 2 image or weight of one point's shape is not, since a
+    per-point fn that reduces over its argument (np.prod(z)) returns one
+    for the whole batch. Otherwise the rule is called one point at a time: each element in dim 1,
     each column in dim >= 2. With m = dim the batch always goes column by
     column, because there a map that adds a length-dim vector broadcasts
     without error, but along the wrong axis. Anything that is not a batch,
@@ -138,33 +140,34 @@ class AnalyticMap:
         return f"AnalyticMap({self.name or '<anonymous>'}, dim={self.dim})"
 
     def __call__(self, z):
-        return self._apply(self._fn, z, ((self.dim,), ()))
+        return self._apply(self._fn, z, ((self.dim,), ()), None)
 
     def derivative(self, z):
         """Derivative at z: a complex scalar for dim 1, else a dim x dim
         matrix, or a (dim, dim, m) stack at the m columns of a (dim, m)
         array."""
-        out = self._apply(self._deriv, z, ((self.dim, self.dim),))
+        jac = (self.dim, self.dim)
+        out = self._apply(self._deriv, z, (jac,), jac)
         return out if self.dim == 1 else np.asarray(out, dtype=complex)
 
-    def _apply(self, rule, z, heads):
-        """rule at z by the rule above. heads are the shapes one point's
-        result may have in dim >= 2; in dim 1 it is a number."""
+    def _apply(self, rule, z, heads, const):
+        """rule at z by the rule above. heads are the shapes of one point's
+        result in dim >= 2, const the one a whole batch may return for a
+        constant map (or None); dim 1 sets both to a number."""
         if not (isinstance(z, np.ndarray) and (self.dim == 1 or z.ndim == 2)):
             return rule(z)
         if self.dim == 1:
-            heads, points, each = ((),), z.shape, z.flat
+            heads, const, points, each = ((),), (), z.shape, z.flat
         else:
             points, each = z.shape[1:], z.T
         if self.dim == 1 or z.shape[1] != self.dim:
             try:
                 out = np.asarray(rule(z), dtype=complex)
-                for head in heads:
-                    if out.shape == head + points:
-                        return out
-                    if out.shape == head:       # a constant map
-                        out = out.reshape(head + (1,) * len(points))
-                        return np.broadcast_to(out, head + points).copy()
+                if any(out.shape == head + points for head in heads):
+                    return out
+                if out.shape == const:          # a constant map
+                    out = out.reshape(const + (1,) * len(points))
+                    return np.broadcast_to(out, const + points).copy()
             except (TypeError, ValueError):
                 pass
         vals = np.array([rule(p) for p in each], dtype=complex)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -112,7 +113,7 @@ def _resolve_config(args):
             continue
         flag = getattr(args, f.name, None)
         value = flag if flag is not None else data.get(f.name)
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise DescriptorError(f"bad config value for {f.name}: expected "
                                   f"a number, got {value!r}")
         if value is not None:
@@ -154,6 +155,8 @@ def _emit(cfg, filename, text):
 def cmd_validate(cfg, args):
     sys_ = _require_system(cfg)
     report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
+    if not (math.isfinite(report.image_sup) and math.isfinite(report.W)):
+        raise NotEnclosed(f"the sups are not finite: {report.note}")
     try:
         enc = _enclosing_ratio(report, sys_.domain.radius)
     except NotEnclosed:
@@ -235,7 +238,7 @@ def cmd_determinant(cfg, args):
 
 
 def _profile_from_dict(raw):
-    if any(isinstance(raw.get(k), bool) for k in ("W", "r", "d")):
+    if any(isinstance(raw.get(k), (bool, str)) for k in ("W", "r", "d")):
         raise DescriptorError("bad bound profile: W, r and d must be numbers")
     d = raw.get("d", 1)
     if isinstance(d, float) and not d.is_integer():

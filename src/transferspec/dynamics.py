@@ -30,7 +30,7 @@ from .errors import (
     NotContracting,
     NotEnclosed,
 )
-from .systems import _letter_groups, validate_system
+from .systems import _derivative_sups, _letter_groups, validate_system
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
@@ -348,12 +348,11 @@ def _exact_contraction(sys_, n, total, threads):
         lo, hi = rng
         _, _, (_, _, C, E), (det,) = _fold_words(
             sys_.n_letters, n, lo, hi, sys_._mob, (dets,))
-        gap = np.abs(C * c + E) - np.abs(C) * rho
+        vals, gap = _derivative_sups(det, C, E, sys_.domain)
         on_circle = gap == 0.0
         if on_circle.any():
             r = int(np.argmax(on_circle))
             return math.inf, lo + r, C[r], E[r]
-        vals = det / (gap * gap)
         r = int(np.argmax(vals))
         return float(vals[r]), lo + r, C[r], E[r]
 
@@ -406,9 +405,10 @@ def _sampled_contraction(sys_, n, grid, total, threads):
 
 
 def enclosing_radius(sys_, grid=1024):
-    """Smallest sampled ratio r with all branch images inside the concentric
-    ball of radius r * radius; includes truncated-tail branches through the
-    alphabet's image_tail_sup."""
+    """Smallest ratio r with all branch images inside the concentric ball
+    of radius r * radius, read off validate_system: in closed form for
+    Moebius systems, else sampled on grid boundary points. Truncated-tail
+    branches enter through the alphabet's image_tail_sup."""
     return _enclosing_ratio(validate_system(sys_, grid=grid),
                             sys_.domain.radius)
 
@@ -421,5 +421,5 @@ def _enclosing_ratio(report, radius):
     if r >= 1.0:
         raise NotEnclosed(
             f"branch images reach {reach:.6g} >= radius {radius:.6g} "
-            f"(sampled r = {r:.6g})")
+            f"(r = {r:.6g})")
     return r

@@ -7,8 +7,9 @@ functions by (L f)(z) = sum_i w_i(z) * f(T_i(z)).
 
 This module provides the domain/map/system types, builders for the
 parametric families (Moebius, affine, and the continued-fraction system
-with branches 1/(i+z) and weights 1/(i+z)^2), boundary-grid validation of
-the strict-containment geometry, and JSON descriptor parsing.
+with branches 1/(i+z) and weights 1/(i+z)^2), validation of the
+strict-containment geometry (closed form for Moebius systems, a boundary
+grid otherwise), and JSON descriptor parsing.
 
 Countably infinite families are represented by truncation at an index
 i_max plus analytic tail data supplied by the family constructor: a bound
@@ -445,7 +446,8 @@ def _gauss_image_tail_sup(i_max, domain):
     Branch i maps the ball onto a disc computable in closed form; a probe
     block of branches is evaluated exactly and the remaining branches are
     covered by |center| + max modulus of their image discs, which decreases
-    in i.
+    in i, or for a real center by the real interval (0, b] that holds the
+    diameters of those discs.
     """
     c, rho = domain.center, domain.radius
     block = np.arange(i_max + 1, i_max + 4001)
@@ -454,7 +456,14 @@ def _gauss_image_tail_sup(i_max, domain):
     img_center = np.conj(q) / denom
     img_radius = rho / np.abs(denom)
     probe = float(np.max(np.abs(img_center - c) + img_radius))
-    far = abs(c) + 1.0 / (i_max + 4001 - abs(c) - rho)
+    start = i_max + 4001 + c.real - rho
+    if c.imag == 0.0 and start > 0:
+        # each far disc is symmetric about the real axis, with its real
+        # diameter inside (0, b]: no point of it is farther from c than 0 or b
+        b = 1.0 / start
+        far = max(abs(c.real), abs(b - c.real))
+    else:
+        far = abs(c) + 1.0 / (i_max + 4001 - abs(c) - rho)
     return max(probe, far)
 
 
@@ -630,8 +639,11 @@ def make_gauss_system(i_max, domain=None):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Result of boundary-grid validation. All sups are sampled estimates
-    plus an adjacent-sample safety term; they are not rigorous enclosures."""
+    """Result of validation. For a system of Moebius branches with +-T' or
+    constant weights the sups come from closed forms, rounded outward, and
+    grid_used is 0; note says whether weight_sup is the exact sup or an
+    upper bound. For any other system the sups are sampled on a boundary
+    grid, with an adjacent-sample safety term, and are not rigorous."""
 
     images_compactly_contained: bool
     image_sup: float
@@ -677,24 +689,117 @@ def _branch_values_on_grid(sys_, zs):
     return images, q
 
 
-def validate_system(sys_, margin=0.1, grid=1024):
-    """Boundary-grid check of strict containment, plus the weight sup W.
+def _derivative_sups(det, C, E, ball):
+    """sup over the ball's boundary circle of det / |C z + E|^2, for arrays
+    of Moebius coefficients C, E and det = |AE - BC|, and the gap
+    |C c + E| - |C| rho: the least |C z + E| on the circle, signed, so it
+    is negative when the pole -E/C lies inside the ball. The sup is taken
+    at the circle point nearest the pole; a pole on the circle gives inf."""
+    gap = np.abs(C * ball.center + E) - np.abs(C) * ball.radius
+    with np.errstate(divide="ignore", over="ignore"):
+        return det / (gap * gap), gap
 
-    Supremum sampling runs on the boundary circle (the maximum principle
-    puts the sup of any |analytic| there) and the grid doubles until both
+
+# outward rounding of the closed-form sups: a few roundings of each formula
+_ROUND_OUT = 1.0 + 4.0 * math.ulp(1.0)
+
+
+def validate_system(sys_, margin=0.1, grid=1024):
+    """Strict containment of the branch images, plus the weight sup W.
+
+    A dim-1 system of Moebius branches with +-T' or constant weights is
+    validated in closed form (_exact_sups), and grid is not used. Any other
+    system is sampled on the boundary circle (the maximum principle puts
+    the sup of any |analytic| there) and the grid doubles until both
     monitored sups change by less than 1e-10. The safety terms are half the
     largest adjacent-sample jump, a sampled stand-in for a Lipschitz bound.
-    The report carries failures; this function raises only for unusable
-    arguments.
+    Either way the alphabet's tail data are added. The report carries
+    failures; this function raises only for unusable arguments.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError(f"margin must be in (0,1), got {margin!r}")
     if sys_.dim != 1:
         raise DimensionUnsupported(
-            "boundary-grid validation is implemented for dim 1 only")
+            "validation is implemented for dim 1 only")
 
+    tail_sup = 0.0
+    tail_bound = 0.0
+    if isinstance(sys_.alphabet, CountableTruncated):
+        tail_sup = float(sys_.alphabet.image_tail_sup)
+        tail_bound = float(sys_.alphabet.weight_tail_bound)
+    if sys_._mob is not None and sys_._wfactors is not None:
+        img_sup, w_sup, worst, note = _exact_sups(sys_)
+        image_safety = weight_safety = 0.0
+        g = 0
+    else:
+        img_sup, w_sup, worst, image_safety, weight_safety, g = (
+            _sampled_sups(sys_, grid))
+        note = ValidationReport.note
+
+    limit = (1.0 - margin) * sys_.domain.radius
+    contained = (img_sup + image_safety <= limit) and (tail_sup <= limit)
+    return ValidationReport(
+        images_compactly_contained=bool(contained),
+        image_sup=img_sup,
+        image_tail_sup=tail_sup,
+        image_safety=image_safety,
+        weight_sup=w_sup,
+        weight_safety=weight_safety,
+        weight_tail_bound=tail_bound,
+        W=w_sup + tail_bound,
+        margin=float(margin),
+        grid_used=g,
+        worst_branch=worst,
+        note=note,
+    )
+
+
+def _exact_sups(sys_):
+    """Image sup, weight sup, worst branch and note of a Moebius system.
+
+    Branch i maps the closed ball onto the disc of center
+    ((a c + b) conj(p) - a conj(c_i) rho^2) / D and radius |det| rho / D,
+    with p = c_i c + e, det = a e - b c_i and D = |p|^2 - |c_i|^2 rho^2
+    = gap (|p| + |c_i| rho) (_derivative_sups), so its reach from the
+    center c is |center_i - c| + radius_i. A weight +-T' has sup
+    |det| / gap^2, and a constant its modulus. The weight sup is the sum of
+    these sups: the exact sup of the sum when every pole of a non-constant
+    weight lies in one direction from c, since each term then peaks at the
+    same circle point, and an upper bound otherwise. Both sups are rounded
+    outward by _ROUND_OUT. A pole on or inside the closed ball makes both
+    sups infinite.
+    """
+    a, b, cc, e = sys_._mob
+    c, rho = sys_.domain.center, sys_.domain.radius
+    det = np.abs(a * e - b * cc)
+    dsup, gap = _derivative_sups(det, cc, e, sys_.domain)
+    if (gap <= 0.0).any():
+        worst = int(np.argmax(gap <= 0.0)) + 1
+        return (math.inf, math.inf, worst,
+                f"pole of branch {worst} on or inside the closed ball")
+    p = cc * c + e
+    denom = gap * (np.abs(p) + np.abs(cc) * rho)
+    centers = ((a * c + b) * np.conj(p) - a * np.conj(cc) * (rho * rho)) / denom
+    reach = np.abs(centers - c) + det * rho / denom
+    worst = int(np.argmax(reach))
+    factor, uses_deriv = sys_._wfactors
+    terms = np.abs(factor) * np.where(uses_deriv, dsup, 1.0)
+    # each non-constant weight peaks at the circle point toward its pole,
+    # in the direction of -p / c_i, that is of -p conj(c_i)
+    toward = (p * np.conj(cc))[uses_deriv & (cc != 0)]
+    turn = toward * np.conj(toward[:1])
+    aligned = bool(np.all(turn.imag == 0.0) and np.all(turn.real > 0.0))
+    note = ("exact (Moebius closed form)" if aligned
+            else "upper bound (Moebius closed form)")
+    return (float(reach[worst]) * _ROUND_OUT,
+            math.fsum(terms.tolist()) * _ROUND_OUT, worst + 1, note)
+
+
+def _sampled_sups(sys_, grid):
+    """Image sup, weight sup, worst branch, both safety terms and the final
+    grid size, sampled on a doubling boundary grid."""
     ball = sys_.domain
-    c, rho = ball.center, ball.radius
+    c = ball.center
     g = max(int(grid), 16)
     prev = None
     while True:
@@ -719,28 +824,7 @@ def validate_system(sys_, margin=0.1, grid=1024):
         np.concatenate([dist, dist[:, :1]], axis=1), axis=1))))
     weight_safety = 0.5 * float(np.max(np.abs(np.diff(
         np.concatenate([wsum, wsum[:1]])))))
-
-    tail_sup = 0.0
-    tail_bound = 0.0
-    if isinstance(sys_.alphabet, CountableTruncated):
-        tail_sup = float(sys_.alphabet.image_tail_sup)
-        tail_bound = float(sys_.alphabet.weight_tail_bound)
-
-    limit = (1.0 - margin) * rho
-    contained = (img_sup + image_safety <= limit) and (tail_sup <= limit)
-    return ValidationReport(
-        images_compactly_contained=bool(contained),
-        image_sup=img_sup,
-        image_tail_sup=tail_sup,
-        image_safety=image_safety,
-        weight_sup=w_sup,
-        weight_safety=weight_safety,
-        weight_tail_bound=tail_bound,
-        W=w_sup + tail_bound,
-        margin=float(margin),
-        grid_used=g,
-        worst_branch=worst,
-    )
+    return img_sup, w_sup, worst, image_safety, weight_safety, g
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +832,14 @@ def validate_system(sys_, margin=0.1, grid=1024):
 
 
 def _is_number(value):
-    """A JSON number: an int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: an int or float, but not a bool, NaN, an
+    infinity or an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _cnum(value, where):
@@ -758,7 +848,8 @@ def _cnum(value, where):
     if (isinstance(value, (list, tuple)) and len(value) == 2
             and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
-    raise DescriptorError(f"{where}: expected a number or [re, im], got {value!r}")
+    raise DescriptorError(
+        f"{where}: expected a finite number or [re, im], got {value!r}")
 
 
 def _parse_domain(d):

@@ -43,6 +43,31 @@ def moebius_image_disc(a, b, c, e, center, radius):
     return a / c + scale * inv_center, abs(scale) * inv_radius
 
 
+def circle_max_mp(fn, center, radius, points=512, dps=30):
+    """max of the real function fn over the circle |z - center| = radius,
+    in mpmath arithmetic (fn gets an mpc point): the best of points
+    equispaced samples, refined by golden-section search between its two
+    neighbours."""
+    with mp.workdps(dps):
+        cm, rm = mp.mpc(center), mp.mpf(radius)
+
+        def f(t):
+            return fn(cm + rm * mp.expj(t))
+
+        step = 2 * mp.pi / points
+        vals = [f(k * step) for k in range(points)]
+        k = max(range(points), key=vals.__getitem__)
+        lo, hi = (k - 1) * step, (k + 1) * step
+        g = (mp.sqrt(5) - 1) / 2
+        for _ in range(90):
+            x, y = hi - g * (hi - lo), lo + g * (hi - lo)
+            if f(x) < f(y):
+                lo = x
+            else:
+                hi = y
+        return float(max(vals[k], f((lo + hi) / 2)))
+
+
 # ---------------------------------------------------------------------------
 # one word at a time: the per-word reference for the batched word path
 

@@ -101,6 +101,56 @@ def test_validate_pole_on_circle_is_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_validate_pole_inside_disc_is_error(tmp_path, capsys):
+    # the pole -0.5 of 1/(z + 0.5) lies inside |z - 1| < 2: the closed-form
+    # sups are infinite, which no output file can hold, so validate and
+    # bounds stop with an error naming the branch
+    cfg = write_cfg(tmp_path, {
+        "system": {"family": "moebius_list",
+                   "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 0.5,
+                               "weight": "neg_derivative"}],
+                   "domain": {"center": [1.0, 0.0], "radius": 2.0,
+                              "dim": 1}},
+        "contraction_order": 1,
+    })
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "pole of branch 1 on or inside the closed ball" in captured.err
+    assert main(["bounds", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: branch images reach inf")
+
+
+_NON_FINITE = [("b", "NaN"), ("b", "Infinity"), ("weight", "-Infinity"),
+               ("center", "[NaN, 0.0]"), ("radius", "Infinity"),
+               ("a", "1e400")]
+
+
+@pytest.mark.parametrize("where, text", _NON_FINITE,
+                         ids=[f"{w}={t}" for w, t in _NON_FINITE])
+@pytest.mark.parametrize("command",
+                         ["validate", "spectrum", "determinant", "bounds"])
+def test_non_finite_descriptor_number_is_usage_error(tmp_path, capsys,
+                                                     where, text, command):
+    # Python's json reads NaN, Infinity and -Infinity, and 1e400 overflows
+    # to inf; each used to end in a traceback
+    entry = {"a": "0.5", "b": "0.3", "weight": "1.0"}
+    domain = {"center": "[0.6, 0.0]", "radius": "1.0", "dim": "1"}
+    (entry if where in entry else domain)[where] = text
+    params = ", ".join(f'"{k}": {v}' for k, v in entry.items())
+    dom = ", ".join(f'"{k}": {v}' for k, v in domain.items())
+    path = tmp_path / "cfg.json"
+    path.write_text('{"system": {"family": "affine_list", "params": [{'
+                    + params + '}], "domain": {' + dom + '}}}')
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
 def test_missing_domain_is_usage_error(tmp_path, capsys):
     broken = {"system": {"family": "affine_list",
                          "params": [{"a": 0.5, "b": 0.3}]}}
@@ -128,8 +178,8 @@ _NUMERIC_KEYS = ("matrix_size", "trace_order", "word_budget",
 
 
 @pytest.mark.parametrize("key", _NUMERIC_KEYS)
-@pytest.mark.parametrize("value", ["x", [1], True],
-                         ids=["str", "list", "bool"])
+@pytest.mark.parametrize("value", ["x", [1], True, "12"],
+                         ids=["str", "list", "bool", "numeric-str"])
 def test_malformed_numeric_config_value_is_usage_error(tmp_path, capsys,
                                                        key, value):
     cfg = write_cfg(tmp_path, dict(AFFINE_CFG, **{key: value}))
@@ -376,6 +426,18 @@ def test_boolean_profile_value_is_usage_error(tmp_path, capsys):
     assert '"d": 2}' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key, value", [("W", "1.5"), ("r", "0.5"),
+                                        ("d", "2")])
+def test_string_profile_value_is_usage_error(tmp_path, capsys, key, value):
+    # "d": "2" used to run at d = 2; a string is not a JSON number
+    profile = dict({"W": 1.0, "r": 0.5, "d": 1}, **{key: value})
+    cfg = write_cfg(tmp_path, {"profile": profile})
+    assert main(["bounds", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "bad bound profile: W, r and d must be numbers" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_crossover_flag(tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["bounds", "--crossover", "0.9", "1",
@@ -429,6 +491,28 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
         outs.append(proc.stdout)
     assert outs[0].count(b"\n") == 257       # header and 256 rows
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("spectrum", GAUSS_PRESET_CFG), ("spectrum", GAUSS4_CFG),
+    ("determinant", GAUSS4_CFG)], ids=["spectrum-gauss", "spectrum-gauss4",
+                                      "determinant-gauss4"])
+def test_spectrum_and_determinant_bytes_do_not_use_validation(
+        tmp_path, capsys, monkeypatch, command, payload):
+    # neither route reads a validation sup here (the Gauss preset's
+    # determinant does: its tail heuristic scales with W), so the closed
+    # forms and the sampler leave these bytes as they were
+    cfg = write_cfg(tmp_path, dict(payload, trace_order=6))
+    code = main([command, "--config", cfg])
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran")
+
+    monkeypatch.setattr(transferspec.systems, "_exact_sups", refuse)
+    monkeypatch.setattr(transferspec.systems, "_sampled_sups", refuse)
+    assert main([command, "--config", cfg]) == code
+    assert capsys.readouterr().out == first
 
 
 def _console_script_command():

@@ -434,17 +434,177 @@ def test_validate_gauss_weight_sup(gauss200):
 
 
 def test_validate_gauss_memory_peak():
-    # the 200 x 2048 final grid holds about 13 MB of images and weights;
-    # building the branch table by broadcasting keeps the traced peak of
-    # the whole grid-doubling loop well under 50 MB
-    sys_ = make_gauss_system(200)
+    # the Gauss preset is validated in closed form, so the sampler is
+    # measured on plain-callable copies of its 200 branches: the final
+    # 200 x 2048 grid holds about 23 MB of letters, points, images and
+    # weights, and freeing the coarser grid's tables before the finer grid
+    # is built keeps the traced peak of the doubling loop near 27 MB
+    # (about 33 MB when the 1024-point tables are still held)
+    branches = [AnalyticMap(lambda z, i=i: 1.0 / (i + z)) for i in range(1, 201)]
+    weights = [AnalyticMap(lambda z, i=i: 1.0 / ((i + z) * (i + z)))
+               for i in range(1, 201)]
+    sys_ = make_system(branches, weights, make_ball(1.0, 1.5))
     tracemalloc.start()
     try:
-        validate_system(sys_)
+        rep = validate_system(sys_)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert rep.grid_used == 2048
+    assert peak < 30e6
+
+
+def test_validate_gauss_exact_report(gauss200):
+    # closed forms, no grid: branch 1 reaches exactly 1 from the centre,
+    # every branch past i_max stays within 1 (the tail cover for a real
+    # centre), and W = sum_i 1/(i - 1/2)^2 + tail = pi^2/2, all rounded
+    # outward by a few ulps
+    rep = validate_system(gauss200)
+    eps = math.ulp(1.0)
+    assert rep.grid_used == 0
+    assert rep.image_safety == rep.weight_safety == 0.0
+    assert rep.note == "exact (Moebius closed form)"
+    assert rep.image_tail_sup == 1.0
+    assert 1.0 <= rep.image_sup <= 1.0 + 8 * eps
+    assert math.pi ** 2 / 2 <= rep.W <= math.pi ** 2 / 2 * (1 + 8 * eps)
+
+
+@pytest.mark.parametrize("center, radius, want", [
+    (1.0, 1.5, 1.0),            # disc A: the centre itself bounds the tail
+    (0.8, 1.2, 0.8),            # disc B
+    (0.0, 1.0, 1 / 200),        # centre 0: branch 201 reaches farthest
+    (1.0 + 0.25j, 1.5, None),   # complex centre: the |c| + b cover
+])
+def test_gauss_image_tail_sup_covers_far_branches(center, radius, want):
+    got = systems._gauss_image_tail_sup(200, make_ball(center, radius))
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-15)
+    # branches in and far past the probe block, in extended precision
+    reach = max(oracles.circle_max_mp(
+        lambda z, i=i: abs(1 / (i + z) - center), center, radius, points=64)
+        for i in (201, 4201, 5000, 10 ** 6))
+    assert reach <= got
+
+
+_EXACT_CASES = {
+    # (a, b, c, e, weight) per branch, domain centre and radius
+    "gauss4": ([(0.0, 1.0, 1.0, float(i), "neg_derivative")
+                for i in (1, 2, 3, 4)], 1.0, 1.5),
+    "real-mixed": ([(0.5, 0.1, 0.2, 1.0, "derivative"),
+                    (0.4, 0.0, 0.0, 1.0, "neg_derivative"),
+                    (0.3, -0.2, -0.25, 1.5, 0.7)], 0.0, 1.0),
+    "real-opposed": ([(0.5, 0.1, 0.2, 1.0, "derivative"),
+                      (0.3, -0.2, -0.25, 1.5, "neg_derivative")], 0.0, 1.0),
+    # poles of the T' weights at c - (1 + 1j) and c - 1.5 (1 + 1j)
+    "complex-aligned": ([(0.3 + 0.1j, 0.1 - 0.2j, 1.0, 0.75 + 0.5j,
+                          "derivative"),
+                         (0.2j, 0.5, 2.0, 2.5 + 2.0j, "neg_derivative"),
+                         (0.1, 0.3j, 0.5 - 0.5j, 2.0, 0.2 + 0.1j)],
+                        0.25 + 0.5j, 0.6),
+    "complex-opposed": ([(0.3 + 0.1j, 0.1 - 0.2j, 1.0, 0.75 + 0.5j,
+                          "derivative"),
+                         (0.2j, 0.5, 2.0, -1.2 + 0.3j, "neg_derivative")],
+                        0.25 + 0.5j, 0.6),
+}
+_ALIGNED = {"gauss4", "real-mixed", "complex-aligned"}
+
+
+def _json_number(x):
+    x = complex(x)
+    return [x.real, x.imag]
+
+
+def _exact_case(name):
+    params, center, radius = _EXACT_CASES[name]
+    desc = {"family": "moebius_list",
+            "params": [{"a": _json_number(a), "b": _json_number(b),
+                        "c": _json_number(c), "e": _json_number(e),
+                        "weight": w if isinstance(w, str) else _json_number(w)}
+                       for a, b, c, e, w in params],
+            "domain": {"center": _json_number(center), "radius": radius,
+                       "dim": 1}}
+    return system_from_descriptor(desc), params, center, radius
+
+
+def _mp_weight(a, b, c, e, w):
+    """|w| at an mpc point z: a constant, or +-(ae - bc)/(cz + e)^2."""
+    if not isinstance(w, str):
+        return lambda z: abs(oracles.mp.mpc(w))
+    a, b, c, e = (oracles.mp.mpc(x) for x in (a, b, c, e))
+    return lambda z: abs((a * e - b * c) / (c * z + e) ** 2)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+def test_validate_exact_matches_image_discs_and_mpmath(name):
+    sys_, params, center, radius = _exact_case(name)
+    rep = validate_system(sys_)
+    eps = math.ulp(1.0)
+    assert rep.grid_used == 0
+    assert rep.image_safety == rep.weight_safety == 0.0
+    # image sup: the largest reach of the closed-form image discs, and the
+    # dense extended-precision maximum of |T_i(z) - c| over the circle
+    reach = [abs(ic - center) + ir for ic, ir in (
+        oracles.moebius_image_disc(a, b, c, e, center, radius)
+        for a, b, c, e, _ in params)]
+    assert rep.image_sup == pytest.approx(max(reach), rel=1e-14)
+    assert rep.worst_branch == reach.index(max(reach)) + 1
+    mp = oracles.mp
+
+    def image_dist(z):
+        return max(abs((mp.mpc(a) * z + mp.mpc(b)) / (mp.mpc(c) * z + mp.mpc(e))
+                       - mp.mpc(center)) for a, b, c, e, _ in params)
+
+    dense = oracles.circle_max_mp(image_dist, center, radius)
+    assert dense <= rep.image_sup <= dense * (1 + 8 * eps)
+    # weight sup: the sum of the per-branch sups, which is the sup of the
+    # sum exactly when the T' weights' poles lie in one direction
+    weights = [_mp_weight(*p) for p in params]
+    each = [oracles.circle_max_mp(w, center, radius) for w in weights]
+    dense = oracles.circle_max_mp(lambda z: sum(w(z) for w in weights),
+                                  center, radius)
+    assert math.fsum(each) <= rep.weight_sup <= math.fsum(each) * (1 + 8 * eps)
+    assert rep.W == rep.weight_sup
+    if name in _ALIGNED:
+        assert rep.note == "exact (Moebius closed form)"
+        assert dense <= rep.weight_sup <= dense * (1 + 8 * eps)
+    else:
+        assert rep.note == "upper bound (Moebius closed form)"
+        assert rep.weight_sup > dense * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+def test_validate_sampled_copies_stay_below_exact(name):
+    # plain-callable copies of the same maps take the boundary sampler:
+    # a sample of |T_i - c| or sum |w_i| never exceeds the true sup, and
+    # where the poles are aligned the sampler's maximum lies on the grid
+    # ray through them, or next to it
+    sys_ = _exact_case(name)[0]
+    exact = validate_system(sys_)
+    sampled = validate_system(as_plain_maps(sys_))
+    assert sampled.grid_used > 0
+    assert sampled.note == "boundary grid sample, non-rigorous"
+    for field in ("image_sup", "weight_sup"):
+        got, want = getattr(sampled, field), getattr(exact, field)
+        assert got <= want + 4 * math.ulp(want)
+        if name in _ALIGNED:
+            assert got == pytest.approx(want, rel=1e-6)
+    assert sampled.worst_branch == exact.worst_branch
+
+
+@pytest.mark.parametrize("e, radius", [(0.5, 1.5), (0.5, 2.0)],
+                         ids=["on-circle", "inside"])
+def test_validate_pole_on_or_inside_ball_is_not_contained(e, radius):
+    # branch 2, 1/(z + e), has its pole -e on the circle |z - 1| = 1.5 or
+    # inside the disc |z - 1| < 2: the sups are infinite, and no division
+    # by zero warns (the suite turns RuntimeWarning into an error)
+    sys_ = make_system(
+        [make_affine(0.5, 0.0), make_moebius(0.0, 1.0, 1.0, e)],
+        [make_const(1.0), make_const(1.0)], make_ball(1.0, radius))
+    rep = validate_system(sys_)
+    assert not rep.images_compactly_contained
+    assert rep.image_sup == rep.weight_sup == rep.W == math.inf
+    assert rep.worst_branch == 2
+    assert rep.note == "pole of branch 2 on or inside the closed ball"
 
 
 def test_validate_monotone_in_margin(gauss200):

@@ -52,7 +52,13 @@ from .dynamics import (
 )
 from .errors import EscapedDomain, NotContracting, RootFindingFailure
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import CountableTruncated, _letter_groups, validate_system
+from .systems import (
+    CountableTruncated,
+    _letter_groups,
+    _moebius,
+    _weigh,
+    validate_system,
+)
 
 TRUST_CAP = 1e12
 _TRUST_SERIES_TOL = 1e-6
@@ -139,7 +145,7 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     def handle(item, necklaces):
         n, lo, hi = item
         words = (_moebius_words(sys_, n, lo, hi, necklaces)
-                 if sys_._mob is not None
+                 if sys_.coefficients is not None
                  else _iterated_words(sys_, n, lo, hi, tol, necklaces))
         if words is None:
             return (0.0, 0.0), (0.0, 0.0), 0.0, 0.0, False
@@ -233,14 +239,14 @@ def _iterated_words(sys_, n, lo, hi, tol, necklaces):
 
 
 def _moebius_words(sys_, n, lo, hi, necklaces):
-    """As _iterated_words, for an all-Moebius system in closed form. The
-    words are folded over their prefix tree. q = C z + E is the larger root
-    of q^2 - tr q + det, the multiplier is det / q^2, a +-T' weight is
-    (+-1)^k times it (k counts -T' letters), constant weights multiply,
-    other weights follow z's orbit. With necklaces, n - 1 Moebius steps walk
-    each orbit for the rotations' fixed points."""
-    size, mob, ball = sys_.n_letters, sys_._mob, sys_.domain
-    factor, deriv = sys_._wfactors or (np.ones(size), None)
+    """As _iterated_words, in closed form from the system's coefficients.
+    The words are folded over their prefix tree. q = C z + E is the larger
+    root of q^2 - tr q + det and the multiplier is det / q^2. Under a weight
+    law with one power p a word's weight is its factors' product times the
+    multiplier^p; other weights follow z's orbit. With necklaces, n - 1
+    Moebius steps walk each orbit for the rotations' fixed points."""
+    size, mob, ball = sys_.n_letters, tuple(sys_.coefficients.T), sys_.domain
+    factor, power = sys_.law or (np.ones(size), None)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
     words, period, (A, B, C, E), (det, wgt) = _fold_words(
@@ -259,14 +265,14 @@ def _moebius_words(sys_, n, lo, hi, necklaces):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.divide(qe, C, out=qe)
         np.divide(B, qa, out=z, where=pick)
-        end = (A * z + B) / (C * z + E)
+        end = _moebius((A, B, C, E), z)
         exits, y = _mark_exits(ball, z), z
         for k, col in enumerate(letters.T[:-1] if necklaces else (), 1):
             y = sys_.apply_letters(col, y)
             _mark_exits(ball, y, exits, k)
-    if deriv is not None and deriv.all():
-        wgt = wgt * mult
-    elif deriv is None or deriv.any():
+    if power is not None and (power == power[0]).all():
+        wgt = _weigh(wgt, power[0], mult, wgt)
+    else:
         wgt = batch_orbit(sys_, letters, z)[0]
     return letters, period, wgt, mult, z, end, exits
 

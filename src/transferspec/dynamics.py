@@ -311,19 +311,19 @@ def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
     When every branch of a dim-1 system is a Moebius map the sup is exact:
     the folded word (Az+B)/(Cz+E) has |T'| = |AE-BC| / |Cz+E|^2, which is
     largest at the circle point nearest the pole -E/C, where |Cz+E| equals
-    | |Cc+E| - |C| rho |. grid is not used there and the report's grid is 0;
-    a word whose pole lies on the circle raises NotContracting. Any other
-    dim-1 system is sampled on grid equispaced boundary points, which is not
-    rigorous. Either way BudgetExceeded is raised before any work beyond
-    word_budget words, and ties go to the first word in lexicographic order
-    at any thread count.
+    |Cc+E| - |C| rho; a pole on or inside the closed ball raises
+    NotContracting. grid is not used there and the report's grid is 0. Any
+    other dim-1 system is sampled on grid equispaced boundary points, which
+    is not rigorous. Either way BudgetExceeded is raised before any work
+    beyond word_budget words, and ties go to the first word in
+    lexicographic order at any thread count.
     """
     if sys_.dim != 1:
         raise DimensionUnsupported("contraction sampling needs dim 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     total = _word_count(sys_, n, word_budget)
-    if sys_._mob is not None:
+    if sys_.coefficients is not None:
         return _exact_contraction(sys_, n, total, threads)
     return _sampled_contraction(sys_, n, grid, total, threads)
 
@@ -340,19 +340,16 @@ def _first_max(results, start):
 
 def _exact_contraction(sys_, n, total, threads):
     c, rho = sys_.domain.center, sys_.domain.radius
+    mob = tuple(sys_.coefficients.T)
     # |det| of a word is the product of its letters' |det|: AE - BC of the
     # folded word cancels on long words
-    dets = np.abs(sys_._mob[0] * sys_._mob[3] - sys_._mob[1] * sys_._mob[2])
+    dets = np.abs(mob[0] * mob[3] - mob[1] * mob[2])
 
     def handle(rng):
         lo, hi = rng
         _, _, (_, _, C, E), (det,) = _fold_words(
-            sys_.n_letters, n, lo, hi, sys_._mob, (dets,))
-        vals, gap = _derivative_sups(det, C, E, sys_.domain)
-        on_circle = gap == 0.0
-        if on_circle.any():
-            r = int(np.argmax(on_circle))
-            return math.inf, lo + r, C[r], E[r]
+            sys_.n_letters, n, lo, hi, mob, (dets,))
+        vals, _ = _derivative_sups(det, C, E, sys_.domain)
         r = int(np.argmax(vals))
         return float(vals[r]), lo + r, C[r], E[r]
 
@@ -361,8 +358,8 @@ def _exact_contraction(sys_, n, total, threads):
     word = tuple(word_letters(sys_.n_letters, n, np.array([idx]))[0].tolist())
     if value == math.inf:
         raise NotContracting(
-            f"word {word} has its pole {complex(-E / C):.6g} on the boundary "
-            "circle, so sup |T_word'| there is infinite")
+            f"word {word} has its pole {complex(-E / C):.6g} on or inside "
+            "the closed ball, so sup |T_word'| on its boundary is infinite")
     point = c + rho
     if C != 0:
         off = -E / C - c

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -85,20 +85,11 @@ def make_ball(center, radius, dim=1):
     dim = int(dim)
     if isinstance(radius, bool) or not (float(radius) > 0.0):
         raise InvalidDomain(f"radius must be positive, got {radius!r}")
-    if dim == 1:
-        if isinstance(center, (list, tuple, np.ndarray)):
-            seq = list(np.asarray(center).ravel())
-            if len(seq) != 1:
-                raise InvalidDomain("center must have exactly 1 coordinate for dim 1")
-            center = seq[0]
-        center = complex(center)
-    else:
-        seq = [complex(c) for c in center]
-        if len(seq) != dim:
-            raise InvalidDomain(
-                f"center has {len(seq)} coordinates but dim is {dim}")
-        center = tuple(seq)
-    return BallDomain(center, float(radius), dim)
+    seq = [complex(x) for x in np.ravel(center)]
+    if len(seq) != dim:
+        raise InvalidDomain(
+            f"center has {len(seq)} coordinates but dim is {dim}")
+    return BallDomain(seq[0] if dim == 1 else tuple(seq), float(radius), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +112,12 @@ class AnalyticMap:
     (dim, dim) Jacobian in dim >= 2, is a constant map and holds at every
     point; a dim >= 2 image or weight of one point's shape is not, since a
     per-point fn that reduces over its argument (np.prod(z)) returns one
-    for the whole batch. Otherwise the rule is called one point at a time: each element in dim 1,
-    each column in dim >= 2. With m = dim the batch always goes column by
-    column, because there a map that adds a length-dim vector broadcasts
-    without error, but along the wrong axis. Anything that is not a batch,
-    such as a scalar or one point, is passed to the rule as it is.
+    for the whole batch. Otherwise the rule is called one point at a time:
+    each element in dim 1, each column in dim >= 2. With m = dim the batch
+    always goes column by column, because there a map that adds a
+    length-dim vector broadcasts without error, but along the wrong axis.
+    Anything that is not a batch, such as a scalar or one point, is passed
+    to the rule as it is.
     """
 
     def __init__(self, fn, deriv=None, dim=1, name=""):
@@ -175,23 +167,68 @@ class AnalyticMap:
         return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + points)
 
 
+def _moebius(coef, z, derivative=False, at=lambda col: col):
+    """(a z + b)/(c z + e), or its derivative (a e - b c)/(c z + e)^2, for
+    coef = (a, b, c, e): one map's numbers, or coefficient columns that
+    broadcast against z, or that at gathers where each is used, so few
+    gathered columns are alive at once. An array derivative is built in
+    place in c z + e, so no second table of its size is made."""
+    a, b, c, e = coef
+    q = at(c) * z + at(e)
+    if not derivative:
+        return (at(a) * z + at(b)) / q
+    if not isinstance(q, np.ndarray):
+        return (at(a) * at(e) - at(b) * at(c)) / (q * q)
+    np.multiply(q, q, out=q)
+    return np.divide(at(a) * at(e) - at(b) * at(c), q, out=q)
+
+
+def _weigh(factor, power, deriv, out):
+    """out = factor * (T')^power for law columns gathered or broadcast
+    against out, power 0 or 1, and T' values deriv (read only where power
+    is 1). out may be deriv or factor itself."""
+    ones = power == 1
+    if ones.any():
+        np.multiply(factor, deriv, out=out, where=ones)
+    np.copyto(out, factor, where=~ones)
+    return out
+
+
+class _Moebius(AnalyticMap):
+    """z -> (a z + b)/(c z + e), with its coefficients (a, b, c, e)."""
+
+    def __init__(self, coef):
+        self.coefficients = coef
+        super().__init__(partial(_moebius, coef),
+                         partial(_moebius, coef, derivative=True),
+                         name="moebius({},{},{},{})".format(*coef))
+
+
+class _Weight(AnalyticMap):
+    """The weight of law (factor, power): a constant for power 0, with the
+    batch rule of dim, or factor * T' for the Moebius map T of coefficients."""
+
+    def __init__(self, factor, power, coefficients=None, dim=1):
+        self.law = (factor, power)
+        if power == 0:
+            super().__init__(lambda z: factor, lambda z: 0.0 * z, dim=dim,
+                             name=f"const({factor})")
+        else:
+            super().__init__(lambda z: factor * _moebius(
+                coefficients, z, derivative=True), name=f"{factor}*T'")
+
+
+def _moebius_row(a, b, c, e):
+    """(a, b, c, e) as complex numbers; DegenerateMap when ae - bc = 0."""
+    a, b, c, e = row = tuple(map(complex, (a, b, c, e)))
+    if a * e - b * c == 0:
+        raise DegenerateMap(f"ae - bc = 0 for (a,b,c,e)=({a},{b},{c},{e})")
+    return row
+
+
 def make_moebius(a, b, c, e):
     """z -> (a z + b)/(c z + e) with the exact derivative (ae - bc)/(cz + e)^2."""
-    a, b, c, e = complex(a), complex(b), complex(c), complex(e)
-    det = a * e - b * c
-    if det == 0:
-        raise DegenerateMap(f"ae - bc = 0 for (a,b,c,e)=({a},{b},{c},{e})")
-
-    def fn(z, a=a, b=b, c=c, e=e):
-        return (a * z + b) / (c * z + e)
-
-    def deriv(z, det=det, c=c, e=e):
-        q = c * z + e
-        return det / (q * q)
-
-    m = AnalyticMap(fn, deriv, dim=1, name=f"moebius({a},{b},{c},{e})")
-    m.moebius = (a, b, c, e)
-    return m
+    return _Moebius(_moebius_row(a, b, c, e))
 
 
 def make_affine(a, b):
@@ -200,52 +237,9 @@ def make_affine(a, b):
 
 
 def make_const(value):
-    """Constant scalar map, used for constant weights.
-
-    Like the +-T' weights it carries form = (factor, uses_derivative), here
-    (value, False); the letter gathers read the form instead of calling the
-    map. A weight without a form is generic.
-    """
-    value = complex(value)
-    m = AnalyticMap(lambda z: value + 0.0 * z, lambda z: 0.0 * z,
-                    dim=1, name=f"const({value})")
-    m.form = (value, False)
-    return m
-
-
-def _derivative_weight(branch, kind):
-    """The weight T' ("derivative") or -T' ("neg_derivative") of a branch,
-    with form (+-1.0, True): the factor times the branch derivative.
-
-    Values come from the branch's closed-form derivative; the weight's own
-    derivative, which the library never needs, is taken by dual numbers
-    through that closed form.
-    """
-    if kind == "derivative":
-        w = AnalyticMap(branch.derivative, dim=1, name=f"{branch.name}'")
-    else:
-        w = AnalyticMap(lambda z, b=branch: -b.derivative(z), dim=1,
-                        name=f"-{branch.name}'")
-    w.form = (1.0 if kind == "derivative" else -1.0, True)
-    return w
-
-
-def _lift_weight(w, dim):
-    """A weight for a dim >= 2 system must consume a coordinate vector and
-    return a scalar. Constant weights built for dim 1 are lifted; any other
-    dimension mismatch is the caller's bug and is rejected."""
-    if getattr(w, "dim", None) == dim:
-        return w
-    form = getattr(w, "form", None)
-    if form is not None and not form[1]:
-        lifted = AnalyticMap(lambda z, v=form[0]: v,
-                             lambda z: 0.0 * np.asarray(z), dim=dim,
-                             name=w.name)
-        lifted.form = form
-        return lifted
-    raise InvalidDomain(
-        f"weight {w!r} has dim {getattr(w, 'dim', '?')} but the system "
-        f"domain has dim {dim}")
+    """Constant scalar map, used for constant weights in any dim; a system
+    reads its value from its weight law instead of calling it."""
+    return _Weight(complex(value), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,39 +266,67 @@ class CountableTruncated:
 
 
 class MapWeightSystem:
-    """Branches, weights, domain, and alphabet, plus vectorized gather tables.
+    """Branches, weights, domain, and alphabet, plus vectorized letter gathers.
 
     Instances are immutable by convention. Letters are 1-based; letter l
     uses branches[l-1] and weights[l-1]. alphabet None means the finite
     alphabet of the branches. For CountableTruncated alphabets the stored
     lists cover letters 1..i_max and the tail is represented by the
     alphabet's analytic data.
+
+    The closed forms read coefficients, the rows (a, b, c, e) when every
+    branch is a dim-1 Moebius map, and law = (factor, power) when every
+    weight is factor * (T')^power, power 0 (make_const) or 1 (+-T' of a
+    descriptor); each is None otherwise. A system built from the arrays
+    derives its maps from them when first asked.
     """
 
     def __init__(self, branches, weights, domain, alphabet=None,
                  label="custom", descriptor=None):
-        branches = tuple(branches)
-        weights = tuple(weights)
-        if len(branches) == 0:
-            raise InvalidDomain("a system needs at least one branch")
-        if len(branches) != len(weights):
-            raise InvalidDomain(
-                f"{len(branches)} branches but {len(weights)} weights")
+        branches, weights, dim = tuple(branches), tuple(weights), domain.dim
+        if not branches or len(branches) != len(weights):
+            raise InvalidDomain(f"{len(branches)} branches and {len(weights)} "
+                                "weights; one of each per letter is needed")
         if alphabet is not None and alphabet.i_max != len(branches):
-            raise InvalidDomain(
-                f"alphabet describes {alphabet.i_max} letters but "
-                f"{len(branches)} branches were supplied")
-        if domain.dim >= 2:
-            weights = tuple(_lift_weight(w, domain.dim) for w in weights)
-        self.branches = branches
-        self.weights = weights
-        self.domain = domain
-        self.alphabet = alphabet
-        self.label = label
-        self.descriptor = descriptor
-        self._build_tables()
+            raise InvalidDomain(f"alphabet describes {alphabet.i_max} letters "
+                                f"but {len(branches)} branches were supplied")
+        if dim >= 2:    # a constant holds in any dim: rebuilt for this one
+            weights = tuple(_Weight(w.law[0], 0, dim=dim) if isinstance(
+                w, _Weight) and w.law[1] == 0 else w for w in weights)
+            for w in weights:
+                if not (isinstance(w, AnalyticMap) and w.dim == dim):
+                    raise InvalidDomain(f"weight {w!r} is neither a constant "
+                                        f"nor a map of the domain's dim {dim}")
+        coefficients = law = None
+        if dim == 1 and all(isinstance(b, _Moebius) for b in branches):
+            coefficients = np.array([b.coefficients for b in branches])
+        if all(isinstance(w, _Weight) for w in weights):  # complex factors
+            law = tuple(map(np.array, zip(*(w.law for w in weights))))
+        self._fill(coefficients, law, domain, alphabet, label, descriptor)
+        self.branches, self.weights = branches, weights
+
+    @classmethod
+    def _from_arrays(cls, coefficients, law, domain, alphabet, label,
+                     descriptor):
+        """A dim-1 system carried by its coefficients and weight law."""
+        sys_ = cls.__new__(cls)
+        sys_._fill(coefficients, law, domain, alphabet, label, descriptor)
+        return sys_
+
+    def _fill(self, coefficients, law, domain, alphabet, label, descriptor):
+        self.coefficients, self.law, self.domain = coefficients, law, domain
+        self.alphabet, self.label, self.descriptor = alphabet, label, descriptor
 
     # -- basic accessors ----------------------------------------------------
+
+    @cached_property
+    def branches(self):
+        return tuple(map(_Moebius, self.coefficients.tolist()))
+
+    @cached_property
+    def weights(self):
+        factor, power = (col.tolist() for col in self.law)
+        return tuple(map(_Weight, factor, power, self.coefficients.tolist()))
 
     @property
     def dim(self):
@@ -313,7 +335,8 @@ class MapWeightSystem:
     @property
     def n_letters(self):
         """Number of enumerable letters (i_max for truncated alphabets)."""
-        return len(self.branches)
+        return len(self.branches if self.coefficients is None
+                   else self.coefficients)
 
     @property
     def system_id(self):
@@ -335,26 +358,13 @@ class MapWeightSystem:
 
     # -- vectorized letter gathers -------------------------------------------
 
-    def _build_tables(self):
-        self._mob = None
-        if self.dim == 1 and all(hasattr(b, "moebius") for b in self.branches):
-            quad = np.array([b.moebius for b in self.branches], dtype=complex)
-            self._mob = (quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3])
-        forms = [getattr(w, "form", None) for w in self.weights]
-        # per letter +-1 or the constant, and the letters whose weight is
-        # that factor times T'; None when some weight is generic
-        self._wfactors = None if None in forms else (
-            np.array([f[0] for f in forms], dtype=complex),
-            np.array([f[1] for f in forms]))
-
     def apply_letters(self, letters, z, groups=None):
         """T_{letters}(z) elementwise; letters int array, z complex array
         ((dim, count) for dim >= 2). groups, the column's letter groups
         from _letter_groups, spares regrouping a column that is reused."""
-        if self._mob is not None:
-            idx = letters - 1
-            a, b, c, e = self._mob
-            return (a[idx] * z + b[idx]) / (c[idx] * z + e[idx])
+        if self.coefficients is not None:
+            return _moebius(self.coefficients.T, z,
+                            at=partial(np.take, indices=letters - 1))
         out = self._gather(lambda br, pts: br(pts), letters, z,
                            groups=groups)
         return out if self.dim == 1 else out.T
@@ -362,31 +372,24 @@ class MapWeightSystem:
     def derivative_letters(self, letters, z, groups=None):
         """T'_{letters}(z) elementwise; for dim >= 2 a (count, dim, dim)
         stack of Jacobians."""
-        if self._mob is not None:
-            idx = letters - 1
-            a, b, c, e = self._mob
-            q = c[idx] * z + e[idx]
-            return (a[idx] * e[idx] - b[idx] * c[idx]) / (q * q)
+        if self.coefficients is not None:
+            return _moebius(self.coefficients.T, z, derivative=True,
+                            at=partial(np.take, indices=letters - 1))
         return self._gather(lambda br, pts: br.derivative(pts), letters, z,
                             groups=groups)
 
     def weight_letters(self, letters, z, deriv=None, groups=None):
-        """w_{letters}(z) elementwise: the constant, the factor times T',
-        or, when some weight of the system is generic, each weight map
-        called on its points. deriv, when given, holds T'_{letters}(z) and
-        saves recomputing it for factor * T' weights (dim 1)."""
-        if self._wfactors is None:
+        """w_{letters}(z) elementwise: by the weight law, or, when some
+        weight of the system is generic, each weight map called on its
+        points. deriv, when given, holds T'_{letters}(z) and saves
+        recomputing it for factor * T' weights (dim 1)."""
+        if self.law is None:
             return self._gather(lambda w, pts: w(pts), letters, z,
                                 self.weights, groups)
-        factor, uses_deriv = self._wfactors
-        idx = letters - 1
-        out = factor[idx]
-        dmask = uses_deriv[idx]
-        if dmask.any():
-            d = (self.derivative_letters(letters[dmask], z[dmask])
-                 if deriv is None else deriv[dmask])
-            out[dmask] = factor[idx[dmask]] * d
-        return out
+        factor, power = (col[letters - 1] for col in self.law)
+        if deriv is None and power.any():
+            deriv = self.derivative_letters(letters, z, groups)
+        return _weigh(factor, power, deriv, factor)
 
     def _gather(self, call, letters, z, table=None, groups=None):
         """call(table[l - 1], points) for each letter l of the column letters
@@ -610,13 +613,10 @@ def make_gauss_system(i_max, domain=None):
             f"branch images reach {reach:.6g} from the center; not strictly "
             f"inside radius {rho:.6g}")
 
-    branches = []
-    for i in range(1, i_max + 1):
-        br = make_moebius(0.0, 1.0, 1.0, float(i))
-        br.name = f"1/({i}+z)"
-        branches.append(br)
-    weights = [_derivative_weight(br, "neg_derivative") for br in branches]
-
+    # rows (0, 1, 1, i), and the weights -T'
+    coefficients = np.zeros((i_max, 4), dtype=complex) + (0, 1, 1, 0)
+    coefficients[:, 3] = np.arange(1, i_max + 1)
+    law = (np.full(i_max, -1.0, dtype=complex), np.ones(i_max, dtype=int))
     alphabet = CountableTruncated(
         i_max=i_max,
         weight_tail_bound=_gauss_weight_tail_bound(i_max, domain),
@@ -629,8 +629,8 @@ def make_gauss_system(i_max, domain=None):
         "domain": {"center": [c.real, c.imag], "radius": rho, "dim": 1},
         "i_max": i_max,
     }
-    return MapWeightSystem(branches, weights, domain, alphabet,
-                           label="gauss", descriptor=descriptor)
+    return MapWeightSystem._from_arrays(coefficients, law, domain, alphabet,
+                                        "gauss", descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -665,28 +665,24 @@ class ValidationReport:
 def _branch_values_on_grid(sys_, zs):
     """(letters, grid) arrays of branch images and weights.
 
-    An all-Moebius system whose weights are all +-T' or constants
-    broadcasts its (letters, 1) coefficient columns against the grid, with
-    the arithmetic of the letter gathers element for element; any other
-    system goes through the gathers.
+    A system with coefficients and a weight law broadcasts its
+    (letters, 1) coefficient and law columns against the grid, with the
+    arithmetic of the letter gathers element for element; any other system
+    goes through the gathers.
     """
-    if sys_._mob is None or sys_._wfactors is None:
+    if sys_.coefficients is None or sys_.law is None:
         n, g = sys_.n_letters, zs.size
         letters = np.repeat(np.arange(1, n + 1), g)
         pts = np.tile(zs, n)
         images = sys_.apply_letters(letters, pts).reshape(n, g)
         weights = sys_.weight_letters(letters, pts).reshape(n, g)
         return images, weights
-    a, b, c, e = (col[:, None] for col in sys_._mob)
-    q = c * zs + e
-    images = (a * zs + b) / q
-    # q becomes the weight table in place: +-(ae - bc) / q^2, or constants
-    np.multiply(q, q, out=q)
-    np.divide(a * e - b * c, q, out=q)
-    factor, deriv = sys_._wfactors
-    np.multiply(factor[:, None], q, out=q)
-    q[~deriv] = factor[~deriv, None]
-    return images, q
+    cols = sys_.coefficients.T[:, :, None]
+    images = _moebius(cols, zs)
+    # the derivative table becomes the weight table in place
+    q = _moebius(cols, zs, derivative=True)
+    factor, power = sys_.law
+    return images, _weigh(factor[:, None], power[:, None], q, q)
 
 
 def _derivative_sups(det, C, E, ball):
@@ -694,10 +690,11 @@ def _derivative_sups(det, C, E, ball):
     of Moebius coefficients C, E and det = |AE - BC|, and the gap
     |C c + E| - |C| rho: the least |C z + E| on the circle, signed, so it
     is negative when the pole -E/C lies inside the ball. The sup is taken
-    at the circle point nearest the pole; a pole on the circle gives inf."""
+    at the circle point nearest the pole; a pole on or inside the closed
+    ball (gap <= 0) gives inf."""
     gap = np.abs(C * ball.center + E) - np.abs(C) * ball.radius
     with np.errstate(divide="ignore", over="ignore"):
-        return det / (gap * gap), gap
+        return np.where(gap > 0.0, det / (gap * gap), np.inf), gap
 
 
 # outward rounding of the closed-form sups: a few roundings of each formula
@@ -722,12 +719,11 @@ def validate_system(sys_, margin=0.1, grid=1024):
         raise DimensionUnsupported(
             "validation is implemented for dim 1 only")
 
-    tail_sup = 0.0
-    tail_bound = 0.0
+    tail_sup = tail_bound = 0.0
     if isinstance(sys_.alphabet, CountableTruncated):
         tail_sup = float(sys_.alphabet.image_tail_sup)
         tail_bound = float(sys_.alphabet.weight_tail_bound)
-    if sys_._mob is not None and sys_._wfactors is not None:
+    if sys_.coefficients is not None and sys_.law is not None:
         img_sup, w_sup, worst, note = _exact_sups(sys_)
         image_safety = weight_safety = 0.0
         g = 0
@@ -769,7 +765,7 @@ def _exact_sups(sys_):
     outward by _ROUND_OUT. A pole on or inside the closed ball makes both
     sups infinite.
     """
-    a, b, cc, e = sys_._mob
+    a, b, cc, e = sys_.coefficients.T
     c, rho = sys_.domain.center, sys_.domain.radius
     det = np.abs(a * e - b * cc)
     dsup, gap = _derivative_sups(det, cc, e, sys_.domain)
@@ -782,11 +778,11 @@ def _exact_sups(sys_):
     centers = ((a * c + b) * np.conj(p) - a * np.conj(cc) * (rho * rho)) / denom
     reach = np.abs(centers - c) + det * rho / denom
     worst = int(np.argmax(reach))
-    factor, uses_deriv = sys_._wfactors
-    terms = np.abs(factor) * np.where(uses_deriv, dsup, 1.0)
+    factor, power = sys_.law
+    terms = _weigh(np.abs(factor), power, dsup, np.empty(len(dsup)))
     # each non-constant weight peaks at the circle point toward its pole,
     # in the direction of -p / c_i, that is of -p conj(c_i)
-    toward = (p * np.conj(cc))[uses_deriv & (cc != 0)]
+    toward = (p * np.conj(cc))[(power == 1) & (cc != 0)]
     turn = toward * np.conj(toward[:1])
     aligned = bool(np.all(turn.imag == 0.0) and np.all(turn.real > 0.0))
     note = ("exact (Moebius closed form)" if aligned
@@ -866,11 +862,12 @@ def _parse_domain(d):
     return make_ball(_cnum(d["center"], "domain.center"), float(d["radius"]), 1)
 
 
-def _parse_weight(spec, branch, where):
+def _parse_weight(spec, where):
+    """The weight law (factor, power) of a descriptor weight."""
     if spec in ("derivative", "neg_derivative"):
-        return _derivative_weight(branch, spec)
+        return (1.0 if spec == "derivative" else -1.0) + 0j, 1
     try:
-        return make_const(_cnum(spec, where))
+        return _cnum(spec, where), 0
     except DescriptorError:
         raise DescriptorError(
             f"{where}: weight must be 'derivative', 'neg_derivative', or a "
@@ -910,21 +907,20 @@ def system_from_descriptor(desc):
     params = desc.get("params")
     if not isinstance(params, list) or not params:
         raise DescriptorError(f"{family} descriptor needs a non-empty 'params' list")
-    branches = []
-    weights = []
+    keys = "abce" if family == "moebius_list" else "ab"
+    rows, laws = [], []
     for k, entry in enumerate(params):
         where = f"params[{k}]"
         if not isinstance(entry, dict):
             raise DescriptorError(f"{where}: expected an object")
         try:
-            if family == "moebius_list":
-                br = make_moebius(_cnum(entry["a"], where), _cnum(entry["b"], where),
-                                  _cnum(entry["c"], where), _cnum(entry["e"], where))
-            else:
-                br = make_affine(_cnum(entry["a"], where), _cnum(entry["b"], where))
+            coef = [_cnum(entry[key], where) for key in keys]
         except KeyError as missing:
             raise DescriptorError(f"{where}: missing coefficient {missing}") from None
-        branches.append(br)
-        weights.append(_parse_weight(entry.get("weight", 1.0), br, where))
-    return MapWeightSystem(branches, weights, domain, label=family,
-                           descriptor=desc)
+        if family == "affine_list":
+            coef += [0.0, 1.0]          # z -> a z + b
+        rows.append(_moebius_row(*coef))
+        laws.append(_parse_weight(entry.get("weight", 1.0), where))
+    law = tuple(map(np.array, zip(*laws)))    # complex factors, int powers
+    return MapWeightSystem._from_arrays(np.array(rows), law, domain, None,
+                                        family, desc)

@@ -515,6 +515,30 @@ def test_spectrum_and_determinant_bytes_do_not_use_validation(
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("command", ["validate", "spectrum", "determinant",
+                                     "bounds"])
+@pytest.mark.parametrize("payload", [GAUSS_PRESET_CFG, GAUSS4_CFG, AFFINE_CFG],
+                         ids=["gauss", "gauss4", "affine"])
+def test_descriptor_systems_take_the_closed_forms(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  payload):
+    # the subcommands read the coefficient array and the weight law: no
+    # letter gather on maps, and no branch or weight map is even built
+    order = 2 if payload is GAUSS_PRESET_CFG else 6   # within the budget
+    cfg = write_cfg(tmp_path, dict(payload, trace_order=order))
+    code = main([command, "--config", cfg])
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map was gathered or built")
+
+    monkeypatch.setattr(transferspec.systems.MapWeightSystem, "_gather",
+                        refuse)
+    monkeypatch.setattr(transferspec.systems.AnalyticMap, "__init__", refuse)
+    assert main([command, "--config", cfg]) == code
+    assert capsys.readouterr().out == first
+
+
 def _console_script_command():
     """The installed transferspec script, or else the entry point that
     pyproject.toml declares for it, run in a fresh interpreter that imports

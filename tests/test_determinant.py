@@ -216,7 +216,7 @@ def test_closed_form_traces_match_mp_oracle(name):
     entries, center, radius, M = ORACLE_CASES[name]
     sys_, params, weights = _moebius_case(entries, center, radius)
     plain = as_plain_maps(sys_)
-    assert sys_._mob is not None and plain._mob is None
+    assert sys_.coefficients is not None and plain.coefficients is None
     ref = oracles.moebius_traces_mp(params, weights, range(1, M + 1))
     closed = trace_table(sys_, M).values
     iterated = trace_table(plain, M).values
@@ -249,20 +249,20 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
             assert np.array_equal(w[inside], p)
     letters = whole[0]
     assert np.array_equal(letters, word_letters(3, n, reps))
-    A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+    A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)
                                for col in letters.T)
     z, end = whole[4], whole[5]
     assert np.array_equal(end, (A * z + B) / (C * z + E))
     # the contraction's fold over every word: C, E and the product of
     # letter |det|
-    a, b, c, e = sys_._mob
+    a, b, c, e = sys_.coefficients.T
     dets = np.abs(a * e - b * c)
     lo, hi = 1001, 2000
     every = word_letters(3, n, np.arange(lo, hi))
     words, period, (_, _, got_c, got_e), (got_det,) = _fold_words(
-        3, n, lo, hi, sys_._mob, (dets,))
+        3, n, lo, hi, tuple(sys_.coefficients.T), (dets,))
     assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
-    _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_._mob)
+    _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)
                                for col in every.T)
     want_det = 1.0
     for col in every.T:

@@ -89,7 +89,7 @@ def test_compose_associative(gauss4):
 def test_compose_moebius_coefficients_fold_in_word_order(gauss4):
     # the fold of (1, 2, 4) is M_4 M_2 M_1, which acts as T_4 o T_2 o T_1
     word = (1, 2, 4)
-    letter = [tuple(x[l - 1] for x in gauss4._mob) for l in word]
+    letter = [tuple(gauss4.coefficients[l - 1]) for l in word]
     a, b, c, e = _fold_moebius(letter)
     for z in (0.0, 1.0 + 0.5j, -0.2 + 0.1j):
         assert (a * z + b) / (c * z + e) == pytest.approx(
@@ -405,6 +405,18 @@ def test_contraction_exact_pole_on_circle():
             "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1}}
     with pytest.raises(NotContracting, match=r"\(1,\)"):
         contraction_details(system_from_descriptor(desc), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_contraction_exact_pole_inside_ball(n):
+    # the pole -0.5 of 0.01/(z + 0.5) lies inside the disc (1, 2), and so
+    # does -0.52, the pole of its square: the sup on the circle is not the
+    # finite value at the circle point nearest the pole
+    sys_ = make_system([make_moebius(0.0, 0.01, 1.0, 0.5)], [make_const(1.0)],
+                       make_ball(1.0, 2.0))
+    with pytest.raises(NotContracting,
+                       match=r"word \(1,( 1)?\) .* on or inside the closed ball"):
+        contraction_details(sys_, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from transferspec import (
     DescriptorError,
     InadmissibleDomain,
     InvalidDomain,
+    MapWeightSystem,
+    assemble_matrix,
     make_affine,
     make_ball,
     make_const,
@@ -24,6 +26,7 @@ from transferspec import (
     make_system,
     system_from_descriptor,
     systems,
+    trace_table,
     validate_system,
 )
 
@@ -666,7 +669,7 @@ def test_derivative_weights_match_closed_forms(build, sign):
     zs = sys_.domain.center + 0.9 * sys_.domain.radius * np.exp(
         1j * np.linspace(0.0, 6.0, 11))
     for i in range(1, sys_.n_letters + 1):
-        a, b, c, e = sys_.branches[i - 1].moebius
+        a, b, c, e = sys_.coefficients[i - 1].tolist()
         det = a * e - b * c
         d1 = sign * det / (c * zs + e) ** 2             # +-T'
         d2 = -2.0 * sign * c * det / (c * zs + e) ** 3  # +-T''
@@ -794,14 +797,78 @@ def test_mixed_weight_kinds_match_per_letter_evaluation(build, consts):
                 assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_lifted_constant_weight_keeps_its_form():
-    # a dim-1 constant lifted into a dim-2 system is still read as a
-    # constant by the gathers, not called one point at a time
-    branch = AnalyticMap(lambda z: [0.5 * z[0], 0.5 * z[1]], dim=2)
-    sys_ = make_system([branch], [make_const(0.5)],
+def _dim2_branch():
+    return AnalyticMap(lambda z: [0.5 * z[0], 0.5 * z[1]], dim=2)
+
+
+def test_dim2_constant_weight_is_read_not_called(monkeypatch):
+    # a make_const weight in a dim-2 system comes from the weight law: the
+    # gathers return its value and never call a weight map
+    sys_ = make_system([_dim2_branch()], [make_const(0.5)],
                        make_ball((0.0, 0.0), 1.0, dim=2))
-    assert sys_.weights[0].dim == 2
-    assert sys_.weights[0].form == (0.5, False)
+    calls = []
+    call = AnalyticMap.__call__
+    monkeypatch.setattr(AnalyticMap, "__call__",
+                        lambda self, z: calls.append(self) or call(self, z))
     got = sys_.weight_letters(np.ones(3, dtype=np.uint8),
                               np.zeros((2, 3), dtype=complex))
     assert np.array_equal(got, np.full(3, 0.5 + 0j))
+    assert calls == []
+
+
+def test_dim2_constant_next_to_generic_weight_holds_at_every_point():
+    # with a generic weight beside it the gathers call every weight map,
+    # and the constant still gives one value per point of a (2, m) batch
+    generic = AnalyticMap(lambda z: 1.0 + z[0] * z[1], dim=2)
+    sys_ = make_system([_dim2_branch()] * 2, [make_const(0.5), generic],
+                       make_ball((0.0, 0.0), 1.0, dim=2))
+    assert sys_.law is None
+    z = np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]], dtype=complex)
+    got = sys_.weight_letters(np.array([1, 2, 1, 2], dtype=np.uint8), z)
+    assert np.array_equal(got, [0.5, 1.12, 0.5, 1.32])
+
+
+@pytest.mark.parametrize("weight", [
+    AnalyticMap(lambda z: 1.0 + z), "neg_derivative"], ids=["map", "-T'"])
+def test_dim2_system_refuses_non_constant_dim1_weight(weight):
+    if weight == "neg_derivative":
+        weight = system_from_descriptor(GAUSS4_DESC).weights[0]
+    with pytest.raises(InvalidDomain):
+        make_system([_dim2_branch()], [weight],
+                    make_ball((0.0, 0.0), 1.0, dim=2))
+
+
+def _same_system(left, right, order):
+    """Equal coefficient and law arrays, and bit-identical traces, matrix
+    and validation report."""
+    assert np.array_equal(left.coefficients, right.coefficients)
+    for a, b in zip(left.law, right.law):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(trace_table(left, order).values,
+                          trace_table(right, order).values)
+    assert np.array_equal(assemble_matrix(left, N=16).data,
+                          assemble_matrix(right, N=16).data)
+    assert validate_system(left).to_dict() == validate_system(right).to_dict()
+
+
+def test_affine_descriptor_and_maps_are_one_representation():
+    built = make_system([make_affine(0.5, 0.3)], [make_const(1.0)],
+                        make_ball(0.6, 1.0))
+    _same_system(system_from_descriptor(AFFINE_DESC), built, 6)
+
+
+def test_gauss_preset_and_moebius_maps_are_one_representation():
+    preset = make_gauss_system(20)
+    branches = [make_moebius(0, 1, 1, i) for i in range(1, 21)]
+    built = MapWeightSystem(branches, preset.weights, preset.domain,
+                            preset.alphabet)
+    _same_system(preset, built, 3)
+
+
+@pytest.mark.parametrize("desc", [AFFINE_DESC, GAUSS4_DESC])
+def test_plain_map_copies_get_no_coefficients(desc):
+    sys_ = system_from_descriptor(desc)
+    plain = as_plain_maps(sys_)
+    assert sys_.coefficients is not None and plain.coefficients is None
+    for a, b in zip(sys_.law, plain.law):
+        assert np.array_equal(a, b)

@@ -6,9 +6,9 @@ The matrix route discretizes the operator in a circle basis and is exact
 up to basis truncation (dimension 1 only). The determinant route sums
 periodic-orbit data into operator traces, converts them to determinant
 coefficients, and reads eigenvalues off the reciprocal zeros (any
-dimension). The bounds module evaluates stretched-exponential decay bounds
-from the weight sup W, the enclosing ratio r, and the dimension d, and
-verifies computed spectra against them.
+dimension, finite alphabets only). The bounds module evaluates
+stretched-exponential decay bounds from the weight sup W, the enclosing
+ratio r, and the dimension d, and verifies computed spectra against them.
 """
 
 from .bounds import (

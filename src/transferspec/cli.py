@@ -207,7 +207,6 @@ def cmd_determinant(cfg, args):
     zeros = determinant_zeros(series)
     out = export_determinant_json(table, series)
     out["system"] = sys_.system_id
-    out["truncation_bounds"] = [float(b) for b in table.truncation_bounds]
     out["eigenvalues_re"] = [v.real for v in zeros.values]
     out["eigenvalues_im"] = [v.imag for v in zeros.values]
     out["zeros_re"] = [(1.0 / v).real for v in zeros.values]

@@ -8,10 +8,10 @@ determinant Delta(z) = exp(-sum_n t_n z^n / n); the reciprocals of the
 zeros of Delta are the operator's eigenvalues, giving a route to the
 spectrum that never builds a matrix and works in any ambient dimension.
 
-Truncated countable alphabets contribute only their enumerable letters to
-the word sum; the omitted contribution is estimated per order by the
-non-rigorous heuristic n * W^(n-1) * (weight tail sup) * (1-gamma)^(-d)
-and reported separately, never folded into the computed value.
+The word sum needs a finite alphabet: a truncated countable one is
+refused before any word is counted, since nothing bounds what its dropped
+letters add to the traces. The matrix route (spectra) handles such
+families through their closed-form tail sums.
 
 The n rotations of a word trace one periodic orbit: they share its
 multiplier, its weight and so its term, and the fixed point of the word
@@ -50,18 +50,14 @@ from .dynamics import (
     batch_orbit,
     word_letters,
 )
-from .errors import EscapedDomain, NotContracting, RootFindingFailure
-from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import (
-    CountableTruncated,
-    _letter_groups,
-    _moebius,
-    _weigh,
-    validate_system,
+from .errors import (
+    EscapedDomain,
+    NotContracting,
+    RootFindingFailure,
+    TransferOperatorError,
 )
-
-TRUST_CAP = 1e12
-_TRUST_SERIES_TOL = 1e-6
+from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
+from .systems import CountableTruncated, _letter_groups, _moebius, _weigh
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +70,6 @@ class TraceValue:
 
     order: int
     value: complex
-    truncation_bound: float
     words: int
     max_multiplier: float
     max_residual: float
@@ -84,18 +79,15 @@ class TraceValue:
 class TraceTable:
     orders: tuple
     values: tuple
-    truncation_bounds: tuple
     max_multiplier: float
     system_id: str
 
 
 @dataclass(frozen=True)
 class DeterminantSeries:
-    """Taylor coefficients c_0..c_M of the determinant, c_0 = 1, plus the
-    radius inside which the truncated-tail error is estimated small."""
+    """Taylor coefficients c_0..c_M of the determinant, c_0 = 1."""
 
     coefficients: tuple
-    trust_radius: float
 
     @property
     def degree(self):
@@ -104,25 +96,6 @@ class DeterminantSeries:
 
 # ---------------------------------------------------------------------------
 # traces
-
-
-def _tail_weight_sup(sys_):
-    """The weight sup W that the tail heuristic needs, or None when the
-    alphabet drops no weight."""
-    alpha = sys_.alphabet
-    if (isinstance(alpha, CountableTruncated)
-            and float(alpha.weight_tail_bound) != 0.0):
-        return validate_system(sys_).W
-    return None
-
-
-def _tail_heuristic(sys_, n, max_multiplier, w_sup):
-    """Per-order estimate of the omitted tail-word contribution."""
-    if w_sup is None:
-        return 0.0
-    tau = float(sys_.alphabet.weight_tail_bound)
-    gamma = min(float(max_multiplier), 0.99)
-    return n * tau * w_sup ** (n - 1) * (1.0 - gamma) ** (-sys_.dim)
 
 
 def _trace_rows(sys_, orders, word_budget, tol, threads):
@@ -135,8 +108,14 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     first evaluates its necklace representatives, and again word by word
     when their terms can cancel (see the module docstring). The multiplier
     and residual are those of the words evaluated. In dim >= 2 the
-    multiplier is the spectral radius of the word's Jacobian.
+    multiplier is the spectral radius of the word's Jacobian. A truncated
+    countable alphabet is refused first.
     """
+    if isinstance(sys_.alphabet, CountableTruncated):
+        raise TransferOperatorError(
+            "the determinant route needs a finite alphabet, and "
+            f"{sys_.system_id} truncates a countable one; use spectrum for "
+            "the Gauss family")
     totals = [_word_count(sys_, n, word_budget) for n in orders]
     items = [(n, lo, hi) for n, total in zip(orders, totals)
              for lo, hi in chunk_ranges(total)]
@@ -304,15 +283,12 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """
     if n < 1:
         raise ValueError("trace order must be >= 1")
-    return _traces(sys_, [n], word_budget, tol, threads,
-                   _tail_weight_sup(sys_))[0]
+    return _traces(sys_, [n], word_budget, tol, threads)[0]
 
 
-def _traces(sys_, orders, word_budget, tol, threads, w_sup):
+def _traces(sys_, orders, word_budget, tol, threads):
     rows = _trace_rows(sys_, orders, word_budget, tol, threads)
-    return [TraceValue(n, value, _tail_heuristic(sys_, n, max_mult, w_sup),
-                       words, max_mult, max_res)
-            for n, (value, words, max_mult, max_res) in zip(orders, rows)]
+    return [TraceValue(n, *row) for n, row in zip(orders, rows)]
 
 
 def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
@@ -324,12 +300,10 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    rows = _traces(sys_, range(1, M + 1), word_budget, tol, threads,
-                   _tail_weight_sup(sys_))
+    rows = _traces(sys_, range(1, M + 1), word_budget, tol, threads)
     return TraceTable(
         orders=tuple(r.order for r in rows),
         values=tuple(r.value for r in rows),
-        truncation_bounds=tuple(r.truncation_bound for r in rows),
         max_multiplier=max(r.max_multiplier for r in rows),
         system_id=sys_.system_id,
     )
@@ -349,36 +323,7 @@ def determinant_coefficients(traces):
     for m in range(1, len(t) + 1):
         s = sum(t[k - 1] * coeffs[m - k] for k in range(1, m + 1))
         coeffs.append(-s / m)
-    return DeterminantSeries(tuple(coeffs),
-                             _trust_radius(traces.truncation_bounds))
-
-
-def _trust_radius(bounds):
-    """Largest R with sum_n bound_n R^n / n below 1e-6, capped at 1e12.
-
-    Propagates the per-order tail estimates through the exponential series
-    defining the determinant; heuristic, like the bounds themselves.
-    """
-    bounds = [float(b) for b in bounds]
-    if all(b == 0.0 for b in bounds):
-        return TRUST_CAP
-
-    def series(r):
-        return math.fsum(b * r ** n / n
-                         for n, b in enumerate(bounds, start=1))
-
-    if series(TRUST_CAP) <= _TRUST_SERIES_TOL:
-        return TRUST_CAP
-    lo, hi = -12.0, math.log10(TRUST_CAP)  # log10 bracket
-    if series(10.0 ** lo) > _TRUST_SERIES_TOL:
-        return 10.0 ** lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if series(10.0 ** mid) <= _TRUST_SERIES_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return 10.0 ** lo
+    return DeterminantSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +384,15 @@ def _aberth_roots(coeffs):
     return x
 
 
-def _zeros_from_coeffs(coeffs, trust_radius):
+def _zeros_from_coeffs(coeffs):
     """Eigenvalues from determinant coefficients: the polynomial
     sum_m c_m x^(M-m) has the eigenvalues themselves as roots."""
-    roots = _aberth_roots(coeffs)
-    if roots.size == 0:
-        return np.zeros(0, dtype=complex)
-    keep = np.abs(roots) > 1.0 / trust_radius
-    return sort_eigenvalues(roots[keep])
+    return sort_eigenvalues(_aberth_roots(coeffs))
 
 
 def determinant_zeros(series, count=None):
     """Eigenvalues as reciprocal determinant zeros, sorted by modulus.
 
-    Roots of the degree-M truncation with modulus below 1/trust_radius are
-    discretization artifacts of the tail estimate and are dropped.
     reliable_count compares against the next-lower-degree truncation, the
     same refinement idea the matrix route uses across sizes. The comparison
     runs at the effective degree: coefficients that underflowed to exact
@@ -470,9 +409,9 @@ def determinant_zeros(series, count=None):
     coeffs = np.trim_zeros(np.asarray(series.coefficients, dtype=complex),
                            "b")
     eff_degree = max(coeffs.size - 1, 0)
-    full = _zeros_from_coeffs(series.coefficients, series.trust_radius)
+    full = _zeros_from_coeffs(series.coefficients)
     if eff_degree >= 2:
-        drop = _zeros_from_coeffs(tuple(coeffs[:-1]), series.trust_radius)
+        drop = _zeros_from_coeffs(tuple(coeffs[:-1]))
         rc = _agreeing_prefix(full, drop, lead_scale=False)
     else:
         rc = eff_degree if series.degree >= 2 else 0
@@ -487,12 +426,10 @@ def determinant_zeros(series, count=None):
 def export_determinant_json(table, series):
     """The trace/coefficient export dict, the core of the CLI's
     determinant-<id>.json."""
-    out = {
+    return {
         "orders": [int(n) for n in table.orders],
         "traces_re": [v.real for v in table.values],
         "traces_im": [v.imag for v in table.values],
         "coeffs_re": [c.real for c in series.coefficients],
         "coeffs_im": [c.imag for c in series.coefficients],
-        "trust_radius": float(series.trust_radius),
     }
-    return out

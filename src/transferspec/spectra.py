@@ -9,11 +9,9 @@ coefficient of g_n at c, times rho^m. Because every branch image lies in a
 strictly smaller concentric ball, the integrands are analytic past the
 contour and the trapezoidal coefficients converge geometrically.
 
-For truncated countable families whose alphabet supplies closed-form tail
-power sums, the dropped branches' contribution is added analytically, so
-the matrix represents the full operator rather than its truncation; the
-recorded tail bound is then zero. Without such data the truncation is
-recorded through the alphabet's weight tail bound.
+For a truncated countable family the alphabet's closed-form tail power
+sums add the dropped branches' contribution analytically, so the matrix
+represents the full operator rather than its truncation.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class OperatorMatrix:
     radius: float
     size: int
     system_id: str
-    tail_bound: float       # bound on the dropped tail; 0 when included
     tail_included: bool
     grid: int
 
@@ -107,25 +104,19 @@ def assemble_matrix(sys_, ball=None, N=32):
     _power_sums(w, s, g)
     del w, s                    # freed before the tail builds its own tables
 
-    tail_included = False
-    tail_bound = 0.0
-    alpha = sys_.alphabet
-    if isinstance(alpha, CountableTruncated):
-        if alpha.power_tail is not None:
-            # its small products run 10-20x slower on more BLAS threads
-            with _one_blas_thread():
-                tail = alpha.power_tail(zs, N, c)
-            tail *= (rho ** -np.arange(N, dtype=float))[:, None]
-            g += tail
-            del tail
-            tail_included = True
-        else:
-            tail_bound = float(alpha.weight_tail_bound)
+    tail_included = isinstance(sys_.alphabet, CountableTruncated)
+    if tail_included:
+        # its small products run 10-20x slower on more BLAS threads
+        with _one_blas_thread():
+            tail = sys_.alphabet.power_tail(zs, N, c)
+        tail *= (rho ** -np.arange(N, dtype=float))[:, None]
+        g += tail
+        del tail
 
     cols = np.fft.fft(g, axis=1) / grid
     data = np.ascontiguousarray(cols[:, :N].T)
     return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
-                          tail_bound, tail_included, grid)
+                          tail_included, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ grid otherwise), and JSON descriptor parsing.
 Countably infinite families are represented by truncation at an index
 i_max plus analytic tail data supplied by the family constructor: a bound
 on the summed sup norms of the dropped weights, a bound on how far the
-dropped branch images reach from the ball center, and (where the family
-admits closed-form tail sums) a callable evaluating the dropped branches'
-contribution to weighted power sums exactly. Generic user systems must be
-finite; summability of a black-box infinite family is not checkable.
+dropped branch images reach from the ball center, and a callable
+evaluating the dropped branches' contribution to weighted power sums in
+closed form. Generic user systems must be finite; summability of a
+black-box infinite family is not checkable.
 """
 
 from __future__ import annotations
@@ -252,8 +252,8 @@ class CountableTruncated:
 
     weight_tail_bound bounds sum_{i > i_max} sup_D |w_i|.
     image_tail_sup bounds sup_{i > i_max} sup_D |T_i(z) - center(D)|.
-    power_tail, when present, is a callable (z_points, count, center) ->
-    array of shape (count, len(z_points)) whose row n holds
+    power_tail is a callable (z_points, count, center) -> array of shape
+    (count, len(z_points)) whose row n holds
     sum_{i > i_max} w_i(z) * (T_i(z) - center)^n evaluated in closed form;
     it lets the matrix discretization represent the full operator instead
     of the truncation.
@@ -262,7 +262,7 @@ class CountableTruncated:
     i_max: int
     weight_tail_bound: float
     image_tail_sup: float
-    power_tail: object = None
+    power_tail: object
 
 
 class MapWeightSystem:

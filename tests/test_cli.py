@@ -361,6 +361,18 @@ def test_determinant_at_order_one_is_no_verdict(tmp_path, capsys):
     assert '"agree": null' in text
 
 
+def test_determinant_refuses_gauss_preset(tmp_path, capsys):
+    # the word sum needs a finite alphabet: no result file, no verdict
+    cfg = write_cfg(tmp_path, dict(GAUSS_PRESET_CFG, trace_order=2))
+    out_dir = tmp_path / "results"
+    assert main(["determinant", "--config", cfg, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the determinant route needs a "
+                                   "finite alphabet")
+    assert not list(out_dir.glob("determinant-*.json"))
+
+
 def test_determinant_error_names_word_plainly(tmp_path, capsys):
     # the identity's only word has multiplier 1, so its fixed point does
     # not attract; the message names the word as plain integers
@@ -499,9 +511,8 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
                                       "determinant-gauss4"])
 def test_spectrum_and_determinant_bytes_do_not_use_validation(
         tmp_path, capsys, monkeypatch, command, payload):
-    # neither route reads a validation sup here (the Gauss preset's
-    # determinant does: its tail heuristic scales with W), so the closed
-    # forms and the sampler leave these bytes as they were
+    # neither route reads a validation sup, so the closed forms and the
+    # sampler leave these bytes as they were
     cfg = write_cfg(tmp_path, dict(payload, trace_order=6))
     code = main([command, "--config", cfg])
     first = capsys.readouterr().out

@@ -17,6 +17,7 @@ from transferspec import (
     NoConvergence,
     NotContracting,
     TraceTable,
+    TransferOperatorError,
     determinant_coefficients,
     determinant_zeros,
     export_determinant_json,
@@ -24,15 +25,16 @@ from transferspec import (
     make_affine,
     make_ball,
     make_const,
+    make_gauss_system,
     make_system,
     spectral_sequence,
     system_from_descriptor,
     trace,
     trace_table,
 )
-from transferspec import determinant
+from transferspec import determinant, dynamics
 from transferspec._format import json_g17
-from transferspec.determinant import TRUST_CAP, _aberth_roots
+from transferspec.determinant import _aberth_roots
 from transferspec.dynamics import (
     _fold_moebius,
     _fold_words,
@@ -51,7 +53,6 @@ def test_trace_single_affine_order_one(affine_half):
     t = trace(affine_half, 1)
     assert t.value == pytest.approx(2.0, rel=1e-14)
     assert t.words == 1
-    assert t.truncation_bound == 0.0
 
 
 def test_trace_single_affine_all_orders(affine_half):
@@ -67,16 +68,15 @@ def test_trace_two_branch_example(two_thirds):
     assert t.words == 2
 
 
-def test_trace_budget_enforced(gauss200):
+def test_trace_budget_enforced(gauss4):
     with pytest.raises(BudgetExceeded):
-        trace(gauss200, 3)       # 200^3 = 8e6 words over the default budget
+        trace(gauss4, 6, word_budget=4000)      # 4^6 = 4096 words
 
 
 def test_trace_thread_count_is_invisible(gauss4):
     a = trace(gauss4, 6, threads=1)
     b = trace(gauss4, 6, threads=4)
-    assert a.value == b.value
-    assert a.truncation_bound == b.truncation_bound
+    assert a == b
 
 
 def test_trace_relabeling_invariance():
@@ -169,6 +169,32 @@ def test_trace_table_budget_checked_before_any_work_user_maps(gauss4,
         trace_table(plain, 5, word_budget=1024)
     with pytest.raises(BudgetExceeded):
         trace_table(plain, 6, word_budget=1000)
+
+
+@pytest.mark.parametrize("call", [lambda s: trace(s, 1),
+                                  lambda s: trace_table(s, 2)],
+                         ids=["trace", "trace_table"])
+def test_countable_alphabet_refused_before_any_word(call, monkeypatch):
+    # nothing bounds what a truncated countable alphabet's dropped letters
+    # add to the word sum, so the route refuses before counting a word
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(dynamics, "_fold_words")
+    spy(determinant, "_fold_words")
+    spy(determinant, "_word_count")
+    with pytest.raises(TransferOperatorError,
+                       match="needs a finite alphabet.*spectrum"):
+        call(make_gauss_system(3))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +604,10 @@ def test_trace_table_budget_checked_before_any_work_dim2(monkeypatch):
 # Newton recursion
 
 
-def _table(values, bounds=None, sid="synthetic"):
+def _table(values, sid="synthetic"):
     values = tuple(complex(v) for v in values)
     orders = tuple(range(1, len(values) + 1))
-    if bounds is None:
-        bounds = (0.0,) * len(values)
-    return TraceTable(orders, values, tuple(bounds), 0.5, sid)
+    return TraceTable(orders, values, 0.5, sid)
 
 
 def test_coefficients_affine_first_two():
@@ -627,22 +651,9 @@ def test_coefficients_match_infinite_product(affine_half):
 
 
 def test_coefficients_require_contiguous_orders():
-    tt = TraceTable((1, 3), (1.0, 1.0), (0.0, 0.0), 0.5, "bad")
+    tt = TraceTable((1, 3), (1.0, 1.0), 0.5, "bad")
     with pytest.raises(ValueError):
         determinant_coefficients(tt)
-
-
-def test_trust_radius_zero_bounds_hits_cap(affine_half):
-    series = determinant_coefficients(trace_table(affine_half, 6))
-    assert series.trust_radius == TRUST_CAP
-
-
-def test_trust_radius_decreases_with_bounds():
-    values = [2.0] * 6
-    loose = determinant_coefficients(_table(values, bounds=[1e-12] * 6))
-    tight = determinant_coefficients(_table(values, bounds=[1e-6] * 6))
-    assert tight.trust_radius < loose.trust_radius
-    assert tight.trust_radius > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +670,7 @@ def test_zeros_affine_leading_eigenvalues(affine_half):
 
 def test_zeros_linear_series():
     # a degree-1 truncation has no lower truncation to agree with
-    seq = determinant_zeros(DeterminantSeries((1.0, -0.35 + 0.1j), 100.0))
+    seq = determinant_zeros(DeterminantSeries((1.0, -0.35 + 0.1j)))
     assert len(seq.values) == 1
     assert seq.values[0] == pytest.approx(0.35 - 0.1j, rel=1e-12)
     assert seq.reliable_count == 0
@@ -748,7 +759,7 @@ def test_export_determinant_json(affine_half):
     series = determinant_coefficients(tt)
     out = export_determinant_json(tt, series)
     assert set(out) == {"orders", "traces_re", "traces_im", "coeffs_re",
-                        "coeffs_im", "trust_radius"}
+                        "coeffs_im"}
     assert out["orders"] == [1, 2, 3, 4, 5, 6]
     assert len(out["coeffs_re"]) == 7
     # written as the CLI writes determinant-<id>.json

@@ -14,6 +14,7 @@ from transferspec import (
     NoConvergence,
     NotContracting,
     NotEnclosed,
+    assemble_matrix,
     contraction_details,
     enclosing_radius,
     fixed_point,
@@ -461,7 +462,8 @@ def test_library_calls_keep_no_reference_to_systems():
     gauss = make_gauss_system(3, make_ball(1.0, 1.5))
     moebius = make_system([make_moebius(0.0, 1.0, 1.0, e) for e in (1, 2)],
                           [make_const(1.0)] * 2, make_ball(1.0, 1.5))
-    trace_table(gauss, 2)
+    assemble_matrix(gauss, N=8)
+    trace_table(moebius, 2)
     contraction_details(moebius, 2)
     refs = [weakref.ref(gauss), weakref.ref(moebius)]
     del gauss, moebius

@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+from transferspec import TransferOperatorError
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -21,9 +23,14 @@ def test_readme_quick_tour_runs():
     ns = {}
     exec(compile(_quick_tour(), str(README), "exec"), ns)
     assert ns["seq"].values[0] == pytest.approx(1.0, abs=1e-12)
-    assert ns["table"].orders == (1, 2)
-    assert 1e-4 < ns["series"].trust_radius < 1.3e-4
-    assert ns["zeros"].values == ()
+    assert ns["table"].orders == tuple(range(1, 11))
+    lam2 = ns["zeros"].values[1]
+    assert ns["zeros"].reliable_count >= 2
+    assert abs(lam2) == pytest.approx(0.22307, abs=5e-6)
+    assert abs(abs(lam2) - abs(ns["mat"].values[1])) < 1e-12
+    assert ns["mat"].reliable_count >= 2
+    with pytest.raises(TransferOperatorError):
+        ns["trace_table"](ns["sys_"], 2)
     assert ns["verify_bounds"](ns["seq"], ns["prof"]).all_pass is True
 
 

@@ -56,7 +56,6 @@ def test_assemble_affine_upper_triangular_binomial():
 def test_assemble_records_full_tail_for_gauss(gauss200):
     m = assemble_matrix(gauss200, N=8)
     assert m.tail_included
-    assert m.tail_bound == 0.0
     assert m.size == 8
     assert m.system_id
 
@@ -74,7 +73,7 @@ def _matrix_of(data):
     data = np.asarray(data, dtype=complex)
     return OperatorMatrix(data=data, center=0.0, radius=1.0,
                           size=data.shape[0], system_id="test",
-                          tail_bound=0.0, tail_included=True, grid=0)
+                          tail_included=True, grid=0)
 
 
 def test_eigenvalues_diagonal_example():

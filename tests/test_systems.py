@@ -17,6 +17,7 @@ from transferspec import (
     InadmissibleDomain,
     InvalidDomain,
     MapWeightSystem,
+    TransferOperatorError,
     assemble_matrix,
     make_affine,
     make_ball,
@@ -840,15 +841,24 @@ def test_dim2_system_refuses_non_constant_dim1_weight(weight):
 
 def _same_system(left, right, order):
     """Equal coefficient and law arrays, and bit-identical traces, matrix
-    and validation report."""
+    and validation report. Two truncated countable systems both refuse the
+    word sum, and their traces are compared on finite copies of their
+    letters."""
     assert np.array_equal(left.coefficients, right.coefficients)
     for a, b in zip(left.law, right.law):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(trace_table(left, order).values,
-                          trace_table(right, order).values)
     assert np.array_equal(assemble_matrix(left, N=16).data,
                           assemble_matrix(right, N=16).data)
     assert validate_system(left).to_dict() == validate_system(right).to_dict()
+    if isinstance(left.alphabet, CountableTruncated):
+        for sys_ in (left, right):
+            with pytest.raises(TransferOperatorError,
+                               match="needs a finite alphabet"):
+                trace_table(sys_, order)
+        left, right = (make_system(s.branches, s.weights, s.domain)
+                       for s in (left, right))
+    assert np.array_equal(trace_table(left, order).values,
+                          trace_table(right, order).values)
 
 
 def test_affine_descriptor_and_maps_are_one_representation():

@@ -12,6 +12,16 @@ contour and the trapezoidal coefficients converge geometrically.
 For a truncated countable family the alphabet's closed-form tail power
 sums add the dropped branches' contribution analytically, so the matrix
 represents the full operator rather than its truncation.
+
+A conjugation-symmetric system (real Moebius coefficients, real weight
+factors, a real center) has g_n(conj z) = conj g_n(z), and the grid is
+symmetric about the real axis, so the samples are Hermitian and the
+matrix is real. Such a system is sampled on the upper half circle alone
+(grid/2 + 1 points), its columns come from the inverse real transform of
+that half, and its eigenvalues from the real eigensolver: real
+eigenvalues come out exactly real and the others in exactly conjugate
+pairs. Every other system (user maps, complex data or center) keeps the
+complex matrix and the complex eigensolver.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ AGREEMENT_RTOL = 1e-8
 class OperatorMatrix:
     """Dense matrix of the operator in the circle basis, with provenance."""
 
-    data: object            # (N, N) complex ndarray
+    data: object            # (N, N) ndarray, float64 for a conjugation-
+                            # symmetric system, complex otherwise
     center: complex
     radius: float
     size: int
@@ -91,16 +102,15 @@ def assemble_matrix(sys_, ball=None, N=32):
     ball = sys_.domain if ball is None else ball
     c, rho = complex(ball.center), float(ball.radius)
     grid = 4 * N
-    # not BallDomain.boundary_points: its exp(1j * (2 pi k / m)) differs from
-    # this exp(2j pi k / m) in the last bit at some k, which moves noise
-    # digits of the spectrum CSV, so the grids stay two formulas
-    zs = c + rho * np.exp(2j * np.pi * np.arange(grid) / grid)
+    real = _conjugation_symmetric(sys_, c)
+    # the upper half circle k = 0..grid/2 holds every sample of a real system
+    zs = ball.boundary_points(grid, grid // 2 + 1 if real else grid)
 
     t, w = _branch_values_on_grid(sys_, zs)
     s = (t - c) / rho
     del t                       # freed before the power sums run
 
-    g = np.zeros((N, grid), dtype=complex)
+    g = np.zeros((N, zs.size), dtype=complex)
     _power_sums(w, s, g)
     del w, s                    # freed before the tail builds its own tables
 
@@ -113,10 +123,24 @@ def assemble_matrix(sys_, ball=None, N=32):
         g += tail
         del tail
 
-    cols = np.fft.fft(g, axis=1) / grid
+    if real:    # the transform of the Hermitian extension of the half
+        cols = np.fft.hfft(g, n=grid, axis=1) / grid
+    else:
+        cols = np.fft.fft(g, axis=1) / grid
     data = np.ascontiguousarray(cols[:, :N].T)
     return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
                           tail_included, grid)
+
+
+def _conjugation_symmetric(sys_, center):
+    """Whether the system's data are real and the center is real, so that
+    its matrix in the circle basis about center is real. Decided from the
+    coefficients and the weight law alone; a system without them (user
+    maps) is never taken as real."""
+    return (sys_.coefficients is not None and sys_.law is not None
+            and center.imag == 0.0
+            and not sys_.coefficients.imag.any()
+            and not sys_.law[0].imag.any())
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +237,9 @@ def eigenvalues(matrix):
     full length; use spectral_sequence for a stability assessment.
     """
     data = matrix.data if isinstance(matrix, OperatorMatrix) else matrix
-    data = np.asarray(data, dtype=complex)
+    # a real matrix goes to the real solver: real eigenvalues come out
+    # exactly real, the others in exactly conjugate pairs
+    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
     try:

@@ -61,12 +61,13 @@ class BallDomain:
     radius: float
     dim: int = 1
 
-    def boundary_points(self, m):
-        """m equispaced points on the boundary circle (dim 1 only)."""
+    def boundary_points(self, m, count=None):
+        """The points c + rho exp(2 pi i k / m) of the boundary circle for
+        k < count (default m: all m equispaced points; dim 1 only)."""
         if self.dim != 1:
             raise DimensionUnsupported("boundary sampling needs dim 1")
-        theta = 2.0 * np.pi * np.arange(m) / m
-        return self.center + self.radius * np.exp(1j * theta)
+        k = np.arange(m if count is None else count)
+        return self.center + self.radius * np.exp(2j * np.pi * k / m)
 
     def contains(self, z, slack=0.0):
         """Whether a point (or each point of an array) lies in the closed
@@ -167,20 +168,24 @@ class AnalyticMap:
         return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + points)
 
 
-def _moebius(coef, z, derivative=False, at=lambda col: col):
+def _moebius(coef, z, derivative=False, at=lambda col: col, image=False):
     """(a z + b)/(c z + e), or its derivative (a e - b c)/(c z + e)^2, for
     coef = (a, b, c, e): one map's numbers, or coefficient columns that
     broadcast against z, or that at gathers where each is used, so few
     gathered columns are alive at once. An array derivative is built in
-    place in c z + e, so no second table of its size is made."""
+    place in c z + e, so no second table of its size is made; with image
+    it comes as (image, derivative), the image taken from the same c z + e
+    before the derivative overwrites it."""
     a, b, c, e = coef
     q = at(c) * z + at(e)
     if not derivative:
         return (at(a) * z + at(b)) / q
     if not isinstance(q, np.ndarray):
         return (at(a) * at(e) - at(b) * at(c)) / (q * q)
+    t = (at(a) * z + at(b)) / q if image else None
     np.multiply(q, q, out=q)
-    return np.divide(at(a) * at(e) - at(b) * at(c), q, out=q)
+    np.divide(at(a) * at(e) - at(b) * at(c), q, out=q)
+    return (t, q) if image else q
 
 
 def _weigh(factor, power, deriv, out):
@@ -256,7 +261,9 @@ class CountableTruncated:
     (count, len(z_points)) whose row n holds
     sum_{i > i_max} w_i(z) * (T_i(z) - center)^n evaluated in closed form;
     it lets the matrix discretization represent the full operator instead
-    of the truncation.
+    of the truncation. When the stored letters are real, so is the tail:
+    at conj z and a real center it gives the conjugate rows, which lets the
+    matrix route sample it on the upper half circle only.
     """
 
     i_max: int
@@ -677,10 +684,9 @@ def _branch_values_on_grid(sys_, zs):
         images = sys_.apply_letters(letters, pts).reshape(n, g)
         weights = sys_.weight_letters(letters, pts).reshape(n, g)
         return images, weights
-    cols = sys_.coefficients.T[:, :, None]
-    images = _moebius(cols, zs)
+    images, q = _moebius(sys_.coefficients.T[:, :, None], zs,
+                         derivative=True, image=True)
     # the derivative table becomes the weight table in place
-    q = _moebius(cols, zs, derivative=True)
     factor, power = sys_.law
     return images, _weigh(factor[:, None], power[:, None], q, q)
 

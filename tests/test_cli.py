@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -505,6 +506,26 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("center, radius", [(1.0, 1.5), (0.8, 1.2)],
+                         ids=["disc-a", "disc-b"])
+def test_gauss_spectrum_is_real_and_closed_under_conjugation(
+        tmp_path, capsys, center, radius):
+    # the Gauss operator's eigenvalues are real (Mayer-Roepstorff): every
+    # resolved row has im exactly 0, and every complex value deeper down
+    # has its exact conjugate among the values
+    system = dict(GAUSS_PRESET_CFG["system"],
+                  domain={"center": [center, 0.0], "radius": radius, "dim": 1})
+    cfg = write_cfg(tmp_path, {"system": system})
+    assert main(["spectrum", "--config", cfg, "--matrix-size", "128"]) == 0
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 256
+    values = [complex(float(re), float(im)) for _, re, im, _, _ in rows]
+    assert all(v.imag == 0.0 for v in values[:35])
+    off_axis = [v for v in values if v.imag != 0.0]
+    assert Counter(off_axis) == Counter(v.conjugate() for v in off_axis)
+
+
 @pytest.mark.parametrize("command, payload", [
     ("spectrum", GAUSS_PRESET_CFG), ("spectrum", GAUSS4_CFG),
     ("determinant", GAUSS4_CFG)], ids=["spectrum-gauss", "spectrum-gauss4",
@@ -546,8 +567,17 @@ def test_descriptor_systems_take_the_closed_forms(tmp_path, capsys,
     monkeypatch.setattr(transferspec.systems.MapWeightSystem, "_gather",
                         refuse)
     monkeypatch.setattr(transferspec.systems.AnalyticMap, "__init__", refuse)
-    assert main([command, "--config", cfg]) == code
-    assert capsys.readouterr().out == first
+    again = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    if command == "determinant" and payload is GAUSS_PRESET_CFG:
+        # the countable alphabet is refused before any word, so before any
+        # map: the refusal itself is what there is to check
+        assert (code, first, again, captured.out) == (1, "", 1, "")
+        assert captured.err.startswith("error: the determinant route needs "
+                                       "a finite alphabet")
+    else:
+        assert again == code
+        assert captured.out == first
 
 
 def _console_script_command():

@@ -10,7 +10,10 @@ built in long double for the orders a double holds as normal numbers, with
 the zeta rows of hzeta_rows; the reference takes the cutoff and those
 orders from the tail's own rules (systems._gauss_tail_cutoff,
 normal_orders), builds the product with the same numpy operations on the
-whole grid at once, then adds the explicit branches row by row.
+whole grid at once, then adds the explicit branches row by row. A
+conjugation-symmetric system (real data, real center) is sampled on the
+upper half circle only and its columns come from np.fft.hfft, as in
+assemble_matrix; any other system takes the full circle and np.fft.fft.
 """
 
 import os
@@ -20,6 +23,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import GAUSS4_DESC, as_plain_maps
 from transferspec import (
     assemble_matrix,
     make_ball,
@@ -27,6 +31,7 @@ from transferspec import (
     make_gauss_system,
     make_moebius,
     make_system,
+    spectra,
     system_from_descriptor,
     systems,
 )
@@ -83,13 +88,17 @@ def reference_tail(i_max, z, count, center):
     return out
 
 
-def reference_matrix(sys_, N):
-    c, rho = complex(sys_.domain.center), float(sys_.domain.radius)
+def reference_matrix(sys_, N, half, ball=None):
+    # half: the system is conjugation-symmetric, so only the upper half
+    # circle k = 0..grid/2 is sampled and the columns come from hfft
+    ball = sys_.domain if ball is None else ball
+    c, rho = complex(ball.center), float(ball.radius)
     grid = 4 * N
-    zs = c + rho * np.exp(2j * np.pi * np.arange(grid) / grid)
+    count = grid // 2 + 1 if half else grid
+    zs = c + rho * np.exp(2j * np.pi * np.arange(count) / grid)
     t, w = gathered_table(sys_, zs)
     s = (t - c) / rho
-    g = np.empty((N, grid), dtype=complex)
+    g = np.empty((N, count), dtype=complex)
     powers = np.ones_like(s)
     for n in range(N):
         g[n] = (w * powers).sum(axis=0)
@@ -97,7 +106,10 @@ def reference_matrix(sys_, N):
     if isinstance(sys_.alphabet, systems.CountableTruncated):
         tail = reference_tail(sys_.alphabet.i_max, zs, N, c)
         g += tail * (rho ** -np.arange(N, dtype=float))[:, None]
-    cols = np.fft.fft(g, axis=1) / grid
+    if half:
+        cols = np.fft.hfft(g, n=grid, axis=1) / grid
+    else:
+        cols = np.fft.fft(g, axis=1) / grid
     return np.ascontiguousarray(cols[:, :N].T)
 
 
@@ -112,7 +124,7 @@ def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
     # at N = 360 the cancellation bound puts the cutoff at 207, so the
     # tail also sums branches 201..207 directly
     got = assemble_matrix(gauss200, N=N).data
-    assert same_bits(got, reference_matrix(gauss200, N))
+    assert same_bits(got, reference_matrix(gauss200, N, half=True))
 
 
 def test_gauss_matrix_bits_do_not_depend_on_blas_threads(tmp_path):
@@ -134,7 +146,7 @@ def test_gauss_matrix_bits_do_not_depend_on_blas_threads(tmp_path):
             [sys.executable, "-c", code, str(tmp_path / threads)], env=env))
     assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
     one, two = ((tmp_path / t).read_bytes() for t in ("1", "2"))
-    assert len(one) == (128 ** 2 + 256 ** 2) * 16
+    assert len(one) == (128 ** 2 + 256 ** 2) * 8      # real: float64
     assert one == two
 
 
@@ -142,9 +154,73 @@ def test_gauss_matrix_bits_do_not_depend_on_blas_threads(tmp_path):
                                   "zero_weight"])
 def test_finite_matrix_matches_whole_array_loop(name, request):
     sys_ = request.getfixturevalue(name)
+    half = name != "mixed"      # mixed alone has complex coefficients
     for N in (7, 40):
         assert same_bits(assemble_matrix(sys_, N=N).data,
-                         reference_matrix(sys_, N))
+                         reference_matrix(sys_, N, half))
+
+
+COMPLEX_CENTER = make_ball(1.0 + 0.1j, 1.4)
+
+
+@pytest.mark.parametrize("case", ["gauss-complex-center",
+                                  "gauss4-complex-center", "complex-weight",
+                                  "user-maps"])
+def test_complex_systems_keep_the_full_circle(case, gauss200, gauss4):
+    # a complex center, a complex weight factor or plain maps: the whole
+    # circle and the complex transform, as before there was a real route
+    sys_, ball = {
+        "gauss-complex-center": (gauss200, COMPLEX_CENTER),
+        "gauss4-complex-center": (gauss4, COMPLEX_CENTER),
+        "complex-weight": (system_from_descriptor(dict(
+            GAUSS4_DESC, params=[dict(p, weight=[0.5, 0.25])
+                                 for p in GAUSS4_DESC["params"]])), None),
+        "user-maps": (as_plain_maps(gauss4), None),
+    }[case]
+    for N in (7, 40):
+        assert same_bits(assemble_matrix(sys_, ball, N).data,
+                         reference_matrix(sys_, N, False, ball))
+
+
+@pytest.mark.parametrize("name, N", [("gauss200", 64), ("gauss200", 134),
+                                     ("gauss4", 40), ("affine_half", 40)])
+@pytest.mark.parametrize("ball", [None, make_ball(0.8, 1.2)],
+                         ids=["own-disc", "disc-b"])
+def test_half_circle_matrix_is_the_real_part_of_the_full_one(name, N, ball,
+                                                             request):
+    # the full circle's complex matrix is real up to rounding; the half
+    # circle's real matrix is its real part to a few roundings of the sums
+    sys_ = request.getfixturevalue(name)
+    got = assemble_matrix(sys_, ball, N).data
+    full = reference_matrix(sys_, N, False, ball)
+    tol = 8 * np.finfo(float).eps * np.abs(full).max()
+    assert got.dtype == np.float64
+    assert np.abs(full.imag).max() <= tol
+    assert np.abs(got - full.real).max() <= tol
+
+
+@pytest.mark.parametrize("name, ball, count", [
+    ("gauss200", None, 15), ("gauss4", COMPLEX_CENTER, 28),
+    ("user", None, 28)])
+def test_assembly_samples_the_boundary_points(name, ball, count, request,
+                                              monkeypatch):
+    # one circle-grid formula: at N = 7 (28 points, where 1/28 is inexact)
+    # the assembly's points are the ball's boundary points, the first 15
+    # (k = 0..14) for a real system
+    sys_ = as_plain_maps(request.getfixturevalue("gauss4")) \
+        if name == "user" else request.getfixturevalue(name)
+    seen = []
+    table = spectra._branch_values_on_grid
+
+    def watched(sys_, zs):
+        seen.append(zs)
+        return table(sys_, zs)
+
+    monkeypatch.setattr(spectra, "_branch_values_on_grid", watched)
+    assemble_matrix(sys_, ball, 7)
+    want = (sys_.domain if ball is None else ball).boundary_points(28)
+    assert len(seen) == 1
+    assert same_bits(seen[0], want[:count])
 
 
 @pytest.mark.parametrize("i_max, count, grid", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import as_plain_maps
 from transferspec import spectra, systems
 from transferspec import (
     DimensionUnsupported,
@@ -63,6 +64,44 @@ def test_assemble_records_full_tail_for_gauss(gauss200):
 def test_assemble_rejects_higher_dimension(diag2d):
     with pytest.raises(DimensionUnsupported):
         assemble_matrix(diag2d, N=8)
+
+
+def _moebius_desc(weight, b=0.2):
+    return {"family": "moebius_list",
+            "params": [{"a": 0.3, "b": b, "c": 0.1, "e": 1.0,
+                        "weight": weight},
+                       {"a": -0.25, "b": 0.4, "c": 0.0, "e": 1.0,
+                        "weight": 0.5}],
+            "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}
+
+
+# real Moebius coefficients, real weight factors and a real center, decided
+# from the data: a complex number anywhere, or plain maps, keep the
+# complex route
+@pytest.mark.parametrize("case, real", [
+    ("gauss", True), ("gauss4", True), ("affine_half", True),
+    ("real-moebius", True), ("complex-coefficient", False),
+    ("complex-weight", False), ("complex-center", False),
+    ("gauss-complex-center", False), ("user-maps", False)])
+def test_real_route_takes_conjugation_symmetric_systems(case, real, gauss200,
+                                                        gauss4, affine_half):
+    sys_, ball = {
+        "gauss": (gauss200, None),
+        "gauss4": (gauss4, None),
+        "affine_half": (affine_half, None),
+        "real-moebius": (systems.system_from_descriptor(
+            _moebius_desc("derivative")), None),
+        "complex-coefficient": (systems.system_from_descriptor(
+            _moebius_desc("derivative", b=[0.2, 0.1])), None),
+        "complex-weight": (systems.system_from_descriptor(
+            _moebius_desc([1.0, 0.5])), None),
+        "complex-center": (gauss4, make_ball(1.0 + 0.1j, 1.4)),
+        "gauss-complex-center": (gauss200, make_ball(1.0 + 0.1j, 1.4)),
+        "user-maps": (as_plain_maps(gauss4), None),
+    }[case]
+    m = assemble_matrix(sys_, ball, N=16)
+    assert m.data.dtype == (np.float64 if real else np.complex128)
+    assert m.data.shape == (16, 16) and m.grid == 64
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +258,27 @@ def test_eigensolver_runs_on_one_blas_thread(monkeypatch):
         assert get_threads() == 2       # the caller's count comes back
     finally:
         set_threads(before)
+
+
+@pytest.mark.parametrize("data, solver_dtype", [
+    (np.array([[2.0, 1.0], [-1.0, 2.0]]), np.float64),
+    ([[2, 1], [-1, 2]], np.float64),
+    (np.array([[2.0, 1.0], [-1.0, 2.0]], dtype=complex), np.complex128)])
+def test_eigenvalues_real_array_takes_real_solver(monkeypatch, data,
+                                                  solver_dtype):
+    seen = []
+    solve = np.linalg.eigvals
+
+    def watched(a):
+        seen.append(a.dtype)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", watched)
+    seq = eigenvalues(data)
+    assert seen == [solver_dtype]
+    assert np.allclose(seq.values, (2 - 1j, 2 + 1j), rtol=0.0, atol=1e-15)
+    if solver_dtype == np.float64:      # a real solver's pair is conjugate
+        assert seq.values[0] == seq.values[1].conjugate()
 
 
 def test_gauss_tail_runs_on_one_blas_thread(monkeypatch):

@@ -19,28 +19,34 @@ rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
 runs over necklaces: each chunk of the lexicographic word range evaluates
 only the least rotation of each word in it, and counts its term once for
 each of its period d (the number of distinct rotations) as d * t, split
-exactly into two doubles. Each representative's orbit is walked so that
-every rotation's fixed point is still checked against the ball. Counting
-one rotation's rounding d times cannot grow the relative error of a sum
-whose terms share one sign, but where terms cancel it can, so a chunk whose
+exactly into two doubles. Every rotation's fixed point is still checked
+against the ball: the representative's orbit is walked, unless the
+letters' exact image discs prove that no orbit point of a fixed point in
+the ball can leave it, so that the walk could mark nothing. Counting one
+rotation's rounding d times cannot grow the relative error of a sum whose
+terms share one sign, but where terms cancel it can, so a chunk whose
 terms are not all real of one sign is evaluated word by word, as every
 chunk is in dim >= 2.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
-user maps. Fixed-size lexicographic chunks give exactly rounded sums and
-remainders that combine in index order, bit-identical at any thread count.
+user maps. A Moebius system whose coefficients and weight factors are all
+real folds its words in float64, dividing as numpy divides complex
+numbers, so its traces keep the bits of the complex fold. Fixed-size
+lexicographic chunks give exactly rounded sums and remainders that combine
+in index order, bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
+    _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
     _fold_words,
     _mark_exits,
@@ -57,7 +63,14 @@ from .errors import (
     TransferOperatorError,
 )
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import CountableTruncated, _letter_groups, _moebius, _weigh
+from .systems import (
+    _ROUND_OUT,
+    CountableTruncated,
+    _image_reach,
+    _letter_groups,
+    _real_data,
+    _weigh,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +132,19 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     totals = [_word_count(sys_, n, word_budget) for n in orders]
     items = [(n, lo, hi) for n, total in zip(orders, totals)
              for lo, hi in chunk_ranges(total)]
-    d = sys_.dim
+    d, size = sys_.dim, sys_.n_letters
+    # decided once for the table: whether the image discs make the necklace
+    # walk redundant, and whether the words can be taken in float64
+    plan = sys_.coefficients is not None and dict(
+        walk=not _orbits_stay_inside(sys_), real=_real_data(sys_))
 
     def handle(item, necklaces):
         n, lo, hi = item
-        words = (_moebius_words(sys_, n, lo, hi, necklaces)
-                 if sys_.coefficients is not None
+        words = (_moebius_words(sys_, n, lo, hi, necklaces, **plan) if plan
                  else _iterated_words(sys_, n, lo, hi, tol, necklaces))
         if words is None:
             return (0.0, 0.0), (0.0, 0.0), 0.0, 0.0, False
-        letters, period, wgt, mult, z, end, exits = words
+        index, period, wgt, mult, z, end, exits = words
         if d == 1:
             spectral, denom = np.abs(mult), 1.0 - mult
             refused = ~(spectral < 1.0 - 1e-9)
@@ -142,14 +158,16 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
         # point of its rotation by k is the k-th point of its orbit
         if refused.any():
             r = int(np.argmax(refused))
-            raise NotContracting(f"word {tuple(letters[r].tolist())} has "
+            word = word_letters(size, n, index[r:r + 1])[0]
+            raise NotContracting(f"word {tuple(word.tolist())} has "
                                  + why.format(denom[r]))
         if (exits >= 0).any():
             r = int(np.argmax(exits >= 0))
-            word = np.roll(letters[r], -exits[r]).tolist()
-            raise EscapedDomain(f"word {tuple(word)} has its attracting "
-                                "fixed point outside the ball")
-        terms = wgt / denom if d == 1 else _quotient(wgt, denom)
+            word = np.roll(word_letters(size, n, index[r:r + 1])[0],
+                           -exits[r])
+            raise EscapedDomain(f"word {tuple(word.tolist())} has its "
+                                "attracting fixed point outside the ball")
+        terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
         return (_split_sum(_times(period, terms.real)),
                 _split_sum(_times(period, terms.imag)),
                 float(spectral.max()), float(_point_norm(end - z).max()),
@@ -196,12 +214,23 @@ def _quotient(a, b):
     return out
 
 
+def _divide(a, b, out=None, where=True):
+    """a / b elementwise, rounded as numpy divides complex numbers: a real
+    b, as a complex number of imaginary part 0, gives a * (1 / b), one
+    rounding more than a real a / b. So words of a real system, taken in
+    float64, keep the bits they have as complex numbers."""
+    if np.iscomplexobj(b):
+        return np.divide(a, b, out=out, where=where)
+    return np.multiply(a, np.divide(1.0, b), out=out, where=where)
+
+
 def _iterated_words(sys_, n, lo, hi, tol, necklaces):
-    """Letters, periods, weight, multiplier, fixed point z, T(z) and the
-    first orbit point outside the ball (as batch_orbit marks them) of the
-    words lo..hi-1 of length n, by fixed-point iteration: the necklace
-    representatives with necklaces, else every word, each checked at its
-    own fixed point. None when the range holds no word to evaluate."""
+    """Lexicographic indices, periods, weight, multiplier, fixed point z,
+    T(z) and the first orbit point outside the ball (as batch_orbit marks
+    them) of the words lo..hi-1 of length n, by fixed-point iteration: the
+    necklace representatives with necklaces, else every word, each checked
+    at its own fixed point. None when the range holds no word to
+    evaluate."""
     size, ball = sys_.n_letters, sys_.domain
     words, period, _, _ = _fold_words(size, n, lo, hi, necklaces=necklaces)
     if not words.size:
@@ -214,46 +243,82 @@ def _iterated_words(sys_, n, lo, hi, tol, necklaces):
     else:
         (wgt, mult, end), exits = (batch_orbit(sys_, letters, z, groups),
                                    _mark_exits(ball, z))
-    return letters, period, wgt, mult, z, end, exits
+    return words, period, wgt, mult, z, end, exits
 
 
-def _moebius_words(sys_, n, lo, hi, necklaces):
+def _orbits_stay_inside(sys_):
+    """Whether the image discs prove that no orbit point of an accepted
+    fixed point leaves the ball, so that the necklace walk would mark
+    nothing: every letter maps the ball of radius rho (1 + _ESCAPE_SLACK),
+    in which a fixed point is accepted, into the closed ball of radius
+    rho, its reach rounded outward, and a walk step's rounding stays within
+    the slack. That rounding is bounded by 8 ulps of each part of the
+    quotient (a y + b) / (c y + e) over the least |c y + e|, the gap, plus
+    8 ulps of the image's distance from the origin."""
+    ball = sys_.domain
+    rho, far = ball.radius, abs(ball.center) + ball.radius
+    wide = replace(ball, radius=rho * (1.0 + _ESCAPE_SLACK) * _ROUND_OUT)
+    reach, _, gap, _ = _image_reach(sys_.coefficients, wide)
+    if not (reach * _ROUND_OUT <= rho).all():
+        return False
+    a, b, c, e = np.abs(sys_.coefficients.T)
+    y = abs(ball.center) + wide.radius      # the largest |y| of a step
+    step = (a * y + b + far * (c * y + e)) / gap + far
+    return bool((8.0 * math.ulp(1.0) * step <= rho * _ESCAPE_SLACK).all())
+
+
+def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
     """As _iterated_words, in closed form from the system's coefficients.
     The words are folded over their prefix tree. q = C z + E is the larger
     root of q^2 - tr q + det and the multiplier is det / q^2. Under a weight
     law with one power p a word's weight is its factors' product times the
-    multiplier^p; other weights follow z's orbit. With necklaces, n - 1
-    Moebius steps walk each orbit for the rotations' fixed points."""
-    size, mob, ball = sys_.n_letters, tuple(sys_.coefficients.T), sys_.domain
+    multiplier^p; other weights follow z's orbit. With necklaces and walk,
+    n - 1 Moebius steps walk each orbit for the rotations' fixed points;
+    without walk the caller knows the walk would mark nothing. With real,
+    which needs real coefficients and law factors (systems._real_data),
+    the words are taken in float64 with the bits of the complex path; a
+    word whose roots are not real, which has a multiplier of modulus 1, gets
+    the multiplier NaN, which is refused as well."""
+    size, ball, coefficients = sys_.n_letters, sys_.domain, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
+    if real:
+        coefficients, factor = coefficients.real, factor.real
+    mob = tuple(coefficients.T)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
     words, period, (A, B, C, E), (det, wgt) = _fold_words(
         size, n, lo, hi, mob, (dets, factor), necklaces)
     if not words.size:
         return None
-    letters = word_letters(size, n, words)
     tr = A + E
-    s = np.sqrt(tr * tr - 4.0 * det)
+    with np.errstate(invalid="ignore"):     # a real word's complex roots
+        s = np.sqrt(tr * tr - 4.0 * det)
     q = tr + s
     tr -= s                     # the roots, doubled: keep the larger one
     q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
-    mult = np.divide(det, q * q, out=det)
+    mult = _divide(det, q * q, out=det)
     qa, qe = q - A, np.subtract(q, E, out=q)     # z = B / qa = qe / C, and
     pick = (C == 0) | (np.abs(qa) > np.abs(qe))  # the larger keeps digits
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.divide(qe, C, out=qe)
-        np.divide(B, qa, out=z, where=pick)
-        end = _moebius((A, B, C, E), z)
-        exits, y = _mark_exits(ball, z), z
-        for k, col in enumerate(letters.T[:-1] if necklaces else (), 1):
-            y = sys_.apply_letters(col, y)
-            _mark_exits(ball, y, exits, k)
-    if power is not None and (power == power[0]).all():
+        z = _divide(qe, C, out=qe)
+        _divide(B, qa, out=z, where=pick)
+        end = _divide(A * z + B, C * z + E)
+    exits = _mark_exits(ball, z)
+    walk = necklaces and walk
+    uniform = power is not None and (power == power[0]).all()
+    # the letter matrix only where the walk or per-word weights read it
+    letters = word_letters(size, n, words) if walk or not uniform else None
+    if walk:
+        y = z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, col in enumerate(letters.T[:-1], 1):
+                y = sys_.apply_letters(col, y)
+                _mark_exits(ball, y, exits, k)
+    if uniform:
         wgt = _weigh(wgt, power[0], mult, wgt)
     else:
         wgt = batch_orbit(sys_, letters, z)[0]
-    return letters, period, wgt, mult, z, end, exits
+    return words, period, wgt, mult, z, end, exits
 
 
 def _times(k, x):

@@ -40,6 +40,7 @@ from .systems import (
     MapWeightSystem,
     _branch_values_on_grid,
     _power_sums,
+    _real_data,
 )
 
 AGREEMENT_RTOL = 1e-8
@@ -102,7 +103,8 @@ def assemble_matrix(sys_, ball=None, N=32):
     ball = sys_.domain if ball is None else ball
     c, rho = complex(ball.center), float(ball.radius)
     grid = 4 * N
-    real = _conjugation_symmetric(sys_, c)
+    # real data about a real center give a real matrix in the circle basis
+    real = _real_data(sys_) and c.imag == 0.0
     # the upper half circle k = 0..grid/2 holds every sample of a real system
     zs = ball.boundary_points(grid, grid // 2 + 1 if real else grid)
 
@@ -130,17 +132,6 @@ def assemble_matrix(sys_, ball=None, N=32):
     data = np.ascontiguousarray(cols[:, :N].T)
     return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
                           tail_included, grid)
-
-
-def _conjugation_symmetric(sys_, center):
-    """Whether the system's data are real and the center is real, so that
-    its matrix in the circle basis about center is real. Decided from the
-    coefficients and the weight law alone; a system without them (user
-    maps) is never taken as real."""
-    return (sys_.coefficients is not None and sys_.law is not None
-            and center.imag == 0.0
-            and not sys_.coefficients.imag.any()
-            and not sys_.law[0].imag.any())
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,16 @@ def _letter_groups(letters):
             for letter in np.flatnonzero(np.bincount(letters)).tolist()]
 
 
+def _real_data(sys_):
+    """Whether the system is carried by Moebius coefficients and a weight
+    law whose numbers are all real, so that real points have real images,
+    derivatives and weights. Decided from those arrays alone; a system
+    without them (user maps) is never taken as real."""
+    return (sys_.coefficients is not None and sys_.law is not None
+            and not sys_.coefficients.imag.any()
+            and not sys_.law[0].imag.any())
+
+
 def make_system(branches, weights, domain, label="custom", descriptor=None):
     """A finite system from explicit branch and weight lists."""
     return MapWeightSystem(branches, weights, domain, label=label,
@@ -756,38 +766,52 @@ def validate_system(sys_, margin=0.1, grid=1024):
     )
 
 
+def _image_reach(coefficients, ball):
+    """The reach of each Moebius letter of the rows (a, b, c_i, e) of
+    coefficients on the closed ball, with the letters' derivative sups and
+    gaps (_derivative_sups) and p = c_i c + e.
+
+    Letter i maps the closed ball of center c and radius rho onto the disc
+    of center ((a c + b) conj(p) - a conj(c_i) rho^2) / D and radius
+    |det| rho / D, with det = a e - b c_i and D = |p|^2 - |c_i|^2 rho^2
+    = gap (|p| + |c_i| rho), so its reach from c is |center_i - c| +
+    radius_i. A pole on or inside the closed ball (gap <= 0) makes the
+    reach infinite. Nothing is rounded outward here.
+    """
+    a, b, cc, e = coefficients.T
+    c, rho = ball.center, ball.radius
+    det = np.abs(a * e - b * cc)
+    dsup, gap = _derivative_sups(det, cc, e, ball)
+    p = cc * c + e
+    inside = gap > 0.0
+    denom = np.where(inside, gap * (np.abs(p) + np.abs(cc) * rho), 1.0)
+    centers = ((a * c + b) * np.conj(p) - a * np.conj(cc) * (rho * rho)) / denom
+    reach = np.where(inside, np.abs(centers - c) + det * rho / denom, np.inf)
+    return reach, dsup, gap, p
+
+
 def _exact_sups(sys_):
     """Image sup, weight sup, worst branch and note of a Moebius system.
 
-    Branch i maps the closed ball onto the disc of center
-    ((a c + b) conj(p) - a conj(c_i) rho^2) / D and radius |det| rho / D,
-    with p = c_i c + e, det = a e - b c_i and D = |p|^2 - |c_i|^2 rho^2
-    = gap (|p| + |c_i| rho) (_derivative_sups), so its reach from the
-    center c is |center_i - c| + radius_i. A weight +-T' has sup
-    |det| / gap^2, and a constant its modulus. The weight sup is the sum of
-    these sups: the exact sup of the sum when every pole of a non-constant
-    weight lies in one direction from c, since each term then peaks at the
-    same circle point, and an upper bound otherwise. Both sups are rounded
-    outward by _ROUND_OUT. A pole on or inside the closed ball makes both
-    sups infinite.
+    The image sup is the largest reach of a branch (_image_reach). A weight
+    +-T' has sup |det| / gap^2, and a constant its modulus. The weight sup
+    is the sum of these sups: the exact sup of the sum when every pole of a
+    non-constant weight lies in one direction from c, since each term then
+    peaks at the same circle point, and an upper bound otherwise. Both sups
+    are rounded outward by _ROUND_OUT. A pole on or inside the closed ball
+    makes both sups infinite.
     """
-    a, b, cc, e = sys_.coefficients.T
-    c, rho = sys_.domain.center, sys_.domain.radius
-    det = np.abs(a * e - b * cc)
-    dsup, gap = _derivative_sups(det, cc, e, sys_.domain)
+    reach, dsup, gap, p = _image_reach(sys_.coefficients, sys_.domain)
     if (gap <= 0.0).any():
         worst = int(np.argmax(gap <= 0.0)) + 1
         return (math.inf, math.inf, worst,
                 f"pole of branch {worst} on or inside the closed ball")
-    p = cc * c + e
-    denom = gap * (np.abs(p) + np.abs(cc) * rho)
-    centers = ((a * c + b) * np.conj(p) - a * np.conj(cc) * (rho * rho)) / denom
-    reach = np.abs(centers - c) + det * rho / denom
     worst = int(np.argmax(reach))
     factor, power = sys_.law
     terms = _weigh(np.abs(factor), power, dsup, np.empty(len(dsup)))
     # each non-constant weight peaks at the circle point toward its pole,
     # in the direction of -p / c_i, that is of -p conj(c_i)
+    cc = sys_.coefficients[:, 2]
     toward = (p * np.conj(cc))[(power == 1) & (cc != 0)]
     turn = toward * np.conj(toward[:1])
     aligned = bool(np.all(turn.imag == 0.0) and np.all(turn.real > 0.0))

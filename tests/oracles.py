@@ -233,59 +233,77 @@ def lagrange_eval_deriv(nodes, weights, pts):
     return L, Lp
 
 
-def collocation_eigenvalues_finite(moebius_params, K=32):
+def _stable(coarse, fine, tol):
+    """The values of the fine collocation found within tol among the coarse
+    one's, sorted by non-increasing modulus: spurious collocation values
+    drift as K grows, the operator's stay."""
+    kept = [v for v in fine if np.min(np.abs(coarse - v)) <= tol]
+    return sorted_by_modulus(np.array(kept))
+
+
+def collocation_eigenvalues_finite(moebius_params, K=32, fine=48, tol=1e-9):
     """Eigenvalues of L f(x) = sum_i f(1/(e_i + x)) / (e_i + x)^2 on [0, 1],
-    for branches 1/(e_i + z), by Lagrange collocation at K Chebyshev points.
+    for branches 1/(e_i + z), by Lagrange collocation at Chebyshev points.
 
-    moebius_params is the list of shifts e_i (e.g. [1, 2, 3, 4]). Returned
-    sorted by non-increasing modulus.
+    moebius_params is the list of shifts e_i (e.g. [1, 2, 3, 4]). Only the
+    values at fine points that the collocation at K points matches within
+    tol are returned, sorted by non-increasing modulus.
     """
-    nodes = chebyshev_nodes(K)
-    bw = _bary_weights(K)
-    A = np.zeros((K, K))
-    for e in moebius_params:
-        img = 1.0 / (e + nodes)
-        w = 1.0 / (e + nodes) ** 2
-        A += w[:, None] * lagrange_eval(nodes, bw, img)
-    vals = np.linalg.eigvals(A)
-    return sorted_by_modulus(vals)
+    def collocate(K):
+        nodes = chebyshev_nodes(K)
+        bw = _bary_weights(K)
+        A = np.zeros((K, K))
+        for e in moebius_params:
+            img = 1.0 / (e + nodes)
+            w = 1.0 / (e + nodes) ** 2
+            A += w[:, None] * lagrange_eval(nodes, bw, img)
+        return np.linalg.eigvals(A)
+
+    return _stable(collocate(K), collocate(fine), tol)
 
 
-def collocation_eigenvalues_gauss(K=32, i_direct=4000, gl_points=20):
+def collocation_eigenvalues_gauss(K=32, i_direct=4000, gl_points=20,
+                                  fine=48, tol=1e-9):
     """Eigenvalues of the full continued-fraction operator
     L f(x) = sum_{i>=1} f(1/(i+x)) / (i+x)^2 by collocation, with the branch
     sum split into a direct part (i <= i_direct) and an Euler-Maclaurin tail.
+    As for collocation_eigenvalues_finite, only the values at fine points
+    that the collocation at K points matches within tol are returned.
 
     The tail integral reduces, via u = 1/(t+x), to an integral of the
-    polynomial l_k over [0, 1/(a+x)]; Gauss-Legendre with gl_points nodes is
-    exact for degree <= 2*gl_points - 1 >= K - 1.
+    polynomial l_k over [0, 1/(a+x)]; Gauss-Legendre with at least
+    gl_points nodes is exact for degree <= 2*gl_points - 1 >= K - 1.
     """
-    nodes = chebyshev_nodes(K)
-    bw = _bary_weights(K)
-    A = np.zeros((K, K))
-    chunk = 512
-    for lo in range(1, i_direct + 1, chunk):
-        idx = np.arange(lo, min(lo + chunk, i_direct + 1), dtype=float)
-        img = 1.0 / (idx[:, None] + nodes[None, :])        # (c, K)
-        w = img ** 2
-        L = lagrange_eval(nodes, bw, img.ravel()).reshape(img.shape[0], K, K)
-        A += np.einsum("cj,cjk->jk", w, L)
+    def collocate(K):
+        nodes = chebyshev_nodes(K)
+        bw = _bary_weights(K)
+        A = np.zeros((K, K))
+        chunk = 512
+        for lo in range(1, i_direct + 1, chunk):
+            idx = np.arange(lo, min(lo + chunk, i_direct + 1), dtype=float)
+            img = 1.0 / (idx[:, None] + nodes[None, :])        # (c, K)
+            w = img ** 2
+            L = lagrange_eval(nodes, bw, img.ravel()).reshape(img.shape[0],
+                                                              K, K)
+            A += np.einsum("cj,cjk->jk", w, L)
 
-    a = float(i_direct + 1)
-    ua = 1.0 / (a + nodes)                                  # (K,)
-    # integral part: int_0^{ua_j} l_k(u) du by Gauss-Legendre per row
-    gx, gw = np.polynomial.legendre.leggauss(gl_points)
-    half = 0.5 * ua
-    upts = half[:, None] * (gx[None, :] + 1.0)              # (K, gl)
-    Lq = lagrange_eval(nodes, bw, upts.ravel()).reshape(K, gl_points, K)
-    integral = np.einsum("g,jgk->jk", gw, Lq) * half[:, None]
-    # boundary corrections f(a)/2 - f'(a)/12 with f(t) = l_k(u(t)) u(t)^2
-    Lv, Lp = lagrange_eval_deriv(nodes, bw, ua)
-    f_a = Lv * (ua ** 2)[:, None]
-    fp_a = -(Lp * (ua ** 4)[:, None] + 2.0 * Lv * (ua ** 3)[:, None])
-    A += integral + 0.5 * f_a - fp_a / 12.0
-    vals = np.linalg.eigvals(A)
-    return sorted_by_modulus(vals)
+        a = float(i_direct + 1)
+        ua = 1.0 / (a + nodes)                                  # (K,)
+        # integral part: int_0^{ua_j} l_k(u) du by Gauss-Legendre per row
+        gl = max(gl_points, (K + 1) // 2)
+        gx, gw = np.polynomial.legendre.leggauss(gl)
+        half = 0.5 * ua
+        upts = half[:, None] * (gx[None, :] + 1.0)              # (K, gl)
+        Lq = lagrange_eval(nodes, bw, upts.ravel()).reshape(K, gl, K)
+        integral = np.einsum("g,jgk->jk", gw, Lq) * half[:, None]
+        # boundary corrections f(a)/2 - f'(a)/12 with f(t) = l_k(u(t)) u(t)^2
+        Lv, Lp = lagrange_eval_deriv(nodes, bw, ua)
+        f_a = Lv * (ua ** 2)[:, None]
+        fp_a = -(Lp * (ua ** 4)[:, None] + 2.0 * Lv * (ua ** 3)[:, None])
+        A += integral + 0.5 * f_a - fp_a / 12.0
+        return np.linalg.eigvals(A)
+
+    return _stable(collocate(K), collocate(fine), tol)
 
 
 def gauss_operator_apply(h, z, i_terms=200_000):

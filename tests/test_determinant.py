@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +27,14 @@ from transferspec import (
     make_ball,
     make_const,
     make_gauss_system,
+    make_moebius,
     make_system,
     spectral_sequence,
     system_from_descriptor,
     trace,
     trace_table,
 )
-from transferspec import determinant, dynamics
+from transferspec import determinant, dynamics, systems
 from transferspec._format import json_g17
 from transferspec.determinant import _aberth_roots
 from transferspec.dynamics import (
@@ -148,7 +150,7 @@ def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
         assert table.values[n - 1] == trace(gauss4, n).value
 
 
-def _no_work(*args):
+def _no_work(*args, **plan):
     raise AssertionError("words were evaluated")
 
 
@@ -273,7 +275,7 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
             continue
         for w, p in zip(whole, part):
             assert np.array_equal(w[inside], p)
-    letters = whole[0]
+    letters = word_letters(3, n, whole[0])
     assert np.array_equal(letters, word_letters(3, n, reps))
     A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)
                                for col in letters.T)
@@ -330,9 +332,9 @@ def test_periodic_mix_traces_match_mp_oracle(name, monkeypatch):
     necklaces = []
     words = determinant._moebius_words
 
-    def recorded(*args):
+    def recorded(*args, **plan):
         necklaces.append(args[-1])
-        return words(*args)
+        return words(*args, **plan)
 
     monkeypatch.setattr(determinant, "_moebius_words", recorded)
     for path in (sys_, as_plain_maps(sys_)):
@@ -404,6 +406,102 @@ def test_word_without_attracting_fixed_point_is_rejected(plain, a, center,
         trace(as_plain_maps(sys_) if plain else sys_, 1)
 
 
+# the benchmark's letter orders of gauss4's shifts for seeds 0, 1 and 2
+BENCH_SHIFTS = ((1, 2, 3, 4), (4, 1, 3, 2), (2, 3, 4, 1))
+REAL_CASES = {
+    **{f"gauss4-{''.join(map(str, s))}": lambda s=s: _moebius_case(
+        [(0.0, 1.0, 1.0, float(e), "neg_derivative") for e in s],
+        [1.0, 0.0], 1.5)[0] for s in BENCH_SHIFTS},
+    "periodic-mix": lambda: _moebius_case(*PERIODIC_MIX["real"], 1.0)[0],
+    "affine": lambda: system_from_descriptor({
+        "family": "affine_list",
+        "params": [{"a": 0.5, "b": 0.3, "weight": 1.0},
+                   {"a": -0.4, "b": 0.1, "weight": 0.7}],
+        "domain": {"center": [0.3, 0.0], "radius": 1.0, "dim": 1}}),
+}
+
+
+def _bits(call):
+    """repr of call(), or of the error it raises: repr tells every float
+    apart, the sign of zero too."""
+    try:
+        return repr(call())
+    except TransferOperatorError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("name", sorted(REAL_CASES))
+def test_real_words_keep_the_bits_of_complex_words(name, monkeypatch):
+    # a real system's words are taken in float64, dividing as numpy
+    # divides complex numbers, so every trace, multiplier and residual is
+    # the one the complex path gives
+    sys_ = REAL_CASES[name]()
+    assert systems._real_data(sys_)
+
+    def every_trace():
+        return [_bits(lambda: trace(sys_, n, threads=threads))
+                for n in range(1, 10) for threads in (1, 2)]
+
+    real = every_trace()
+    monkeypatch.setattr(determinant, "_real_data", lambda sys_: False)
+    assert every_trace() == real
+
+
+@pytest.mark.parametrize("a, center", [
+    (1.0, 0.0), (-1.0, 0.1), (cmath.exp(1j), 0.1), (2.0, 0.1),
+    # z -> -1/z has the roots +-i: a negative discriminant
+    ("elliptic", 2.0)])
+def test_refusals_are_the_same_on_the_real_path(a, center, monkeypatch):
+    branch = (make_moebius(0.0, -1.0, 1.0, 0.0) if a == "elliptic"
+              else make_affine(a, 0.0))
+    sys_ = make_system([branch], [make_const(1.0)], make_ball(center, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = [_bits(lambda: trace(sys_, n)) for n in (1, 2, 3)]
+        monkeypatch.setattr(determinant, "_real_data", lambda sys_: False)
+        assert [_bits(lambda: trace(sys_, n)) for n in (1, 2, 3)] == real
+    refusals = ("NotContracting: word (1", "EscapedDomain: word (1")
+    assert all(r.startswith(refusals) for r in real)
+
+
+def _count_steps(sys_, monkeypatch):
+    """Count the letter steps of sys_ taken from now on."""
+    steps = []
+    apply_letters = sys_.apply_letters
+
+    def counting(col, *args):
+        steps.append(len(col))
+        return apply_letters(col, *args)
+
+    monkeypatch.setattr(sys_, "apply_letters", counting)
+    return steps
+
+
+def test_walk_is_skipped_where_the_image_discs_keep_orbits_inside(
+        gauss4, monkeypatch):
+    # gauss4 maps the ball into the disc of radius 1 about its center, well
+    # inside the radius 1.5, so no orbit point can leave it
+    assert determinant._orbits_stay_inside(gauss4)
+    steps = _count_steps(gauss4, monkeypatch)
+    trace_table(gauss4, 8, threads=2)
+    assert steps == []
+
+
+def test_walk_runs_where_the_reach_passes_the_radius(monkeypatch):
+    # z -> -0.9 z + 0.15 reaches 1.05 from the center of the unit disc,
+    # though no periodic orbit leaves it: the walk runs, and whether it
+    # runs changes no value
+    sys_ = make_system([make_affine(-0.9, 0.15), make_affine(0.5, 0.0)],
+                       [make_const(1.0), make_const(0.5)],
+                       make_ball(0.0, 1.0))
+    assert not determinant._orbits_stay_inside(sys_)
+    steps = _count_steps(sys_, monkeypatch)
+    walked = [repr(trace(sys_, n)) for n in range(1, 9)]
+    assert steps
+    monkeypatch.setattr(determinant, "_orbits_stay_inside", lambda sys_: True)
+    assert [repr(trace(sys_, n)) for n in range(1, 9)] == walked
+
+
 @pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("overshoot, escapes", [(0.5e-9, False),
                                                 (2e-9, True)])
@@ -443,8 +541,9 @@ def test_max_residual_is_word_map_at_fixed_point(gauss4):
     # the residual is over the words evaluated: gauss4's terms share one
     # sign, so those are the necklace representatives
     n = 3
-    letters, _, _, _, z, _, _ = determinant._moebius_words(gauss4, n, 0,
-                                                           4 ** n, True)
+    index, _, _, _, z, _, _ = determinant._moebius_words(gauss4, n, 0,
+                                                         4 ** n, True)
+    letters = word_letters(4, n, index)
     words = [tuple(int(l) for l in row) for row in letters]
     # composing the branches one by one rounds differently from the
     # folded matrix, so the two residuals agree to a few ulps of |z| ~ 1

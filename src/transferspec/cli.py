@@ -317,22 +317,30 @@ def build_parser():
                     "operators attached to contracting analytic map-weight "
                     "systems.")
     sub = p.add_subparsers(dest="command", required=True)
+    # each subcommand takes the flags its cmd_* reads; the config file
+    # keys are shared
     specs = {
-        "validate": "check domain admissibility, weight sup, contraction",
-        "spectrum": "matrix-route eigenvalue CSV",
-        "determinant": "trace table, determinant coefficients and zeros",
-        "bounds": "decay-bound table, verification, crossover report",
+        "validate": ("check domain admissibility, weight sup, contraction",
+                     ("word_budget", "threads")),
+        "spectrum": ("matrix-route eigenvalue CSV", ("matrix_size",)),
+        "determinant": ("trace table, determinant coefficients and zeros",
+                        ("matrix_size", "trace_order", "word_budget",
+                         "threads")),
+        "bounds": ("decay-bound table, verification, crossover report",
+                   ("matrix_size",)),
     }
-    for name, help_ in specs.items():
+    flag_help = {
+        "matrix_size": "basis size N for the matrix route",
+        "trace_order": "number of trace orders M",
+        "word_budget": "maximum words enumerated per trace order",
+        "threads": "worker threads",
+    }
+    for name, (help_, takes) in specs.items():
         q = sub.add_parser(name, help=help_)
         q.add_argument("--config", help="path to JSON run configuration")
-        q.add_argument("--matrix-size", type=int, dest="matrix_size",
-                       help="basis size N for the matrix route")
-        q.add_argument("--trace-order", type=int, dest="trace_order",
-                       help="number of trace orders M")
-        q.add_argument("--word-budget", type=int, dest="word_budget",
-                       help="maximum words enumerated per trace order")
-        q.add_argument("--threads", type=int, help="worker threads")
+        for key in takes:
+            q.add_argument("--" + key.replace("_", "-"), type=int, dest=key,
+                           help=flag_help[key])
         q.add_argument("--out", help="output directory for result files")
         if name == "bounds":
             q.add_argument("--crossover", nargs=2, metavar=("R", "D"),

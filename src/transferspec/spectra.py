@@ -39,6 +39,7 @@ from .systems import (
     CountableTruncated,
     MapWeightSystem,
     _branch_values_on_grid,
+    _column_blocks,
     _power_sums,
     _real_data,
 )
@@ -108,28 +109,33 @@ def assemble_matrix(sys_, ball=None, N=32):
     # the upper half circle k = 0..grid/2 holds every sample of a real system
     zs = ball.boundary_points(grid, grid // 2 + 1 if real else grid)
 
-    t, w = _branch_values_on_grid(sys_, zs)
-    s = (t - c) / rho
-    del t                       # freed before the power sums run
-
-    g = np.zeros((N, zs.size), dtype=complex)
-    _power_sums(w, s, g)
-    del w, s                    # freed before the tail builds its own tables
-
+    # the tail's table, scaled, is the start of the power sums: S + tail
+    # and tail + S are the same sum
     tail_included = isinstance(sys_.alphabet, CountableTruncated)
     if tail_included:
         # its small products run 10-20x slower on more BLAS threads
         with _one_blas_thread():
-            tail = sys_.alphabet.power_tail(zs, N, c)
-        tail *= (rho ** -np.arange(N, dtype=float))[:, None]
-        g += tail
-        del tail
-
-    if real:    # the transform of the Hermitian extension of the half
-        cols = np.fft.hfft(g, n=grid, axis=1) / grid
+            g = np.asarray(sys_.alphabet.power_tail(zs, N, c), dtype=complex)
+        g *= (rho ** -np.arange(N, dtype=float))[:, None]
     else:
-        cols = np.fft.fft(g, axis=1) / grid
-    data = np.ascontiguousarray(cols[:, :N].T)
+        g = np.zeros((N, zs.size), dtype=complex)
+
+    # branch tables one column block at a time, so g is the one grid table
+    for cols in _column_blocks(zs.size, sys_.n_letters):
+        s, w = _branch_values_on_grid(sys_, zs[cols])
+        np.subtract(s, c, out=s)        # the base (t - c) / rho, in place
+        np.divide(s, rho, out=s)
+        _power_sums(w, s, g[:, cols])
+
+    # the columns' first N coefficients, a block of g's rows at a time
+    data = np.empty((N, N), dtype=float if real else complex)
+    for rows in _column_blocks(N, grid):
+        if real:    # the transform of the Hermitian extension of the half
+            block = np.fft.hfft(g[rows], n=grid, axis=1)
+        else:
+            block = np.fft.fft(g[rows], axis=1)
+        block /= grid
+        data[:, rows] = block[:, :N].T
     return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
                           tail_included, grid)
 

@@ -487,32 +487,43 @@ def _gauss_image_tail_sup(i_max, domain):
     return max(probe, far)
 
 
+def _column_blocks(cols, rows):
+    """Slices over cols columns in blocks of about _BLOCK_ENTRIES entries
+    of a rows-row table: a fixed width aligned at 0, with no block one
+    column wide unless cols is 1. numpy sums a (rows, 1) block along its
+    contiguous axis pairwise, and takes a product with a one-column matrix
+    down another BLAS routine, where a wider block is summed row by row
+    and multiplied as the whole table is; so a one-column remainder joins
+    the block before it.
+    """
+    width = max(2, _BLOCK_ENTRIES // rows)
+    starts = list(range(0, cols, width))
+    if len(starts) > 1 and cols - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [cols])]
+
+
 def _power_sums(w, base, out, base_first=False):
     """out[n] += sum_i w[i] * base[i]**n for every row n of out.
 
-    w and base are (letters, grid) arrays. The grid is walked in column
-    blocks of about _BLOCK_ENTRIES entries, so the running power and the
-    product stay in cache and no step allocates a full-size temporary.
-    Each column gets the same operations in the same order as whole-array
-    code, with the power step p * base, or base * p when base_first is set:
-    numpy's complex multiply rounds the two orders differently in the last
-    bit, and each caller keeps the order it has always computed.
+    w and base are one (letters, width) column block of _column_blocks,
+    and out is the matching (rows, width) view, so the running power and
+    the product stay in cache. Each column gets the same operations in the
+    same order as whole-array code, with the power step p * base, or
+    base * p when base_first is set: numpy's complex multiply rounds the
+    two orders differently in the last bit, and each caller keeps the
+    order it has always computed. The products are C-ordered, so each
+    column is summed row by row whatever the layout of w and base.
     """
-    rows, cols = base.shape
-    width = max(1, _BLOCK_ENTRIES // rows)
-    for lo in range(0, cols, width):
-        # contiguous copies: each numpy call below is then one inner loop
-        wb = np.ascontiguousarray(w[:, lo:lo + width])
-        bb = np.ascontiguousarray(base[:, lo:lo + width])
-        p = np.ones_like(bb)
-        tmp = np.empty_like(bb)
-        for n in range(out.shape[0]):
-            np.multiply(wb, p, out=tmp)
-            out[n, lo:lo + width] += tmp.sum(axis=0)
-            if base_first:
-                np.multiply(bb, p, out=p)
-            else:
-                np.multiply(p, bb, out=p)
+    p = np.ones_like(base, order="C")
+    tmp = np.empty_like(base, order="C")
+    for n in range(out.shape[0]):
+        np.multiply(w, p, out=tmp)
+        out[n] += tmp.sum(axis=0)
+        if base_first:
+            np.multiply(base, p, out=p)
+        else:
+            np.multiply(p, base, out=p)
 
 
 _TAIL_CANCELLATION = 32.0   # loss the tail's binomial recombination may take
@@ -581,16 +592,17 @@ def _gauss_power_tail(i_max, domain):
         pascal = pascal.astype(complex)
         out = np.empty((count, z.size), dtype=complex)
         # in column blocks, so no (orders x len(z)) zeta table sits next to out
-        width = max(1, _BLOCK_ENTRIES // count)
-        for lo in range(0, z.size, width):
-            np.matmul(pascal, hzeta_rows(orders, cutoff + 1 + z[lo:lo + width]),
-                      out=out[:, lo:lo + width])
+        for cols in _column_blocks(z.size, count):
+            np.matmul(pascal, hzeta_rows(orders, cutoff + 1 + z[cols]),
+                      out=out[:, cols])
         if cutoff > i_max:
-            idx = np.arange(i_max + 1, cutoff + 1)
-            t = 1.0 / (idx[:, None] + z[None, :])
-            w = t * t
-            np.subtract(t, center, out=t)
-            _power_sums(w, t, out, base_first=True)
+            # nor a (letters x len(z)) table of the directly summed branches
+            idx = np.arange(i_max + 1, cutoff + 1)[:, None]
+            for cols in _column_blocks(z.size, idx.size):
+                t = 1.0 / (idx + z[cols])
+                w = t * t
+                np.subtract(t, center, out=t)
+                _power_sums(w, t, out[:, cols], base_first=True)
         return out
 
     return tail

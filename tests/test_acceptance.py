@@ -187,8 +187,7 @@ def _run_cli(argv):
 
 
 def test_criterion_10_cli_thread_determinism(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
+    config = {
         "system": {
             "family": "moebius_list",
             "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": float(i),
@@ -199,17 +198,20 @@ def test_criterion_10_cli_thread_determinism(tmp_path, capsys):
         # eigenvalues; a check over none exits 1
         "matrix_size": 32,
         "trace_order": 8,
-    }))
+    }
     commands = ["validate", "spectrum", "determinant", "bounds"]
     stable = True
     detail = []
     for cmd in commands:
         outputs = []
         files = []
-        for tag, threads in (("a1", "1"), ("b1", "1"), ("c8", "8")):
+        for tag, threads in (("a1", 1), ("b1", 1), ("c8", 8)):
+            # the config key, which every subcommand accepts; only
+            # validate and determinant take the --threads flag
+            cfg_path = tmp_path / f"cfg-{tag}.json"
+            cfg_path.write_text(json.dumps(dict(config, threads=threads)))
             out_dir = tmp_path / f"{cmd}-{tag}"
             code, text = _run_cli([cmd, "--config", str(cfg_path),
-                                   "--threads", threads,
                                    "--out", str(out_dir)])
             assert code == 0, f"{cmd} exited {code}"
             outputs.append(text)

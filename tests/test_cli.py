@@ -245,6 +245,19 @@ def test_bad_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--threads", "2"],
+    ["bounds", "--word-budget", "10"],
+    ["validate", "--matrix-size", "16"],
+    ["validate", "--trace-order", "3"],
+])
+def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, argv,
+                                                        capsys):
+    cfg = write_cfg(tmp_path, AFFINE_CFG)
+    assert main(argv + ["--config", cfg]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_command_without_system_is_usage_error():
     assert main(["spectrum"]) == 2
 

@@ -1,6 +1,11 @@
 """The matrix route's tables, bit for bit against whole-array loops.
 
-The blocked power sums and the broadcast Moebius branch table must give
+The assembly and the Gauss tail walk the grid in fixed column blocks
+aligned at 0 (systems._column_blocks), and no block is one column wide:
+numpy sums a one-column block pairwise and takes a one-column matrix
+product down another BLAS path, while a wider block is summed row by row
+and multiplied as the whole grid is. So the blocked power sums, the
+blocked zeta products and the broadcast Moebius branch table must give
 every entry the same operations, in the same order, as the plain loops
 below. numpy's complex multiply rounds a * b and b * a differently in the
 last bit, so each reference keeps its site's operand order: the assembly
@@ -19,6 +24,7 @@ assemble_matrix; any other system takes the full circle and np.fft.fft.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,11 +124,12 @@ def mixed():
     return system_from_descriptor(MIXED_DESC)
 
 
-@pytest.mark.parametrize("N", [5, 64, 134, 360])
+@pytest.mark.parametrize("N", [5, 64, 81, 134, 162, 360])
 def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
     # at N = 134 the zeta orders past 133 are dropped (132 of 134 kept);
     # at N = 360 the cancellation bound puts the cutoff at 207, so the
-    # tail also sums branches 201..207 directly
+    # tail also sums branches 201..207 directly; at N = 81 and 162 the
+    # 2N + 1 points are whole 81-column blocks of the 200 letters plus one
     got = assemble_matrix(gauss200, N=N).data
     assert same_bits(got, reference_matrix(gauss200, N, half=True))
 
@@ -233,6 +240,50 @@ def test_gauss_tail_matches_whole_array_loop(i_max, count, grid):
     zs = sys_.domain.boundary_points(grid)
     got = sys_.alphabet.power_tail(zs, count, center)
     assert same_bits(got, reference_tail(i_max, zs, count, center))
+
+
+def test_gauss_tail_on_a_one_column_remainder_matches_whole_array_loop():
+    # the half circle of assemble_matrix at N = 256: its 513 points are
+    # eight 64-column blocks of zeta products plus one
+    ball = make_ball(0.8, 1.2)
+    tail = make_gauss_system(7, ball).alphabet.power_tail
+    zs = ball.boundary_points(1024, 513)
+    assert same_bits(tail(zs, 256, 0.8 + 0j),
+                     reference_tail(7, zs, 256, 0.8 + 0j))
+
+
+@pytest.mark.parametrize("cols, rows", [(1, 200), (81, 200), (82, 200),
+                                        (163, 200), (325, 200), (513, 64),
+                                        (9, 20000), (1000, 7)])
+def test_column_blocks_are_aligned_and_never_one_column(cols, rows):
+    blocks = systems._column_blocks(cols, rows)
+    width = max(2, systems._BLOCK_ENTRIES // rows)
+    assert blocks[0].start == 0 and blocks[-1].stop == cols
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert [b.start for b in blocks] == [k * width
+                                         for k in range(len(blocks))]
+    assert all(1 < b.stop - b.start <= width + 1 for b in blocks) \
+        or cols == 1
+
+
+@pytest.mark.parametrize("name, N", [("gauss200", 256), ("gauss200", 512),
+                                     ("plain", 128)])
+def test_assembly_memory_stays_within_two_grid_tables(name, N, gauss4,
+                                                      request):
+    # the power-sum table g, N rows over the grid points, is the one
+    # full-grid table: branch values, bases and transforms are built a
+    # block at a time, and the tail's table becomes g
+    sys_ = as_plain_maps(gauss4) if name == "plain" \
+        else request.getfixturevalue(name)
+    points = 2 * N + 1 if name == "gauss200" else 4 * N
+    assemble_matrix(sys_, N=8)          # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assemble_matrix(sys_, N=N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * N * points * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("name", ["gauss200", "gauss4", "affine_half",

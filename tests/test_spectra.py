@@ -1,5 +1,6 @@
 """Circle-basis discretization, eigenvalue extraction, sequence ordering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,21 @@ def test_assemble_records_full_tail_for_gauss(gauss200):
     assert m.tail_included
     assert m.size == 8
     assert m.system_id
+
+
+def test_assemble_takes_a_float_tail_table(gauss200):
+    # power_tail may return float64 rows: the matrix is the one the same
+    # rows as complex numbers give
+    def with_tail(dtype):
+        def tail(z, count, center):
+            return np.full((count, len(z)), 1e-3, dtype=dtype)
+        alphabet = dataclasses.replace(gauss200.alphabet, power_tail=tail)
+        return systems.MapWeightSystem._from_arrays(
+            gauss200.coefficients, gauss200.law, gauss200.domain, alphabet,
+            "gauss", gauss200.descriptor)
+
+    got = assemble_matrix(with_tail(float), N=8).data
+    assert np.array_equal(got, assemble_matrix(with_tail(complex), N=8).data)
 
 
 def test_assemble_rejects_higher_dimension(diag2d):

@@ -18,15 +18,15 @@ multiplier, its weight and so its term, and the fixed point of the word
 rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
 runs over necklaces: each chunk of the lexicographic word range evaluates
 only the least rotation of each word in it, and counts its term once for
-each of its period d (the number of distinct rotations) as d * t, split
-exactly into two doubles. Every rotation's fixed point is still checked
-against the ball: the representative's orbit is walked, unless the
-letters' exact image discs prove that no orbit point of a fixed point in
-the ball can leave it, so that the walk could mark nothing. Counting one
-rotation's rounding d times cannot grow the relative error of a sum whose
-terms share one sign, but where terms cancel it can, so a chunk whose
-terms are not all real of one sign is evaluated word by word, as every
-chunk is in dim >= 2.
+each of its period d (the number of distinct rotations): the chunk's
+products d * t are summed exactly, in integer limbs, and rounded once.
+Every rotation's fixed point is still checked against the ball: the
+representative's orbit is walked, unless the letters' exact image discs
+prove that no orbit point of a fixed point in the ball can leave it, so
+that the walk could mark nothing. Counting one rotation's rounding d
+times cannot grow the relative error of a sum whose terms share one sign,
+but where terms cancel it can, so a chunk whose terms are not all real of
+one sign is evaluated word by word, as every chunk is in dim >= 2.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
@@ -38,9 +38,9 @@ in index order, bit-identical at any thread count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,6 +71,9 @@ from .systems import (
     _real_data,
     _weigh,
 )
+
+# terms per exact block sum in _split_sum, and the bound on the periods
+_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,8 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
             raise EscapedDomain(f"word {tuple(word.tolist())} has its "
                                 "attracting fixed point outside the ball")
         terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
-        return (_split_sum(_times(period, terms.real)),
-                _split_sum(_times(period, terms.imag)),
+        return (_split_sum(period, terms.real),
+                _split_sum(period, terms.imag),
                 float(spectral.max()), float(_point_norm(end - z).max()),
                 necklaces and _can_cancel(terms))
 
@@ -321,21 +324,36 @@ def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
     return words, period, wgt, mult, z, end, exits
 
 
-def _times(k, x):
-    """The products k * x, for integers 1 <= k < 2^26, as one array of
-    doubles whose sum is exactly their sum: Dekker's TwoProduct, with x
-    split by Veltkamp into two 26-bit halves that k multiplies exactly."""
-    p = k * x
-    s = x * 134217729.0         # 2^27 + 1
-    hi = s - (s - x)
-    return np.concatenate((p, (k * hi - p) + k * (x - hi)))
+def _split_sum(period, x):
+    """The exactly rounded sum of period * x and its rounded remainder, for
+    integer periods 1 <= period < 2^13 and doubles x.
 
-
-def _split_sum(values):
-    """The exactly rounded sum of values and its rounded remainder."""
-    head = math.fsum(memoryview(values)) if values.any() else 0.0
-    rest = itertools.chain(memoryview(values), (-head,))
-    return head, math.fsum(rest) if head else 0.0
+    Each x is a 53-bit integer mantissa times a power of two. Its 27- and
+    26-bit limbs times the period stay below 2^40, so their sums per power
+    of two over a block of 2^13 terms stay below 2^53 and are exact in
+    float64. The blocks add as Python ints, and the exact total is rounded
+    once, to the bits math.fsum gives for the same exact sum. A product
+    period * x that is not finite makes both NaN."""
+    assert ((period >= 1) & (period < _BLOCK)).all()
+    if not np.isfinite(period * x).all():
+        return math.nan, math.nan
+    parts = []                  # (p, e): the block sum p * 2^(e - 53)
+    for lo in range(0, len(x), _BLOCK):
+        mant, expo = np.frexp(x[lo:lo + _BLOCK])
+        mant = (mant * 2.0 ** 53).astype(np.int64)
+        k = period[lo:lo + _BLOCK]
+        limbs = np.concatenate(((mant >> 26) * k, (mant & (1 << 26) - 1) * k))
+        expo = np.concatenate((expo + 26, expo))
+        low = int(expo.min())
+        sums = np.bincount(expo - low, weights=limbs)
+        at = np.flatnonzero(sums)
+        parts.append((sum(v << b for v, b in zip(
+            sums[at].astype(np.int64).tolist(), at.tolist())), low))
+    base = min(low for _, low in parts)
+    exact = (Fraction(sum(p << low - base for p, low in parts))
+             * Fraction(2) ** (base - 53))
+    head = float(exact)
+    return head, float(exact - Fraction(head))
 
 
 def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):

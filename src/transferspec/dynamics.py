@@ -59,47 +59,81 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
     prefixes, each its parent times one letter, so every word gets the bits
     of a letter-by-letter fold in letter order.
 
-    Without necklaces every word is kept, with period 1. With necklaces
-    only the least rotation of each word is kept, and its period is its
-    number of distinct rotations. The tree is pruned to prenecklaces
-    by the FKM rule: letter k+1 is at least letter k+1-p, where p is the
-    length of the prefix's longest Lyndon prefix; an equal letter keeps p,
-    a larger one makes it k+1. A prenecklace of length n is a necklace, of
-    period p, when p divides n.
+    Without necklaces every word is kept, with period 1, and each level
+    folds all children of its prefixes and slices the range out. With
+    necklaces only the least rotation of each word is kept, and its period
+    is its number of distinct rotations. The tree is pruned to
+    prenecklaces by the FKM rule: letter k+1 is at least letter k+1-p,
+    where p is the length of the prefix's longest Lyndon prefix; an equal
+    letter keeps p, a larger one makes it k+1. A prenecklace of length n is
+    a necklace, of period p, when p divides n, so the last level keeps
+    necklaces only. Each level folds only the children it keeps, from
+    their parents' and letters' values gathered in the operand order of
+    _fold_moebius.
     """
     word = np.zeros(1, dtype=np.int64)
     period = np.ones(1, dtype=np.int64)
     fold = None if mob is None else tuple(
         np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
     prods = [np.ones(1)] * len(factors)
-    letter = np.arange(size)
     for k in range(n):          # (prefixes, letters) -> prefixes
         span = size ** (n - 1 - k)
         head, tail = lo // span, (hi - 1) // span + 1
         if necklaces:
-            child = word[:, None] * size + letter
-            ref = (word // size ** (period - 1) % size if k
-                   else np.full(1, -1))[:, None]
-            keep = ((child >= head) & (child < tail)
-                    & (letter >= ref)).reshape(-1)
-            period = np.where(letter > ref, k + 1,
-                              period[:, None]).reshape(-1)[keep]
-            word = child.reshape(-1)[keep]
+            word, period, sel = _kept_children(size, n, k, word, period,
+                                               head, tail)
+            if fold is None and not factors:
+                continue
+            parent, pick = np.divmod(sel, size)
+            if fold is not None:
+                fold = _fold_children(mob, fold, parent, pick)
+            prods = [np.multiply(p[parent], f[pick])
+                     for p, f in zip(prods, factors)]
         else:                   # the range's prefixes are consecutive
             keep = slice(head - word[0] * size, tail - word[0] * size)
             word = np.arange(head, tail)
-        if fold is not None:
-            fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
-                [mob], tuple(x[:, None] for x in fold)))
-        prods = [(p[:, None] * f).reshape(-1)[keep]
-                 for p, f in zip(prods, factors)]
+            if fold is not None:
+                fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
+                    [mob], tuple(x[:, None] for x in fold)))
+            prods = [(p[:, None] * f).reshape(-1)[keep]
+                     for p, f in zip(prods, factors)]
     if not necklaces:
-        return word, np.ones(len(word), dtype=np.int64), fold, prods
-    whole = n % period == 0
-    if fold is not None:
-        fold = tuple(x[whole] for x in fold)
-    return (word[whole], period[whole], fold,
-            [p[whole] for p in prods])
+        period = np.ones(len(word), dtype=np.int64)
+    return word, period, fold, prods
+
+
+def _kept_children(size, n, k, word, period, head, tail):
+    """The children kept at level k of the necklace walk: those of the
+    length-k prefixes word (of periods period) that lie in head..tail-1 and
+    are prenecklaces, and necklaces at the last level. Returns their
+    indices, their periods and their positions parent * size + letter."""
+    letter = np.arange(size)
+    child = word[:, None] * size + letter
+    # letter k+1-p of each prefix, with size^(p - 1) looked up by period
+    ref = (word // (size ** np.arange(k))[period - 1] % size if k
+           else np.full(1, -1))[:, None]
+    grown = np.where(letter > ref, k + 1, period[:, None])
+    keep = (child >= head) & (child < tail) & (letter >= ref)
+    if k == n - 1:
+        keep &= n % grown == 0
+    sel = np.flatnonzero(keep)
+    return child.reshape(-1)[sel], grown.reshape(-1)[sel], sel
+
+
+def _fold_children(mob, fold, parent, pick):
+    """One step of _fold_moebius for each child: the letter mob[:][pick]
+    after the parent's fold[:][parent], with the operands in the order
+    _fold_moebius multiplies them, since numpy rounds a complex x * y and
+    y * x differently. The parents' columns are gathered two at a time,
+    (A, C) and then (B, E), so that few child-length arrays are alive at
+    once."""
+    a, b, c, e = mob
+    out = [None] * 4
+    for col in (0, 1):
+        x, y = fold[col][parent], fold[col + 2][parent]
+        out[col] = np.multiply(a[pick], x) + np.multiply(b[pick], y)
+        out[col + 2] = np.multiply(c[pick], x) + np.multiply(e[pick], y)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

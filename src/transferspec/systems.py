@@ -411,7 +411,7 @@ class MapWeightSystem:
             vals = call(table[letter - 1], z.take(pos, axis=-1))
             if out is None:
                 out = np.empty(letters.shape + vals.shape[:-1], dtype=complex)
-            out[pos] = vals if vals.ndim == 1 else np.moveaxis(vals, -1, 0)
+            out[pos] = vals.transpose(-1, *range(vals.ndim - 1))
         return out
 
 

@@ -373,14 +373,60 @@ def test_cancelling_order_is_summed_word_by_word_in_every_chunk(plain):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def test_period_times_term_is_split_exactly():
+def _exact_split(period, x):
+    """The exactly rounded sum of period * x and its rounded remainder, in
+    rational arithmetic."""
+    exact = sum((int(k) * Fraction(v) for k, v in zip(period, x)),
+                Fraction(0))
+    head = float(exact)
+    return head, float(exact - Fraction(head))
+
+
+def _split_cases():
     rng = np.random.default_rng(3)
+    bound = determinant._BLOCK - 1
     x = rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)
-    k = rng.integers(1, 64, 300)
-    parts = determinant._times(k, x)
-    for i in range(300):
-        assert (Fraction(parts[i]) + Fraction(parts[300 + i])
-                == int(k[i]) * Fraction(x[i]))
+    yield "random", rng.integers(1, bound + 1, 300), x
+    # every term cancels against another of a different period
+    y = rng.standard_normal(200) * 10.0 ** rng.integers(-5, 5, 200)
+    yield ("cancel", np.concatenate((np.full(200, 6), np.full(200, 2),
+                                     np.full(200, 1))),
+           np.concatenate((y, -y, -4.0 * y)))
+    yield ("spread", rng.integers(1, bound + 1, 500),
+           rng.standard_normal(500) * 10.0 ** rng.integers(-280, 281, 500))
+    tiny = rng.integers(-2 ** 52, 2 ** 52, 400) * 5e-324
+    yield "subnormal", rng.integers(1, bound + 1, 400), tiny
+    yield ("subnormal cancel", np.array([3, 1, 1, 2]),
+           np.array([5e-324, -1.5e-323, 1e-323, -5e-324]))
+    # exact sums halfway between two doubles: ties go to even
+    for top in (1.0, 1.0 + 2 ** -52, -(1.0 + 2 ** -52)):
+        yield "tie", np.array([1, 2, 2]), np.array([top, 2 ** -55, 2 ** -55])
+    yield "zeros", np.array([1, 5, 7]), np.array([0.0, -0.0, 0.0])
+    # 3 blocks and a bit of terms with one exponent, the widest mantissa
+    # and the largest period: the block sums reach their 2^53 bound
+    m = 3 * determinant._BLOCK + 5
+    widest = 1.0 - 2 ** -53
+    yield "block edge", np.full(m, bound), np.full(m, widest)
+    yield ("block edge signs", np.full(m, bound),
+           np.where(np.arange(m) % 3, widest, -widest))
+    near = widest - rng.integers(0, 2 ** 20, m) * 2 ** -53
+    yield ("block edge spread", rng.integers(bound // 2, bound + 1, m),
+           rng.choice([-1.0, 1.0], m) * near)
+
+
+def test_period_times_terms_sum_is_exactly_rounded():
+    # the head is the exactly rounded sum of the products period * x and
+    # the rest the exactly rounded remainder, to the bit and the sign of 0
+    for name, period, x in _split_cases():
+        got = determinant._split_sum(period, x)
+        want = _exact_split(period, x)
+        assert [v.hex() for v in got] == [v.hex() for v in want], name
+        if name in ("cancel", "subnormal cancel", "zeros"):
+            assert [v.hex() for v in got] == ["0x0.0p+0"] * 2
+    # the bound that keeps every block sum exact is checked
+    with pytest.raises(AssertionError):
+        determinant._split_sum(np.array([determinant._BLOCK]),
+                               np.array([1.0]))
 
 
 _MATCH = {NotContracting: r"word \(1,\) has multiplier",

@@ -218,6 +218,58 @@ def test_necklace_representatives(size, n):
     assert periods == total
 
 
+def _letter_by_letter(mob, factors, size, n, words):
+    """The fold of mob and the products of factors along the words, one
+    letter after another over whole arrays."""
+    letters = word_letters(size, n, words)
+    fold = _fold_moebius(tuple(x[col - 1] for x in mob) for col in letters.T)
+    prods = []
+    for f in factors:
+        p = np.ones(len(words))
+        for col in letters.T:
+            p = np.multiply(p, f[col - 1])
+        prods.append(p)
+    return fold, prods
+
+
+@pytest.mark.parametrize("size, n", [(3, 12), (4, 10)])
+def test_necklace_fold_matches_letter_by_letter_fold(size, n):
+    # complex letters and a complex and a real factor: every kept word has
+    # the bits of the letter-by-letter fold, in the order chunks of 2^16
+    # words cut the tree, on ranges cut inside prefixes, and on chunks
+    # holding more necklaces than numpy's 16,384-element threshold for
+    # reusing temporaries in place
+    rng = np.random.default_rng(size)
+    mob = tuple(rng.standard_normal((4, size))
+                + 1j * rng.standard_normal((4, size)))
+    factors = (rng.standard_normal(size) + 1j * rng.standard_normal(size),
+               rng.standard_normal(size))
+    total = size ** n
+    ranges = chunk_ranges(total) + [(12345, 54321), (total - 777, total - 5)]
+    largest = 0
+    for lo, hi in ranges:
+        words, period, fold, prods = _fold_words(size, n, lo, hi, mob,
+                                                 factors, necklaces=True)
+        largest = max(largest, len(words))
+        want_fold, want_prods = _letter_by_letter(mob, factors, size, n,
+                                                  words)
+        for got, want in zip((*fold, *prods), (*want_fold, *want_prods)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # with nothing to fold the walk keeps the same words and periods
+        bare = _fold_words(size, n, lo, hi, necklaces=True)
+        assert bare[2] is None and bare[3] == []
+        assert np.array_equal(bare[0], words)
+        assert np.array_equal(bare[1], period)
+    assert largest >= 16384
+    # the every-word fold over a range of the same size
+    lo, hi = 1001, 1001 + 20000
+    words, period, fold, prods = _fold_words(size, n, lo, hi, mob, factors)
+    assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
+    want_fold, want_prods = _letter_by_letter(mob, factors, size, n, words)
+    for got, want in zip((*fold, *prods), (*want_fold, *want_prods)):
+        assert np.array_equal(got, want)
+
+
 def test_batch_orbit_marks_first_point_outside():
     # z -> -0.9 z + 0.1995 and z -> -0.9 z on the unit disc: from the fixed
     # point -0.945 of (1, 2), the orbit's next point 1.05 is outside, and it

@@ -1,9 +1,10 @@
 """Deterministic work splitting.
 
-Heavy loops are split into fixed-size chunks that do not depend on the
-thread count, and per-chunk partial results are combined in chunk index
-order. Outputs are therefore bit-identical whether a job runs on one
-thread or many.
+Heavy loops are split into chunks that do not depend on the thread count:
+fixed-size ranges of words here, or the necklace ranges of
+dynamics._necklace_ranges, whose necklace count is capped instead. Per-chunk
+partial results are combined in chunk index order, or exactly. Outputs are
+therefore bit-identical whether a job runs on one thread or many.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 # Fixed chunk length for word enumeration; must never depend on threads.
 WORD_CHUNK = 1 << 16
+# Cap on the necklaces of one range of the necklace pass (dynamics.
+# _necklace_ranges); must never depend on threads either.
+NECKLACE_CHUNK = 1 << 16
 
 
 def chunk_ranges(total, chunk=WORD_CHUNK):

@@ -16,24 +16,29 @@ families through their closed-form tail sums.
 The n rotations of a word trace one periodic orbit: they share its
 multiplier, its weight and so its term, and the fixed point of the word
 rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
-runs over necklaces: each chunk of the lexicographic word range evaluates
-only the least rotation of each word in it, and counts its term once for
-each of its period d (the number of distinct rotations): the chunk's
-products d * t are summed exactly, in integer limbs, and rounded once.
+runs over necklaces: each chunk, a range of the lexicographic words,
+evaluates only the least rotation of each word in it, and counts its
+term once for each of its period d (the number of distinct rotations).
+The products d * t are summed exactly, in integer limbs, and an order's
+exact chunk sums are added and rounded once, so its value does not
+depend on the chunks. Closed-form chunks are cut at prefixes of the
+necklace tree, balanced by necklace count (dynamics._necklace_ranges),
+and taken in blocks of words; iterated ones are fixed ranges of words.
 Every rotation's fixed point is still checked against the ball: the
 representative's orbit is walked, unless the letters' exact image discs
 prove that no orbit point of a fixed point in the ball can leave it, so
 that the walk could mark nothing. Counting one rotation's rounding d
 times cannot grow the relative error of a sum whose terms share one sign,
-but where terms cancel it can, so a chunk whose terms are not all real of
-one sign is evaluated word by word, as every chunk is in dim >= 2.
+but where terms cancel it can, so an order whose terms, in all its chunks
+together, are not all real of one sign is evaluated word by word, in
+fixed ranges, as every order is in dim >= 2.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
 real folds its words in float64, dividing as numpy divides complex
-numbers, so its traces keep the bits of the complex fold. Fixed-size
-lexicographic chunks give exactly rounded sums and remainders that combine
-in index order, bit-identical at any thread count.
+numbers, so its traces keep the bits of the complex fold. The chunks
+depend on the alphabet size and the order alone, and the values on
+neither, so the traces are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import starmap
+from operator import or_
 
 import numpy as np
 
@@ -48,8 +56,10 @@ from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     _ESCAPE_SLACK,
     DEFAULT_WORD_BUDGET,
+    _fold_blocks,
     _fold_words,
     _mark_exits,
+    _necklace_ranges,
     _point_norm,
     _word_count,
     batch_fixed_points,
@@ -72,8 +82,10 @@ from .systems import (
     _weigh,
 )
 
-# terms per exact block sum in _split_sum, and the bound on the periods
+# terms per exact block sum in _exact_sum, and the bound on the periods
 _BLOCK = 1 << 13
+# words per block of a necklace range in _moebius_words
+_WORD_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -119,35 +131,40 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
 
     Every order's words are counted against the budget before any work, and
     the chunks of all orders go through one ordered map, so one thread pool
-    serves the whole table. Each order's chunk partials combine in index
-    order, as they would in a map of that order alone. In dim 1 a chunk
-    first evaluates its necklace representatives, and again word by word
-    when their terms can cancel (see the module docstring). The multiplier
-    and residual are those of the words evaluated. In dim >= 2 the
-    multiplier is the spectral radius of the word's Jacobian. A truncated
-    countable alphabet is refused first.
+    serves the whole table. In dim 1 a first pass evaluates necklace
+    representatives: closed-form words in the ranges of _necklace_ranges,
+    balanced by necklace count, iterated ones in fixed word ranges, since
+    their batches decide how long fixed points are iterated. Once a chunk's
+    terms can cancel, its order's later necklace chunks are skipped and the
+    whole order is evaluated word by word (see the module docstring), in
+    fixed word ranges, as every order is in dim >= 2. Each chunk's sums are
+    exact, so an order's value is their total rounded once, whatever the
+    chunks. A failure is raised for the first failing order, from the pass
+    that gives its value, and its first failing chunk. The multiplier and
+    residual are those of the words evaluated. In dim >= 2 the multiplier
+    is the spectral radius of the word's Jacobian. A truncated countable
+    alphabet is refused first.
     """
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
             "the determinant route needs a finite alphabet, and "
             f"{sys_.system_id} truncates a countable one; use spectrum for "
             "the Gauss family")
-    totals = [_word_count(sys_, n, word_budget) for n in orders]
-    items = [(n, lo, hi) for n, total in zip(orders, totals)
-             for lo, hi in chunk_ranges(total)]
+    totals = {n: _word_count(sys_, n, word_budget) for n in orders}
     d, size = sys_.dim, sys_.n_letters
     # decided once for the table: whether the image discs make the necklace
     # walk redundant, and whether the words can be taken in float64
     plan = sys_.coefficients is not None and dict(
         walk=not _orbits_stay_inside(sys_), real=_real_data(sys_))
 
-    def handle(item, necklaces):
-        n, lo, hi = item
-        words = (_moebius_words(sys_, n, lo, hi, necklaces, **plan) if plan
-                 else _iterated_words(sys_, n, lo, hi, tol, necklaces))
-        if words is None:
-            return (0.0, 0.0), (0.0, 0.0), 0.0, 0.0, False
-        index, period, wgt, mult, z, end, exits = words
+    def chunks(ns, necklaces):
+        return [(n, lo, hi) for n in ns for lo, hi in (
+            _necklace_ranges(size, n) if necklaces and plan
+            else chunk_ranges(totals[n]))]
+
+    def summed(n, necklaces, index, period, wgt, mult, z, end, exits):
+        """One block's exact sums, largest multiplier and residual, and the
+        signs of its terms; its first failing word raises."""
         if d == 1:
             spectral, denom = np.abs(mult), 1.0 - mult
             refused = ~(spectral < 1.0 - 1e-9)
@@ -159,46 +176,91 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
             why = "det(I - T') = {:.3g}, which is singular"
         # every rotation of a word shares its multiplier, and the fixed
         # point of its rotation by k is the k-th point of its orbit
-        if refused.any():
-            r = int(np.argmax(refused))
+        failed = refused | (exits >= 0)
+        if failed.any():
+            r = int(np.argmax(failed))
             word = word_letters(size, n, index[r:r + 1])[0]
-            raise NotContracting(f"word {tuple(word.tolist())} has "
-                                 + why.format(denom[r]))
-        if (exits >= 0).any():
-            r = int(np.argmax(exits >= 0))
-            word = np.roll(word_letters(size, n, index[r:r + 1])[0],
-                           -exits[r])
-            raise EscapedDomain(f"word {tuple(word.tolist())} has its "
-                                "attracting fixed point outside the ball")
+            if refused[r]:
+                raise NotContracting(f"word {tuple(word.tolist())} has "
+                                     + why.format(denom[r]))
+            word = tuple(np.roll(word, -exits[r]).tolist())
+            raise EscapedDomain(f"word {word} has its attracting fixed "
+                                "point outside the ball")
         terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
-        return (_split_sum(period, terms.real),
-                _split_sum(period, terms.imag),
+        # the terms of real words are float64: their imaginary parts are 0
+        return (_exact_sum(period, terms.real),
+                _exact_sum(period, terms.imag) if terms.dtype == complex
+                else 0,
                 float(spectral.max()), float(_point_norm(end - z).max()),
-                necklaces and _can_cancel(terms))
+                _signs(terms) if necklaces else 0)
 
-    parts = map_ordered(lambda item: handle(item, d == 1), items, threads)
+    def handle(item, necklaces):
+        """The summaries of a chunk's blocks, or the failure it raises."""
+        n, lo, hi = item
+        blocks = (_moebius_words(sys_, n, lo, hi, necklaces, **plan) if plan
+                  else _iterated_words(sys_, n, lo, hi, tol, necklaces))
+        try:    # starmap holds no block once it is summed
+            return list(starmap(partial(summed, n, necklaces), blocks))
+        except TransferOperatorError as err:
+            return err
+
+    def signs(part):
+        return (0 if isinstance(part, TransferOperatorError)
+                else reduce(or_, (block[4] for block in part), 0))
+
+    held = {}   # the signs seen so far in each order's necklace chunks
+
+    def necklace(item):
+        n = item[0]
+        if _cancels(held.get(n, 0)):
+            return []           # thrown away: the order is redone
+        part = handle(item, True)
+        # an update lost between threads costs a skip, not a value
+        held[n] = held.get(n, 0) | signs(part)
+        return part
+
+    items = chunks(orders, d == 1)
+    parts = map_ordered(necklace if d == 1
+                        else partial(handle, necklaces=False), items, threads)
     # a class's rotations may lie in other chunks, so an order whose terms
-    # can cancel in any chunk is evaluated word by word in all of them
-    cancel = {n for (n, _, _), p in zip(items, parts) if p[4]}
-    redo = [item for item in items if item[0] in cancel]
-    if redo:
-        again = dict(zip(redo, map_ordered(lambda item: handle(item, False),
-                                           redo, threads)))
-        parts = [again.get(item, p) for item, p in zip(items, parts)]
+    # can cancel is evaluated word by word in all of them. Whether they can
+    # is read off all its chunks' terms together; a chunk is skipped only
+    # once those of others show it
+    seen = {}
+    for (n, _, _), part in zip(items, parts):
+        seen[n] = seen.get(n, 0) | signs(part)
+    cancel = {n for n in orders if _cancels(seen[n])}
+    if cancel:
+        redo = chunks([n for n in orders if n in cancel], False)
+        parts = ([p for (n, _, _), p in zip(items, parts) if n not in cancel]
+                 + map_ordered(partial(handle, necklaces=False), redo,
+                               threads))
+        items = [item for item in items if item[0] not in cancel] + redo
     rows = []
-    for n, total in zip(orders, totals):
+    for n in orders:
         mine = [p for (m, _, _), p in zip(items, parts) if m == n]
-        value = complex(math.fsum(x for p in mine for x in p[0]),
-                        math.fsum(x for p in mine for x in p[1]))
-        rows.append((value, total, max(p[2] for p in mine),
-                     max(p[3] for p in mine)))
+        for p in mine:
+            if isinstance(p, TransferOperatorError):
+                raise p
+        re, im, top, residual, _ = zip(*(block for p in mine for block in p))
+        rows.append((complex(_rounded(re), _rounded(im)), totals[n],
+                     max(top), max(residual)))
     return rows
 
 
-def _can_cancel(terms):
-    """Whether the complex terms are not all real of one sign."""
-    return not ((terms.imag == 0).all()
-                and ((terms.real >= 0).all() or (terms.real <= 0).all()))
+def _signs(terms):
+    """The signs the terms hold, as bits: 1 for a part that is not real, or
+    NaN, 2 for a positive real part and 4 for a negative one."""
+    low, high = terms.real.min(), terms.real.max()     # NaN if one is
+    odd = (terms.dtype == complex and (terms.imag != 0).any()
+           or not low <= high)
+    return odd | 2 * bool(high > 0) | 4 * bool(low < 0)
+
+
+def _cancels(signs):
+    """Whether terms of these signs (_signs) can cancel: they are not all
+    real of one sign."""
+    return bool(signs & 1) or signs & 6 == 6
 
 
 def _quotient(a, b):
@@ -228,16 +290,17 @@ def _divide(a, b, out=None, where=True):
 
 
 def _iterated_words(sys_, n, lo, hi, tol, necklaces):
-    """Lexicographic indices, periods, weight, multiplier, fixed point z,
-    T(z) and the first orbit point outside the ball (as batch_orbit marks
-    them) of the words lo..hi-1 of length n, by fixed-point iteration: the
-    necklace representatives with necklaces, else every word, each checked
-    at its own fixed point. None when the range holds no word to
-    evaluate."""
+    """Yields the words lo..hi-1 of length n as one block: their
+    lexicographic indices, periods, weight, multiplier, fixed point z, T(z)
+    and the first orbit point outside the ball (as batch_orbit marks them),
+    by fixed-point iteration: the necklace representatives with necklaces,
+    else every word, each checked at its own fixed point. Nothing when the
+    range holds no word to evaluate. The batch is iterated until its worst
+    word converges, so a word's bits depend on the batch."""
     size, ball = sys_.n_letters, sys_.domain
     words, period, _, _ = _fold_words(size, n, lo, hi, necklaces=necklaces)
     if not words.size:
-        return None
+        return
     letters = word_letters(size, n, words)
     groups = [_letter_groups(col) for col in letters.T]
     z = batch_fixed_points(sys_, letters, tol, groups)
@@ -246,7 +309,7 @@ def _iterated_words(sys_, n, lo, hi, tol, necklaces):
     else:
         (wgt, mult, end), exits = (batch_orbit(sys_, letters, z, groups),
                                    _mark_exits(ball, z))
-    return words, period, wgt, mult, z, end, exits
+    yield words, period, wgt, mult, z, end, exits
 
 
 def _orbits_stay_inside(sys_):
@@ -271,17 +334,19 @@ def _orbits_stay_inside(sys_):
 
 
 def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
-    """As _iterated_words, in closed form from the system's coefficients.
-    The words are folded over their prefix tree. q = C z + E is the larger
-    root of q^2 - tr q + det and the multiplier is det / q^2. Under a weight
-    law with one power p a word's weight is its factors' product times the
-    multiplier^p; other weights follow z's orbit. With necklaces and walk,
-    n - 1 Moebius steps walk each orbit for the rotations' fixed points;
-    without walk the caller knows the walk would mark nothing. With real,
-    which needs real coefficients and law factors (systems._real_data),
-    the words are taken in float64 with the bits of the complex path; a
-    word whose roots are not real, which has a multiplier of modulus 1, gets
-    the multiplier NaN, which is refused as well."""
+    """As _iterated_words, in closed form from the system's coefficients;
+    necklaces come in blocks of at most _WORD_BLOCK words, and a word's
+    bits do not depend on its block. The words are folded over their prefix
+    tree. q = C z + E is the larger root of q^2 - tr q + det and the
+    multiplier is det / q^2. Under a weight law with one power p a word's
+    weight is its factors' product times the multiplier^p; other weights
+    follow z's orbit. With necklaces and walk, n - 1 Moebius steps walk each
+    orbit for the rotations' fixed points; without walk the caller knows
+    the walk would mark nothing. With real, which needs real coefficients
+    and law factors (systems._real_data), the words are taken in float64
+    with the bits of the complex path; a word whose roots are not real,
+    which has a multiplier of modulus 1, gets the multiplier NaN, which is
+    refused as well."""
     size, ball, coefficients = sys_.n_letters, sys_.domain, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
     if real:
@@ -289,71 +354,80 @@ def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
     mob = tuple(coefficients.T)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
-    words, period, (A, B, C, E), (det, wgt) = _fold_words(
-        size, n, lo, hi, mob, (dets, factor), necklaces)
-    if not words.size:
-        return None
-    tr = A + E
-    with np.errstate(invalid="ignore"):     # a real word's complex roots
-        s = np.sqrt(tr * tr - 4.0 * det)
-    q = tr + s
-    tr -= s                     # the roots, doubled: keep the larger one
-    q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
-    mult = _divide(det, q * q, out=det)
-    qa, qe = q - A, np.subtract(q, E, out=q)     # z = B / qa = qe / C, and
-    pick = (C == 0) | (np.abs(qa) > np.abs(qe))  # the larger keeps digits
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = _divide(qe, C, out=qe)
-        _divide(B, qa, out=z, where=pick)
-        end = _divide(A * z + B, C * z + E)
-    exits = _mark_exits(ball, z)
     walk = necklaces and walk
     uniform = power is not None and (power == power[0]).all()
-    # the letter matrix only where the walk or per-word weights read it
-    letters = word_letters(size, n, words) if walk or not uniform else None
-    if walk:
-        y = z
+
+    def tail(words, period, fold, prods):
+        A, B, C, E = fold
+        det, wgt = prods
+        tr = A + E
+        with np.errstate(invalid="ignore"):     # a real word's complex roots
+            s = np.sqrt(tr * tr - 4.0 * det)
+        q = tr + s
+        tr -= s                     # the roots, doubled: keep the larger one
+        q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
+        mult = _divide(det, q * q, out=det)
+        qa, qe = q - A, np.subtract(q, E, out=q)    # z = B / qa = qe / C, and
+        pick = (C == 0) | (np.abs(qa) > np.abs(qe))  # the larger keeps digits
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, col in enumerate(letters.T[:-1], 1):
-                y = sys_.apply_letters(col, y)
-                _mark_exits(ball, y, exits, k)
-    if uniform:
-        wgt = _weigh(wgt, power[0], mult, wgt)
-    else:
-        wgt = batch_orbit(sys_, letters, z)[0]
-    return words, period, wgt, mult, z, end, exits
+            z = _divide(qe, C, out=qe)
+            _divide(B, qa, out=z, where=pick)
+            end = _divide(A * z + B, C * z + E)
+        exits = _mark_exits(ball, z)
+        # the letter matrix only where the walk or per-word weights read it
+        letters = word_letters(size, n, words) if walk or not uniform else None
+        if walk:
+            y = z
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for k, col in enumerate(letters.T[:-1], 1):
+                    y = sys_.apply_letters(col, y)
+                    _mark_exits(ball, y, exits, k)
+        if uniform:
+            wgt = _weigh(wgt, power[0], mult, wgt)
+        else:
+            wgt = batch_orbit(sys_, letters, z)[0]
+        return words, period, wgt, mult, z, end, exits
+
+    # filter and starmap hold no block once the next is made
+    return starmap(tail, filter(lambda block: len(block[0]), _fold_blocks(
+        size, n, lo, hi, mob, (dets, factor), necklaces, _WORD_BLOCK)))
 
 
-def _split_sum(period, x):
-    """The exactly rounded sum of period * x and its rounded remainder, for
-    integer periods 1 <= period < 2^13 and doubles x.
+def _exact_sum(period, x):
+    """The exact sum of period * x, as a Fraction, for integer periods
+    1 <= period < 2^13 and doubles x; NaN if a product is not finite.
 
     Each x is a 53-bit integer mantissa times a power of two. Its 27- and
     26-bit limbs times the period stay below 2^40, so their sums per power
     of two over a block of 2^13 terms stay below 2^53 and are exact in
-    float64. The blocks add as Python ints, and the exact total is rounded
-    once, to the bits math.fsum gives for the same exact sum. A product
-    period * x that is not finite makes both NaN."""
-    assert ((period >= 1) & (period < _BLOCK)).all()
+    float64. The blocks add as Python ints."""
+    assert 1 <= period.min() and period.max() < _BLOCK
     if not np.isfinite(period * x).all():
-        return math.nan, math.nan
+        return math.nan
     parts = []                  # (p, e): the block sum p * 2^(e - 53)
     for lo in range(0, len(x), _BLOCK):
         mant, expo = np.frexp(x[lo:lo + _BLOCK])
         mant = (mant * 2.0 ** 53).astype(np.int64)
         k = period[lo:lo + _BLOCK]
-        limbs = np.concatenate(((mant >> 26) * k, (mant & (1 << 26) - 1) * k))
-        expo = np.concatenate((expo + 26, expo))
         low = int(expo.min())
-        sums = np.bincount(expo - low, weights=limbs)
+        expo -= low
+        top = int(expo.max()) + 27
+        # a term adds at most one limb to a power of two
+        sums = (np.bincount(expo + 26, (mant >> 26) * k, top)
+                + np.bincount(expo, (mant & (1 << 26) - 1) * k, top))
         at = np.flatnonzero(sums)
         parts.append((sum(v << b for v, b in zip(
             sums[at].astype(np.int64).tolist(), at.tolist())), low))
     base = min(low for _, low in parts)
-    exact = (Fraction(sum(p << low - base for p, low in parts))
-             * Fraction(2) ** (base - 53))
-    head = float(exact)
-    return head, float(exact - Fraction(head))
+    return (Fraction(sum(p << low - base for p, low in parts))
+            * Fraction(2) ** (base - 53))
+
+
+def _rounded(sums):
+    """The exactly rounded total of exact sums; NaN if one of them is."""
+    if any(isinstance(v, float) for v in sums):
+        return math.nan
+    return float(sum(sums))
 
 
 def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import chunk_ranges, map_ordered
+from ._parallel import (
+    NECKLACE_CHUNK,
+    WORD_CHUNK,
+    chunk_ranges,
+    map_ordered,
+)
 from .errors import (
     BudgetExceeded,
     DimensionUnsupported,
@@ -69,70 +74,171 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
     a necklace, of period p, when p divides n, so the last level keeps
     necklaces only. Each level folds only the children it keeps, from
     their parents' and letters' values gathered in the operand order of
-    _fold_moebius.
+    _fold_moebius. A word's bits do not depend on the range: the trace
+    route takes its necklaces in the ranges of _necklace_ranges, and in
+    blocks of _fold_blocks.
     """
-    word = np.zeros(1, dtype=np.int64)
-    period = np.ones(1, dtype=np.int64)
-    fold = None if mob is None else tuple(
-        np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
-    prods = [np.ones(1)] * len(factors)
-    for k in range(n):          # (prefixes, letters) -> prefixes
+    (words,) = _fold_blocks(size, n, lo, hi, mob, factors, necklaces)
+    return words
+
+
+def _fold_blocks(size, n, lo, hi, mob=None, factors=(), necklaces=False,
+                 block=None):
+    """_fold_words in blocks of consecutive words. With necklaces and
+    block, the last level takes its parents block // size at a time, so a
+    block holds at most block words and only the parents' level is alive
+    whole; otherwise all words come as one block. A block may be empty,
+    and every word has the bits it has in one block."""
+
+    # a factor that is one number on every letter has one product at each
+    # level, taken as the words' would be, spread over the words at the end
+    constant = [_one_value(f) for f in factors]
+
+    def level(k, word, period, fold, prods):
+        """The kept length-(k+1) prefixes of the length-k prefixes word."""
         span = size ** (n - 1 - k)
         head, tail = lo // span, (hi - 1) // span + 1
         if necklaces:
-            word, period, sel = _kept_children(size, n, k, word, period,
-                                               head, tail)
-            if fold is None and not factors:
-                continue
-            parent, pick = np.divmod(sel, size)
+            word, period, parent, pick = _kept_children(size, n, k, word,
+                                                        period, head, tail)
             if fold is not None:
                 fold = _fold_children(mob, fold, parent, pick)
-            prods = [np.multiply(p[parent], f[pick])
-                     for p, f in zip(prods, factors)]
-        else:                   # the range's prefixes are consecutive
-            keep = slice(head - word[0] * size, tail - word[0] * size)
-            word = np.arange(head, tail)
-            if fold is not None:
-                fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
-                    [mob], tuple(x[:, None] for x in fold)))
-            prods = [(p[:, None] * f).reshape(-1)[keep]
-                     for p, f in zip(prods, factors)]
-    if not necklaces:
-        period = np.ones(len(word), dtype=np.int64)
-    return word, period, fold, prods
+            return word, period, fold, [
+                np.multiply(p, f[:1]) if one
+                else np.multiply(p[parent], f[pick])
+                for p, f, one in zip(prods, factors, constant)]
+        # the range's prefixes are consecutive
+        keep = slice(head - word[0] * size, tail - word[0] * size)
+        if fold is not None:
+            fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
+                [mob], tuple(x[:, None] for x in fold)))
+        return (np.arange(head, tail), np.ones(tail - head, dtype=np.int64),
+                fold, [np.multiply(p, f[:1]) if one
+                       else (p[:, None] * f).reshape(-1)[keep]
+                       for p, f, one in zip(prods, factors, constant)])
+
+    def spread(word, period, fold, prods):
+        return word, period, fold, [np.repeat(p, len(word)) if one else p
+                                    for p, one in zip(prods, constant)]
+
+    word, period, fold, prods = (
+        np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+        None if mob is None else tuple(np.array([x])
+                                       for x in (1.0, 0.0, 0.0, 1.0)),
+        [np.ones(1)] * len(factors))
+    for k in range(n - 1):
+        word, period, fold, prods = level(k, word, period, fold, prods)
+    count = max(len(word), 1)
+    step = max(block // size, 1) if necklaces and block else count
+    for s in range(0, count, step):
+        cut = slice(s, s + step)
+        yield spread(*level(
+            n - 1, word[cut], period[cut],
+            None if fold is None else tuple(x[cut] for x in fold),
+            [p if one else p[cut] for p, one in zip(prods, constant)]))
+
+
+def _one_value(x):
+    """Whether every element of x has the bits of the first."""
+    bits = np.ascontiguousarray(x).view(np.uint8).reshape(len(x), -1)
+    return bool((bits == bits[0]).all())
 
 
 def _kept_children(size, n, k, word, period, head, tail):
     """The children kept at level k of the necklace walk: those of the
     length-k prefixes word (of periods period) that lie in head..tail-1 and
     are prenecklaces, and necklaces at the last level. Returns their
-    indices, their periods and their positions parent * size + letter."""
-    letter = np.arange(size)
-    child = word[:, None] * size + letter
+    indices, their periods, and the positions in word of their parents
+    and their letters.
+
+    A prefix's kept letters run from its letter k+1-p, ref, to the last:
+    ref keeps the period p and a larger letter makes it k+1, which divides
+    n at the last level, so there only ref can fail to make a necklace.
+    The parents lie in the range, so only the first and the last can have
+    children outside it. The children are laid out by parent from these
+    letter runs, without a parents x size array."""
     # letter k+1-p of each prefix, with size^(p - 1) looked up by period
     ref = (word // (size ** np.arange(k))[period - 1] % size if k
-           else np.full(1, -1))[:, None]
-    grown = np.where(letter > ref, k + 1, period[:, None])
-    keep = (child >= head) & (child < tail) & (letter >= ref)
+           else np.full(1, -1))
+    start = np.maximum(ref, 0)
     if k == n - 1:
-        keep &= n % grown == 0
-    sel = np.flatnonzero(keep)
-    return child.reshape(-1)[sel], grown.reshape(-1)[sel], sel
+        start += (ref >= 0) & (n % period != 0)
+    stop = np.full(len(word), size)
+    if len(word):
+        start[0] = max(start[0], head - word[0] * size)
+        stop[-1] = min(size, tail - word[-1] * size)
+    count = np.maximum(stop - start, 0)
+    parent = np.repeat(np.arange(len(word)), count)
+    first = np.cumsum(count) - count    # each parent's first child
+    pick = np.arange(len(parent)) - np.repeat(first - start, count)
+    grown = np.full(len(parent), k + 1)
+    same = (start == ref) & (count > 0)
+    grown[first[same]] = period[same]
+    return np.repeat(word * size, count) + pick, grown, parent, pick
+
+
+def _necklace_ranges(size, n, cap=NECKLACE_CHUNK):
+    """Consecutive word ranges (lo, hi) that tile the length-n words over
+    size letters, each holding at least one necklace and at most cap.
+
+    The ranges are cut at the prefixes of level k, the first level at
+    which one prefix spans at most WORD_CHUNK / size^2 words, and no prefix
+    is split. Only a prenecklace prefix has necklaces under it. Under each
+    one, an index-only walk counts the prenecklaces three levels down (the
+    necklaces, when that is level n), and a necklace's letters are all at
+    least its first, so count * (size - first letter)^(levels left) bounds
+    the prefix's necklaces. Consecutive prefixes share a range while their
+    bounds sum to at most cap. One prefix's bound is at most the words it
+    spans, so no range passes a cap of at least WORD_CHUNK / size^2, as
+    NECKLACE_CHUNK is. An order whose necklaces, (1/n) sum over d | n of
+    phi(d) size^(n/d), fit under cap is one range. The ranges depend on
+    size, n and cap alone."""
+    total = size ** n
+    k = 0
+    while k < n and size ** (n - k + 2) > WORD_CHUNK:
+        k += 1
+    phi = [sum(math.gcd(d, j) == 1 for j in range(d)) for d in range(n + 1)]
+    if k == 0 or sum(phi[d] * size ** (n // d) for d in range(1, n + 1)
+                     if n % d == 0) <= cap * n:
+        return [(0, total)]
+    deep = min(k + 3, n)
+    word = np.zeros(1, dtype=np.int64)
+    period = np.ones(1, dtype=np.int64)
+    for j in range(deep):
+        if j == k:
+            prefixes, under = word, np.arange(len(word))
+        word, period, parent, _ = _kept_children(size, n, j, word, period,
+                                                 0, size ** (j + 1))
+        if j >= k:
+            under = under[parent]
+    if deep == k:
+        prefixes, under = word, np.arange(len(word))
+    first = prefixes // size ** (k - 1)
+    bound = (np.bincount(under, minlength=len(prefixes))
+             * (size - first) ** (n - deep))
+    span = size ** (n - k)
+    cuts, held = [], cap
+    for prefix, most in zip(prefixes.tolist(), bound.tolist()):
+        if most and held + most > cap:
+            cuts.append(prefix * span)
+            held = 0
+        held += most
+    cuts[0] = 0
+    return list(zip(cuts, cuts[1:] + [total]))
 
 
 def _fold_children(mob, fold, parent, pick):
     """One step of _fold_moebius for each child: the letter mob[:][pick]
     after the parent's fold[:][parent], with the operands in the order
     _fold_moebius multiplies them, since numpy rounds a complex x * y and
-    y * x differently. The parents' columns are gathered two at a time,
-    (A, C) and then (B, E), so that few child-length arrays are alive at
-    once."""
-    a, b, c, e = mob
+    y * x differently. The letters are gathered once, the parents'
+    columns two at a time, (A, C) and then (B, E)."""
+    a, b, c, e = (x[pick] for x in mob)
     out = [None] * 4
     for col in (0, 1):
         x, y = fold[col][parent], fold[col + 2][parent]
-        out[col] = np.multiply(a[pick], x) + np.multiply(b[pick], y)
-        out[col + 2] = np.multiply(c[pick], x) + np.multiply(e[pick], y)
+        out[col] = np.multiply(a, x) + np.multiply(b, y)
+        out[col + 2] = np.multiply(c, x) + np.multiply(e, y)
     return tuple(out)
 
 

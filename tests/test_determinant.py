@@ -3,8 +3,10 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from transferspec import (
     trace_table,
 )
 from transferspec import determinant, dynamics, systems
+from transferspec._parallel import chunk_ranges
 from transferspec._format import json_g17
 from transferspec.determinant import _aberth_roots
 from transferspec.dynamics import (
@@ -144,7 +147,8 @@ def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
 
     monkeypatch.setattr(determinant, "map_ordered", counted)
     table = trace_table(gauss4, 9, threads=2)
-    assert sizes == [8 + 4]     # one chunk for each of orders 1..8, 4 for 9
+    # 4^9 words hold 29,144 necklaces: one range for each of orders 1..9
+    assert sizes == [9]
     monkeypatch.setattr(determinant, "map_ordered", real)
     for n in (1, 8, 9):
         assert table.values[n - 1] == trace(gauss4, n).value
@@ -217,6 +221,14 @@ def _moebius_case(entries, center, radius):
             [entry[4] for entry in entries])
 
 
+def _words(sys_, n, lo, hi, necklaces, **plan):
+    """The closed-form words of a range as one batch, its blocks joined;
+    None when it holds none."""
+    blocks = list(determinant._moebius_words(sys_, n, lo, hi, necklaces,
+                                             **plan))
+    return tuple(map(np.concatenate, zip(*blocks))) if blocks else None
+
+
 _PAIR = [(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
          (0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8)]
 ORACLE_CASES = {
@@ -261,15 +273,13 @@ def test_closed_form_traces_match_mp_oracle(name):
 def test_moebius_words_fold_matches_letter_by_letter_fold():
     # the prefix tree gives every representative the bits of a letter by
     # letter fold, also for ranges that start and end inside a prefix
-    sys_, _, _ = _moebius_case(
-        [_PAIR[0] + ("derivative",), _PAIR[1] + ("neg_derivative",),
-         (0.1 + 0.05j, -0.2, 0.1j, 2.2, "derivative")], [0.1, 0.05], 1.0)
+    sys_ = _three_letters()
     n, total = 7, 3 ** 7
     reps = _fold_words(3, n, 0, total, necklaces=True)[0]
-    whole = determinant._moebius_words(sys_, n, 0, total, True)
+    whole = _words(sys_, n, 0, total, True)
     for lo, hi in ((0, 1000), (1000, 1001), (1001, total)):
         inside = (reps >= lo) & (reps < hi)
-        part = determinant._moebius_words(sys_, n, lo, hi, True)
+        part = _words(sys_, n, lo, hi, True)
         if part is None:
             assert not inside.any()
             continue
@@ -348,8 +358,7 @@ def test_cancelling_terms_are_summed_word_by_word():
     entries, center, radius, _ = ORACLE_CASES["complex-derivative"]
     sys_, _, _ = _moebius_case(entries, center, radius)
     n = 6
-    _, _, wgt, mult, _, _, _ = determinant._moebius_words(sys_, n, 0, 2 ** n,
-                                                          False)
+    _, _, wgt, mult, _, _, _ = _words(sys_, n, 0, 2 ** n, False)
     terms = wgt / (1.0 - mult)
     assert trace(sys_, n).value == complex(math.fsum(terms.real),
                                            math.fsum(terms.imag))
@@ -365,21 +374,129 @@ def test_cancelling_order_is_summed_word_by_word_in_every_chunk(plain):
                                 (0.2, 0.3, 0.25, 1.8, "derivative")],
                                [0.1, 0.05], 1.0)
     n = 17
-    _, _, wgt, mult, _, _, _ = determinant._moebius_words(sys_, n, 0, 2 ** n,
-                                                          False)
+    _, _, wgt, mult, _, _, _ = _words(sys_, n, 0, 2 ** n, False)
     terms = wgt / (1.0 - mult)
     want = complex(math.fsum(terms.real), math.fsum(terms.imag))
     got = trace(as_plain_maps(sys_) if plain else sys_, n).value
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def _exact_split(period, x):
-    """The exactly rounded sum of period * x and its rounded remainder, in
-    rational arithmetic."""
-    exact = sum((int(k) * Fraction(v) for k, v in zip(period, x)),
-                Fraction(0))
-    head = float(exact)
-    return head, float(exact - Fraction(head))
+# the five-letter real system and the complex three-letter system of the
+# console-script step in CI
+FIVE_DESC = {"family": "moebius_list",
+             "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": float(e),
+                         "weight": "neg_derivative"} for e in range(1, 6)],
+             "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1}}
+
+
+def _three_letters():
+    return _moebius_case([_PAIR[0] + ("derivative",),
+                          _PAIR[1] + ("neg_derivative",),
+                          (0.1 + 0.05j, -0.2, 0.1j, 2.2, "derivative")],
+                         [0.1, 0.05], 1.0)[0]
+
+
+def _hex_table(sys_, M, threads=1):
+    table = trace_table(sys_, M, threads=threads)
+    return ([(v.real.hex(), v.imag.hex()) for v in table.values]
+            + [table.max_multiplier.hex()])
+
+
+@pytest.mark.parametrize("name, M", [("gauss4", 10), ("five", 8),
+                                     ("three", 9)])
+def test_necklace_cut_and_blocks_keep_the_bits(name, M, gauss4, monkeypatch):
+    # ranges cut by necklace count and taken in blocks give the traces of
+    # ranges of 2^16 words taken whole: the sums are exact, and a word's
+    # bits depend on neither its range nor its block. The three-letter
+    # system's terms cancel, so its orders are summed word by word, over
+    # 19,683 words, past numpy's 16,384 elements for reusing temporaries
+    sys_ = {"gauss4": gauss4, "five": system_from_descriptor(FIVE_DESC),
+            "three": _three_letters()}[name]
+    cut = _hex_table(sys_, M)
+    assert _hex_table(sys_, M, threads=2) == cut
+    monkeypatch.setattr(determinant, "_WORD_BLOCK", 1 << 10)
+    assert _hex_table(sys_, M) == cut
+    monkeypatch.setattr(determinant, "_necklace_ranges",
+                        lambda size, n: chunk_ranges(size ** n))
+    monkeypatch.setattr(determinant, "_WORD_BLOCK", 1 << 20)
+    assert _hex_table(sys_, M) == cut
+
+
+def test_real_words_have_imaginary_part_positive_zero(gauss4, monkeypatch):
+    # the terms of real words are float64: their imaginary parts, all 0,
+    # are not summed, and every trace's imaginary part is +0.0
+    zeros = []
+    exact_sum = determinant._exact_sum
+
+    def recorded(period, x):
+        zeros.append(bool((x == 0).all()))
+        return exact_sum(period, x)
+
+    monkeypatch.setattr(determinant, "_exact_sum", recorded)
+    table = trace_table(gauss4, 8)
+    assert {v.imag.hex() for v in table.values} == {"0x0.0p+0"}
+    assert zeros and not any(zeros)
+
+
+def test_cancelling_order_stops_its_necklace_pass(monkeypatch):
+    # once a necklace chunk's terms can cancel, the order's other necklace
+    # chunks are skipped, since the order is summed word by word: at one
+    # thread each cancelling order makes one necklace call. A small cap
+    # cuts the orders into several ranges
+    sys_ = _three_letters()
+    cut = partial(dynamics._necklace_ranges, cap=2000)
+    monkeypatch.setattr(determinant, "_necklace_ranges", cut)
+    calls = []
+    words = determinant._moebius_words
+
+    def recorded(sys_, n, lo, hi, necklaces, **plan):
+        calls.append((n, necklaces))
+        return words(sys_, n, lo, hi, necklaces, **plan)
+
+    monkeypatch.setattr(determinant, "_moebius_words", recorded)
+    values = trace_table(sys_, 11).values
+    redone = {n for n, necklaces in calls if not necklaces}
+    assert any(len(cut(3, n)) > 1 for n in redone)
+    for n in range(1, 12):
+        assert calls.count((n, True)) == (1 if n in redone
+                                          else len(cut(3, n)))
+    # whichever chunks are skipped, the values are the same
+    monkeypatch.setattr(determinant, "_moebius_words", words)
+    assert trace_table(sys_, 11, threads=2).values == values
+
+
+def test_first_failing_word_is_named_in_any_block(monkeypatch):
+    # the rotation (2, 1) of (1, 2) fixes 1.05, outside the unit disc, and
+    # (3, 3) has multiplier 1: the first failing word, in lexicographic
+    # order, is named, whether the two lie in one block or not
+    sys_ = make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0),
+                        make_affine(1.0, 0.0)], [make_const(1.0)] * 3,
+                       make_ball(0.0, 1.0))
+    for block in (1, 1 << 14):
+        monkeypatch.setattr(determinant, "_WORD_BLOCK", block)
+        with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its"):
+            trace(sys_, 2)
+
+
+def test_trace_memory_stays_below_the_whole_range_peak(gauss4):
+    # blocks of at most _WORD_BLOCK words bound what a chunk holds. Ranges
+    # of 2^16 words, folded and summed whole, peaked at 5.97 MB at one
+    # thread and at 6.8 to 10 MB at two; blocks stay below the former
+    trace_table(gauss4, 10)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            trace_table(gauss4, 10, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.97e6, threads
+
+
+def _exact(period, x):
+    """The sum of period * x in rational arithmetic."""
+    return sum((int(k) * Fraction(v) for k, v in zip(period, x)),
+               Fraction(0))
 
 
 def _split_cases():
@@ -414,19 +531,47 @@ def _split_cases():
            rng.choice([-1.0, 1.0], m) * near)
 
 
-def test_period_times_terms_sum_is_exactly_rounded():
-    # the head is the exactly rounded sum of the products period * x and
-    # the rest the exactly rounded remainder, to the bit and the sign of 0
+def test_period_times_terms_sum_is_exact():
+    # the sum of the products period * x is the exact rational, and rounded
+    # once it has the bits and the sign of zero of the exactly rounded sum
     for name, period, x in _split_cases():
-        got = determinant._split_sum(period, x)
-        want = _exact_split(period, x)
-        assert [v.hex() for v in got] == [v.hex() for v in want], name
+        got = determinant._exact_sum(period, x)
+        want = _exact(period, x)
+        assert isinstance(got, Fraction) and got == want, name
+        assert determinant._rounded([got]).hex() == float(want).hex(), name
         if name in ("cancel", "subnormal cancel", "zeros"):
-            assert [v.hex() for v in got] == ["0x0.0p+0"] * 2
+            assert determinant._rounded([got]).hex() == "0x0.0p+0"
+    # a product that is not finite makes the sum NaN, and so the total
+    assert math.isnan(determinant._exact_sum(np.array([2, 1]),
+                                             np.array([1.0, math.inf])))
+    assert math.isnan(determinant._rounded([Fraction(1), math.nan]))
     # the bound that keeps every block sum exact is checked
     with pytest.raises(AssertionError):
-        determinant._split_sum(np.array([determinant._BLOCK]),
+        determinant._exact_sum(np.array([determinant._BLOCK]),
                                np.array([1.0]))
+
+
+def test_chunk_sums_add_exactly_before_rounding():
+    # each pair of chunk sums totals 1 + 2^-53 - 2^-201 or - 2^-200, just
+    # below halfway between 1 and the next double, so it rounds to 1. Each
+    # chunk's sum rounded first gives 1 + 2^-52 for the first pair, and
+    # each chunk's rounded head and remainder for the second
+    def rounded_first(sums):
+        return float(sums[0]) + float(sums[1])
+
+    def head_and_rest(sums):
+        head = float(sums[0])
+        return math.fsum([head, float(sums[0] - Fraction(head)),
+                          float(sums[1])])
+
+    one = np.ones(3, dtype=np.int64)
+    for terms, other, wrong in (
+            ([1.0, 2.0 ** -53, 2.0 ** -200], -2.0 ** -199, rounded_first),
+            ([1.0, 2.0 ** -53, -2.0 ** -200], 2.0 ** -201, head_and_rest)):
+        sums = [determinant._exact_sum(one, np.array(terms)),
+                determinant._exact_sum(one[:1], np.array([other]))]
+        assert determinant._rounded(sums) == 1.0
+        assert wrong(sums) == 1.0 + 2.0 ** -52
 
 
 _MATCH = {NotContracting: r"word \(1,\) has multiplier",
@@ -567,8 +712,7 @@ def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes):
 def test_closed_form_fixed_point_without_pole(affine_half):
     # C = 0: the fixed point is B / (q - A); z -> z/2 + 0.3 fixes 0.6
     for n in (1, 5, 12):
-        _, _, _, mult, z, end, _ = determinant._moebius_words(
-            affine_half, n, 0, 1, True)
+        _, _, _, mult, z, end, _ = _words(affine_half, n, 0, 1, True)
         assert z[0] == pytest.approx(0.6, abs=1e-15)
         assert end[0] == pytest.approx(z[0], abs=1e-15)
         assert mult[0] == pytest.approx(0.5 ** n, rel=1e-15)
@@ -587,8 +731,7 @@ def test_max_residual_is_word_map_at_fixed_point(gauss4):
     # the residual is over the words evaluated: gauss4's terms share one
     # sign, so those are the necklace representatives
     n = 3
-    index, _, _, _, z, _, _ = determinant._moebius_words(gauss4, n, 0,
-                                                         4 ** n, True)
+    index, _, _, _, z, _, _ = _words(gauss4, n, 0, 4 ** n, True)
     letters = word_letters(4, n, index)
     words = [tuple(int(l) for l in row) for row in letters]
     # composing the branches one by one rounds differently from the

@@ -27,10 +27,12 @@ from transferspec import (
     system_from_descriptor,
     trace_table,
 )
-from transferspec._parallel import chunk_ranges
+from transferspec._parallel import NECKLACE_CHUNK, WORD_CHUNK, chunk_ranges
 from transferspec.dynamics import (
+    _fold_blocks,
     _fold_moebius,
     _fold_words,
+    _necklace_ranges,
     batch_fixed_points,
     batch_orbit,
     word_letters,
@@ -268,6 +270,94 @@ def test_necklace_fold_matches_letter_by_letter_fold(size, n):
     want_fold, want_prods = _letter_by_letter(mob, factors, size, n, words)
     for got, want in zip((*fold, *prods), (*want_fold, *want_prods)):
         assert np.array_equal(got, want)
+
+
+def _necklace_count(size, n):
+    """(1/n) sum over d | n of phi(d) size^(n/d): the length-n necklaces."""
+    phi = [sum(math.gcd(d, k) == 1 for k in range(1, d + 1))
+           for d in range(n + 1)]
+    return sum(phi[d] * size ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("size, orders", [(2, (1, 9, 16, 18)),
+                                          (3, (2, 8, 10, 11)),
+                                          (4, (3, 7, 8, 9)),
+                                          (5, (4, 6, 7, 8)),
+                                          (7, (2, 5, 6))])
+def test_necklace_ranges_tile_the_words_within_the_cap(size, orders):
+    # the ranges cover every word in order, none is without a necklace or
+    # above the cap, at the module's cap and at the least cap that one
+    # prefix always fits, which cuts many ranges
+    for n in orders:
+        total = size ** n
+        for cap in (NECKLACE_CHUNK, -(-WORD_CHUNK // size ** 2)):
+            ranges = _necklace_ranges(size, n, cap)
+            assert ranges[0][0] == 0 and ranges[-1][1] == total
+            assert all(lo < hi for lo, hi in ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            periods = [_fold_words(size, n, lo, hi, necklaces=True)[1]
+                       for lo, hi in ranges]
+            assert all(1 <= len(p) <= cap for p in periods), (n, cap)
+            assert sum(int(p.sum()) for p in periods) == total
+            assert sum(map(len, periods)) == _necklace_count(size, n)
+
+
+def test_necklace_ranges_balance_the_four_letter_order_ten():
+    # 4^10 words in ranges of 2^16 would be 16, holding 43,525 down to 0
+    # necklaces; cut by necklace count they are 3
+    counts = [len(_fold_words(4, 10, lo, hi, necklaces=True)[0])
+              for lo, hi in _necklace_ranges(4, 10)]
+    assert counts == [43525, 35572, 25871]
+
+
+@pytest.mark.parametrize("size, n", [(3, 12), (4, 10)])
+def test_fold_blocks_keep_the_bits_of_one_block(size, n):
+    # the last level taken a few parents at a time gives every word the
+    # bits, the period and the position it has in one block, also where
+    # blocks are empty and where a range starts and ends inside a prefix
+    rng = np.random.default_rng(size + 10)
+    mob = tuple(rng.standard_normal((4, size))
+                + 1j * rng.standard_normal((4, size)))
+    factors = (rng.standard_normal(size) + 1j * rng.standard_normal(size),
+               rng.standard_normal(size))
+    total = size ** n
+    for lo, hi, sizes in [(0, total, (1000, 1 << 14)),
+                          (12345, 14321, (1, 7)),
+                          (total - 777, total - 5, (1, 7, 1000))]:
+        whole = _fold_words(size, n, lo, hi, mob, factors, necklaces=True)
+        for block in sizes:
+            blocks = list(_fold_blocks(size, n, lo, hi, mob, factors, True,
+                                       block))
+            assert all(len(b[0]) <= max(block, size) for b in blocks)
+            joined = [np.concatenate(col) for col in zip(
+                *[(w, p, *f, *q) for w, p, f, q in blocks])]
+            for got, want in zip(joined, (whole[0], whole[1], *whole[2],
+                                          *whole[3])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("necklaces", [True, False])
+def test_factors_of_one_value_fold_to_the_same_bits(necklaces):
+    # a factor that is one number on every letter is carried as one
+    # product per level and spread over the words: the bits, the sign of
+    # zero too, are those of the letter-by-letter products. 0.0 and -0.0
+    # are two values
+    size, n = 3, 9
+    factors = (np.full(size, 0.9 - 0.3j), np.full(size, -1.0),
+               np.array([0.0, -0.0, 0.0]), np.full(size, 1.1))
+    total = size ** n
+    for lo, hi in [(0, total), (5000, 5001), (100, 12000)]:
+        blocks = list(_fold_blocks(size, n, lo, hi, None, factors,
+                                   necklaces, 7))
+        words = np.concatenate([b[0] for b in blocks])
+        got = [np.concatenate(col) for col in zip(*[b[3] for b in blocks])]
+        letters = word_letters(size, n, words)
+        for g, f in zip(got, factors):
+            want = np.ones(len(words), dtype=f.dtype)
+            for col in letters.T:
+                want = np.multiply(want, f[col - 1])
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
 
 def test_batch_orbit_marks_first_point_outside():

@@ -26,7 +26,8 @@ def chunk_ranges(total, chunk=WORD_CHUNK):
 def map_ordered(fn, items, threads=1):
     """Apply fn to each item, returning results in input order.
 
-    threads <= 1 runs inline; otherwise a thread pool is used. The result
+    threads <= 1, or a single item, runs inline, so a caller that maps one
+    chunk starts no thread pool; otherwise a thread pool is used. The result
     order (and therefore any subsequent reduction) is identical either way.
     """
     if threads is None or threads <= 1 or len(items) <= 1:

@@ -31,7 +31,8 @@ that the walk could mark nothing. Counting one rotation's rounding d
 times cannot grow the relative error of a sum whose terms share one sign,
 but where terms cancel it can, so an order whose terms, in all its chunks
 together, are not all real of one sign is evaluated word by word, in
-fixed ranges, as every order is in dim >= 2.
+fixed ranges, as every order is in dim >= 2. The orders are taken in turn,
+each mapping its own chunks, and the first failing order stops the table.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
@@ -127,23 +128,21 @@ class DeterminantSeries:
 
 
 def _trace_rows(sys_, orders, word_budget, tol, threads):
-    """(value, words, max multiplier, max residual) for each order.
+    """The TraceValue of each order, the orders taken in turn.
 
-    Every order's words are counted against the budget before any work, and
-    the chunks of all orders go through one ordered map, so one thread pool
-    serves the whole table. In dim 1 a first pass evaluates necklace
-    representatives: closed-form words in the ranges of _necklace_ranges,
-    balanced by necklace count, iterated ones in fixed word ranges, since
-    their batches decide how long fixed points are iterated. Once a chunk's
-    terms can cancel, its order's later necklace chunks are skipped and the
-    whole order is evaluated word by word (see the module docstring), in
-    fixed word ranges, as every order is in dim >= 2. Each chunk's sums are
-    exact, so an order's value is their total rounded once, whatever the
-    chunks. A failure is raised for the first failing order, from the pass
-    that gives its value, and its first failing chunk. The multiplier and
-    residual are those of the words evaluated. In dim >= 2 the multiplier
-    is the spectral radius of the word's Jacobian. A truncated countable
-    alphabet is refused first.
+    Every order's words are counted against the budget before any work. In
+    dim 1 an order first evaluates its necklace representatives:
+    closed-form words in the ranges of _necklace_ranges, balanced by
+    necklace count, iterated ones in fixed word ranges, since their batches
+    decide how long fixed points are iterated. If its terms, in all chunks
+    together, can cancel, the order is evaluated word by word instead (see
+    the module docstring), in fixed word ranges, as every order is in dim
+    >= 2. Each chunk's sums are exact, so an order's value is their total
+    rounded once, whatever the chunks. The first failing chunk of the pass
+    that gives an order's value raises, and later orders are not evaluated.
+    The multiplier and residual are those of the words evaluated. In dim
+    >= 2 the multiplier is the spectral radius of the word's Jacobian. A
+    truncated countable alphabet is refused first.
     """
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
@@ -152,15 +151,12 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
             "the Gauss family")
     totals = {n: _word_count(sys_, n, word_budget) for n in orders}
     d, size = sys_.dim, sys_.n_letters
+    moebius = sys_.coefficients is not None
     # decided once for the table: whether the image discs make the necklace
     # walk redundant, and whether the words can be taken in float64
-    plan = sys_.coefficients is not None and dict(
-        walk=not _orbits_stay_inside(sys_), real=_real_data(sys_))
-
-    def chunks(ns, necklaces):
-        return [(n, lo, hi) for n in ns for lo, hi in (
-            _necklace_ranges(size, n) if necklaces and plan
-            else chunk_ranges(totals[n]))]
+    words = (partial(_moebius_words, sys_, walk=not _orbits_stay_inside(sys_),
+                     real=_real_data(sys_)) if moebius
+             else partial(_iterated_words, sys_, tol=tol))
 
     def summed(n, necklaces, index, period, wgt, mult, z, end, exits):
         """One block's exact sums, largest multiplier and residual, and the
@@ -194,57 +190,40 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
                 float(spectral.max()), float(_point_norm(end - z).max()),
                 _signs(terms) if necklaces else 0)
 
-    def handle(item, necklaces):
-        """The summaries of a chunk's blocks, or the failure it raises."""
-        n, lo, hi = item
-        blocks = (_moebius_words(sys_, n, lo, hi, necklaces, **plan) if plan
-                  else _iterated_words(sys_, n, lo, hi, tol, necklaces))
-        try:    # starmap holds no block once it is summed
-            return list(starmap(partial(summed, n, necklaces), blocks))
-        except TransferOperatorError as err:
-            return err
+    def evaluate(n, necklaces):
+        """Each chunk's block summaries, or the failure it raises: a failing
+        necklace chunk gives way to the every-word pass if the order's terms
+        can cancel."""
+        def chunk(span):
+            try:    # starmap holds no block once it is summed
+                return list(starmap(partial(summed, n, necklaces),
+                                    words(n, *span, necklaces)))
+            except TransferOperatorError as err:
+                return err
 
-    def signs(part):
-        return (0 if isinstance(part, TransferOperatorError)
-                else reduce(or_, (block[4] for block in part), 0))
+        return map_ordered(chunk, _necklace_ranges(size, n)
+                           if necklaces and moebius
+                           else chunk_ranges(totals[n]), threads)
 
-    held = {}   # the signs seen so far in each order's necklace chunks
-
-    def necklace(item):
-        n = item[0]
-        if _cancels(held.get(n, 0)):
-            return []           # thrown away: the order is redone
-        part = handle(item, True)
-        # an update lost between threads costs a skip, not a value
-        held[n] = held.get(n, 0) | signs(part)
-        return part
-
-    items = chunks(orders, d == 1)
-    parts = map_ordered(necklace if d == 1
-                        else partial(handle, necklaces=False), items, threads)
-    # a class's rotations may lie in other chunks, so an order whose terms
-    # can cancel is evaluated word by word in all of them. Whether they can
-    # is read off all its chunks' terms together; a chunk is skipped only
-    # once those of others show it
-    seen = {}
-    for (n, _, _), part in zip(items, parts):
-        seen[n] = seen.get(n, 0) | signs(part)
-    cancel = {n for n in orders if _cancels(seen[n])}
-    if cancel:
-        redo = chunks([n for n in orders if n in cancel], False)
-        parts = ([p for (n, _, _), p in zip(items, parts) if n not in cancel]
-                 + map_ordered(partial(handle, necklaces=False), redo,
-                               threads))
-        items = [item for item in items if item[0] not in cancel] + redo
     rows = []
     for n in orders:
-        mine = [p for (m, _, _), p in zip(items, parts) if m == n]
-        for p in mine:
-            if isinstance(p, TransferOperatorError):
-                raise p
-        re, im, top, residual, _ = zip(*(block for p in mine for block in p))
-        rows.append((complex(_rounded(re), _rounded(im)), totals[n],
-                     max(top), max(residual)))
+        parts = evaluate(n, d == 1)
+        # a class's rotations may lie in other chunks, so whether the
+        # necklace terms can cancel is read off all the chunks together
+        if _cancels(reduce(or_, (block[4] for part in parts
+                                 if isinstance(part, list)
+                                 for block in part), 0)):
+            parts = evaluate(n, False)
+        for part in parts:
+            if not isinstance(part, list):
+                raise part
+        re, im, top, residual, _ = zip(*(block for p in parts for block in p))
+        try:
+            value = complex(_rounded(re), _rounded(im))
+        except OverflowError:
+            raise TransferOperatorError(
+                f"the order-{n} trace lies past the double range") from None
+        rows.append(TraceValue(n, value, totals[n], max(top), max(residual)))
     return rows
 
 
@@ -289,7 +268,7 @@ def _divide(a, b, out=None, where=True):
     return np.multiply(a, np.divide(1.0, b), out=out, where=where)
 
 
-def _iterated_words(sys_, n, lo, hi, tol, necklaces):
+def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     """Yields the words lo..hi-1 of length n as one block: their
     lexicographic indices, periods, weight, multiplier, fixed point z, T(z)
     and the first orbit point outside the ball (as batch_orbit marks them),
@@ -440,12 +419,7 @@ def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """
     if n < 1:
         raise ValueError("trace order must be >= 1")
-    return _traces(sys_, [n], word_budget, tol, threads)[0]
-
-
-def _traces(sys_, orders, word_budget, tol, threads):
-    rows = _trace_rows(sys_, orders, word_budget, tol, threads)
-    return [TraceValue(n, *row) for n, row in zip(orders, rows)]
+    return _trace_rows(sys_, [n], word_budget, tol, threads)[0]
 
 
 def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
@@ -457,7 +431,7 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    rows = _traces(sys_, range(1, M + 1), word_budget, tol, threads)
+    rows = _trace_rows(sys_, range(1, M + 1), word_budget, tol, threads)
     return TraceTable(
         orders=tuple(r.order for r in rows),
         values=tuple(r.value for r in rows),

@@ -136,8 +136,9 @@ def test_trace_table_contiguous_orders(gauss4):
     assert tt.system_id == gauss4.system_id
 
 
-def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
-    # one ordered map, so one thread pool, serves every order of the table
+def test_trace_table_maps_one_order_at_a_time(gauss4, monkeypatch):
+    # each order maps its own necklace ranges, and map_ordered runs a single
+    # range inline: only order 10's three ranges start a thread pool
     sizes = []
     real = determinant.map_ordered
 
@@ -146,11 +147,11 @@ def test_trace_table_maps_all_orders_at_once(gauss4, monkeypatch):
         return real(fn, items, threads)
 
     monkeypatch.setattr(determinant, "map_ordered", counted)
-    table = trace_table(gauss4, 9, threads=2)
-    # 4^9 words hold 29,144 necklaces: one range for each of orders 1..9
-    assert sizes == [9]
+    table = trace_table(gauss4, 10, threads=2)
+    assert sizes == [len(dynamics._necklace_ranges(4, n))
+                     for n in range(1, 11)] == [1] * 9 + [3]
     monkeypatch.setattr(determinant, "map_ordered", real)
-    for n in (1, 8, 9):
+    for n in (1, 9, 10):
         assert table.values[n - 1] == trace(gauss4, n).value
 
 
@@ -309,14 +310,19 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     assert np.array_equal(got_det, want_det)
 
 
-@pytest.mark.parametrize("plain", [False, True])
-def test_escape_of_a_rotation_is_refused(plain):
-    # (1, 2) fixes -0.945, inside the unit disc, and its rotation (2, 1)
-    # fixes 1.05, outside: the sum over the class of (1, 2) still refuses
-    # the rotation, by name
-    sys_ = make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0)],
+def _escaping_rotation():
+    """(1, 2) fixes -0.945, inside the unit disc, and its rotation (2, 1)
+    fixes 1.05, outside."""
+    return make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0)],
                        [make_const(1.0), make_const(1.0)],
                        make_ball(0.0, 1.0))
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_escape_of_a_rotation_is_refused(plain):
+    # the sum over the class of (1, 2) still refuses the rotation (2, 1),
+    # by name
+    sys_ = _escaping_rotation()
     with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its attr"):
         trace(as_plain_maps(sys_) if plain else sys_, 2)
 
@@ -402,16 +408,27 @@ def _hex_table(sys_, M, threads=1):
             + [table.max_multiplier.hex()])
 
 
-@pytest.mark.parametrize("name, M", [("gauss4", 10), ("five", 8),
-                                     ("three", 9)])
-def test_necklace_cut_and_blocks_keep_the_bits(name, M, gauss4, monkeypatch):
+@pytest.mark.parametrize("name, M, cap", [("gauss4", 10, None),
+                                          ("five", 8, None),
+                                          ("three", 9, None),
+                                          ("three", 11, 2000)],
+                         ids=["gauss4-10", "five-8", "three-9",
+                              "three-11-cap2000"])
+def test_necklace_cut_and_blocks_keep_the_bits(name, M, cap, gauss4,
+                                               monkeypatch):
     # ranges cut by necklace count and taken in blocks give the traces of
     # ranges of 2^16 words taken whole: the sums are exact, and a word's
     # bits depend on neither its range nor its block. The three-letter
     # system's terms cancel, so its orders are summed word by word, over
-    # 19,683 words, past numpy's 16,384 elements for reusing temporaries
+    # 19,683 words, past numpy's 16,384 elements for reusing temporaries;
+    # a cap of 2000 cuts its necklace pass into several ranges, whose
+    # signs together send each order to the every-word pass
     sys_ = {"gauss4": gauss4, "five": system_from_descriptor(FIVE_DESC),
             "three": _three_letters()}[name]
+    if cap is not None:
+        ranges = partial(dynamics._necklace_ranges, cap=cap)
+        assert len(ranges(3, M)) > 1
+        monkeypatch.setattr(determinant, "_necklace_ranges", ranges)
     cut = _hex_table(sys_, M)
     assert _hex_table(sys_, M, threads=2) == cut
     monkeypatch.setattr(determinant, "_WORD_BLOCK", 1 << 10)
@@ -438,33 +455,6 @@ def test_real_words_have_imaginary_part_positive_zero(gauss4, monkeypatch):
     assert zeros and not any(zeros)
 
 
-def test_cancelling_order_stops_its_necklace_pass(monkeypatch):
-    # once a necklace chunk's terms can cancel, the order's other necklace
-    # chunks are skipped, since the order is summed word by word: at one
-    # thread each cancelling order makes one necklace call. A small cap
-    # cuts the orders into several ranges
-    sys_ = _three_letters()
-    cut = partial(dynamics._necklace_ranges, cap=2000)
-    monkeypatch.setattr(determinant, "_necklace_ranges", cut)
-    calls = []
-    words = determinant._moebius_words
-
-    def recorded(sys_, n, lo, hi, necklaces, **plan):
-        calls.append((n, necklaces))
-        return words(sys_, n, lo, hi, necklaces, **plan)
-
-    monkeypatch.setattr(determinant, "_moebius_words", recorded)
-    values = trace_table(sys_, 11).values
-    redone = {n for n, necklaces in calls if not necklaces}
-    assert any(len(cut(3, n)) > 1 for n in redone)
-    for n in range(1, 12):
-        assert calls.count((n, True)) == (1 if n in redone
-                                          else len(cut(3, n)))
-    # whichever chunks are skipped, the values are the same
-    monkeypatch.setattr(determinant, "_moebius_words", words)
-    assert trace_table(sys_, 11, threads=2).values == values
-
-
 def test_first_failing_word_is_named_in_any_block(monkeypatch):
     # the rotation (2, 1) of (1, 2) fixes 1.05, outside the unit disc, and
     # (3, 3) has multiplier 1: the first failing word, in lexicographic
@@ -476,6 +466,33 @@ def test_first_failing_word_is_named_in_any_block(monkeypatch):
         monkeypatch.setattr(determinant, "_WORD_BLOCK", block)
         with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its"):
             trace(sys_, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_failing_order_stops_the_table(threads, monkeypatch):
+    # order 2 fails at the rotation (2, 1) of (1, 2), and no later order is
+    # evaluated
+    sys_ = _escaping_rotation()
+    orders = []
+    words = determinant._moebius_words
+
+    def recorded(sys_, n, *args, **plan):
+        orders.append(n)
+        return words(sys_, n, *args, **plan)
+
+    monkeypatch.setattr(determinant, "_moebius_words", recorded)
+    with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its attr"):
+        trace_table(sys_, 6, threads=threads)
+    assert max(orders) == 2
+
+
+def test_trace_past_the_double_range_is_refused():
+    # three order-1 terms of 1e308 / 1.5 sum to 2e308, past the largest
+    # double: the error names the order rather than overflowing
+    sys_ = make_system([make_affine(-0.5, b) for b in (0.0, 0.1, -0.1)],
+                       [make_const(1e308)] * 3, make_ball(0.0, 1.0))
+    with pytest.raises(TransferOperatorError, match="order-1 trace"):
+        trace_table(sys_, 2)
 
 
 def test_trace_memory_stays_below_the_whole_range_peak(gauss4):

@@ -1,10 +1,11 @@
 """Deterministic work splitting.
 
 Heavy loops are split into chunks that do not depend on the thread count:
-fixed-size ranges of words here, or the necklace ranges of
-dynamics._necklace_ranges, whose necklace count is capped instead. Per-chunk
-partial results are combined in chunk index order, or exactly. Outputs are
-therefore bit-identical whether a job runs on one thread or many.
+fixed-size ranges of words. They split the word batches of user maps and
+the contraction sups; the closed-form trace route walks each order's words
+once, in blocks, and maps one item per order. Per-chunk partial results
+are combined in chunk index order, or exactly. Outputs are therefore
+bit-identical whether a job runs on one thread or many.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 # Fixed chunk length for word enumeration; must never depend on threads.
 WORD_CHUNK = 1 << 16
-# Cap on the necklaces of one range of the necklace pass (dynamics.
-# _necklace_ranges); must never depend on threads either.
-NECKLACE_CHUNK = 1 << 16
 
 
 def chunk_ranges(total, chunk=WORD_CHUNK):

@@ -16,34 +16,35 @@ families through their closed-form tail sums.
 The n rotations of a word trace one periodic orbit: they share its
 multiplier, its weight and so its term, and the fixed point of the word
 rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
-runs over necklaces: each chunk, a range of the lexicographic words,
-evaluates only the least rotation of each word in it, and counts its
-term once for each of its period d (the number of distinct rotations).
-The products d * t are summed exactly, in integer limbs, and an order's
-exact chunk sums are added and rounded once, so its value does not
-depend on the chunks. Closed-form chunks are cut at prefixes of the
-necklace tree, balanced by necklace count (dynamics._necklace_ranges),
-and taken in blocks of words; iterated ones are fixed ranges of words.
+runs over necklaces: only the least rotation of each word is evaluated,
+and its term counts once for each of its period d (the number of
+distinct rotations). The products d * t are summed exactly, in integer
+limbs, and an order's exact block sums are added and rounded once, so its
+value does not depend on the blocks. Closed-form words are walked once
+per order, every level of their prefix tree in blocks of words; iterated
+ones come in fixed ranges of words, which split over the threads.
 Every rotation's fixed point is still checked against the ball: the
 representative's orbit is walked, unless the letters' exact image discs
 prove that no orbit point of a fixed point in the ball can leave it, so
 that the walk could mark nothing. Counting one rotation's rounding d
 times cannot grow the relative error of a sum whose terms share one sign,
 but where terms cancel it can, so an order whose terms, in all its chunks
-together, are not all real of one sign is evaluated word by word, in
-fixed ranges, as every order is in dim >= 2. The orders are taken in turn,
-each mapping its own chunks, and the first failing order stops the table.
+together, are not all real of one sign is evaluated word by word, as
+every order is in dim >= 2. The orders are taken in turn, each mapping
+its own chunks, and the first failing order stops the table; so does an
+order whose value is not finite.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
 real folds its words in float64, dividing as numpy divides complex
 numbers, so its traces keep the bits of the complex fold. The chunks
-depend on the alphabet size and the order alone, and the values on
-neither, so the traces are bit-identical at any thread count.
+and blocks depend on the alphabet size and the order alone, and the
+values on neither, so the traces are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,7 +61,6 @@ from .dynamics import (
     _fold_blocks,
     _fold_words,
     _mark_exits,
-    _necklace_ranges,
     _point_norm,
     _word_count,
     batch_fixed_points,
@@ -85,7 +85,7 @@ from .systems import (
 
 # terms per exact block sum in _exact_sum, and the bound on the periods
 _BLOCK = 1 << 13
-# words per block of a necklace range in _moebius_words
+# words per level slice, and so per block, of the walk in _moebius_words
 _WORD_BLOCK = 1 << 14
 
 
@@ -131,18 +131,19 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     """The TraceValue of each order, the orders taken in turn.
 
     Every order's words are counted against the budget before any work. In
-    dim 1 an order first evaluates its necklace representatives:
-    closed-form words in the ranges of _necklace_ranges, balanced by
-    necklace count, iterated ones in fixed word ranges, since their batches
-    decide how long fixed points are iterated. If its terms, in all chunks
-    together, can cancel, the order is evaluated word by word instead (see
-    the module docstring), in fixed word ranges, as every order is in dim
-    >= 2. Each chunk's sums are exact, so an order's value is their total
-    rounded once, whatever the chunks. The first failing chunk of the pass
-    that gives an order's value raises, and later orders are not evaluated.
-    The multiplier and residual are those of the words evaluated. In dim
-    >= 2 the multiplier is the spectral radius of the word's Jacobian. A
-    truncated countable alphabet is refused first.
+    dim 1 an order first evaluates its necklace representatives. If its
+    terms, in all chunks together, can cancel, the order is evaluated word
+    by word instead (see the module docstring), as every order is in dim
+    >= 2. A closed-form pass is one chunk, all its words walked once in
+    blocks; an iterated pass maps fixed word ranges over the threads, since
+    its batches decide how long fixed points are iterated. Each block's
+    sums are exact, so an order's value is their total rounded once,
+    whatever the chunks and blocks. The first failing chunk of the pass
+    that gives an order's value raises, and later orders are not evaluated;
+    so does a value past the double range or not finite. The multiplier
+    and residual are those of the words evaluated. In dim >= 2 the
+    multiplier is the spectral radius of the word's Jacobian. A truncated
+    countable alphabet is refused first.
     """
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
@@ -193,16 +194,18 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     def evaluate(n, necklaces):
         """Each chunk's block summaries, or the failure it raises: a failing
         necklace chunk gives way to the every-word pass if the order's terms
-        can cancel."""
+        can cancel. A closed-form pass is one chunk, walked in blocks."""
         def chunk(span):
-            try:    # starmap holds no block once it is summed
-                return list(starmap(partial(summed, n, necklaces),
-                                    words(n, *span, necklaces)))
+            # starmap holds no block once it is summed; a term that is not
+            # finite is refused once the order is summed
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return list(starmap(partial(summed, n, necklaces),
+                                        words(n, *span, necklaces)))
             except TransferOperatorError as err:
                 return err
 
-        return map_ordered(chunk, _necklace_ranges(size, n)
-                           if necklaces and moebius
+        return map_ordered(chunk, [(0, totals[n])] if moebius
                            else chunk_ranges(totals[n]), threads)
 
     rows = []
@@ -223,6 +226,9 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
         except OverflowError:
             raise TransferOperatorError(
                 f"the order-{n} trace lies past the double range") from None
+        if not cmath.isfinite(value):
+            raise TransferOperatorError(
+                f"the order-{n} trace has a term that is not finite")
         rows.append(TraceValue(n, value, totals[n], max(top), max(residual)))
     return rows
 
@@ -313,19 +319,18 @@ def _orbits_stay_inside(sys_):
 
 
 def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
-    """As _iterated_words, in closed form from the system's coefficients;
-    necklaces come in blocks of at most _WORD_BLOCK words, and a word's
-    bits do not depend on its block. The words are folded over their prefix
-    tree. q = C z + E is the larger root of q^2 - tr q + det and the
-    multiplier is det / q^2. Under a weight law with one power p a word's
-    weight is its factors' product times the multiplier^p; other weights
-    follow z's orbit. With necklaces and walk, n - 1 Moebius steps walk each
-    orbit for the rotations' fixed points; without walk the caller knows
-    the walk would mark nothing. With real, which needs real coefficients
-    and law factors (systems._real_data), the words are taken in float64
-    with the bits of the complex path; a word whose roots are not real,
-    which has a multiplier of modulus 1, gets the multiplier NaN, which is
-    refused as well."""
+    """As _iterated_words, in closed form from the system's coefficients; the
+    words come in blocks of at most _WORD_BLOCK words, every level of their
+    prefix tree walked that many words at a time, and a word's bits do not
+    depend on its block. q = C z + E is the larger root of q^2 - tr q + det and
+    the multiplier is det / q^2. Under a weight law with one power p a word's
+    weight is its factors' product times the multiplier^p; other weights follow
+    z's orbit. With necklaces and walk, n - 1 Moebius steps walk each orbit for
+    the rotations' fixed points; without walk the caller knows the walk would
+    mark nothing. With real, which needs real coefficients and law factors
+    (systems._real_data), the words are taken in float64 with the bits of the
+    complex path; a word whose roots are not real, which has a multiplier of
+    modulus 1, gets the multiplier NaN, which is refused as well."""
     size, ball, coefficients = sys_.n_letters, sys_.domain, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
     if real:

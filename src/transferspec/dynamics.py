@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import (
-    NECKLACE_CHUNK,
-    WORD_CHUNK,
-    chunk_ranges,
-    map_ordered,
-)
+from ._parallel import chunk_ranges, map_ordered
 from .errors import (
     BudgetExceeded,
     DimensionUnsupported,
@@ -65,7 +60,7 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
     of a letter-by-letter fold in letter order.
 
     Without necklaces every word is kept, with period 1, and each level
-    folds all children of its prefixes and slices the range out. With
+    folds all children of its prefixes and clips them to the range. With
     necklaces only the least rotation of each word is kept, and its period
     is its number of distinct rotations. The tree is pruned to
     prenecklaces by the FKM rule: letter k+1 is at least letter k+1-p,
@@ -74,9 +69,9 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
     a necklace, of period p, when p divides n, so the last level keeps
     necklaces only. Each level folds only the children it keeps, from
     their parents' and letters' values gathered in the operand order of
-    _fold_moebius. A word's bits do not depend on the range: the trace
-    route takes its necklaces in the ranges of _necklace_ranges, and in
-    blocks of _fold_blocks.
+    _fold_moebius. A word's bits depend on neither the range nor the
+    blocks of _fold_blocks, in which the closed-form trace route walks all
+    of an order's words at once.
     """
     (words,) = _fold_blocks(size, n, lo, hi, mob, factors, necklaces)
     return words
@@ -84,11 +79,13 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
 
 def _fold_blocks(size, n, lo, hi, mob=None, factors=(), necklaces=False,
                  block=None):
-    """_fold_words in blocks of consecutive words. With necklaces and
-    block, the last level takes its parents block // size at a time, so a
-    block holds at most block words and only the parents' level is alive
-    whole; otherwise all words come as one block. A block may be empty,
-    and every word has the bits it has in one block."""
+    """_fold_words in blocks of consecutive words, by a depth-first walk of
+    the prefix tree. With block, every level takes its parents
+    block // size at a time, so no level holds more than block words (or
+    size, when block is smaller) and only one slice of each level is
+    alive; otherwise every level is one slice and all words come as one
+    block. A block may be empty, and every word has the bits it has in one
+    block."""
 
     # a factor that is one number on every letter has one product at each
     # level, taken as the words' would be, spread over the words at the end
@@ -107,35 +104,40 @@ def _fold_blocks(size, n, lo, hi, mob=None, factors=(), necklaces=False,
                 np.multiply(p, f[:1]) if one
                 else np.multiply(p[parent], f[pick])
                 for p, f, one in zip(prods, factors, constant)]
-        # the range's prefixes are consecutive
-        keep = slice(head - word[0] * size, tail - word[0] * size)
+        # the parents' children are consecutive: clip them to the range
+        base = word[0] * size
+        first, last = max(head, base), min(tail, base + len(word) * size)
+        keep = slice(first - base, last - base)
         if fold is not None:
             fold = tuple(x.reshape(-1)[keep] for x in _fold_moebius(
                 [mob], tuple(x[:, None] for x in fold)))
-        return (np.arange(head, tail), np.ones(tail - head, dtype=np.int64),
+        return (np.arange(first, last), np.ones(last - first, dtype=np.int64),
                 fold, [np.multiply(p, f[:1]) if one
                        else (p[:, None] * f).reshape(-1)[keep]
                        for p, f, one in zip(prods, factors, constant)])
 
-    def spread(word, period, fold, prods):
-        return word, period, fold, [np.repeat(p, len(word)) if one else p
-                                    for p, one in zip(prods, constant)]
+    def cut(s, step, word, period, fold, prods):
+        part = slice(s, s + step)
+        return (word[part], period[part],
+                None if fold is None else tuple(x[part] for x in fold),
+                [p if one else p[part] for p, one in zip(prods, constant)])
 
-    word, period, fold, prods = (
-        np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
-        None if mob is None else tuple(np.array([x])
-                                       for x in (1.0, 0.0, 0.0, 1.0)),
-        [np.ones(1)] * len(factors))
-    for k in range(n - 1):
-        word, period, fold, prods = level(k, word, period, fold, prods)
-    count = max(len(word), 1)
-    step = max(block // size, 1) if necklaces and block else count
-    for s in range(0, count, step):
-        cut = slice(s, s + step)
-        yield spread(*level(
-            n - 1, word[cut], period[cut],
-            None if fold is None else tuple(x[cut] for x in fold),
-            [p if one else p[cut] for p, one in zip(prods, constant)]))
+    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+            None if mob is None else tuple(np.array([x])
+                                           for x in (1.0, 0.0, 0.0, 1.0)),
+            [np.ones(1)] * len(factors))
+    todo = [(0, root)]      # slices of parents, the next one last
+    while todo:
+        k, parents = todo.pop()
+        word, period, fold, prods = level(k, *parents)
+        if k == n - 1:
+            yield word, period, fold, [np.repeat(p, len(word)) if one else p
+                                       for p, one in zip(prods, constant)]
+            continue
+        count = max(len(word), 1)
+        step = max(block // size, 1) if block else count
+        todo += [(k + 1, cut(s, step, word, period, fold, prods))
+                 for s in reversed(range(0, count, step))]
 
 
 def _one_value(x):
@@ -146,10 +148,10 @@ def _one_value(x):
 
 def _kept_children(size, n, k, word, period, head, tail):
     """The children kept at level k of the necklace walk: those of the
-    length-k prefixes word (of periods period) that lie in head..tail-1 and
-    are prenecklaces, and necklaces at the last level. Returns their
-    indices, their periods, and the positions in word of their parents
-    and their letters.
+    length-k prefixes word (of periods period), one slice of the level,
+    that lie in head..tail-1 and are prenecklaces, and necklaces at the
+    last level. Returns their indices, their periods, and the positions in
+    word of their parents and their letters.
 
     A prefix's kept letters run from its letter k+1-p, ref, to the last:
     ref keeps the period p and a larger letter makes it k+1, which divides
@@ -175,56 +177,6 @@ def _kept_children(size, n, k, word, period, head, tail):
     same = (start == ref) & (count > 0)
     grown[first[same]] = period[same]
     return np.repeat(word * size, count) + pick, grown, parent, pick
-
-
-def _necklace_ranges(size, n, cap=NECKLACE_CHUNK):
-    """Consecutive word ranges (lo, hi) that tile the length-n words over
-    size letters, each holding at least one necklace and at most cap.
-
-    The ranges are cut at the prefixes of level k, the first level at
-    which one prefix spans at most WORD_CHUNK / size^2 words, and no prefix
-    is split. Only a prenecklace prefix has necklaces under it. Under each
-    one, an index-only walk counts the prenecklaces three levels down (the
-    necklaces, when that is level n), and a necklace's letters are all at
-    least its first, so count * (size - first letter)^(levels left) bounds
-    the prefix's necklaces. Consecutive prefixes share a range while their
-    bounds sum to at most cap. One prefix's bound is at most the words it
-    spans, so no range passes a cap of at least WORD_CHUNK / size^2, as
-    NECKLACE_CHUNK is. An order whose necklaces, (1/n) sum over d | n of
-    phi(d) size^(n/d), fit under cap is one range. The ranges depend on
-    size, n and cap alone."""
-    total = size ** n
-    k = 0
-    while k < n and size ** (n - k + 2) > WORD_CHUNK:
-        k += 1
-    phi = [sum(math.gcd(d, j) == 1 for j in range(d)) for d in range(n + 1)]
-    if k == 0 or sum(phi[d] * size ** (n // d) for d in range(1, n + 1)
-                     if n % d == 0) <= cap * n:
-        return [(0, total)]
-    deep = min(k + 3, n)
-    word = np.zeros(1, dtype=np.int64)
-    period = np.ones(1, dtype=np.int64)
-    for j in range(deep):
-        if j == k:
-            prefixes, under = word, np.arange(len(word))
-        word, period, parent, _ = _kept_children(size, n, j, word, period,
-                                                 0, size ** (j + 1))
-        if j >= k:
-            under = under[parent]
-    if deep == k:
-        prefixes, under = word, np.arange(len(word))
-    first = prefixes // size ** (k - 1)
-    bound = (np.bincount(under, minlength=len(prefixes))
-             * (size - first) ** (n - deep))
-    span = size ** (n - k)
-    cuts, held = [], cap
-    for prefix, most in zip(prefixes.tolist(), bound.tolist()):
-        if most and held + most > cap:
-            cuts.append(prefix * span)
-            held = 0
-        held += most
-    cuts[0] = 0
-    return list(zip(cuts, cuts[1:] + [total]))
 
 
 def _fold_children(mob, fold, parent, pick):

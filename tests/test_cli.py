@@ -397,17 +397,23 @@ def test_determinant_error_names_word_plainly(tmp_path, capsys):
     assert "np." not in err
 
 
+def _heavy_cfg(tmp_path, weight):
+    """Three branches z -> -0.5 z + b on the unit disc, each of weight
+    weight."""
+    return write_cfg(tmp_path, {"system": {
+        "family": "affine_list",
+        "params": [{"a": -0.5, "b": b, "weight": weight}
+                   for b in (0.0, 0.1, -0.1)],
+        "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}})
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_determinant_trace_past_the_double_range_is_an_error(tmp_path,
                                                              capsys,
                                                              threads):
     # three order-1 terms of 1e308 / 1.5 sum to 2e308: an error line that
     # names the order, not an overflow traceback, and no result file
-    cfg = write_cfg(tmp_path, {"system": {
-        "family": "affine_list",
-        "params": [{"a": -0.5, "b": b, "weight": 1e308}
-                   for b in (0.0, 0.1, -0.1)],
-        "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}})
+    cfg = _heavy_cfg(tmp_path, 1e308)
     out_dir = tmp_path / "results"
     assert main(["determinant", "--config", cfg, "--trace-order", "2",
                  "--threads", threads, "--out", str(out_dir)]) == 1
@@ -415,6 +421,23 @@ def test_determinant_trace_past_the_double_range_is_an_error(tmp_path,
     assert captured.out == ""
     assert captured.err == ("error: the order-1 trace lies past the double "
                             "range\n")
+    assert not list(out_dir.glob("determinant-*.json"))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_determinant_trace_with_a_term_that_is_not_finite_is_an_error(
+        tmp_path, capsys, threads):
+    # with weights of 1e200 order 1 is finite but order 2's weight
+    # products overflow: an error line that names the order, not a NaN
+    # trace that ends in a formatting traceback, and no result file
+    cfg = _heavy_cfg(tmp_path, 1e200)
+    out_dir = tmp_path / "results"
+    assert main(["determinant", "--config", cfg, "--trace-order", "3",
+                 "--threads", threads, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the order-2 trace has a term that is not "
+                            "finite\n")
     assert not list(out_dir.glob("determinant-*.json"))
 
 

@@ -6,7 +6,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from transferspec import (
     trace_table,
 )
 from transferspec import determinant, dynamics, systems
-from transferspec._parallel import chunk_ranges
 from transferspec._format import json_g17
 from transferspec.determinant import _aberth_roots
 from transferspec.dynamics import (
@@ -137,19 +135,18 @@ def test_trace_table_contiguous_orders(gauss4):
 
 
 def test_trace_table_maps_one_order_at_a_time(gauss4, monkeypatch):
-    # each order maps its own necklace ranges, and map_ordered runs a single
-    # range inline: only order 10's three ranges start a thread pool
-    sizes = []
+    # each closed-form order is one item, all its words walked in blocks,
+    # and map_ordered runs a single item inline: no thread pool starts
+    mapped = []
     real = determinant.map_ordered
 
     def counted(fn, items, threads):
-        sizes.append(len(items))
+        mapped.append(list(items))
         return real(fn, items, threads)
 
     monkeypatch.setattr(determinant, "map_ordered", counted)
     table = trace_table(gauss4, 10, threads=2)
-    assert sizes == [len(dynamics._necklace_ranges(4, n))
-                     for n in range(1, 11)] == [1] * 9 + [3]
+    assert mapped == [[(0, 4 ** n)] for n in range(1, 11)]
     monkeypatch.setattr(determinant, "map_ordered", real)
     for n in (1, 9, 10):
         assert table.values[n - 1] == trace(gauss4, n).value
@@ -408,35 +405,25 @@ def _hex_table(sys_, M, threads=1):
             + [table.max_multiplier.hex()])
 
 
-@pytest.mark.parametrize("name, M, cap", [("gauss4", 10, None),
-                                          ("five", 8, None),
-                                          ("three", 9, None),
-                                          ("three", 11, 2000)],
+@pytest.mark.parametrize("name, M", [("gauss4", 10), ("five", 8),
+                                     ("three", 9), ("three", 11)],
                          ids=["gauss4-10", "five-8", "three-9",
                               "three-11-cap2000"])
-def test_necklace_cut_and_blocks_keep_the_bits(name, M, cap, gauss4,
+def test_necklace_cut_and_blocks_keep_the_bits(name, M, gauss4,
                                                monkeypatch):
-    # ranges cut by necklace count and taken in blocks give the traces of
-    # ranges of 2^16 words taken whole: the sums are exact, and a word's
-    # bits depend on neither its range nor its block. The three-letter
-    # system's terms cancel, so its orders are summed word by word, over
-    # 19,683 words, past numpy's 16,384 elements for reusing temporaries;
-    # a cap of 2000 cuts its necklace pass into several ranges, whose
-    # signs together send each order to the every-word pass
+    # every level of the walk taken in blocks of 2^8, 2^10, 2^14 or 2^20
+    # words gives the same traces: the sums are exact, and a word's bits
+    # do not depend on its block. The three-letter system's terms cancel,
+    # so its orders are summed word by word; at order 11 its 177,147
+    # words take many blocks at 2^8 and one level slice at 2^20, past
+    # numpy's 16,384 elements for reusing temporaries
     sys_ = {"gauss4": gauss4, "five": system_from_descriptor(FIVE_DESC),
             "three": _three_letters()}[name]
-    if cap is not None:
-        ranges = partial(dynamics._necklace_ranges, cap=cap)
-        assert len(ranges(3, M)) > 1
-        monkeypatch.setattr(determinant, "_necklace_ranges", ranges)
     cut = _hex_table(sys_, M)
     assert _hex_table(sys_, M, threads=2) == cut
-    monkeypatch.setattr(determinant, "_WORD_BLOCK", 1 << 10)
-    assert _hex_table(sys_, M) == cut
-    monkeypatch.setattr(determinant, "_necklace_ranges",
-                        lambda size, n: chunk_ranges(size ** n))
-    monkeypatch.setattr(determinant, "_WORD_BLOCK", 1 << 20)
-    assert _hex_table(sys_, M) == cut
+    for block in (1 << 8, 1 << 10, 1 << 20):
+        monkeypatch.setattr(determinant, "_WORD_BLOCK", block)
+        assert _hex_table(sys_, M) == cut, block
 
 
 def test_real_words_have_imaginary_part_positive_zero(gauss4, monkeypatch):
@@ -495,8 +482,23 @@ def test_trace_past_the_double_range_is_refused():
         trace_table(sys_, 2)
 
 
+def test_trace_with_a_term_that_is_not_finite_is_refused():
+    # with weights of 1e200 order 1 is finite, but order 2's weight
+    # products overflow: the error names the order rather than returning
+    # a NaN trace, in closed form and with plain maps
+    sys_ = make_system([make_affine(-0.5, b) for b in (0.0, 0.1, -0.1)],
+                       [make_const(1e200)] * 3, make_ball(0.0, 1.0))
+    assert math.isfinite(trace(sys_, 1).value.real)
+    for path in (sys_, as_plain_maps(sys_)):
+        for threads in (1, 2):
+            with pytest.raises(TransferOperatorError,
+                               match="order-2 trace has a term that is not "
+                                     "finite"):
+                trace_table(path, 3, threads=threads)
+
+
 def test_trace_memory_stays_below_the_whole_range_peak(gauss4):
-    # blocks of at most _WORD_BLOCK words bound what a chunk holds. Ranges
+    # blocks of at most _WORD_BLOCK words bound what an order holds. Ranges
     # of 2^16 words, folded and summed whole, peaked at 5.97 MB at one
     # thread and at 6.8 to 10 MB at two; blocks stay below the former
     trace_table(gauss4, 10)
@@ -508,6 +510,23 @@ def test_trace_memory_stays_below_the_whole_range_peak(gauss4):
         finally:
             tracemalloc.stop()
         assert peak <= 5.97e6, threads
+
+
+def test_cancelling_order_memory_stays_within_its_blocks():
+    # the complex three-letter system's terms cancel, so order 11 walks all
+    # 177,147 words, every level in blocks of _WORD_BLOCK words. Fixed
+    # ranges of 2^16 words, each level whole, peaked at 17.2 MB at one
+    # thread and 33.4 MB at two
+    sys_ = _three_letters()
+    trace_table(sys_, 11)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            trace_table(sys_, 11, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, threads
 
 
 def _exact(period, x):

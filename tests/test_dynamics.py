@@ -27,12 +27,11 @@ from transferspec import (
     system_from_descriptor,
     trace_table,
 )
-from transferspec._parallel import NECKLACE_CHUNK, WORD_CHUNK, chunk_ranges
+from transferspec._parallel import chunk_ranges
 from transferspec.dynamics import (
     _fold_blocks,
     _fold_moebius,
     _fold_words,
-    _necklace_ranges,
     batch_fixed_points,
     batch_orbit,
     word_letters,
@@ -272,64 +271,31 @@ def test_necklace_fold_matches_letter_by_letter_fold(size, n):
         assert np.array_equal(got, want)
 
 
-def _necklace_count(size, n):
-    """(1/n) sum over d | n of phi(d) size^(n/d): the length-n necklaces."""
-    phi = [sum(math.gcd(d, k) == 1 for k in range(1, d + 1))
-           for d in range(n + 1)]
-    return sum(phi[d] * size ** (n // d)
-               for d in range(1, n + 1) if n % d == 0) // n
-
-
-@pytest.mark.parametrize("size, orders", [(2, (1, 9, 16, 18)),
-                                          (3, (2, 8, 10, 11)),
-                                          (4, (3, 7, 8, 9)),
-                                          (5, (4, 6, 7, 8)),
-                                          (7, (2, 5, 6))])
-def test_necklace_ranges_tile_the_words_within_the_cap(size, orders):
-    # the ranges cover every word in order, none is without a necklace or
-    # above the cap, at the module's cap and at the least cap that one
-    # prefix always fits, which cuts many ranges
-    for n in orders:
-        total = size ** n
-        for cap in (NECKLACE_CHUNK, -(-WORD_CHUNK // size ** 2)):
-            ranges = _necklace_ranges(size, n, cap)
-            assert ranges[0][0] == 0 and ranges[-1][1] == total
-            assert all(lo < hi for lo, hi in ranges)
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            periods = [_fold_words(size, n, lo, hi, necklaces=True)[1]
-                       for lo, hi in ranges]
-            assert all(1 <= len(p) <= cap for p in periods), (n, cap)
-            assert sum(int(p.sum()) for p in periods) == total
-            assert sum(map(len, periods)) == _necklace_count(size, n)
-
-
-def test_necklace_ranges_balance_the_four_letter_order_ten():
-    # 4^10 words in ranges of 2^16 would be 16, holding 43,525 down to 0
-    # necklaces; cut by necklace count they are 3
-    counts = [len(_fold_words(4, 10, lo, hi, necklaces=True)[0])
-              for lo, hi in _necklace_ranges(4, 10)]
-    assert counts == [43525, 35572, 25871]
-
-
 @pytest.mark.parametrize("size, n", [(3, 12), (4, 10)])
 def test_fold_blocks_keep_the_bits_of_one_block(size, n):
-    # the last level taken a few parents at a time gives every word the
-    # bits, the period and the position it has in one block, also where
-    # blocks are empty and where a range starts and ends inside a prefix
+    # every level taken a few parents at a time gives every word the bits,
+    # the period and the position it has in one block, also where blocks
+    # are empty and where a range starts and ends inside a prefix, with
+    # necklaces and with every word
     rng = np.random.default_rng(size + 10)
     mob = tuple(rng.standard_normal((4, size))
                 + 1j * rng.standard_normal((4, size)))
     factors = (rng.standard_normal(size) + 1j * rng.standard_normal(size),
                rng.standard_normal(size))
     total = size ** n
-    for lo, hi, sizes in [(0, total, (1000, 1 << 14)),
-                          (12345, 14321, (1, 7)),
-                          (total - 777, total - 5, (1, 7, 1000))]:
-        whole = _fold_words(size, n, lo, hi, mob, factors, necklaces=True)
+    cases = [(True, 0, total, (1000, 1 << 14)),
+             (True, 12345, 14321, (1, 7)),
+             (True, total - 777, total - 5, (1, 7, 1000)),
+             (False, 12345, 14321, (1, 7, 64)),
+             (False, 1001, 21001, (1000, 1 << 14)),
+             (False, total - 777, total - 5, (7, 1000))]
+    for necklaces, lo, hi, sizes in cases:
+        whole = _fold_words(size, n, lo, hi, mob, factors, necklaces)
         for block in sizes:
-            blocks = list(_fold_blocks(size, n, lo, hi, mob, factors, True,
-                                       block))
+            blocks = list(_fold_blocks(size, n, lo, hi, mob, factors,
+                                       necklaces, block))
             assert all(len(b[0]) <= max(block, size) for b in blocks)
+            assert len(blocks) > 1 or len(whole[0]) <= block
             joined = [np.concatenate(col) for col in zip(
                 *[(w, p, *f, *q) for w, p, f, q in blocks])]
             for got, want in zip(joined, (whole[0], whole[1], *whole[2],

@@ -231,8 +231,11 @@ def _rows(profile, n_max, moduli, reliable):
 def _weyl_rhs(profile, n, t_sum):
     if profile.W == 0.0:
         return 0.0
-    return math.exp(0.5 * n * math.log(n) + n * math.log(profile.W)
-                    + t_sum * math.log(profile.r))
+    try:
+        return math.exp(0.5 * n * math.log(n) + n * math.log(profile.W)
+                        + t_sum * math.log(profile.r))
+    except OverflowError:       # past the double range
+        return math.inf
 
 
 def verify_bounds(eigs, profile, weyl_orders=10):
@@ -252,7 +255,7 @@ def verify_bounds(eigs, profile, weyl_orders=10):
     prod = 1.0
     t_sum = 0
     for n in range(1, depth + 1):
-        prod *= moduli[n - 1]
+        prod *= float(moduli[n - 1])    # inf past the double range
         t_sum += ts[n - 1]
         rhs = _weyl_rhs(profile, n, t_sum)
         weyl.append(WeylRow(n, prod, rhs, prod <= rhs))

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 from ._format import g17, json_g17
 from .bounds import (
@@ -152,11 +153,17 @@ def _emit(cfg, filename, text):
 # subcommands
 
 
-def cmd_validate(cfg, args):
-    sys_ = _require_system(cfg)
-    report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
+def _finite(report):
+    """The validation report, refused if a sup is not finite: a pole on the
+    ball, or a weight sup past the double range."""
     if not (math.isfinite(report.image_sup) and math.isfinite(report.W)):
         raise NotEnclosed(f"the sups are not finite: {report.note}")
+    return report
+
+
+def cmd_validate(cfg, args):
+    sys_ = _require_system(cfg)
+    report = _finite(validate_system(sys_, margin=cfg.margin, grid=cfg.grid))
     try:
         enc = _enclosing_ratio(report, sys_.domain.radius)
     except NotEnclosed:
@@ -249,12 +256,50 @@ def _profile_from_dict(raw):
         raise DescriptorError(f"bad bound profile: {err}")
 
 
+def _refuse_past_range(rows, weyl):
+    """Refuse a bound or Weyl product past the double range: no 17-digit
+    text holds it."""
+    values = [(name, row.n, getattr(row, name)) for row in rows
+              for name in ("bound_d1", "bound_general", "bound_hardy")]
+    values += [(f"the Weyl {name}", w.n, getattr(w, name))
+               for w in weyl for name in ("product", "bound")]
+    for what, n, value in values:
+        if value is not None and not math.isfinite(value):
+            raise TransferOperatorError(
+                f"{what} at n = {n} lies past the double range")
+
+
+# --crossover's exact threshold d^d / (1 - r^2)^(d^2) is refused past these
+# sizes: its estimated bit length, well inside the 4300 digits Python
+# prints of an int, and the bits of the exact power (1 - r^2)^(d^2). At
+# either bound a call took under 0.1 s (2-vCPU host, Python 3.11).
+_CROSSOVER_BITS = 1 << 13
+_CROSSOVER_WORK = 1 << 20
+
+
+def _check_crossover_size(r, d):
+    """Refuse a --crossover whose threshold is too large to print or to
+    compute exactly; crossover_report refuses r outside (0, 1) and d < 1."""
+    if not (0.0 < r < 1.0 and d >= 1):
+        return
+    # in integers first, so that d is small enough for floats below
+    work = d * d * (1 - Fraction(r) ** 2).denominator.bit_length()
+    if work > _CROSSOVER_WORK:
+        raise ValueError(f"(1 - r^2)^(d^2) takes {work} bits exactly, more "
+                         f"than {_CROSSOVER_WORK}")
+    bits = d * math.log2(d) - d * d * math.log2(1.0 - r * r)
+    if bits > _CROSSOVER_BITS:
+        raise ValueError(f"the threshold has about {bits:.0f} bits, more "
+                         f"than {_CROSSOVER_BITS}")
+
+
 def cmd_bounds(cfg, args):
     cross = None
     if getattr(args, "crossover", None):
         try:
             r = float(args.crossover[0])
             d = int(args.crossover[1])
+            _check_crossover_size(r, d)
             cross = crossover_report(r, d)
         except ValueError as err:
             raise DescriptorError(f"bad --crossover arguments: {err}")
@@ -264,7 +309,7 @@ def cmd_bounds(cfg, args):
             "config supplies both \"system\" and \"profile\"; use one")
 
     summary = {}
-    rows = None
+    rows, weyl = None, ()
     sid = None
     ok = True
     if cfg.profile is not None:
@@ -275,11 +320,11 @@ def cmd_bounds(cfg, args):
     elif cfg.system is not None:
         sys_ = _require_system(cfg)
         val = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
-        prof = BoundProfile(val.W, _enclosing_ratio(val, sys_.domain.radius),
-                            sys_.dim)
+        ratio = _enclosing_ratio(val, sys_.domain.radius)
+        prof = BoundProfile(_finite(val).W, ratio, sys_.dim)
         seq = spectral_sequence(sys_, N=cfg.matrix_size)
         rep = verify_bounds(seq, prof)
-        rows = rep.rows
+        rows, weyl = rep.rows, rep.weyl
         sid = sys_.system_id
         ok = rep.all_pass
         summary["profile"] = {"W": prof.W, "r": prof.r, "d": prof.d}
@@ -287,13 +332,14 @@ def cmd_bounds(cfg, args):
         summary["all_pass"] = rep.all_pass
         summary["weyl"] = [
             {"n": w.n, "product": w.product, "bound": w.bound,
-             "pass": w.passed} for w in rep.weyl]
+             "pass": w.passed} for w in weyl]
     elif cross is None:
         raise DescriptorError("bounds needs a \"system\" or \"profile\" "
                               "config, or --crossover R D")
     if cross is not None:
         summary["crossover"] = cross
 
+    _refuse_past_range(rows or (), weyl)
     body = bounds_csv_text(rows) if rows is not None else ""
     text = body + "# " + json_g17(summary) + "\n"
     sys.stdout.write(text)

@@ -31,8 +31,9 @@ times cannot grow the relative error of a sum whose terms share one sign,
 but where terms cancel it can, so an order whose terms, in all its chunks
 together, are not all real of one sign is evaluated word by word, as
 every order is in dim >= 2. The orders are taken in turn, each mapping
-its own chunks, and the first failing order stops the table; so does an
-order whose value is not finite.
+its own chunks, and the first failing order stops the table: a word that
+is refused or escapes, or a term that is not finite, raises from the block
+that finds it.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
@@ -44,7 +45,6 @@ values on neither, so the traces are bit-identical at any thread count.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -138,10 +138,11 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     blocks; an iterated pass maps fixed word ranges over the threads, since
     its batches decide how long fixed points are iterated. Each block's
     sums are exact, so an order's value is their total rounded once,
-    whatever the chunks and blocks. The first failing chunk of the pass
-    that gives an order's value raises, and later orders are not evaluated;
-    so does a value past the double range or not finite. The multiplier
-    and residual are those of the words evaluated. In dim >= 2 the
+    whatever the chunks and blocks. A block raises its first failing word
+    or a term that is not finite, and the first failing chunk raises: its
+    order and all later ones stop there, even an order whose other chunks'
+    terms can cancel. So does a value past the double range. The
+    multiplier and residual are those of the words evaluated. In dim >= 2 the
     multiplier is the spectral radius of the word's Jacobian. A truncated
     countable alphabet is refused first.
     """
@@ -159,86 +160,79 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
                      real=_real_data(sys_)) if moebius
              else partial(_iterated_words, sys_, tol=tol))
 
-    def summed(n, necklaces, index, period, wgt, mult, z, end, exits):
-        """One block's exact sums, largest multiplier and residual, and the
-        signs of its terms; its first failing word raises."""
-        if d == 1:
-            spectral, denom = np.abs(mult), 1.0 - mult
-            refused = ~(spectral < 1.0 - 1e-9)
-            why = "multiplier of modulus >= 1 - 1e-9, so z* does not attract"
-        else:
-            spectral = np.abs(np.linalg.eigvals(mult)).max(axis=1)
-            denom = np.linalg.det(np.eye(d) - mult)
-            refused = ~(np.abs(denom) >= 1e-12)
-            why = "det(I - T') = {:.3g}, which is singular"
-        # every rotation of a word shares its multiplier, and the fixed
-        # point of its rotation by k is the k-th point of its orbit
-        failed = refused | (exits >= 0)
-        if failed.any():
-            r = int(np.argmax(failed))
-            word = word_letters(size, n, index[r:r + 1])[0]
-            if refused[r]:
-                raise NotContracting(f"word {tuple(word.tolist())} has "
-                                     + why.format(denom[r]))
-            word = tuple(np.roll(word, -exits[r]).tolist())
-            raise EscapedDomain(f"word {word} has its attracting fixed "
-                                "point outside the ball")
-        terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
-        # the terms of real words are float64: their imaginary parts are 0
-        return (_exact_sum(period, terms.real),
-                _exact_sum(period, terms.imag) if terms.dtype == complex
-                else 0,
-                float(spectral.max()), float(_point_norm(end - z).max()),
-                _signs(terms) if necklaces else 0)
-
     def evaluate(n, necklaces):
-        """Each chunk's block summaries, or the failure it raises: a failing
-        necklace chunk gives way to the every-word pass if the order's terms
-        can cancel. A closed-form pass is one chunk, walked in blocks."""
+        """The order's block summaries, in chunk order; the first failing
+        chunk raises. A closed-form pass is one chunk, walked in blocks."""
         def chunk(span):
             # starmap holds no block once it is summed; a term that is not
-            # finite is refused once the order is summed
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return list(starmap(partial(summed, n, necklaces),
-                                        words(n, *span, necklaces)))
-            except TransferOperatorError as err:
-                return err
+            # finite is refused by its block
+            with np.errstate(over="ignore", invalid="ignore"):
+                return list(starmap(partial(_summary, n, size, d),
+                                    words(n, *span, necklaces)))
 
-        return map_ordered(chunk, [(0, totals[n])] if moebius
-                           else chunk_ranges(totals[n]), threads)
+        return [block for part in map_ordered(
+            chunk, [(0, totals[n])] if moebius else chunk_ranges(totals[n]),
+            threads) for block in part]
 
     rows = []
     for n in orders:
-        parts = evaluate(n, d == 1)
+        blocks = evaluate(n, d == 1)
         # a class's rotations may lie in other chunks, so whether the
         # necklace terms can cancel is read off all the chunks together
-        if _cancels(reduce(or_, (block[4] for part in parts
-                                 if isinstance(part, list)
-                                 for block in part), 0)):
-            parts = evaluate(n, False)
-        for part in parts:
-            if not isinstance(part, list):
-                raise part
-        re, im, top, residual, _ = zip(*(block for p in parts for block in p))
+        if d == 1 and _cancels(reduce(or_, (block[4] for block in blocks))):
+            blocks = evaluate(n, False)
+        re, im, top, residual, _ = zip(*blocks)
         try:
-            value = complex(_rounded(re), _rounded(im))
+            value = complex(float(sum(re)), float(sum(im)))
         except OverflowError:
             raise TransferOperatorError(
                 f"the order-{n} trace lies past the double range") from None
-        if not cmath.isfinite(value):
-            raise TransferOperatorError(
-                f"the order-{n} trace has a term that is not finite")
         rows.append(TraceValue(n, value, totals[n], max(top), max(residual)))
     return rows
 
 
+def _summary(n, size, d, index, period, wgt, mult, z, end, exits):
+    """One block of order n's words, of an alphabet of size letters in
+    dimension d: its exact sums, largest multiplier and residual, and the
+    signs of its terms (_signs). Its first failing word raises, and so does
+    a term that is not finite."""
+    if d == 1:
+        spectral, denom = np.abs(mult), 1.0 - mult
+        refused = ~(spectral < 1.0 - 1e-9)
+        why = "multiplier of modulus >= 1 - 1e-9, so z* does not attract"
+    else:
+        spectral = np.abs(np.linalg.eigvals(mult)).max(axis=1)
+        denom = np.linalg.det(np.eye(d) - mult)
+        refused = ~(np.abs(denom) >= 1e-12)
+        why = "det(I - T') = {:.3g}, which is singular"
+    # every rotation of a word shares its multiplier, and the fixed point
+    # of its rotation by k is the k-th point of its orbit
+    failed = refused | (exits >= 0)
+    if failed.any():
+        r = int(np.argmax(failed))
+        word = word_letters(size, n, index[r:r + 1])[0]
+        if refused[r]:
+            raise NotContracting(f"word {tuple(word.tolist())} has "
+                                 + why.format(denom[r]))
+        word = tuple(np.roll(word, -exits[r]).tolist())
+        raise EscapedDomain(f"word {word} has its attracting fixed "
+                            "point outside the ball")
+    terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
+    if not np.isfinite(period * terms).all():
+        raise TransferOperatorError(
+            f"the order-{n} trace has a term that is not finite")
+    # the terms of real words are float64: their imaginary parts are 0
+    return (_exact_sum(period, terms.real),
+            _exact_sum(period, terms.imag) if terms.dtype == complex else 0,
+            float(spectral.max()), float(_point_norm(end - z).max()),
+            _signs(terms))
+
+
 def _signs(terms):
-    """The signs the terms hold, as bits: 1 for a part that is not real, or
-    NaN, 2 for a positive real part and 4 for a negative one."""
-    low, high = terms.real.min(), terms.real.max()     # NaN if one is
-    odd = (terms.dtype == complex and (terms.imag != 0).any()
-           or not low <= high)
+    """The signs the terms hold, as bits: 1 for a part that is not real, 2
+    for a positive real part and 4 for a negative one."""
+    low, high = terms.real.min(), terms.real.max()
+    odd = terms.dtype == complex and (terms.imag != 0).any()
     return odd | 2 * bool(high > 0) | 4 * bool(low < 0)
 
 
@@ -379,15 +373,13 @@ def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
 
 def _exact_sum(period, x):
     """The exact sum of period * x, as a Fraction, for integer periods
-    1 <= period < 2^13 and doubles x; NaN if a product is not finite.
+    1 <= period < 2^13 and finite doubles x.
 
     Each x is a 53-bit integer mantissa times a power of two. Its 27- and
     26-bit limbs times the period stay below 2^40, so their sums per power
     of two over a block of 2^13 terms stay below 2^53 and are exact in
     float64. The blocks add as Python ints."""
     assert 1 <= period.min() and period.max() < _BLOCK
-    if not np.isfinite(period * x).all():
-        return math.nan
     parts = []                  # (p, e): the block sum p * 2^(e - 53)
     for lo in range(0, len(x), _BLOCK):
         mant, expo = np.frexp(x[lo:lo + _BLOCK])
@@ -405,13 +397,6 @@ def _exact_sum(period, x):
     base = min(low for _, low in parts)
     return (Fraction(sum(p << low - base for p, low in parts))
             * Fraction(2) ** (base - 53))
-
-
-def _rounded(sums):
-    """The exactly rounded total of exact sums; NaN if one of them is."""
-    if any(isinstance(v, float) for v in sums):
-        return math.nan
-    return float(sum(sums))
 
 
 def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):

@@ -464,18 +464,14 @@ def _gauss_image_tail_sup(i_max, domain):
     """Upper bound for sup_{i > i_max} sup_D |1/(i+z) - center|.
 
     Branch i maps the ball onto a disc computable in closed form; a probe
-    block of branches is evaluated exactly and the remaining branches are
-    covered by |center| + max modulus of their image discs, which decreases
-    in i, or for a real center by the real interval (0, b] that holds the
-    diameters of those discs.
+    block of branches has the reach of its image disc (_image_reach), and
+    the remaining branches are covered by |center| + max modulus of their
+    image discs, which decreases in i, or for a real center by the real
+    interval (0, b] that holds the diameters of those discs.
     """
     c, rho = domain.center, domain.radius
-    block = np.arange(i_max + 1, i_max + 4001)
-    q = block + c  # centers of the pre-image discs |w - q| = rho under w = i+z
-    denom = np.abs(q) ** 2 - rho * rho
-    img_center = np.conj(q) / denom
-    img_radius = rho / np.abs(denom)
-    probe = float(np.max(np.abs(img_center - c) + img_radius))
+    probe = float(_image_reach(_gauss_rows(i_max + 1, i_max + 4001),
+                               domain)[0].max())
     start = i_max + 4001 + c.real - rho
     if c.imag == 0.0 and start > 0:
         # each far disc is symmetric about the real axis, with its real
@@ -608,6 +604,14 @@ def _gauss_power_tail(i_max, domain):
     return tail
 
 
+def _gauss_rows(lo, hi):
+    """The Moebius rows (0, 1, 1, i) of the branches 1/(i+z), lo <= i < hi."""
+    rows = np.zeros((hi - lo, 4), dtype=complex)
+    rows[:, 1:3] = 1.0
+    rows[:, 3] = np.arange(lo, hi, dtype=float)
+    return rows
+
+
 def make_gauss_system(i_max, domain=None):
     """Continued-fraction system: branches 1/(i+z), weights 1/(i+z)^2.
 
@@ -629,9 +633,14 @@ def make_gauss_system(i_max, domain=None):
     if domain.dim != 1:
         raise InadmissibleDomain("the continued-fraction family lives in dim 1")
     c, rho = domain.center, domain.radius
-    # every branch pole -i must stay off the closed ball
-    for i in range(1, i_max + max(3, math.ceil(abs(c) + rho)) + 1):
-        if abs(i + c) <= rho * (1.0 + 1e-12):
+    # every branch pole -i must stay off the closed ball: |i + c| <= touch
+    # needs |i + Re c| <= sqrt(touch^2 - Im c^2), so only the integers that
+    # near -Re c, and one more on each side, are tested
+    touch, y = rho * (1.0 + 1e-12), abs(c.imag)
+    half = math.sqrt(max(touch - y, 0.0) * (touch + y))
+    for i in range(max(1, math.floor(-c.real - half) - 1),
+                   math.ceil(-c.real + half) + 2):
+        if abs(i + c) <= touch:
             raise InadmissibleDomain(
                 f"pole of branch {i} at {-i} touches the closed ball")
 
@@ -642,9 +651,8 @@ def make_gauss_system(i_max, domain=None):
             f"branch images reach {reach:.6g} from the center; not strictly "
             f"inside radius {rho:.6g}")
 
-    # rows (0, 1, 1, i), and the weights -T'
-    coefficients = np.zeros((i_max, 4), dtype=complex) + (0, 1, 1, 0)
-    coefficients[:, 3] = np.arange(1, i_max + 1)
+    # the weights -T'
+    coefficients = _gauss_rows(1, i_max + 1)
     law = (np.full(i_max, -1.0, dtype=complex), np.ones(i_max, dtype=int))
     alphabet = CountableTruncated(
         i_max=i_max,
@@ -811,7 +819,8 @@ def _exact_sups(sys_):
     non-constant weight lies in one direction from c, since each term then
     peaks at the same circle point, and an upper bound otherwise. Both sups
     are rounded outward by _ROUND_OUT. A pole on or inside the closed ball
-    makes both sups infinite.
+    makes both sups infinite, and a weight sup past the double range makes
+    the weight sup infinite.
     """
     reach, dsup, gap, p = _image_reach(sys_.coefficients, sys_.domain)
     if (gap <= 0.0).any():
@@ -829,8 +838,13 @@ def _exact_sups(sys_):
     aligned = bool(np.all(turn.imag == 0.0) and np.all(turn.real > 0.0))
     note = ("exact (Moebius closed form)" if aligned
             else "upper bound (Moebius closed form)")
-    return (float(reach[worst]) * _ROUND_OUT,
-            math.fsum(terms.tolist()) * _ROUND_OUT, worst + 1, note)
+    try:
+        w_sup = math.fsum(terms.tolist()) * _ROUND_OUT
+    except OverflowError:       # a finite sum past the double range
+        w_sup = math.inf
+    if w_sup == math.inf:
+        note = "weight sup past the double range"
+    return float(reach[worst]) * _ROUND_OUT, w_sup, worst + 1, note
 
 
 def _sampled_sups(sys_, grid):

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import transferspec
-from transferspec import cli, spectra
+from transferspec import cli, crossover_N, spectra
 from transferspec.cli import main
 
 try:
@@ -441,6 +441,58 @@ def test_determinant_trace_with_a_term_that_is_not_finite_is_an_error(
     assert not list(out_dir.glob("determinant-*.json"))
 
 
+@pytest.mark.parametrize("command", ["validate", "bounds"])
+def test_weight_sup_past_the_double_range_is_an_error(tmp_path, capsys,
+                                                       command):
+    # three weight sups of 1e308 sum past the largest double: one error
+    # line, not an fsum overflow traceback, and for bounds no ValueError
+    # from a bound profile of infinite W
+    cfg = _heavy_cfg(tmp_path, 1e308)
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the sups are not finite: weight sup past "
+                            "the double range\n")
+
+
+def test_bounds_weyl_product_past_the_double_range_is_an_error(tmp_path,
+                                                                capsys):
+    # with weights of 1e200 W is finite, but the product of the two
+    # leading eigenvalue moduli, and the Weyl bound, are not doubles
+    cfg = _heavy_cfg(tmp_path, 1e200)
+    assert main(["bounds", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the Weyl product at n = 2 lies past the "
+                            "double range\n")
+
+
+def test_bounds_profile_past_the_double_range_is_an_error(tmp_path, capsys):
+    # W / r^d = 1e330 overflows, so bound_general is infinite from n = 1:
+    # one error line, not a formatting traceback, and no file
+    cfg = write_cfg(tmp_path, {"profile": {"W": 1e300, "r": 1e-10, "d": 3}})
+    out_dir = tmp_path / "results"
+    assert main(["bounds", "--config", cfg, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bound_general at n = 1 lies past the "
+                            "double range\n")
+    assert not out_dir.exists()
+
+
+def test_gauss_centre_far_out_is_an_error(tmp_path, capsys):
+    # the pole test looks only near -Re c, so a centre of 1e15 is refused
+    # by its image reach at once, rather than after 10^15 pole tests
+    cfg = write_cfg(tmp_path, {"system": {
+        "family": "gauss", "i_max": 200,
+        "domain": {"center": [1e15, 0.0], "radius": 1.5, "dim": 1}}})
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: branch images reach 1e+15 from the "
+                            "center; not strictly inside radius 1.5\n")
+
+
 # ---------------------------------------------------------------------------
 # bounds output
 
@@ -517,6 +569,37 @@ def test_bounds_crossover_flag(tmp_path, capsys):
     summary = json.loads(text[2:])
     assert summary["crossover"]["crossover_N"] == 5
     assert not out_dir.exists()  # no table, nothing written
+
+
+@pytest.mark.parametrize("r, d, refused", [
+    # the threshold's estimated size decides at r = 0.5: 8,161 bits are
+    # printed, 8,280 are refused. D = 3000, which ran past a minute, and
+    # a D past the float range are refused by their exact power first
+    ("0.5", 132, None),
+    ("0.5", 133, "the threshold has about 8280 bits, more than 8192"),
+    ("0.5", 3000, "(1 - r^2)^(d^2) takes 27000000 bits exactly, more than "
+                  "1048576"),
+    ("0.5", 10 ** 400, f"(1 - r^2)^(d^2) takes {3 * 10 ** 800} bits "
+                       "exactly, more than 1048576"),
+    # the exact power decides at a small r: its threshold is small, but
+    # 1 - r^2 is a fraction of 139 bits, and raised to d^2 it takes
+    # 1,028,044 bits at d = 86
+    ("1e-05", 86, None),
+    ("1e-05", 87, "(1 - r^2)^(d^2) takes 1052091 bits exactly, more than "
+                  "1048576"),
+], ids=["0.5-132", "0.5-133", "0.5-3000", "0.5-1e400", "1e-05-86",
+        "1e-05-87"])
+def test_bounds_crossover_size_is_bounded(capsys, r, d, refused):
+    code = main(["bounds", "--crossover", r, str(d)])
+    captured = capsys.readouterr()
+    if refused is None:
+        assert code == 0
+        summary = json.loads(captured.out[2:])
+        assert summary["crossover"]["crossover_N"] == crossover_N(float(r), d)
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("config error: bad --crossover arguments: "
+                                f"{refused}\n")
 
 
 def test_bounds_crossover_combines_with_profile(tmp_path, capsys):

@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,34 @@ def test_gauss_branch_min_on_boundary_matches_closed_form():
     zs = make_ball(1.0, 1.5).boundary_points(200_000)
     for i in (1, 2, 51):
         assert np.min(np.abs(i + zs)) == pytest.approx(i - 0.5, abs=1e-8)
+
+
+def test_gauss_weight_tail_bound_complex_centre_matches_mpmath():
+    # a complex centre has no trigamma form: 4000 terms of
+    # (|i + c| - rho)^(-2) past i_max and an integral majorant of the rest,
+    # which is above the sum by less than 1e-4 of it
+    c, rho = 1.0 + 0.25j, 1.5
+    got = make_gauss_system(200, make_ball(c, rho)).alphabet.weight_tail_bound
+    with mpmath.workdps(30):
+        want = mpmath.nsum(lambda i: (abs(i + mpmath.mpc(c)) - rho) ** -2,
+                           [201, mpmath.inf], method="euler-maclaurin")
+    assert want <= got <= want * (1 + 1e-4)
+
+
+@pytest.mark.parametrize("center, radius, branch", [
+    (-3.0, 0.5, 3),             # one pole inside
+    (-2.5, 0.5, 2),             # poles 2 and 3 on the circle: the first
+    (-5.5, 2.0, 4),             # poles 4 to 7 inside
+    (-4.0 + 0.3j, 0.5, 4),      # off the real axis
+    (-1e15, 1.5, 10 ** 15 - 1),
+])
+def test_gauss_pole_on_or_inside_the_ball_is_refused(center, radius, branch):
+    # only the integers near -Re c are tested, and the first pole found is
+    # the first pole, however far out the centre lies
+    with pytest.raises(InadmissibleDomain,
+                       match=rf"^pole of branch {branch} at -{branch} "
+                             "touches the closed ball$"):
+        make_gauss_system(20, make_ball(center, radius))
 
 
 def test_gauss_tail_bound_monotone_in_imax():

@@ -455,8 +455,14 @@ def _aberth_roots(coeffs):
     """All roots of the polynomial with descending coefficients coeffs.
 
     Simultaneous (Ehrlich-style third-order) iteration from a Newton-polygon
-    inspired start. Each returned root x satisfies the backward-stable
-    residual contract |p(x)| <= 1e-12 * sum_m |c_m| |x|^(deg-m).
+    inspired start. It stops when the largest step is at most
+    1e-15 * (1 + max|x|), or at the rounding floor of p in float64: a
+    largest step below 1e-12 * (1 + max|x|) that has not halved for three
+    iterations. At the floor it takes two more steps with p(x) evaluated
+    exactly and rounded once (p'(x) stays in float64), which moves each
+    root to within about an ulp of the true one. Each returned root x
+    satisfies the backward-stable residual contract
+    |p(x)| <= 1e-12 * sum_m |c_m| |x|^(deg-m).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     coeffs = np.trim_zeros(coeffs, "b")      # trailing zeros: roots at infinity
@@ -478,17 +484,22 @@ def _aberth_roots(coeffs):
     x = mags * np.exp(2j * np.pi * (ks / deg + 0.13))
 
     dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
+    least, stalled = np.inf, 0
     for _ in range(400):
-        p = np.polyval(coeffs, x)
-        dp = np.polyval(dcoeffs, x)
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        step = w / (1.0 - w * s)
+        step = _aberth_step(x, np.polyval(coeffs, x), np.polyval(dcoeffs, x))
         x = x - step
-        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(x))):
+        size, top = np.max(np.abs(step)), 1.0 + np.max(np.abs(x))
+        if size <= 1e-15 * top:
+            break
+        if size <= least / 2:
+            least, stalled = size, 0
+        else:
+            stalled += 1
+        if size < 1e-12 * top and stalled >= 3:
+            # float64 p(x) is all rounding here: two last steps with p exact
+            for _ in range(2):
+                x = x - _aberth_step(x, _exact_polyval(coeffs, x),
+                                     np.polyval(dcoeffs, x))
             break
 
     scale = np.zeros(deg)
@@ -503,6 +514,48 @@ def _aberth_roots(coeffs):
             f"worst relative residual "
             f"{abs(np.polyval(coeffs, x[worst])) / max(scale[worst], 1e-300):.3g}")
     return x
+
+
+def _aberth_step(x, p, dp):
+    """The Aberth correction of every root estimate x at once, from the
+    polynomial's values p and derivatives dp there."""
+    dp = np.where(dp == 0, 1e-300, dp)
+    w = p / dp
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    s = (1.0 / diff).sum(axis=1)
+    return w / (1.0 - w * s)
+
+
+def _mantissas(values):
+    """Finite complex doubles as (k, [(re, im)]): each value is
+    (re + i im) / 2^k with re, im Python ints and k >= 0."""
+    ratios = [part.as_integer_ratio() for v in values
+              for part in (v.real, v.imag)]
+    k = max(den.bit_length() - 1 for _, den in ratios)
+    scaled = [num << k - den.bit_length() + 1 for num, den in ratios]
+    return k, list(zip(scaled[::2], scaled[1::2]))
+
+
+def _exact_polyval(coeffs, x):
+    """p(x) for descending complex coefficients at each point of x, with one
+    rounding: Horner on the integer mantissas of the doubles, scaled by
+    powers of two, and each part of the exact value rounded to a double."""
+    t, cs = _mantissas(coeffs.tolist())
+    deg = len(cs) - 1
+    out = np.empty(len(x), dtype=complex)
+    for i, v in enumerate(x.tolist()):
+        # p(x) = 2^-(t + s deg) sum_m C_m X^(deg - m) 2^(s m), for
+        # x = X / 2^s and c_m = C_m / 2^t
+        s, ((xr, xi),) = _mantissas([v])
+        re, im = cs[0]
+        for m in range(1, deg + 1):
+            cr, ci = cs[m]
+            re, im = (re * xr - im * xi + (cr << s * m),
+                      re * xi + im * xr + (ci << s * m))
+        scale = 1 << t + s * deg        # int / int rounds once
+        out[i] = complex(re / scale, im / scale)
+    return out
 
 
 def _zeros_from_coeffs(coeffs):

@@ -13,15 +13,22 @@ For a truncated countable family the alphabet's closed-form tail power
 sums add the dropped branches' contribution analytically, so the matrix
 represents the full operator rather than its truncation.
 
-A conjugation-symmetric system (real Moebius coefficients, real weight
-factors, a real center) has g_n(conj z) = conj g_n(z), and the grid is
-symmetric about the real axis, so the samples are Hermitian and the
-matrix is real. Such a system is sampled on the upper half circle alone
-(grid/2 + 1 points), its columns come from the inverse real transform of
-that half, and its eigenvalues from the real eigensolver: real
-eigenvalues come out exactly real and the others in exactly conjugate
-pairs. Every other system (user maps, complex data or center) keeps the
-complex matrix and the complex eigensolver.
+A conjugation-symmetric system has g_n(conj z) = conj g_n(z), and the
+grid is symmetric about the real axis, so the samples are Hermitian and
+the matrix is real. Such a system is sampled on the upper half circle
+alone (grid/2 + 1 points), its columns come from the inverse real
+transform of that half, and its eigenvalues from the real eigensolver:
+real eigenvalues come out exactly real and the others in exactly
+conjugate pairs. About a real center, a system carried by Moebius
+coefficients and a weight law is symmetric when those numbers are all
+real (systems._real_data). A finite system of callables is read off the
+samples the matrix is built from: each column block is also sampled at
+the conjugates of its points, and the half circle serves when every
+branch image and weight there is the exact conjugate of its value at the
+point. At the first block where one is not, the assembly starts again on
+the whole circle. Every other system (complex data or center, asymmetric
+samples, a callable system with a tail) keeps the complex matrix and the
+complex eigensolver.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class OperatorMatrix:
     """Dense matrix of the operator in the circle basis, with provenance."""
 
     data: object            # (N, N) ndarray, float64 for a conjugation-
-                            # symmetric system, complex otherwise
+                            # symmetric system (real arrays, or samples
+                            # that show it), complex otherwise
     center: complex
     radius: float
     size: int
@@ -104,28 +112,18 @@ def assemble_matrix(sys_, ball=None, N=32):
     ball = sys_.domain if ball is None else ball
     c, rho = complex(ball.center), float(ball.radius)
     grid = 4 * N
-    # real data about a real center give a real matrix in the circle basis
-    real = _real_data(sys_) and c.imag == 0.0
-    # the upper half circle k = 0..grid/2 holds every sample of a real system
-    zs = ball.boundary_points(grid, grid // 2 + 1 if real else grid)
-
-    # the tail's table, scaled, is the start of the power sums: S + tail
-    # and tail + S are the same sum
-    tail_included = isinstance(sys_.alphabet, CountableTruncated)
-    if tail_included:
-        # its small products run 10-20x slower on more BLAS threads
-        with _one_blas_thread():
-            g = np.asarray(sys_.alphabet.power_tail(zs, N, c), dtype=complex)
-        g *= (rho ** -np.arange(N, dtype=float))[:, None]
-    else:
-        g = np.zeros((N, zs.size), dtype=complex)
-
-    # branch tables one column block at a time, so g is the one grid table
-    for cols in _column_blocks(zs.size, sys_.n_letters):
-        s, w = _branch_values_on_grid(sys_, zs[cols])
-        np.subtract(s, c, out=s)        # the base (t - c) / rho, in place
-        np.divide(s, rho, out=s)
-        _power_sums(w, s, g[:, cols])
+    # the upper half circle k = 0..grid/2 holds every sample of a system
+    # that is conjugation-symmetric about a real center: one carried by
+    # real arrays, or a finite one of callables whose samples at the
+    # conjugate points show it
+    gathered = sys_.coefficients is None or sys_.law is None
+    g = None
+    if c.imag == 0.0 and (_real_data(sys_)
+                          or gathered and sys_.alphabet is None):
+        g = _power_table(sys_, ball, N, grid // 2 + 1, mirrored=gathered)
+    real = g is not None
+    if not real:
+        g = _power_table(sys_, ball, N, grid)
 
     # the columns' first N coefficients, a block of g's rows at a time
     data = np.empty((N, N), dtype=float if real else complex)
@@ -137,7 +135,48 @@ def assemble_matrix(sys_, ball=None, N=32):
         block /= grid
         data[:, rows] = block[:, :N].T
     return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
-                          tail_included, grid)
+                          isinstance(sys_.alphabet, CountableTruncated), grid)
+
+
+def _power_table(sys_, ball, N, count, mirrored=False):
+    """The (N, count) table of g_n, n < N, at the first count of the
+    4N boundary points, with the tail's scaled rows when the alphabet has
+    a tail. With mirrored, each column block's branches are also sampled
+    at the conjugates of its points, in the same gather, and None comes
+    back at the first block whose images or weights there are not the
+    exact conjugates of those at the points.
+    """
+    c, rho = complex(ball.center), float(ball.radius)
+    zs = ball.boundary_points(4 * N, count)
+
+    # the tail's table, scaled, is the start of the power sums: S + tail
+    # and tail + S are the same sum
+    if isinstance(sys_.alphabet, CountableTruncated):
+        # its small products run 10-20x slower on more BLAS threads
+        with _one_blas_thread():
+            g = np.asarray(sys_.alphabet.power_tail(zs, N, c), dtype=complex)
+        g *= (rho ** -np.arange(N, dtype=float))[:, None]
+    else:
+        g = np.zeros((N, zs.size), dtype=complex)
+
+    # branch tables one column block at a time, so g is the one grid table
+    for cols in _column_blocks(zs.size, sys_.n_letters):
+        if mirrored:
+            pts = zs[cols]
+            s, w = _branch_values_on_grid(
+                sys_, np.concatenate([pts, pts.conj()]))
+            half = pts.size
+            if not (np.array_equal(s[:, half:], s[:, :half].conj())
+                    and np.array_equal(w[:, half:], w[:, :half].conj())):
+                return None
+            s = np.ascontiguousarray(s[:, :half])
+            w = np.ascontiguousarray(w[:, :half])
+        else:
+            s, w = _branch_values_on_grid(sys_, zs[cols])
+        np.subtract(s, c, out=s)        # the base (t - c) / rho, in place
+        np.divide(s, rho, out=s)
+        _power_sums(w, s, g[:, cols])
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,9 @@ def _real_data(sys_):
     """Whether the system is carried by Moebius coefficients and a weight
     law whose numbers are all real, so that real points have real images,
     derivatives and weights. Decided from those arrays alone; a system
-    without them (user maps) is never taken as real."""
+    without them (user maps) is never taken as real here: the matrix
+    route reads its symmetry off its samples (spectra.assemble_matrix),
+    and its traces stay complex."""
     return (sys_.coefficients is not None and sys_.law is not None
             and not sys_.coefficients.imag.any()
             and not sys_.law[0].imag.any())

@@ -368,6 +368,20 @@ def newton_coeffs_exact(trace_fracs):
     return c
 
 
+def polyroots_mp(coeffs, dps=60):
+    """The roots of the polynomial with descending complex coefficients, as
+    mpmath numbers at dps digits (mpmath.polyroots, Durand-Kerner)."""
+    with mp.workdps(dps):
+        return mp.polyroots([mp.mpc(c.real, c.imag) for c in coeffs],
+                            maxsteps=500, extraprec=400)
+
+
+def root_distance_mp(x, roots):
+    """min |x - r| / |r| over mpmath roots r, in mpmath arithmetic."""
+    x = mp.mpc(complex(x).real, complex(x).imag)
+    return float(min(abs(x - r) / abs(r) for r in roots))
+
+
 def sorted_by_modulus(vals, tie_rtol=1e-10):
     """Non-increasing modulus; moduli within tie_rtol of a run's leader are
     tied and ordered by increasing principal argument, with arg = -pi

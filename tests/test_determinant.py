@@ -1101,6 +1101,69 @@ def test_aberth_agrees_with_companion_solver():
             assert abs(a - b) < 1e-6 * max(1.0, abs(b))
 
 
+def test_aberth_stops_at_the_rounding_floor_and_polishes(monkeypatch):
+    # the degree-10 determinant polynomial of the dim-2 diagonal system:
+    # float64 p(x) is all rounding once the steps reach about 1e-14, short
+    # of the 1e-15 stop, and the roots sat up to 5.5e-14 off. The stall stop
+    # ends the loop, and two steps with p exact put each root within
+    # 2e-16 of mpmath's
+    coeffs = determinant_coefficients(trace_table(_diag2(), 10)).coefficients
+    steps = []
+    step = determinant._aberth_step
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(determinant, "_aberth_step", counted)
+    got = _aberth_roots(coeffs)
+    assert len(steps) - 2 <= 40
+    want = oracles.polyroots_mp(coeffs)
+    assert len(got) == len(want) == 10
+    for x in got:
+        assert oracles.root_distance_mp(x, want) <= 2e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=11),
+       st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                          allow_infinity=False))
+def test_exact_polyval_rounds_the_exact_value_once(coeffs, x):
+    re = im = Fraction(0)
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    for c in coeffs:
+        re, im = (re * xr - im * xi + Fraction(c.real),
+                  re * xi + im * xr + Fraction(c.imag))
+    got = determinant._exact_polyval(np.array(coeffs, dtype=complex),
+                                     np.array([x]))
+    assert got[0] == complex(float(re), float(im))
+
+
+# the zeros CLI determinant prints for gauss4 at order 10: Aberth meets its
+# 1e-15 stop there before any stall, so they keep these bits
+GAUSS4_ZEROS = (
+    ("0x1.73675b9a61abcp-1", "0x1.85d8000000000p-171"),
+    ("-0x1.c8d995b3240b2p-3", "0x1.b06fdc495acb2p-169"),
+    ("0x1.3f574a45cd1fcp-4", "0x0.0p+0"),
+    ("-0x1.cfe9ff0a02de9p-6", "0x1.2be0000000000p-173"),
+    ("0x1.56f0875cac3d3p-7", "-0x1.0000000000000p-116"),
+    ("-0x1.ffada7b3d8f61p-9", "0x1.3698000000000p-177"),
+    ("0x1.7ef2497e770b1p-10", "0x1.5dd8000000000p-183"),
+    ("-0x1.31d60eb646cc5p-11", "0x1.4f88000000000p-183"),
+    ("0x1.8606f655c9b30p-13", "0x0.0p+0"),
+)
+
+
+def test_gauss4_zeros_keep_their_bits(gauss4):
+    zeros = determinant_zeros(determinant_coefficients(
+        trace_table(gauss4, 10)))
+    assert tuple((v.real.hex(), v.imag.hex())
+                 for v in zeros.values) == GAUSS4_ZEROS
+    assert zeros.reliable_count == 3
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -170,20 +170,40 @@ def test_finite_matrix_matches_whole_array_loop(name, request):
 COMPLEX_CENTER = make_ball(1.0 + 0.1j, 1.4)
 
 
+def _left_skewed(gauss4):
+    """gauss4 as plain maps, its first weight times 1 + 1e-3 i where
+    Re z < 1: the samples are conjugation-symmetric on the right half of
+    the circle only."""
+    plain = as_plain_maps(gauss4)
+    w = plain.weights[0]
+    skewed = AnalyticMap(
+        lambda z: w(z) * np.where(np.real(z) < 1.0, 1 + 1e-3j, 1 + 0j))
+    return make_system(plain.branches, (skewed,) + plain.weights[1:],
+                       plain.domain)
+
+
 @pytest.mark.parametrize("case", ["gauss-complex-center",
                                   "gauss4-complex-center", "complex-weight",
-                                  "user-maps"])
-def test_complex_systems_keep_the_full_circle(case, gauss200, gauss4):
-    # a complex center, a complex weight factor or plain maps: the whole
-    # circle and the complex transform, as before there was a real route
+                                  "user-maps", "user-maps-late-block"])
+def test_complex_systems_keep_the_full_circle(case, gauss200, gauss4, mixed,
+                                              monkeypatch):
+    # a complex center, a complex weight factor, or plain maps whose samples
+    # at the conjugate points are not the conjugates: the whole circle and
+    # the complex transform, as before there was a real route
     sys_, ball = {
         "gauss-complex-center": (gauss200, COMPLEX_CENTER),
         "gauss4-complex-center": (gauss4, COMPLEX_CENTER),
         "complex-weight": (system_from_descriptor(dict(
             GAUSS4_DESC, params=[dict(p, weight=[0.5, 0.25])
                                  for p in GAUSS4_DESC["params"]])), None),
-        "user-maps": (as_plain_maps(gauss4), None),
+        "user-maps": (as_plain_maps(mixed), None),
+        "user-maps-late-block": (_left_skewed(gauss4), None),
     }[case]
+    if case == "user-maps-late-block":
+        # 16 columns a block: the skewed maps show it in the first block at
+        # N = 7 (from k = 8) and in the third at N = 40 (from k = 41), and
+        # the assembly starts again on the whole circle
+        monkeypatch.setattr(systems, "_BLOCK_ENTRIES", 64)
     for N in (7, 40):
         assert same_bits(assemble_matrix(sys_, ball, N).data,
                          reference_matrix(sys_, N, False, ball))
@@ -208,12 +228,13 @@ def test_half_circle_matrix_is_the_real_part_of_the_full_one(name, N, ball,
 
 @pytest.mark.parametrize("name, ball, count", [
     ("gauss200", None, 15), ("gauss4", COMPLEX_CENTER, 28),
-    ("user", None, 28)])
+    ("user", None, 15)])
 def test_assembly_samples_the_boundary_points(name, ball, count, request,
                                               monkeypatch):
     # one circle-grid formula: at N = 7 (28 points, where 1/28 is inexact)
     # the assembly's points are the ball's boundary points, the first 15
-    # (k = 0..14) for a real system
+    # (k = 0..14) for a real system, and for plain maps about a real center
+    # those 15 followed by their exact conjugates
     sys_ = as_plain_maps(request.getfixturevalue("gauss4")) \
         if name == "user" else request.getfixturevalue(name)
     seen = []
@@ -226,8 +247,11 @@ def test_assembly_samples_the_boundary_points(name, ball, count, request,
     monkeypatch.setattr(spectra, "_branch_values_on_grid", watched)
     assemble_matrix(sys_, ball, 7)
     want = (sys_.domain if ball is None else ball).boundary_points(28)
+    want = want[:count]
+    if name == "user":
+        want = np.concatenate([want, want.conj()])
     assert len(seen) == 1
-    assert same_bits(seen[0], want[:count])
+    assert same_bits(seen[0], want)
 
 
 @pytest.mark.parametrize("i_max, count, grid", [

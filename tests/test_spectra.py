@@ -11,6 +11,7 @@ import oracles
 from conftest import as_plain_maps
 from transferspec import spectra, systems
 from transferspec import (
+    AnalyticMap,
     DimensionUnsupported,
     OperatorMatrix,
     assemble_matrix,
@@ -92,13 +93,13 @@ def _moebius_desc(weight, b=0.2):
 
 
 # real Moebius coefficients, real weight factors and a real center, decided
-# from the data: a complex number anywhere, or plain maps, keep the
-# complex route
+# from the data, or plain maps whose samples at conjugate points are the
+# exact conjugates: a complex number anywhere keeps the complex route
 @pytest.mark.parametrize("case, real", [
     ("gauss", True), ("gauss4", True), ("affine_half", True),
     ("real-moebius", True), ("complex-coefficient", False),
     ("complex-weight", False), ("complex-center", False),
-    ("gauss-complex-center", False), ("user-maps", False)])
+    ("gauss-complex-center", False), ("user-maps", True)])
 def test_real_route_takes_conjugation_symmetric_systems(case, real, gauss200,
                                                         gauss4, affine_half):
     sys_, ball = {
@@ -118,6 +119,45 @@ def test_real_route_takes_conjugation_symmetric_systems(case, real, gauss200,
     m = assemble_matrix(sys_, ball, N=16)
     assert m.data.dtype == (np.float64 if real else np.complex128)
     assert m.data.shape == (16, 16) and m.grid == 64
+    if case == "user-maps":     # the plain maps carry their twin's bits
+        twin = assemble_matrix(gauss4, N=16).data
+        assert np.array_equal(m.data.view(np.int64), twin.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("name", ["gauss4", "affine_half", "real-moebius"])
+def test_plain_maps_of_a_real_system_give_its_sequence(name, N, request):
+    # the same branches and weights as plain callables are sampled at the
+    # conjugate points instead of read off real arrays, and give the
+    # Moebius system's eigenvalues, value for value
+    sys_ = systems.system_from_descriptor(_moebius_desc("derivative")) \
+        if name == "real-moebius" else request.getfixturevalue(name)
+    want = spectral_sequence(sys_, N=N)
+    got = spectral_sequence(as_plain_maps(sys_), N=N)
+    assert got.values == want.values
+    assert got.reliable_count == want.reliable_count
+
+
+def test_real_plain_maps_give_a_spectrum_closed_under_conjugation():
+    # branches 1/(e+z) and weights f/(e+z)^2, one f negative, as lambdas
+    shifts, factors = (1.0, 2.0, 3.0, 4.0), (1.0, -0.5, 1.0, 0.25)
+    branches = [AnalyticMap(lambda z, e=e: 1.0 / (e + z)) for e in shifts]
+    weights = [AnalyticMap(lambda z, e=e, f=f: f / ((e + z) * (e + z)))
+               for e, f in zip(shifts, factors)]
+    sys_ = make_system(branches, weights, make_ball(1.0, 1.5))
+    seq = spectral_sequence(sys_, N=32)
+    values = seq.values
+    # the resolved values are real (the complex matrix puts them within
+    # 4e-17 of the axis), and come out exactly real
+    assert seq.reliable_count >= 5
+    assert all(v.imag == 0.0 for v in values[:seq.reliable_count])
+    pairs = 0
+    for v in values:
+        if v.imag == 0.0:
+            continue
+        assert values.count(v.conjugate()) == values.count(v)
+        pairs += 1
+    assert pairs > 0                    # the check compared something
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Deterministic work splitting.
 
-Heavy loops are split into chunks that do not depend on the thread count:
-fixed-size ranges of words. They split the word batches of user maps and
-the contraction sups; the closed-form trace route walks each order's words
-once, in blocks, and maps one item per order. Per-chunk partial results
-are combined in chunk index order, or exactly. Outputs are therefore
-bit-identical whether a job runs on one thread or many.
+Only loops over plain callables split, into fixed ranges of words that do
+not depend on the thread count: user-map word batches and sampled
+contraction sups. Per-chunk results are combined in chunk index order, or
+exactly, so outputs are bit-identical on one thread or many. Closed-form
+words, of Moebius traces and the exact contraction sup, are walked in
+blocks on the calling thread; a trace order maps one item, run inline.
 """
 
 from __future__ import annotations

@@ -161,6 +161,14 @@ def _finite(report):
     return report
 
 
+def _admitted(sys_, cfg):
+    """The validation report and enclosing ratio of a system the operator is
+    defined for: its branch images inside the ball, its sups finite."""
+    report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
+    ratio = _enclosing_ratio(report, sys_.domain.radius)
+    return _finite(report), ratio
+
+
 def cmd_validate(cfg, args):
     sys_ = _require_system(cfg)
     report = _finite(validate_system(sys_, margin=cfg.margin, grid=cfg.grid))
@@ -199,6 +207,7 @@ def _spectrum_csv_text(seq):
 
 def cmd_spectrum(cfg, args):
     sys_ = _require_system(cfg)
+    _admitted(sys_, cfg)
     seq = spectral_sequence(sys_, N=cfg.matrix_size)
     text = _spectrum_csv_text(seq)
     sys.stdout.write(text)
@@ -319,9 +328,8 @@ def cmd_bounds(cfg, args):
         summary["profile"] = {"W": prof.W, "r": prof.r, "d": prof.d}
     elif cfg.system is not None:
         sys_ = _require_system(cfg)
-        val = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
-        ratio = _enclosing_ratio(val, sys_.domain.radius)
-        prof = BoundProfile(_finite(val).W, ratio, sys_.dim)
+        val, ratio = _admitted(sys_, cfg)
+        prof = BoundProfile(val.W, ratio, sys_.dim)
         seq = spectral_sequence(sys_, N=cfg.matrix_size)
         rep = verify_bounds(seq, prof)
         rows, weyl = rep.rows, rep.weyl

@@ -57,9 +57,9 @@ import numpy as np
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
     _ESCAPE_SLACK,
+    _WORD_BLOCK,
     DEFAULT_WORD_BUDGET,
     _fold_blocks,
-    _fold_words,
     _mark_exits,
     _point_norm,
     _word_count,
@@ -85,8 +85,6 @@ from .systems import (
 
 # terms per exact block sum in _exact_sum, and the bound on the periods
 _BLOCK = 1 << 13
-# words per level slice, and so per block, of the walk in _moebius_words
-_WORD_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +275,8 @@ def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     range holds no word to evaluate. The batch is iterated until its worst
     word converges, so a word's bits depend on the batch."""
     size, ball = sys_.n_letters, sys_.domain
-    words, period, _, _ = _fold_words(size, n, lo, hi, necklaces=necklaces)
+    (words, period, _, _), = _fold_blocks(size, n, lo, hi, None, (),
+                                          necklaces, size ** n)
     if not words.size:
         return
     letters = word_letters(size, n, words)
@@ -313,18 +312,18 @@ def _orbits_stay_inside(sys_):
 
 
 def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
-    """As _iterated_words, in closed form from the system's coefficients; the
-    words come in blocks of at most _WORD_BLOCK words, every level of their
-    prefix tree walked that many words at a time, and a word's bits do not
-    depend on its block. q = C z + E is the larger root of q^2 - tr q + det and
-    the multiplier is det / q^2. Under a weight law with one power p a word's
-    weight is its factors' product times the multiplier^p; other weights follow
-    z's orbit. With necklaces and walk, n - 1 Moebius steps walk each orbit for
-    the rotations' fixed points; without walk the caller knows the walk would
+    """As _iterated_words, in closed form from the system's coefficients, in
+    the blocks of a _fold_blocks walk of _WORD_BLOCK words. q = C z + E is
+    the larger root of q^2 - tr q + det and the multiplier is det / q^2.
+    Under a weight law with one power p a word's weight is its factors'
+    product times the multiplier^p; other weights follow z's orbit. With
+    necklaces and walk, n - 1 Moebius steps walk each orbit for the
+    rotations' fixed points; without walk the caller knows the walk would
     mark nothing. With real, which needs real coefficients and law factors
-    (systems._real_data), the words are taken in float64 with the bits of the
-    complex path; a word whose roots are not real, which has a multiplier of
-    modulus 1, gets the multiplier NaN, which is refused as well."""
+    (systems._real_data), the words are taken in float64 with the bits of
+    the complex path; a word whose roots are not real, which has a
+    multiplier of modulus 1, gets the multiplier NaN, which is refused as
+    well."""
     size, ball, coefficients = sys_.n_letters, sys_.domain, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
     if real:

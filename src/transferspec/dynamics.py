@@ -3,8 +3,8 @@
 Words are rows of 1-based letters from word_letters; the word
 (i_1, ..., i_n) denotes the composition T_{i_n} o ... o T_{i_1} (the first
 letter acts first). Word enumeration is lexicographic throughout, and
-batched evaluations reduce in index order, so every result is independent
-of chunking and thread count.
+results reduce in index order, so none depends on the blocks of a walk,
+the ranges of a map or the thread count.
 
 Fixed points come from plain forward iteration (the trace route solves
 all-Moebius words in closed form instead): a branch system whose images
@@ -36,6 +36,7 @@ _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
 _MAX_SWEEPS = 5000
 DEFAULT_WORD_BUDGET = 2_000_000
+_WORD_BLOCK = 1 << 14     # words per level slice of a walk over an order
 
 
 def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
@@ -49,15 +50,18 @@ def _fold_moebius(steps, start=(1.0, 0.0, 0.0, 1.0)):
     return A, B, C, E
 
 
-def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
-    """Walk the prefix tree of the length-n words lo..hi-1 over size letters.
-
-    Returns the lexicographic indices of the words kept, their periods, the
-    folded coefficients (A, B, C, E) of the Moebius letters mob (None
-    without mob), and for each per-letter array in factors its product
-    along each word. Level k of the tree holds the range's length-k
-    prefixes, each its parent times one letter, so every word gets the bits
-    of a letter-by-letter fold in letter order.
+def _fold_blocks(size, n, lo, hi, mob, factors, necklaces, block):
+    """Yield the length-n words lo..hi-1 over size letters in blocks, by a
+    depth-first walk of their prefix tree: each block holds the
+    lexicographic indices of the words kept, their periods, the folded
+    coefficients (A, B, C, E) of the Moebius letters mob (None without
+    mob), and for each per-letter array in factors its product along each
+    word. Level k of the tree holds the range's length-k prefixes, each its
+    parent times one letter, so every word gets the bits of a
+    letter-by-letter fold in letter order, whatever the range and blocks.
+    Every level takes its parents block // size at a time, so it holds at
+    most max(block, size) words and one slice of it is alive; with block
+    size^n all words come as one block. A block may be empty.
 
     Without necklaces every word is kept, with period 1, and each level
     folds all children of its prefixes and clips them to the range. With
@@ -69,23 +73,8 @@ def _fold_words(size, n, lo, hi, mob=None, factors=(), necklaces=False):
     a necklace, of period p, when p divides n, so the last level keeps
     necklaces only. Each level folds only the children it keeps, from
     their parents' and letters' values gathered in the operand order of
-    _fold_moebius. A word's bits depend on neither the range nor the
-    blocks of _fold_blocks, in which the closed-form trace route walks all
-    of an order's words at once.
+    _fold_moebius.
     """
-    (words,) = _fold_blocks(size, n, lo, hi, mob, factors, necklaces)
-    return words
-
-
-def _fold_blocks(size, n, lo, hi, mob=None, factors=(), necklaces=False,
-                 block=None):
-    """_fold_words in blocks of consecutive words, by a depth-first walk of
-    the prefix tree. With block, every level takes its parents
-    block // size at a time, so no level holds more than block words (or
-    size, when block is smaller) and only one slice of each level is
-    alive; otherwise every level is one slice and all words come as one
-    block. A block may be empty, and every word has the bits it has in one
-    block."""
 
     # a factor that is one number on every letter has one product at each
     # level, taken as the words' would be, spread over the words at the end
@@ -134,10 +123,9 @@ def _fold_blocks(size, n, lo, hi, mob=None, factors=(), necklaces=False,
             yield word, period, fold, [np.repeat(p, len(word)) if one else p
                                        for p, one in zip(prods, constant)]
             continue
-        count = max(len(word), 1)
-        step = max(block // size, 1) if block else count
+        step = max(block // size, 1)
         todo += [(k + 1, cut(s, step, word, period, fold, prods))
-                 for s in reversed(range(0, count, step))]
+                 for s in reversed(range(0, max(len(word), 1), step))]
 
 
 def _one_value(x):
@@ -406,9 +394,9 @@ def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
     |Cc+E| - |C| rho; a pole on or inside the closed ball raises
     NotContracting. grid is not used there and the report's grid is 0. Any
     other dim-1 system is sampled on grid equispaced boundary points, which
-    is not rigorous. Either way BudgetExceeded is raised before any work
-    beyond word_budget words, and ties go to the first word in
-    lexicographic order at any thread count.
+    is not rigorous, in word ranges mapped over threads. Either way
+    BudgetExceeded is raised before any work beyond word_budget words, and
+    ties go to the first word in lexicographic order.
     """
     if sys_.dim != 1:
         raise DimensionUnsupported("contraction sampling needs dim 1")
@@ -416,13 +404,12 @@ def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
         raise ValueError("n must be >= 1")
     total = _word_count(sys_, n, word_budget)
     if sys_.coefficients is not None:
-        return _exact_contraction(sys_, n, total, threads)
+        return _exact_contraction(sys_, n, total)
     return _sampled_contraction(sys_, n, grid, total, threads)
 
 
 def _first_max(results, start):
-    """Reduce per-chunk (value, ...) maxima in index order; the strict >
-    keeps the first maximum, so the winner does not depend on chunking."""
+    """The first largest (value, ...) result, however the words are cut."""
     best = start
     for res in results:
         if res[0] > best[0]:
@@ -430,23 +417,21 @@ def _first_max(results, start):
     return best
 
 
-def _exact_contraction(sys_, n, total, threads):
+def _exact_contraction(sys_, n, total):
     c, rho = sys_.domain.center, sys_.domain.radius
     mob = tuple(sys_.coefficients.T)
     # |det| of a word is the product of its letters' |det|: AE - BC of the
     # folded word cancels on long words
     dets = np.abs(mob[0] * mob[3] - mob[1] * mob[2])
 
-    def handle(rng):
-        lo, hi = rng
-        _, _, (_, _, C, E), (det,) = _fold_words(
-            sys_.n_letters, n, lo, hi, mob, (dets,))
-        vals, _ = _derivative_sups(det, C, E, sys_.domain)
+    def best(words, period, fold, prods):
+        vals, _ = _derivative_sups(prods[0], fold[2], fold[3], sys_.domain)
         r = int(np.argmax(vals))
-        return float(vals[r]), lo + r, C[r], E[r]
+        return float(vals[r]), int(words[r]), fold[2][r], fold[3][r]
 
-    value, idx, C, E = _first_max(
-        map_ordered(handle, chunk_ranges(total), threads), (-1.0, 0, 0.0, 1.0))
+    value, idx, C, E = _first_max((best(*block) for block in _fold_blocks(
+        sys_.n_letters, n, 0, total, mob, (dets,), False, _WORD_BLOCK)
+        if len(block[0])), (-1.0, 0, 0.0, 1.0))
     word = tuple(word_letters(sys_.n_letters, n, np.array([idx]))[0].tolist())
     if value == math.inf:
         raise NotContracting(

@@ -214,7 +214,7 @@ class _Weight(AnalyticMap):
     batch rule of dim, or factor * T' for the Moebius map T of coefficients."""
 
     def __init__(self, factor, power, coefficients=None, dim=1):
-        self.law = (factor, power)
+        self.law, self.coefficients = (factor, power), coefficients
         if power == 0:
             super().__init__(lambda z: factor, lambda z: 0.0 * z, dim=dim,
                              name=f"const({factor})")
@@ -283,9 +283,9 @@ class MapWeightSystem:
 
     The closed forms read coefficients, the rows (a, b, c, e) when every
     branch is a dim-1 Moebius map, and law = (factor, power) when every
-    weight is factor * (T')^power, power 0 (make_const) or 1 (+-T' of a
-    descriptor); each is None otherwise. A system built from the arrays
-    derives its maps from them when first asked.
+    weight is factor * (T')^power, power 0 (make_const) or 1 (+-T' beside
+    its own branch T); each is None otherwise. A system built from the
+    arrays derives its maps from them when first asked.
     """
 
     def __init__(self, branches, weights, domain, alphabet=None,
@@ -307,7 +307,12 @@ class MapWeightSystem:
         coefficients = law = None
         if dim == 1 and all(isinstance(b, _Moebius) for b in branches):
             coefficients = np.array([b.coefficients for b in branches])
-        if all(isinstance(w, _Weight) for w in weights):  # complex factors
+        # the law takes the T' of the letter's branch: a +-T' weight joins
+        # it only beside the branch it was made for
+        if all(isinstance(w, _Weight) and (w.law[1] == 0 or isinstance(
+                b, _Moebius) and np.array_equal(b.coefficients,
+                                                w.coefficients))
+               for b, w in zip(branches, weights)):  # complex factors
             law = tuple(map(np.array, zip(*(w.law for w in weights))))
         self._fill(coefficients, law, domain, alphabet, label, descriptor)
         self.branches, self.weights = branches, weights
@@ -636,12 +641,12 @@ def make_gauss_system(i_max, domain=None):
         raise InadmissibleDomain("the continued-fraction family lives in dim 1")
     c, rho = domain.center, domain.radius
     # every branch pole -i must stay off the closed ball: |i + c| <= touch
-    # needs |i + Re c| <= sqrt(touch^2 - Im c^2), so only the integers that
-    # near -Re c, and one more on each side, are tested
+    # for the i within half = sqrt(touch^2 - Im c^2) of -Re c, the first of
+    # them among four from just below -Re c - half; half cannot overflow
     touch, y = rho * (1.0 + 1e-12), abs(c.imag)
-    half = math.sqrt(max(touch - y, 0.0) * (touch + y))
-    for i in range(max(1, math.floor(-c.real - half) - 1),
-                   math.ceil(-c.real + half) + 2):
+    half = 2 * math.sqrt(max(touch - y, 0.0)) * math.sqrt(touch / 4 + y / 4)
+    first = max(1, math.floor(max(0.0, -c.real - half)) - 1)
+    for i in range(first, first + 4):
         if abs(i + c) <= touch:
             raise InadmissibleDomain(
                 f"pole of branch {i} at {-i} touches the closed ball")
@@ -788,6 +793,7 @@ def validate_system(sys_, margin=0.1, grid=1024):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _image_reach(coefficients, ball):
     """The reach of each Moebius letter of the rows (a, b, c_i, e) of
     coefficients on the closed ball, with the letters' derivative sups and
@@ -797,8 +803,8 @@ def _image_reach(coefficients, ball):
     of center ((a c + b) conj(p) - a conj(c_i) rho^2) / D and radius
     |det| rho / D, with det = a e - b c_i and D = |p|^2 - |c_i|^2 rho^2
     = gap (|p| + |c_i| rho), so its reach from c is |center_i - c| +
-    radius_i. A pole on or inside the closed ball (gap <= 0) makes the
-    reach infinite. Nothing is rounded outward here.
+    radius_i. A pole on or inside the closed ball (gap <= 0 or NaN) or a
+    reach past the double range makes it inf. Nothing is rounded outward.
     """
     a, b, cc, e = coefficients.T
     c, rho = ball.center, ball.radius
@@ -808,10 +814,11 @@ def _image_reach(coefficients, ball):
     inside = gap > 0.0
     denom = np.where(inside, gap * (np.abs(p) + np.abs(cc) * rho), 1.0)
     centers = ((a * c + b) * np.conj(p) - a * np.conj(cc) * (rho * rho)) / denom
-    reach = np.where(inside, np.abs(centers - c) + det * rho / denom, np.inf)
-    return reach, dsup, gap, p
+    reach = np.abs(centers - c) + det * rho / denom
+    return np.where(inside & (reach < np.inf), reach, np.inf), dsup, gap, p
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _exact_sups(sys_):
     """Image sup, weight sup, worst branch and note of a Moebius system.
 
@@ -825,8 +832,8 @@ def _exact_sups(sys_):
     the weight sup infinite.
     """
     reach, dsup, gap, p = _image_reach(sys_.coefficients, sys_.domain)
-    if (gap <= 0.0).any():
-        worst = int(np.argmax(gap <= 0.0)) + 1
+    if not (gap > 0.0).all():      # a NaN gap, of overflowing parts, too
+        worst = int(np.argmin(gap > 0.0)) + 1
         return (math.inf, math.inf, worst,
                 f"pole of branch {worst} on or inside the closed ball")
     worst = int(np.argmax(reach))

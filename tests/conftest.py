@@ -12,6 +12,7 @@ from transferspec import (
     make_system,
     system_from_descriptor,
 )
+from transferspec.dynamics import _fold_blocks
 
 AFFINE_DESC = {
     "family": "affine_list",
@@ -34,6 +35,14 @@ def as_plain_maps(sys_):
     so word fixed points are iterated and contraction is sampled."""
     branches = [AnalyticMap(br, br.derivative, dim=1) for br in sys_.branches]
     return make_system(branches, sys_.weights, sys_.domain)
+
+
+def whole_walk(size, n, lo, hi, mob=None, factors=(), necklaces=False):
+    """The words lo..hi-1 as the one block of a walk in blocks of size^n
+    words: every tree level in one slice."""
+    (block,) = _fold_blocks(size, n, lo, hi, mob, factors, necklaces,
+                            size ** n)
+    return block
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import transferspec
-from transferspec import cli, crossover_N, spectra
+from transferspec import _parallel, cli, crossover_N, spectra
 from transferspec.cli import main
 
 try:
@@ -123,6 +123,79 @@ def test_validate_pole_inside_disc_is_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: branch images reach inf")
+
+
+_POLE_INSIDE_CFG = {"system": {
+    "family": "moebius_list",
+    "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": e,
+                "weight": "neg_derivative"} for e in (0.5, 3.0)],
+    "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}}
+
+_ESCAPE_CFG = {"system": {
+    "family": "affine_list",
+    "params": [{"a": -0.9, "b": 0.1995, "weight": 1.0},
+               {"a": -0.9, "b": 0.0, "weight": 1.0}],
+    "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}}
+
+
+@pytest.mark.parametrize("payload, reach", [(_POLE_INSIDE_CFG, "inf"),
+                                            (_ESCAPE_CFG, "1.0995")],
+                         ids=["pole-inside", "image-outside"])
+def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
+                                              reach):
+    # the operator is only defined on a ball that each branch maps inside
+    # itself: spectrum runs the check bounds runs before it assembles
+    # anything, with the same error line and no file
+    cfg = write_cfg(tmp_path, payload)
+    out_dir = tmp_path / "results"
+    for command in ("spectrum", "bounds"):
+        assert main([command, "--config", cfg, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: branch images reach {reach} >= "
+                                f"radius 1 (r = {reach})\n")
+    assert not out_dir.exists()
+
+
+_FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}
+
+
+@pytest.mark.parametrize("system", [
+    {"family": "gauss", "i_max": 200, "domain": _FAR_DISC},
+    {"family": "moebius_list", "domain": _FAR_DISC,
+     "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0,
+                 "weight": "neg_derivative"}]},
+    {"family": "gauss", "i_max": 5,
+     "domain": {"center": [1e300, 0.0], "radius": 1.0, "dim": 1}},
+], ids=["gauss-far-disc", "moebius-far-disc", "gauss-far-centre"])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "bounds"])
+def test_far_out_domain_is_one_error_line(tmp_path, capsys, system,
+                                          command):
+    # a disc near the top of the double range: its pole window, reaches
+    # and gaps overflow, and are refused with one error line, no traceback
+    # and no numpy warning (the suite runs with error::RuntimeWarning)
+    cfg = write_cfg(tmp_path, {"system": system})
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_far_out_centre_validates_without_warnings(tmp_path, capsys):
+    # 1/(2 + z) on the unit disc about 1e300: its image disc and the
+    # direction of its pole overflow, and validate reports the images not
+    # contained, with no numpy warning
+    cfg = write_cfg(tmp_path, {"system": {
+        "family": "moebius_list",
+        "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0,
+                    "weight": "neg_derivative"}],
+        "domain": {"center": [1e300, 0.0], "radius": 1.0, "dim": 1}}})
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert captured.err == ""
+    assert out["ok"] is False and out["enclosing_radius"] is None
 
 
 _NON_FINITE = [("b", "NaN"), ("b", "Infinity"), ("weight", "-Infinity"),
@@ -352,6 +425,31 @@ def test_determinant_thread_count_does_not_change_bytes(tmp_path, capsys):
     four = capsys.readouterr().out
     assert one == four
     assert json.loads(one)["cross_check"]["count"] >= 1
+
+
+def test_cli_runs_start_no_thread_pool(tmp_path, capsys, monkeypatch):
+    # every system the CLI builds is a Moebius system, walked in closed
+    # form on the calling thread: --threads 2 starts no pool and changes no
+    # byte, for a contraction over 4^9 words and a trace order over 4^10
+    pools = []
+    real = _parallel.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", spy)
+    cfg = write_cfg(tmp_path, dict(GAUSS4_CFG, contraction_order=9))
+    for argv in (["validate"], ["determinant", "--trace-order", "10"]):
+        runs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"{argv[0]}-{threads}"
+            code = main(argv + ["--config", cfg, "--threads", threads,
+                                "--out", str(out_dir)])
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2]
+    assert pools == []
 
 
 def test_determinant_cross_check_over_nothing_is_no_verdict(tmp_path,
@@ -672,19 +770,27 @@ def test_gauss_spectrum_is_real_and_closed_under_conjugation(
                                       "determinant-gauss4"])
 def test_spectrum_and_determinant_bytes_do_not_use_validation(
         tmp_path, capsys, monkeypatch, command, payload):
-    # neither route reads a validation sup, so the closed forms and the
-    # sampler leave these bytes as they were
+    # neither route reads a validation sup: spectrum validates only to
+    # refuse a system off its ball, and determinant not at all, so sups
+    # halved there leave these bytes as they were
     cfg = write_cfg(tmp_path, dict(payload, trace_order=6))
     code = main([command, "--config", cfg])
     first = capsys.readouterr().out
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("validation ran")
+    def halved(sups):
+        def patched(*args, **kwargs):
+            calls.append(sups.__name__)
+            image, weight, *rest = sups(*args, **kwargs)
+            return (image / 2, weight / 2, *rest)
+        return patched
 
-    monkeypatch.setattr(transferspec.systems, "_exact_sups", refuse)
-    monkeypatch.setattr(transferspec.systems, "_sampled_sups", refuse)
+    for name in ("_exact_sups", "_sampled_sups"):
+        monkeypatch.setattr(transferspec.systems, name,
+                            halved(getattr(transferspec.systems, name)))
     assert main([command, "--config", cfg]) == code
     assert capsys.readouterr().out == first
+    assert calls == (["_exact_sups"] if command == "spectrum" else [])
 
 
 @pytest.mark.parametrize("command", ["validate", "spectrum", "determinant",

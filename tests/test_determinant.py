@@ -40,12 +40,11 @@ from transferspec._format import json_g17
 from transferspec.determinant import _aberth_roots
 from transferspec.dynamics import (
     _fold_moebius,
-    _fold_words,
     word_letters,
 )
 from transferspec.systems import AnalyticMap
 
-from conftest import GAUSS4_DESC, as_plain_maps
+from conftest import GAUSS4_DESC, as_plain_maps, whole_walk
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,8 @@ def test_countable_alphabet_refused_before_any_word(call, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    spy(dynamics, "_fold_words")
-    spy(determinant, "_fold_words")
+    spy(dynamics, "_fold_blocks")
+    spy(determinant, "_fold_blocks")
     spy(determinant, "_word_count")
     with pytest.raises(TransferOperatorError,
                        match="needs a finite alphabet.*spectrum"):
@@ -273,7 +272,7 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     # letter fold, also for ranges that start and end inside a prefix
     sys_ = _three_letters()
     n, total = 7, 3 ** 7
-    reps = _fold_words(3, n, 0, total, necklaces=True)[0]
+    reps = whole_walk(3, n, 0, total, necklaces=True)[0]
     whole = _words(sys_, n, 0, total, True)
     for lo, hi in ((0, 1000), (1000, 1001), (1001, total)):
         inside = (reps >= lo) & (reps < hi)
@@ -295,7 +294,7 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     dets = np.abs(a * e - b * c)
     lo, hi = 1001, 2000
     every = word_letters(3, n, np.arange(lo, hi))
-    words, period, (_, _, got_c, got_e), (got_det,) = _fold_words(
+    words, period, (_, _, got_c, got_e), (got_det,) = whole_walk(
         3, n, lo, hi, tuple(sys_.coefficients.T), (dets,))
     assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
     _, _, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)

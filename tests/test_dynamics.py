@@ -16,6 +16,7 @@ from transferspec import (
     NotEnclosed,
     assemble_matrix,
     contraction_details,
+    dynamics,
     enclosing_radius,
     fixed_point,
     make_affine,
@@ -31,14 +32,13 @@ from transferspec._parallel import chunk_ranges
 from transferspec.dynamics import (
     _fold_blocks,
     _fold_moebius,
-    _fold_words,
     batch_fixed_points,
     batch_orbit,
     word_letters,
 )
 from transferspec.systems import AnalyticMap
 
-from conftest import as_plain_maps
+from conftest import as_plain_maps, whole_walk
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +203,18 @@ def test_necklace_representatives(size, n):
         for chunk in (total, 1000, 64, 7):
             got = []
             for lo, hi in chunk_ranges(total, chunk):
-                words, period, fold, prods = _fold_words(size, n, lo, hi,
-                                                         necklaces=True)
+                words, period, fold, prods = whole_walk(size, n, lo, hi,
+                                                        necklaces=True)
                 assert fold is None and prods == []
                 got += zip(words.tolist(), period.tolist())
             assert got == want
     else:   # brute force on a few windows, the period sum on all of it
         for lo in (0, total // 3 + 5, total - 1500):
-            words, period, _, _ = _fold_words(size, n, lo, lo + 1500,
-                                              necklaces=True)
+            words, period, _, _ = whole_walk(size, n, lo, lo + 1500,
+                                             necklaces=True)
             assert (list(zip(words.tolist(), period.tolist()))
                     == _least_rotations(size, n, lo, lo + 1500))
-    periods = sum(int(_fold_words(size, n, lo, hi, necklaces=True)[1].sum())
+    periods = sum(int(whole_walk(size, n, lo, hi, necklaces=True)[1].sum())
                   for lo, hi in chunk_ranges(total))
     assert periods == total
 
@@ -249,22 +249,22 @@ def test_necklace_fold_matches_letter_by_letter_fold(size, n):
     ranges = chunk_ranges(total) + [(12345, 54321), (total - 777, total - 5)]
     largest = 0
     for lo, hi in ranges:
-        words, period, fold, prods = _fold_words(size, n, lo, hi, mob,
-                                                 factors, necklaces=True)
+        words, period, fold, prods = whole_walk(size, n, lo, hi, mob,
+                                                factors, necklaces=True)
         largest = max(largest, len(words))
         want_fold, want_prods = _letter_by_letter(mob, factors, size, n,
                                                   words)
         for got, want in zip((*fold, *prods), (*want_fold, *want_prods)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # with nothing to fold the walk keeps the same words and periods
-        bare = _fold_words(size, n, lo, hi, necklaces=True)
+        bare = whole_walk(size, n, lo, hi, necklaces=True)
         assert bare[2] is None and bare[3] == []
         assert np.array_equal(bare[0], words)
         assert np.array_equal(bare[1], period)
     assert largest >= 16384
     # the every-word fold over a range of the same size
     lo, hi = 1001, 1001 + 20000
-    words, period, fold, prods = _fold_words(size, n, lo, hi, mob, factors)
+    words, period, fold, prods = whole_walk(size, n, lo, hi, mob, factors)
     assert np.array_equal(words, np.arange(lo, hi)) and (period == 1).all()
     want_fold, want_prods = _letter_by_letter(mob, factors, size, n, words)
     for got, want in zip((*fold, *prods), (*want_fold, *want_prods)):
@@ -290,7 +290,7 @@ def test_fold_blocks_keep_the_bits_of_one_block(size, n):
              (False, 1001, 21001, (1000, 1 << 14)),
              (False, total - 777, total - 5, (7, 1000))]
     for necklaces, lo, hi, sizes in cases:
-        whole = _fold_words(size, n, lo, hi, mob, factors, necklaces)
+        whole = whole_walk(size, n, lo, hi, mob, factors, necklaces)
         for block in sizes:
             blocks = list(_fold_blocks(size, n, lo, hi, mob, factors,
                                        necklaces, block))
@@ -464,6 +464,23 @@ def test_contraction_exact_gauss_order_two(gauss200):
     assert rep.grid == 0
     assert rep.words == 200 ** 2
     assert "exact" in rep.note
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_contraction_exact_does_not_depend_on_the_block(block, monkeypatch):
+    # the exact sup walks all words once, in blocks of _WORD_BLOCK words,
+    # skipping empty ones and keeping the first maximum: any block gives
+    # the report of the default one, ties included
+    same = make_moebius(0.0, 1.0, 1.0, 2.0)
+    reversed4 = [make_moebius(0.0, 1.0, 1.0, e) for e in (4, 3, 2, 1)]
+    cases = [(_complex_pair(), 11),
+             (make_system(reversed4, [make_const(1.0)] * 4,
+                          make_ball(1.0, 1.5)), 7),
+             (make_system([same, same], [make_const(1.0)] * 2,
+                          make_ball(1.0, 1.5)), 9)]
+    want = [repr(contraction_details(s, n)) for s, n in cases]
+    monkeypatch.setattr(dynamics, "_WORD_BLOCK", block)
+    assert [repr(contraction_details(s, n)) for s, n in cases] == want
 
 
 def test_contraction_exact_ties_go_to_first_word():

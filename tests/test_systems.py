@@ -904,10 +904,31 @@ def test_gauss_preset_and_moebius_maps_are_one_representation():
     _same_system(preset, built, 3)
 
 
+def test_borrowed_derivative_weight_is_called_as_its_map():
+    # -T_1' of gauss4 beside the branch 1/(5 + z) is still 1/(1 + z)^2: it
+    # stays out of the weight law, which would multiply by the T' of
+    # 1/(5 + z)
+    borrowed = system_from_descriptor(GAUSS4_DESC).weights[0]
+    sys_ = make_system([make_moebius(0, 1, 1, 5)], [borrowed],
+                       make_ball(1, 1.5))
+    assert sys_.coefficients is not None and sys_.law is None
+    got = sys_.weight_letters(np.array([1]), np.array([0.3 + 0j]))[0]
+    assert got == borrowed(0.3)
+    assert got == pytest.approx(1 / 1.3 ** 2, rel=1e-15)
+
+
 @pytest.mark.parametrize("desc", [AFFINE_DESC, GAUSS4_DESC])
 def test_plain_map_copies_get_no_coefficients(desc):
+    # a +-T' weight beside a plain branch is called as the map it is, and
+    # gives the bits of the law; constants keep the law
     sys_ = system_from_descriptor(desc)
     plain = as_plain_maps(sys_)
     assert sys_.coefficients is not None and plain.coefficients is None
-    for a, b in zip(sys_.law, plain.law):
-        assert np.array_equal(a, b)
+    assert (plain.law is None) == bool(sys_.law[1].any())
+    ball = sys_.domain
+    letters = np.repeat(np.arange(1, sys_.n_letters + 1), 50)
+    z = ball.center + 0.9 * ball.radius * np.exp(
+        1j * np.linspace(0.0, 2.0 * np.pi, len(letters), endpoint=False))
+    got, want = plain.weight_letters(letters, z), sys_.weight_letters(letters,
+                                                                      z)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

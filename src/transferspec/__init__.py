@@ -62,7 +62,6 @@ from .errors import (
 )
 from .spectra import (
     EigenvalueSequence,
-    OperatorMatrix,
     assemble_matrix,
     eigenvalues,
     sort_eigenvalues,
@@ -93,7 +92,7 @@ __all__ = [
     "DeterminantSeries", "DimensionUnsupported", "EigenvalueSequence",
     "EscapedDomain", "FixedPointResult", "InadmissibleDomain",
     "InvalidDomain", "MapWeightSystem", "NoConvergence", "NotContracting",
-    "NotEnclosed", "OperatorMatrix", "RootFindingFailure", "SolverFailure",
+    "NotEnclosed", "RootFindingFailure", "SolverFailure",
     "TraceTable", "TraceValue", "TransferOperatorError",
     "ValidationReport", "VerificationReport", "WeylRow", "WrongDimension",
     "assemble_matrix", "bound_combined", "bound_d1", "bound_general",

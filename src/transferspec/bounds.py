@@ -206,7 +206,6 @@ class VerificationReport:
     weyl: tuple
     all_pass: bool
     reliable_count: int
-    profile: BoundProfile
 
 
 def bound_table(profile, n_max):
@@ -238,9 +237,9 @@ def _weyl_rhs(profile, n, t_sum):
         return math.inf
 
 
-def verify_bounds(eigs, profile, weyl_orders=10):
+def verify_bounds(eigs, profile):
     """Check every reliable |lambda_n| against bound_combined(n), and the
-    cumulative products against n^(n/2) W^n r^(t_1+..+t_n).
+    first ten cumulative products against n^(n/2) W^n r^(t_1+..+t_n).
 
     Rows beyond the reliable prefix carry the bound values with blank
     eigenvalue and pass fields; discretization junk never fails a bound.
@@ -250,7 +249,7 @@ def verify_bounds(eigs, profile, weyl_orders=10):
     rows = _rows(profile, len(moduli), moduli, reliable)
 
     weyl = []
-    depth = min(len(moduli), weyl_orders)
+    depth = min(len(moduli), 10)
     ts = t_sequence(profile.d, max(1, depth)) if depth else []
     prod = 1.0
     t_sum = 0
@@ -262,7 +261,7 @@ def verify_bounds(eigs, profile, weyl_orders=10):
 
     ok = all(r.passed for r in rows if r.passed is not None) \
         and all(w.passed for w in weyl)
-    return VerificationReport(rows, tuple(weyl), ok, reliable, profile)
+    return VerificationReport(rows, tuple(weyl), ok, reliable)
 
 
 def bounds_csv_text(report_rows):

@@ -163,10 +163,11 @@ def _finite(report):
 
 def _admitted(sys_, cfg):
     """The validation report and enclosing ratio of a system the operator is
-    defined for: its branch images inside the ball, its sups finite."""
-    report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
-    ratio = _enclosing_ratio(report, sys_.domain.radius)
-    return _finite(report), ratio
+    defined for: its sups finite, its branch images inside the ball. The
+    sups are checked first, so a pole in the ball gives the line validate
+    gives."""
+    report = _finite(validate_system(sys_, margin=cfg.margin, grid=cfg.grid))
+    return report, _enclosing_ratio(report, sys_.domain.radius)
 
 
 def cmd_validate(cfg, args):
@@ -231,6 +232,9 @@ def cmd_determinant(cfg, args):
 
     code = EXIT_OK
     if sys_.dim == 1:
+        # the matrix route's operator is defined only on an admissible ball;
+        # trace failures above keep their own messages
+        _admitted(sys_, cfg)
         mat = spectral_sequence(sys_, N=cfg.matrix_size)
         # leading values only (deep zeros drift with the degree truncation
         # faster than reliability can certify); comparing none is no verdict

@@ -61,7 +61,6 @@ from .dynamics import (
     DEFAULT_WORD_BUDGET,
     _fold_blocks,
     _mark_exits,
-    _point_norm,
     _word_count,
     batch_fixed_points,
     batch_orbit,
@@ -99,7 +98,6 @@ class TraceValue:
     value: complex
     words: int
     max_multiplier: float
-    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class TraceTable:
     orders: tuple
     values: tuple
     max_multiplier: float
-    system_id: str
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,9 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     or a term that is not finite, and the first failing chunk raises: its
     order and all later ones stop there, even an order whose other chunks'
     terms can cancel. So does a value past the double range. The
-    multiplier and residual are those of the words evaluated. In dim >= 2 the
-    multiplier is the spectral radius of the word's Jacobian. A truncated
-    countable alphabet is refused first.
+    multiplier is the largest over the words evaluated; in dim >= 2 it is
+    the spectral radius of the word's Jacobian. A truncated countable
+    alphabet is refused first.
     """
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
@@ -177,23 +174,23 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
         blocks = evaluate(n, d == 1)
         # a class's rotations may lie in other chunks, so whether the
         # necklace terms can cancel is read off all the chunks together
-        if d == 1 and _cancels(reduce(or_, (block[4] for block in blocks))):
+        if d == 1 and _cancels(reduce(or_, (block[3] for block in blocks))):
             blocks = evaluate(n, False)
-        re, im, top, residual, _ = zip(*blocks)
+        re, im, top, _ = zip(*blocks)
         try:
             value = complex(float(sum(re)), float(sum(im)))
         except OverflowError:
             raise TransferOperatorError(
                 f"the order-{n} trace lies past the double range") from None
-        rows.append(TraceValue(n, value, totals[n], max(top), max(residual)))
+        rows.append(TraceValue(n, value, totals[n], max(top)))
     return rows
 
 
-def _summary(n, size, d, index, period, wgt, mult, z, end, exits):
+def _summary(n, size, d, index, period, wgt, mult, z, exits):
     """One block of order n's words, of an alphabet of size letters in
-    dimension d: its exact sums, largest multiplier and residual, and the
-    signs of its terms (_signs). Its first failing word raises, and so does
-    a term that is not finite."""
+    dimension d: its exact sums, largest multiplier, and the signs of its
+    terms (_signs). Its first failing word raises, and so does a term that
+    is not finite. The fixed points z are not read."""
     if d == 1:
         spectral, denom = np.abs(mult), 1.0 - mult
         refused = ~(spectral < 1.0 - 1e-9)
@@ -222,8 +219,7 @@ def _summary(n, size, d, index, period, wgt, mult, z, end, exits):
     # the terms of real words are float64: their imaginary parts are 0
     return (_exact_sum(period, terms.real),
             _exact_sum(period, terms.imag) if terms.dtype == complex else 0,
-            float(spectral.max()), float(_point_norm(end - z).max()),
-            _signs(terms))
+            float(spectral.max()), _signs(terms))
 
 
 def _signs(terms):
@@ -268,8 +264,8 @@ def _divide(a, b, out=None, where=True):
 
 def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     """Yields the words lo..hi-1 of length n as one block: their
-    lexicographic indices, periods, weight, multiplier, fixed point z, T(z)
-    and the first orbit point outside the ball (as batch_orbit marks them),
+    lexicographic indices, periods, weight, multiplier, fixed point z and
+    the first orbit point outside the ball (as batch_orbit marks them),
     by fixed-point iteration: the necklace representatives with necklaces,
     else every word, each checked at its own fixed point. Nothing when the
     range holds no word to evaluate. The batch is iterated until its worst
@@ -283,11 +279,11 @@ def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     groups = [_letter_groups(col) for col in letters.T]
     z = batch_fixed_points(sys_, letters, tol, groups)
     if necklaces:
-        wgt, mult, end, exits = batch_orbit(sys_, letters, z, groups, ball)
+        wgt, mult, _, exits = batch_orbit(sys_, letters, z, groups, ball)
     else:
-        (wgt, mult, end), exits = (batch_orbit(sys_, letters, z, groups),
-                                   _mark_exits(ball, z))
-    yield words, period, wgt, mult, z, end, exits
+        (wgt, mult, _), exits = (batch_orbit(sys_, letters, z, groups),
+                                 _mark_exits(ball, z))
+    yield words, period, wgt, mult, z, exits
 
 
 def _orbits_stay_inside(sys_):
@@ -349,7 +345,6 @@ def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
         with np.errstate(divide="ignore", invalid="ignore"):
             z = _divide(qe, C, out=qe)
             _divide(B, qa, out=z, where=pick)
-            end = _divide(A * z + B, C * z + E)
         exits = _mark_exits(ball, z)
         # the letter matrix only where the walk or per-word weights read it
         letters = word_letters(size, n, words) if walk or not uniform else None
@@ -363,7 +358,7 @@ def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
             wgt = _weigh(wgt, power[0], mult, wgt)
         else:
             wgt = batch_orbit(sys_, letters, z)[0]
-        return words, period, wgt, mult, z, end, exits
+        return words, period, wgt, mult, z, exits
 
     # filter and starmap hold no block once the next is made
     return starmap(tail, filter(lambda block: len(block[0]), _fold_blocks(
@@ -425,7 +420,6 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
         orders=tuple(r.order for r in rows),
         values=tuple(r.value for r in rows),
         max_multiplier=max(r.max_multiplier for r in rows),
-        system_id=sys_.system_id,
     )
 
 
@@ -563,7 +557,7 @@ def _zeros_from_coeffs(coeffs):
     return sort_eigenvalues(_aberth_roots(coeffs))
 
 
-def determinant_zeros(series, count=None):
+def determinant_zeros(series):
     """Eigenvalues as reciprocal determinant zeros, sorted by modulus.
 
     reliable_count compares against the next-lower-degree truncation, the
@@ -575,10 +569,6 @@ def determinant_zeros(series, count=None):
     coefficients vanished (the rank-one case); a degree-1 series has no
     lower truncation to compare against and certifies nothing.
     """
-    if count is not None and count > series.degree:
-        raise ValueError(
-            f"requested {count} eigenvalues from a degree-{series.degree} "
-            "determinant truncation")
     coeffs = np.trim_zeros(np.asarray(series.coefficients, dtype=complex),
                            "b")
     eff_degree = max(coeffs.size - 1, 0)
@@ -588,8 +578,7 @@ def determinant_zeros(series, count=None):
         rc = _agreeing_prefix(full, drop, lead_scale=False)
     else:
         rc = eff_degree if series.degree >= 2 else 0
-    values = tuple(full if count is None else full[:count])
-    return EigenvalueSequence(values, min(rc, len(values)), "determinant")
+    return EigenvalueSequence(tuple(full), min(rc, len(full)))
 
 
 # ---------------------------------------------------------------------------

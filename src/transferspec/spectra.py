@@ -58,21 +58,6 @@ AGREEMENT_RTOL = 1e-8
 # types
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense matrix of the operator in the circle basis, with provenance."""
-
-    data: object            # (N, N) ndarray, float64 for a conjugation-
-                            # symmetric system (real arrays, or samples
-                            # that show it), complex otherwise
-    center: complex
-    radius: float
-    size: int
-    system_id: str
-    tail_included: bool
-    grid: int
-
-
 @dataclass(frozen=True)
 class EigenvalueSequence:
     """Eigenvalues ordered by non-increasing modulus.
@@ -85,7 +70,6 @@ class EigenvalueSequence:
 
     values: tuple
     reliable_count: int
-    method: str
 
     def moduli(self):
         return tuple(abs(v) for v in self.values)
@@ -96,7 +80,9 @@ class EigenvalueSequence:
 
 
 def assemble_matrix(sys_, ball=None, N=32):
-    """N x N matrix of the operator in the circle basis of the given ball.
+    """N x N matrix of the operator in the circle basis of the given ball:
+    float64 for a conjugation-symmetric system (real arrays, or samples
+    that show it), complex otherwise.
 
     The ball defaults to the system's domain; a different admissible ball
     may be passed to discretize the same operator on another space.
@@ -134,8 +120,7 @@ def assemble_matrix(sys_, ball=None, N=32):
             block = np.fft.fft(g[rows], axis=1)
         block /= grid
         data[:, rows] = block[:, :N].T
-    return OperatorMatrix(data, c, rho, int(N), sys_.system_id,
-                          isinstance(sys_.alphabet, CountableTruncated), grid)
+    return data
 
 
 def _power_table(sys_, ball, N, count, mirrored=False):
@@ -267,15 +252,15 @@ def sort_eigenvalues(values):
 
 
 def eigenvalues(matrix):
-    """All eigenvalues of an OperatorMatrix (or a bare square array), sorted.
+    """All eigenvalues of a square array, sorted.
 
     No refinement comparison happens here, so reliable_count is simply the
     full length; use spectral_sequence for a stability assessment.
     """
-    data = matrix.data if isinstance(matrix, OperatorMatrix) else matrix
     # a real matrix goes to the real solver: real eigenvalues come out
     # exactly real, the others in exactly conjugate pairs
-    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+    data = np.asarray(matrix,
+                      dtype=complex if np.iscomplexobj(matrix) else float)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
     try:
@@ -284,11 +269,12 @@ def eigenvalues(matrix):
     except np.linalg.LinAlgError as err:
         raise SolverFailure(f"dense eigensolver failed: {err}") from err
     ordered = sort_eigenvalues(vals)
-    return EigenvalueSequence(tuple(ordered), len(ordered), "matrix")
+    return EigenvalueSequence(tuple(ordered), len(ordered))
 
 
-def _agreeing_prefix(a, b, rtol=AGREEMENT_RTOL, lead_scale=True):
-    """Length of the leading run where two sorted sequences agree.
+def _agreeing_prefix(a, b, lead_scale=True):
+    """Length of the leading run where two sorted sequences agree to
+    relative tolerance AGREEMENT_RTOL.
 
     With lead_scale (the matrix-route refinement test) the comparison scale
     for each pair is the larger of the pair's moduli and the sequences'
@@ -310,7 +296,7 @@ def _agreeing_prefix(a, b, rtol=AGREEMENT_RTOL, lead_scale=True):
         if scale == 0.0:
             count += 1
             continue
-        if abs(x - y) <= rtol * scale:
+        if abs(x - y) <= AGREEMENT_RTOL * scale:
             count += 1
         else:
             break
@@ -330,6 +316,6 @@ def spectral_sequence(sys_, ball=None, N=32):
     """
     big = assemble_matrix(sys_, ball, 2 * N)
     large = eigenvalues(big)
-    small = eigenvalues(big.data[:N, :N])
+    small = eigenvalues(big[:N, :N])
     rc = _agreeing_prefix(small.values, large.values)
-    return EigenvalueSequence(large.values, rc, "matrix")
+    return EigenvalueSequence(large.values, rc)

@@ -289,7 +289,7 @@ class MapWeightSystem:
     """
 
     def __init__(self, branches, weights, domain, alphabet=None,
-                 label="custom", descriptor=None):
+                 label="custom"):
         branches, weights, dim = tuple(branches), tuple(weights), domain.dim
         if not branches or len(branches) != len(weights):
             raise InvalidDomain(f"{len(branches)} branches and {len(weights)} "
@@ -314,7 +314,7 @@ class MapWeightSystem:
                                                 w.coefficients))
                for b, w in zip(branches, weights)):  # complex factors
             law = tuple(map(np.array, zip(*(w.law for w in weights))))
-        self._fill(coefficients, law, domain, alphabet, label, descriptor)
+        self._fill(coefficients, law, domain, alphabet, label, None)
         self.branches, self.weights = branches, weights
 
     @classmethod
@@ -439,10 +439,9 @@ def _real_data(sys_):
             and not sys_.law[0].imag.any())
 
 
-def make_system(branches, weights, domain, label="custom", descriptor=None):
+def make_system(branches, weights, domain, label="custom"):
     """A finite system from explicit branch and weight lists."""
-    return MapWeightSystem(branches, weights, domain, label=label,
-                           descriptor=descriptor)
+    return MapWeightSystem(branches, weights, domain, label=label)
 
 
 # ---------------------------------------------------------------------------

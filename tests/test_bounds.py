@@ -251,7 +251,7 @@ def test_verify_bounds_zero_system(zero_weight):
 
 def test_verify_bounds_flags_violation():
     # synthetic sequence too big for the profile: must be reported, not hidden
-    seq = EigenvalueSequence((2.0 + 0.0j, 1.5 + 0.0j), 2, "matrix")
+    seq = EigenvalueSequence((2.0 + 0.0j, 1.5 + 0.0j), 2)
     report = verify_bounds(seq, BoundProfile(0.1, 0.5, 1))
     assert not report.all_pass
     assert not report.rows[0].passed
@@ -259,9 +259,10 @@ def test_verify_bounds_flags_violation():
 
 def test_weyl_rows_use_products():
     # row n compares prod_{k<=n} |lambda_k| against n^(n/2) W^n r^(sum t)
-    seq = EigenvalueSequence((0.9 + 0.0j, 0.5 + 0.0j, 0.1 + 0.0j), 3, "matrix")
+    seq = EigenvalueSequence((0.9 + 0.0j, 0.5 + 0.0j, 0.1 + 0.0j), 3)
     p = BoundProfile(1.0, 0.5, 1)
-    report = verify_bounds(seq, p, weyl_orders=3)
+    report = verify_bounds(seq, p)
+    assert len(report.weyl) == 3        # one row per eigenvalue, up to 10
     want2 = 2.0 * 1.0 * 0.5  # n^(n/2) W^n r^(0+1) at n = 2
     assert report.weyl[1].product == pytest.approx(0.45, rel=1e-14)
     assert report.weyl[1].bound == pytest.approx(want2, rel=1e-14)

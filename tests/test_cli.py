@@ -122,7 +122,8 @@ def test_validate_pole_inside_disc_is_error(tmp_path, capsys):
     assert main(["bounds", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: branch images reach inf")
+    assert captured.err == ("error: the sups are not finite: pole of branch "
+                            "1 on or inside the closed ball\n")
 
 
 _POLE_INSIDE_CFG = {"system": {
@@ -138,11 +139,13 @@ _ESCAPE_CFG = {"system": {
     "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}}
 
 
-@pytest.mark.parametrize("payload, reach", [(_POLE_INSIDE_CFG, "inf"),
-                                            (_ESCAPE_CFG, "1.0995")],
-                         ids=["pole-inside", "image-outside"])
+@pytest.mark.parametrize("payload, line", [
+    (_POLE_INSIDE_CFG, "the sups are not finite: pole of branch 1 on or "
+                       "inside the closed ball"),
+    (_ESCAPE_CFG, "branch images reach 1.0995 >= radius 1 (r = 1.0995)")],
+    ids=["pole-inside", "image-outside"])
 def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
-                                              reach):
+                                              line):
     # the operator is only defined on a ball that each branch maps inside
     # itself: spectrum runs the check bounds runs before it assembles
     # anything, with the same error line and no file
@@ -152,9 +155,19 @@ def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
         assert main([command, "--config", cfg, "--out", str(out_dir)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: branch images reach {reach} >= "
-                                f"radius 1 (r = {reach})\n")
+        assert captured.err == f"error: {line}\n"
     assert not out_dir.exists()
+
+
+def test_pole_inside_is_one_line_in_every_subcommand(tmp_path, capsys):
+    # the finite-sup check comes before the enclosing ratio everywhere, so
+    # one fault reads the same in validate, spectrum and bounds
+    cfg = write_cfg(tmp_path, _POLE_INSIDE_CFG)
+    errs = []
+    for command in ("validate", "spectrum", "bounds"):
+        assert main([command, "--config", cfg]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == [errs[0]] * 3 and errs[0].startswith("error: the sups")
 
 
 _FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}
@@ -168,7 +181,8 @@ _FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}
     {"family": "gauss", "i_max": 5,
      "domain": {"center": [1e300, 0.0], "radius": 1.0, "dim": 1}},
 ], ids=["gauss-far-disc", "moebius-far-disc", "gauss-far-centre"])
-@pytest.mark.parametrize("command", ["validate", "spectrum", "bounds"])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "bounds",
+                                     "determinant"])
 def test_far_out_domain_is_one_error_line(tmp_path, capsys, system,
                                           command):
     # a disc near the top of the double range: its pole window, reaches
@@ -770,9 +784,9 @@ def test_gauss_spectrum_is_real_and_closed_under_conjugation(
                                       "determinant-gauss4"])
 def test_spectrum_and_determinant_bytes_do_not_use_validation(
         tmp_path, capsys, monkeypatch, command, payload):
-    # neither route reads a validation sup: spectrum validates only to
-    # refuse a system off its ball, and determinant not at all, so sups
-    # halved there leave these bytes as they were
+    # neither route reads a validation sup: both validate only to refuse
+    # a system off its ball, so sups halved there leave these bytes as
+    # they were
     cfg = write_cfg(tmp_path, dict(payload, trace_order=6))
     code = main([command, "--config", cfg])
     first = capsys.readouterr().out
@@ -790,7 +804,7 @@ def test_spectrum_and_determinant_bytes_do_not_use_validation(
                             halved(getattr(transferspec.systems, name)))
     assert main([command, "--config", cfg]) == code
     assert capsys.readouterr().out == first
-    assert calls == (["_exact_sups"] if command == "spectrum" else [])
+    assert calls == ["_exact_sups"]
 
 
 @pytest.mark.parametrize("command", ["validate", "spectrum", "determinant",

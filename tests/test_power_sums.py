@@ -130,7 +130,7 @@ def test_gauss_matrix_matches_whole_array_loop(gauss200, N):
     # at N = 360 the cancellation bound puts the cutoff at 207, so the
     # tail also sums branches 201..207 directly; at N = 81 and 162 the
     # 2N + 1 points are whole 81-column blocks of the 200 letters plus one
-    got = assemble_matrix(gauss200, N=N).data
+    got = assemble_matrix(gauss200, N=N)
     assert same_bits(got, reference_matrix(gauss200, N, half=True))
 
 
@@ -141,7 +141,7 @@ def test_gauss_matrix_bits_do_not_depend_on_blas_threads(tmp_path):
     src = os.path.dirname(os.path.dirname(systems.__file__))
     code = ("import sys, numpy as np, transferspec as ts; "
             "s = ts.make_gauss_system(200, ts.make_ball(1.0, 1.5)); "
-            "np.concatenate([ts.assemble_matrix(s, N=n).data.ravel() "
+            "np.concatenate([ts.assemble_matrix(s, N=n).ravel() "
             "for n in (128, 256)]).tofile(sys.argv[1])")
     procs = []
     for threads in ("1", "2"):
@@ -163,7 +163,7 @@ def test_finite_matrix_matches_whole_array_loop(name, request):
     sys_ = request.getfixturevalue(name)
     half = name != "mixed"      # mixed alone has complex coefficients
     for N in (7, 40):
-        assert same_bits(assemble_matrix(sys_, N=N).data,
+        assert same_bits(assemble_matrix(sys_, N=N),
                          reference_matrix(sys_, N, half))
 
 
@@ -205,7 +205,7 @@ def test_complex_systems_keep_the_full_circle(case, gauss200, gauss4, mixed,
         # the assembly starts again on the whole circle
         monkeypatch.setattr(systems, "_BLOCK_ENTRIES", 64)
     for N in (7, 40):
-        assert same_bits(assemble_matrix(sys_, ball, N).data,
+        assert same_bits(assemble_matrix(sys_, ball, N),
                          reference_matrix(sys_, N, False, ball))
 
 
@@ -218,7 +218,7 @@ def test_half_circle_matrix_is_the_real_part_of_the_full_one(name, N, ball,
     # the full circle's complex matrix is real up to rounding; the half
     # circle's real matrix is its real part to a few roundings of the sums
     sys_ = request.getfixturevalue(name)
-    got = assemble_matrix(sys_, ball, N).data
+    got = assemble_matrix(sys_, ball, N)
     full = reference_matrix(sys_, N, False, ball)
     tol = 8 * np.finfo(float).eps * np.abs(full).max()
     assert got.dtype == np.float64

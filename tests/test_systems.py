@@ -876,8 +876,8 @@ def _same_system(left, right, order):
     assert np.array_equal(left.coefficients, right.coefficients)
     for a, b in zip(left.law, right.law):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(assemble_matrix(left, N=16).data,
-                          assemble_matrix(right, N=16).data)
+    assert np.array_equal(assemble_matrix(left, N=16),
+                          assemble_matrix(right, N=16))
     assert validate_system(left).to_dict() == validate_system(right).to_dict()
     if isinstance(left.alphabet, CountableTruncated):
         for sys_ in (left, right):

@@ -153,26 +153,19 @@ def _emit(cfg, filename, text):
 # subcommands
 
 
-def _finite(report):
-    """The validation report, refused if a sup is not finite: a pole on the
-    ball, or a weight sup past the double range."""
-    if not (math.isfinite(report.image_sup) and math.isfinite(report.W)):
-        raise NotEnclosed(f"the sups are not finite: {report.note}")
-    return report
-
-
 def _admitted(sys_, cfg):
     """The validation report and enclosing ratio of a system the operator is
-    defined for: its sups finite, its branch images inside the ball. The
-    sups are checked first, so a pole in the ball gives the line validate
-    gives."""
-    report = _finite(validate_system(sys_, margin=cfg.margin, grid=cfg.grid))
+    defined for, refused by _enclosing_ratio otherwise: spectrum,
+    determinant and bounds call it before any other work on the system."""
+    report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
     return report, _enclosing_ratio(report, sys_.domain.radius)
 
 
 def cmd_validate(cfg, args):
     sys_ = _require_system(cfg)
-    report = _finite(validate_system(sys_, margin=cfg.margin, grid=cfg.grid))
+    report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
+    # the check _admitted runs, but images that reach the radius are a
+    # failed validation, reported in full
     try:
         enc = _enclosing_ratio(report, sys_.domain.radius)
     except NotEnclosed:
@@ -218,6 +211,7 @@ def cmd_spectrum(cfg, args):
 
 def cmd_determinant(cfg, args):
     sys_ = _require_system(cfg)
+    _admitted(sys_, cfg)
     table = trace_table(sys_, cfg.trace_order, word_budget=cfg.word_budget,
                         threads=cfg.threads)
     series = determinant_coefficients(table)
@@ -230,30 +224,23 @@ def cmd_determinant(cfg, args):
     out["zeros_im"] = [(1.0 / v).imag for v in zeros.values]
     out["reliable_count"] = int(zeros.reliable_count)
 
-    code = EXIT_OK
-    if sys_.dim == 1:
-        # the matrix route's operator is defined only on an admissible ball;
-        # trace failures above keep their own messages
-        _admitted(sys_, cfg)
-        mat = spectral_sequence(sys_, N=cfg.matrix_size)
-        # leading values only (deep zeros drift with the degree truncation
-        # faster than reliability can certify); comparing none is no verdict
-        count = min(zeros.reliable_count, mat.reliable_count, 5)
-        diff = float(max((abs(zeros.values[k] - mat.values[k])
-                          for k in range(count)), default=0.0))
-        agree = bool(diff <= cfg.agreement_tol) if count else None
-        out["cross_check"] = {
-            "count": int(count),
-            "max_abs_diff": float(diff),
-            "tol": float(cfg.agreement_tol),
-            "agree": agree,
-        }
-        if not agree:
-            code = EXIT_FAIL
+    mat = spectral_sequence(sys_, N=cfg.matrix_size)
+    # leading values only (deep zeros drift with the degree truncation
+    # faster than reliability can certify); comparing none is no verdict
+    count = min(zeros.reliable_count, mat.reliable_count, 5)
+    diff = float(max((abs(zeros.values[k] - mat.values[k])
+                      for k in range(count)), default=0.0))
+    agree = bool(diff <= cfg.agreement_tol) if count else None
+    out["cross_check"] = {
+        "count": int(count),
+        "max_abs_diff": float(diff),
+        "tol": float(cfg.agreement_tol),
+        "agree": agree,
+    }
     text = json_g17(out) + "\n"
     sys.stdout.write(text)
     _emit(cfg, f"determinant-{sys_.system_id}.json", text)
-    return code
+    return EXIT_OK if agree else EXIT_FAIL
 
 
 def _profile_from_dict(raw):

@@ -92,19 +92,17 @@ _BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class TraceValue:
-    """One operator trace: the lexicographic word sum plus diagnostics."""
+    """One operator trace: the lexicographic word sum and its word count."""
 
     order: int
     value: complex
     words: int
-    max_multiplier: float
 
 
 @dataclass(frozen=True)
 class TraceTable:
     orders: tuple
     values: tuple
-    max_multiplier: float
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,8 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     whatever the chunks and blocks. A block raises its first failing word
     or a term that is not finite, and the first failing chunk raises: its
     order and all later ones stop there, even an order whose other chunks'
-    terms can cancel. So does a value past the double range. The
-    multiplier is the largest over the words evaluated; in dim >= 2 it is
-    the spectral radius of the word's Jacobian. A truncated countable
-    alphabet is refused first.
+    terms can cancel. So does a value past the double range. A truncated
+    countable alphabet is refused first.
     """
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
@@ -174,29 +170,28 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
         blocks = evaluate(n, d == 1)
         # a class's rotations may lie in other chunks, so whether the
         # necklace terms can cancel is read off all the chunks together
-        if d == 1 and _cancels(reduce(or_, (block[3] for block in blocks))):
+        if d == 1 and _cancels(reduce(or_, (block[2] for block in blocks))):
             blocks = evaluate(n, False)
-        re, im, top, _ = zip(*blocks)
+        re, im, _ = zip(*blocks)
         try:
             value = complex(float(sum(re)), float(sum(im)))
         except OverflowError:
             raise TransferOperatorError(
                 f"the order-{n} trace lies past the double range") from None
-        rows.append(TraceValue(n, value, totals[n], max(top)))
+        rows.append(TraceValue(n, value, totals[n]))
     return rows
 
 
 def _summary(n, size, d, index, period, wgt, mult, z, exits):
     """One block of order n's words, of an alphabet of size letters in
-    dimension d: its exact sums, largest multiplier, and the signs of its
-    terms (_signs). Its first failing word raises, and so does a term that
-    is not finite. The fixed points z are not read."""
+    dimension d: its exact sums and the signs of its terms (_signs). Its
+    first failing word raises, and so does a term that is not finite. The
+    fixed points z are not read."""
     if d == 1:
-        spectral, denom = np.abs(mult), 1.0 - mult
-        refused = ~(spectral < 1.0 - 1e-9)
+        denom = 1.0 - mult
+        refused = ~(np.abs(mult) < 1.0 - 1e-9)
         why = "multiplier of modulus >= 1 - 1e-9, so z* does not attract"
     else:
-        spectral = np.abs(np.linalg.eigvals(mult)).max(axis=1)
         denom = np.linalg.det(np.eye(d) - mult)
         refused = ~(np.abs(denom) >= 1e-12)
         why = "det(I - T') = {:.3g}, which is singular"
@@ -219,7 +214,7 @@ def _summary(n, size, d, index, period, wgt, mult, z, exits):
     # the terms of real words are float64: their imaginary parts are 0
     return (_exact_sum(period, terms.real),
             _exact_sum(period, terms.imag) if terms.dtype == complex else 0,
-            float(spectral.max()), _signs(terms))
+            _signs(terms))
 
 
 def _signs(terms):
@@ -416,11 +411,8 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
     if M < 1:
         raise ValueError("M must be >= 1")
     rows = _trace_rows(sys_, range(1, M + 1), word_budget, tol, threads)
-    return TraceTable(
-        orders=tuple(r.order for r in rows),
-        values=tuple(r.value for r in rows),
-        max_multiplier=max(r.max_multiplier for r in rows),
-    )
+    return TraceTable(tuple(r.order for r in rows),
+                      tuple(r.value for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +466,15 @@ def _aberth_roots(coeffs):
         prev = num / den if den > 0 and num > 0 else prev * 0.5
         mags[k - 1] = prev
     ks = np.arange(deg)
-    x = mags * np.exp(2j * np.pi * (ks / deg + 0.13))
+    phase = np.exp(2j * np.pi * (ks / deg + 0.13))
+    x = mags * phase
+    # a tiny coefficient can start a root so far past Cauchy's bound
+    # 1 + max |c_k / c_0| on every root that p overflows there: such a
+    # start is pulled in to the bound
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not np.isfinite(np.polyval(coeffs, x)).all():
+            bound = 1.0 + np.abs(coeffs[1:] / coeffs[0]).max()
+            x = np.fmin(mags, bound) * phase
 
     dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
     least, stalled = np.inf, 0

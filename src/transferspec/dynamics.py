@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceeded,
     DimensionUnsupported,
     EscapedDomain,
+    InadmissibleDomain,
     NoConvergence,
     NotContracting,
     NotEnclosed,
@@ -368,10 +369,8 @@ def _mark_exits(ball, y, exits=None, k=0):
 class ContractionReport:
     value: float
     word: tuple
-    point: complex
     grid: int
     words: int
-    note: str = "sampled boundary sup, non-rigorous"
 
 
 def _word_count(sys_, n, word_budget):
@@ -386,7 +385,7 @@ def _word_count(sys_, n, word_budget):
 def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
                         threads=1):
     """Sup over all length-n words of |T_word'| on the boundary circle, with
-    the maximizing word and a boundary point where the sup is attained.
+    the maximizing word.
 
     When every branch of a dim-1 system is a Moebius map the sup is exact:
     the folded word (Az+B)/(Cz+E) has |T'| = |AE-BC| / |Cz+E|^2, which is
@@ -418,7 +417,6 @@ def _first_max(results, start):
 
 
 def _exact_contraction(sys_, n, total):
-    c, rho = sys_.domain.center, sys_.domain.radius
     mob = tuple(sys_.coefficients.T)
     # |det| of a word is the product of its letters' |det|: AE - BC of the
     # folded word cancels on long words
@@ -437,13 +435,7 @@ def _exact_contraction(sys_, n, total):
         raise NotContracting(
             f"word {word} has its pole {complex(-E / C):.6g} on or inside "
             "the closed ball, so sup |T_word'| on its boundary is infinite")
-    point = c + rho
-    if C != 0:
-        off = -E / C - c
-        if off != 0:
-            point = c + rho * off / abs(off)
-    return ContractionReport(value, word, complex(point), 0, total,
-                             note="exact sup (Moebius closed form)")
+    return ContractionReport(value, word, 0, total)
 
 
 def _sampled_contraction(sys_, n, grid, total, threads):
@@ -462,16 +454,15 @@ def _sampled_contraction(sys_, n, grid, total, threads):
             col = np.repeat(letters[:, k], g)
             acc = acc * sys_.derivative_letters(col, flat_z)
             flat_z = sys_.apply_letters(col, flat_z)
-        mags = np.abs(acc).reshape(rows, g)
-        flat_idx = int(np.argmax(mags))
-        r, s = divmod(flat_idx, g)
-        return float(mags[r, s]), lo + r, s
+        sups = np.abs(acc).reshape(rows, g).max(axis=1)
+        r = int(np.argmax(sups))
+        return float(sups[r]), lo + r
 
-    best_val, best_word_idx, best_pt_idx = _first_max(
-        map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0, 0))
+    best_val, best_word_idx = _first_max(
+        map_ordered(handle, chunk_ranges(total, chunk), threads), (-1.0, 0))
     word = word_letters(sys_.n_letters, n, np.array([best_word_idx]))
-    return ContractionReport(best_val, tuple(word[0].tolist()),
-                             complex(zs[best_pt_idx]), int(grid), total)
+    return ContractionReport(best_val, tuple(word[0].tolist()), int(grid),
+                             total)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +473,20 @@ def enclosing_radius(sys_, grid=1024):
     """Smallest ratio r with all branch images inside the concentric ball
     of radius r * radius, read off validate_system: in closed form for
     Moebius systems, else sampled on grid boundary points. Truncated-tail
-    branches enter through the alphabet's image_tail_sup."""
+    branches enter through the alphabet's image_tail_sup. A system that is
+    not admissible is refused as _enclosing_ratio refuses it."""
     return _enclosing_ratio(validate_system(sys_, grid=grid),
                             sys_.domain.radius)
 
 
 def _enclosing_ratio(report, radius):
-    """The enclosing ratio r read off a validation report's image sups."""
+    """The enclosing ratio r read off a validation report's image sups: the
+    one admission check of the library and the CLI. Sups that are not
+    finite (a pole on or inside the ball, or a weight sup past the double
+    range) raise InadmissibleDomain, and images that reach the radius
+    raise NotEnclosed."""
+    if not (math.isfinite(report.image_sup) and math.isfinite(report.W)):
+        raise InadmissibleDomain(f"the sups are not finite: {report.note}")
     reach = max(report.image_sup + report.image_safety,
                 report.image_tail_sup)
     r = reach / radius

@@ -20,8 +20,10 @@ class DegenerateMap(TransferOperatorError):
 
 
 class InadmissibleDomain(TransferOperatorError):
-    """A parametric family rejected the proposed domain (poles inside, or
-    branch images not strictly inside the ball)."""
+    """The system is not admissible on its ball: a parametric family
+    rejected the domain when it was built, or the admission check found
+    sups that are not finite (a pole on or inside the ball, or a weight sup
+    past the double range)."""
 
 
 class NoConvergence(TransferOperatorError):

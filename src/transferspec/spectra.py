@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupported, SolverFailure
+from .errors import DimensionUnsupported, SolverFailure, TransferOperatorError
 from .systems import (
     CountableTruncated,
     MapWeightSystem,
@@ -85,7 +85,9 @@ def assemble_matrix(sys_, ball=None, N=32):
     that show it), complex otherwise.
 
     The ball defaults to the system's domain; a different admissible ball
-    may be passed to discretize the same operator on another space.
+    may be passed to discretize the same operator on another space. A
+    matrix with an entry that is not finite, whose samples sum past the
+    double range, is refused.
     """
     if not isinstance(sys_, MapWeightSystem):
         raise TypeError("assemble_matrix needs a MapWeightSystem")
@@ -111,15 +113,20 @@ def assemble_matrix(sys_, ball=None, N=32):
     if not real:
         g = _power_table(sys_, ball, N, grid)
 
-    # the columns' first N coefficients, a block of g's rows at a time
+    # the columns' first N coefficients, a block of g's rows at a time; a
+    # transform that overflows is refused below, not warned about
     data = np.empty((N, N), dtype=float if real else complex)
-    for rows in _column_blocks(N, grid):
-        if real:    # the transform of the Hermitian extension of the half
-            block = np.fft.hfft(g[rows], n=grid, axis=1)
-        else:
-            block = np.fft.fft(g[rows], axis=1)
-        block /= grid
-        data[:, rows] = block[:, :N].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _column_blocks(N, grid):
+            if real:    # the transform of the Hermitian extension of the half
+                block = np.fft.hfft(g[rows], n=grid, axis=1)
+            else:
+                block = np.fft.fft(g[rows], axis=1)
+            block /= grid
+            data[:, rows] = block[:, :N].T
+    if not np.isfinite(data).all():
+        raise TransferOperatorError(
+            f"the {N} x {N} matrix has an entry that is not finite")
     return data
 
 

@@ -22,7 +22,7 @@ from transferspec import (
     validate_system,
     verify_bounds,
 )
-from transferspec.bounds import bounds_csv_text
+from transferspec.bounds import _factorial_root, bounds_csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,27 @@ def test_crossover_report_dim1_notes_convention_clash():
     assert rep["threshold_quadratic_floor"] == 2
     assert "note" in rep
     assert "rule" in rep
+
+
+def test_orders_and_dimensions_below_one_are_refused():
+    prof = BoundProfile(1.0, 0.5, 1)
+    cases = [(lambda: t_sequence(0, 3), "d must be >= 1"),
+             (lambda: t_sequence(1, 0), "n must be >= 1"),
+             (lambda: crossover_N(0.5, 0), "d must be >= 1")]
+    cases += [(lambda f=f: f(prof, 0), "n must be >= 1")
+              for f in (bound_d1, bound_general, bound_hardy)]
+    for call, line in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == line
+
+
+@pytest.mark.parametrize("d", [21, 30, 50, 100, 170])
+def test_factorial_root_past_twenty_uses_lgamma(d):
+    # past d = 20 the root comes from lgamma, not the exact factorial; up
+    # to 170 the exact one is still a double to check it against
+    want = math.factorial(d) ** (1 / d)
+    assert abs(_factorial_root(d) - want) <= 4 * math.ulp(want)
 
 
 def test_crossover_report_higher_dimension_minimal():

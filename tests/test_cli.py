@@ -142,16 +142,19 @@ _ESCAPE_CFG = {"system": {
 @pytest.mark.parametrize("payload, line", [
     (_POLE_INSIDE_CFG, "the sups are not finite: pole of branch 1 on or "
                        "inside the closed ball"),
-    (_ESCAPE_CFG, "branch images reach 1.0995 >= radius 1 (r = 1.0995)")],
-    ids=["pole-inside", "image-outside"])
+    (_ESCAPE_CFG, "branch images reach 1.0995 >= radius 1 (r = 1.0995)"),
+    (IDENTITY_CFG, "branch images reach 1 >= radius 1 (r = 1)")],
+    ids=["pole-inside", "image-outside", "identity"])
 def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
                                               line):
     # the operator is only defined on a ball that each branch maps inside
-    # itself: spectrum runs the check bounds runs before it assembles
-    # anything, with the same error line and no file
+    # itself: spectrum and determinant run the check bounds runs before
+    # they assemble or trace anything, with the same error line and no
+    # file, so no trace failure (an escaping word, the identity's
+    # multiplier 1) is reported instead
     cfg = write_cfg(tmp_path, payload)
     out_dir = tmp_path / "results"
-    for command in ("spectrum", "bounds"):
+    for command in ("spectrum", "bounds", "determinant"):
         assert main([command, "--config", cfg, "--out", str(out_dir)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -160,14 +163,15 @@ def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
 
 
 def test_pole_inside_is_one_line_in_every_subcommand(tmp_path, capsys):
-    # the finite-sup check comes before the enclosing ratio everywhere, so
-    # one fault reads the same in validate, spectrum and bounds
+    # every subcommand checks admission first, finite sups before the
+    # enclosing ratio, so one fault reads the same in all four, determinant
+    # too, though its traces would find the word (2, 1) escaping
     cfg = write_cfg(tmp_path, _POLE_INSIDE_CFG)
     errs = []
-    for command in ("validate", "spectrum", "bounds"):
+    for command in ("validate", "spectrum", "bounds", "determinant"):
         assert main([command, "--config", cfg]) == 1
         errs.append(capsys.readouterr().err)
-    assert errs == [errs[0]] * 3 and errs[0].startswith("error: the sups")
+    assert errs == [errs[0]] * 4 and errs[0].startswith("error: the sups")
 
 
 _FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}
@@ -365,6 +369,74 @@ def test_bounds_without_inputs_rejected():
     assert main(["bounds"]) == 2
 
 
+@pytest.mark.parametrize("key, value, line", [
+    ("trace_order", 0, "trace_order must be >= 1"),
+    ("word_budget", 0, "word_budget must be >= 1"),
+    ("agreement_tol", 0.0, "agreement_tol must be positive"),
+    ("margin", 0.0, "margin must lie in (0, 1)"),
+    ("margin", 1.0, "margin must lie in (0, 1)"),
+    ("contraction_order", 0, "contraction_order must be >= 1"),
+    ("grid", 7, "grid must be >= 8"),
+    ("threads", 0, "threads must be >= 1"),
+], ids=["trace_order", "word_budget", "agreement_tol", "margin-0",
+        "margin-1", "contraction_order", "grid", "threads"])
+def test_config_value_out_of_range_is_usage_error(tmp_path, capsys, key,
+                                                  value, line):
+    # refused when the config is read, before any system is built
+    cfg = write_cfg(tmp_path, dict(AFFINE_CFG, **{key: value}))
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+@pytest.mark.parametrize("command, payload, line", [
+    ("spectrum", [AFFINE_CFG], "config root must be a JSON object"),
+    ("spectrum", {"system": [1]}, "config key 'system' must be an object"),
+    ("bounds", {"profile": 0.5}, "config key 'profile' must be an object"),
+    ("bounds", {"profile": {"r": 0.5}}, "bad bound profile: 'W'"),
+    ("bounds", {"profile": {"W": 1.0, "r": 1.0}},
+     "bad bound profile: r must lie in (0, 1), got 1.0"),
+    ("bounds", {"profile": {"W": 1.0, "r": 0.0}},
+     "bad bound profile: r must lie in (0, 1), got 0.0"),
+], ids=["root", "system", "profile", "profile-without-W", "profile-r-1",
+        "profile-r-0"])
+def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, command,
+                                                  payload, line):
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+_UNIT_DOMAIN = {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}
+
+
+@pytest.mark.parametrize("system, line", [
+    ({"family": "affine_list", "params": [{"a": 0.5, "b": 0.0}],
+      "domain": [0.0, 1.0]}, "descriptor: 'domain' must be an object"),
+    ({"family": "affine_list", "params": [{"a": 0.5, "b": 0.0}],
+      "domain": {"center": [0.0, 0.0], "dim": 1}},
+     "descriptor: domain is missing 'radius'"),
+    ({"family": "gauss", "domain": _UNIT_DOMAIN},
+     "gauss descriptor needs 'i_max'"),
+    ({"family": "affine_list", "params": [], "domain": _UNIT_DOMAIN},
+     "affine_list descriptor needs a non-empty 'params' list"),
+    ({"family": "moebius_list", "params": [[0.0, 1.0, 1.0, 2.0]],
+      "domain": _UNIT_DOMAIN}, "params[0]: expected an object"),
+    ({"family": "moebius_list", "domain": _UNIT_DOMAIN,
+      "params": [{"a": 0.0, "b": 1.0, "c": 1.0}]},
+     "params[0]: missing coefficient 'e'"),
+    ({"family": "affine_list", "domain": _UNIT_DOMAIN,
+      "params": [{"a": 10 ** 400, "b": 0.0}]},
+     f"params[0]: expected a finite number or [re, im], got {10 ** 400!r}"),
+], ids=["domain-not-object", "domain-without-radius", "gauss-without-i_max",
+        "empty-params", "entry-not-object", "missing-coefficient",
+        "int-past-float-range"])
+def test_malformed_descriptor_is_usage_error(tmp_path, capsys, system,
+                                             line):
+    cfg = write_cfg(tmp_path, {"system": system})
+    assert main(["spectrum", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
 def test_crossover_out_of_range_rejected():
     assert main(["bounds", "--crossover", "1.5", "1"]) == 2
 
@@ -499,16 +571,6 @@ def test_determinant_refuses_gauss_preset(tmp_path, capsys):
     assert not list(out_dir.glob("determinant-*.json"))
 
 
-def test_determinant_error_names_word_plainly(tmp_path, capsys):
-    # the identity's only word has multiplier 1, so its fixed point does
-    # not attract; the message names the word as plain integers
-    cfg = write_cfg(tmp_path, IDENTITY_CFG)
-    assert main(["determinant", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: word (1,) has multiplier")
-    assert "np." not in err
-
-
 def _heavy_cfg(tmp_path, weight):
     """Three branches z -> -0.5 z + b on the unit disc, each of weight
     weight."""
@@ -519,13 +581,23 @@ def _heavy_cfg(tmp_path, weight):
         "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}})
 
 
+def _big_cfg(tmp_path):
+    """Two branches z -> z/2 +- 0.1 on the unit disc, each of weight 5e307:
+    W = 1e308 is a double, so the system is admitted, but its order-1
+    trace 2e308 and its matrix's transforms are not."""
+    return write_cfg(tmp_path, {"system": {
+        "family": "affine_list",
+        "params": [{"a": 0.5, "b": b, "weight": 5e307} for b in (0.1, -0.1)],
+        "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}})
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_determinant_trace_past_the_double_range_is_an_error(tmp_path,
                                                              capsys,
                                                              threads):
-    # three order-1 terms of 1e308 / 1.5 sum to 2e308: an error line that
+    # two order-1 terms of 5e307 / 0.5 sum to 2e308: an error line that
     # names the order, not an overflow traceback, and no result file
-    cfg = _heavy_cfg(tmp_path, 1e308)
+    cfg = _big_cfg(tmp_path)
     out_dir = tmp_path / "results"
     assert main(["determinant", "--config", cfg, "--trace-order", "2",
                  "--threads", threads, "--out", str(out_dir)]) == 1
@@ -553,12 +625,26 @@ def test_determinant_trace_with_a_term_that_is_not_finite_is_an_error(
     assert not list(out_dir.glob("determinant-*.json"))
 
 
-@pytest.mark.parametrize("command", ["validate", "bounds"])
+@pytest.mark.parametrize("command", ["spectrum", "bounds"])
+def test_matrix_past_the_double_range_is_an_error(tmp_path, capsys, command):
+    # the system is admitted, but the transforms of its samples overflow:
+    # one error line naming the assembled size, not numpy's overflow
+    # warnings and an eigensolver failure (the suite runs with
+    # error::RuntimeWarning)
+    cfg = _big_cfg(tmp_path)
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the 64 x 64 matrix has an entry that is "
+                            "not finite\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "bounds", "determinant"])
 def test_weight_sup_past_the_double_range_is_an_error(tmp_path, capsys,
                                                        command):
     # three weight sups of 1e308 sum past the largest double: one error
-    # line, not an fsum overflow traceback, and for bounds no ValueError
-    # from a bound profile of infinite W
+    # line, not an fsum overflow traceback, for bounds no ValueError from
+    # a bound profile of infinite W, and for determinant before its traces
     cfg = _heavy_cfg(tmp_path, 1e308)
     assert main([command, "--config", cfg]) == 1
     captured = capsys.readouterr()

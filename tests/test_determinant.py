@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from transferspec import (
@@ -18,6 +18,7 @@ from transferspec import (
     EscapedDomain,
     NoConvergence,
     NotContracting,
+    RootFindingFailure,
     TraceTable,
     TransferOperatorError,
     determinant_coefficients,
@@ -402,8 +403,7 @@ def _three_letters():
 
 def _hex_table(sys_, M, threads=1):
     table = trace_table(sys_, M, threads=threads)
-    return ([(v.real.hex(), v.imag.hex()) for v in table.values]
-            + [table.max_multiplier.hex()])
+    return [(v.real.hex(), v.imag.hex()) for v in table.values]
 
 
 @pytest.mark.parametrize("name, M", [("gauss4", 10), ("five", 8),
@@ -503,6 +503,36 @@ def test_failing_necklace_chunk_raises_though_other_chunks_cancel(
                              "its attracting fixed point outside the ball$"):
         trace(sys_, 11, threads=threads)
     assert passes and all(passes)
+
+
+def test_trace_orders_below_one_are_refused(affine_half):
+    with pytest.raises(ValueError, match=r"^trace order must be >= 1$"):
+        trace(affine_half, 0)
+    with pytest.raises(ValueError, match=r"^M must be >= 1$"):
+        trace_table(affine_half, 0)
+
+
+def test_aberth_roots_of_degree_zero_and_of_zero():
+    with pytest.raises(RootFindingFailure,
+                       match=r"^zero polynomial has no defined roots$"):
+        _aberth_roots([0.0, 0.0])
+    for coeffs in ([2.0], [3.0 - 1.0j, 0.0, 0.0]):
+        roots = _aberth_roots(coeffs)
+        assert roots.dtype == complex and roots.shape == (0,)
+
+
+def test_trace_error_names_word_plainly():
+    # the identity's only word has multiplier 1, so its fixed point does
+    # not attract; the message names the word as plain integers, not
+    # numpy scalars
+    sys_ = system_from_descriptor({
+        "family": "affine_list",
+        "params": [{"a": 1.0, "b": 0.0, "weight": 1.0}],
+        "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}})
+    with pytest.raises(NotContracting) as err:
+        trace_table(sys_, 8)
+    assert str(err.value) == ("word (1,) has multiplier of modulus >= "
+                              "1 - 1e-9, so z* does not attract")
 
 
 def test_trace_past_the_double_range_is_refused():
@@ -861,7 +891,6 @@ def test_trace_dim2_two_branch_closed_form():
     for n, got in enumerate(table.values, start=1):
         want = float(_diag2_trace(n))
         assert abs(got - want) <= 1e-12 * abs(want)
-    assert table.max_multiplier == pytest.approx(0.4)
 
 
 def _coupled(exp):
@@ -970,7 +999,7 @@ def test_trace_table_budget_checked_before_any_work_dim2(monkeypatch):
 def _table(values):
     values = tuple(complex(v) for v in values)
     orders = tuple(range(1, len(values) + 1))
-    return TraceTable(orders, values, 0.5)
+    return TraceTable(orders, values)
 
 
 def test_coefficients_affine_first_two():
@@ -1014,7 +1043,7 @@ def test_coefficients_match_infinite_product(affine_half):
 
 
 def test_coefficients_require_contiguous_orders():
-    tt = TraceTable((1, 3), (1.0, 1.0), 0.5)
+    tt = TraceTable((1, 3), (1.0, 1.0))
     with pytest.raises(ValueError):
         determinant_coefficients(tt)
 
@@ -1080,6 +1109,9 @@ def test_zeros_dim2_leading_value(diag2d):
     st.complex_numbers(min_magnitude=0.2, max_magnitude=3.0,
                        allow_nan=False, allow_infinity=False),
     min_size=1, max_size=7))
+# the coefficient -1e-300j once started a root near 1e300, past Cauchy's
+# bound, and p(x) overflowed there
+@example(roots=[-1 + 0j, 1 + 1e-300j])
 def test_aberth_recovers_known_roots(roots):
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

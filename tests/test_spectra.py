@@ -13,6 +13,7 @@ from transferspec import spectra, systems
 from transferspec import (
     AnalyticMap,
     DimensionUnsupported,
+    TransferOperatorError,
     assemble_matrix,
     eigenvalues,
     make_affine,
@@ -85,6 +86,33 @@ def test_assemble_takes_a_float_tail_table(gauss200):
 def test_assemble_rejects_higher_dimension(diag2d):
     with pytest.raises(DimensionUnsupported):
         assemble_matrix(diag2d, N=8)
+
+
+def test_assemble_refuses_unusable_arguments(affine_half):
+    with pytest.raises(TypeError,
+                       match=r"^assemble_matrix needs a MapWeightSystem$"):
+        assemble_matrix(affine_half.branches, N=8)
+    with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+        assemble_matrix(affine_half, N=0)
+
+
+def test_eigenvalues_refuse_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got "
+                                         r"shape \(2, 3\)$"):
+        eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("center", [0.0, 0.01j], ids=["real", "complex"])
+def test_assemble_past_the_double_range_is_refused(center):
+    # W = 1e308 is a double, but the transforms of the samples overflow:
+    # one error naming the size, and no numpy warning (the suite runs with
+    # error::RuntimeWarning), on the real and the complex route
+    sys_ = make_system([make_affine(0.5, b) for b in (0.1, -0.1)],
+                       [make_const(5e307)] * 2, make_ball(center, 1.0))
+    with pytest.raises(TransferOperatorError) as err:
+        assemble_matrix(sys_, N=16)
+    assert str(err.value) == ("the 16 x 16 matrix has an entry that is not "
+                              "finite")
 
 
 def _moebius_desc(weight, b=0.2):

@@ -15,6 +15,7 @@ from transferspec import (
     CountableTruncated,
     DegenerateMap,
     DescriptorError,
+    DimensionUnsupported,
     InadmissibleDomain,
     InvalidDomain,
     MapWeightSystem,
@@ -75,6 +76,40 @@ def test_ball_refuses_booleans(args):
 def test_gauss_system_refuses_boolean_i_max():
     with pytest.raises(InadmissibleDomain):
         make_gauss_system(True)
+
+
+def test_dim_one_routines_refuse_dim_two(diag2d):
+    ball = diag2d.domain
+    with pytest.raises(DimensionUnsupported,
+                       match=r"^boundary sampling needs dim 1$"):
+        ball.boundary_points(8)
+    with pytest.raises(InadmissibleDomain, match=r"^the continued-fraction "
+                                                 r"family lives in dim 1$"):
+        make_gauss_system(5, ball)
+    with pytest.raises(DimensionUnsupported,
+                       match=r"^validation is implemented for dim 1 only$"):
+        validate_system(diag2d)
+
+
+def test_system_needs_one_branch_and_weight_per_letter():
+    ball = make_ball(0.0, 1.0)
+    half = make_affine(0.5, 0.0)
+    with pytest.raises(InvalidDomain) as err:
+        make_system([half, half], [make_const(1.0)], ball)
+    assert str(err.value) == ("2 branches and 1 weights; one of each per "
+                              "letter is needed")
+    alphabet = CountableTruncated(3, 0.0, 0.0, None)
+    with pytest.raises(InvalidDomain) as err:
+        MapWeightSystem([half], [make_const(1.0)], ball, alphabet=alphabet)
+    assert str(err.value) == ("alphabet describes 3 letters but 1 branches "
+                              "were supplied")
+
+
+@pytest.mark.parametrize("desc", [[AFFINE_DESC], "affine_list", None])
+def test_descriptor_that_is_not_an_object_is_refused(desc):
+    with pytest.raises(DescriptorError,
+                       match=r"^descriptor must be a JSON object$"):
+        system_from_descriptor(desc)
 
 
 def test_ball_boundary_points_lie_on_circle():

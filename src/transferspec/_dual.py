@@ -6,7 +6,10 @@ and the directional derivative along one input direction. Only the field
 operations and integer powers are provided: those are exactly the
 operations available to a holomorphic expression built from rational
 arithmetic. Non-holomorphic operations (abs, conjugate, comparisons)
-are deliberately absent so misuse fails loudly.
+are deliberately absent so misuse fails loudly. numpy's ufuncs (np.exp,
+np.sqrt, ...) are not provided either: one called on a Dual raises a
+TransferOperatorError that names it, and such a map needs a derivative
+rule of its own.
 
 Values may be numpy arrays; all operations broadcast elementwise.
 """
@@ -14,6 +17,8 @@ Values may be numpy arrays; all operations broadcast elementwise.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import TransferOperatorError
 
 
 class Dual:
@@ -25,6 +30,18 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
+
+    def __getattr__(self, name):
+        # numpy applies a ufunc to an object by calling the method of its
+        # name, z.exp() for np.exp(z): that method refuses by name
+        if not isinstance(getattr(np, name, None), np.ufunc):
+            raise AttributeError(name)
+
+        def refuse(*args, **kwargs):
+            raise TransferOperatorError(
+                f"np.{name} cannot take a dual number; give the map a "
+                "derivative rule (AnalyticMap's deriv)")
+        return refuse
 
     def __add__(self, other):
         if isinstance(other, Dual):

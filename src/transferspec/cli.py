@@ -155,8 +155,9 @@ def _emit(cfg, filename, text):
 
 def _admitted(sys_, cfg):
     """The validation report and enclosing ratio of a system the operator is
-    defined for, refused by _enclosing_ratio otherwise: spectrum,
-    determinant and bounds call it before any other work on the system."""
+    defined for, refused by _enclosing_ratio otherwise: spectrum and bounds
+    call it before any other work on the system, and determinant's
+    trace_table makes the same check first, as enclosing_radius."""
     report = validate_system(sys_, margin=cfg.margin, grid=cfg.grid)
     return report, _enclosing_ratio(report, sys_.domain.radius)
 
@@ -211,7 +212,6 @@ def cmd_spectrum(cfg, args):
 
 def cmd_determinant(cfg, args):
     sys_ = _require_system(cfg)
-    _admitted(sys_, cfg)
     table = trace_table(sys_, cfg.trace_order, word_budget=cfg.word_budget,
                         threads=cfg.threads)
     series = determinant_coefficients(table)

@@ -13,27 +13,30 @@ refused before any word is counted, since nothing bounds what its dropped
 letters add to the traces. The matrix route (spectra) handles such
 families through their closed-form tail sums.
 
+The formula holds for admissible systems, so in dim 1 the system is
+admitted first, as enclosing_radius admits it: every branch maps the ball
+into a smaller concentric one. Then every word's attracting fixed point
+lies in the image of its last letter, and so does every point of its
+periodic orbit, and no word is checked against the ball. In dim >= 2,
+where no admission check exists, iteration refuses a fixed point outside
+the ball (dynamics.batch_fixed_points).
+
 The n rotations of a word trace one periodic orbit: they share its
-multiplier, its weight and so its term, and the fixed point of the word
-rotated by k is the k-th point of the orbit. In dim 1 the sum therefore
-runs over necklaces: only the least rotation of each word is evaluated,
-and its term counts once for each of its period d (the number of
-distinct rotations). The products d * t are summed exactly, in integer
-limbs, and an order's exact block sums are added and rounded once, so its
-value does not depend on the blocks. Closed-form words are walked once
-per order, every level of their prefix tree in blocks of words; iterated
-ones come in fixed ranges of words, which split over the threads.
-Every rotation's fixed point is still checked against the ball: the
-representative's orbit is walked, unless the letters' exact image discs
-prove that no orbit point of a fixed point in the ball can leave it, so
-that the walk could mark nothing. Counting one rotation's rounding d
-times cannot grow the relative error of a sum whose terms share one sign,
-but where terms cancel it can, so an order whose terms, in all its chunks
-together, are not all real of one sign is evaluated word by word, as
-every order is in dim >= 2. The orders are taken in turn, each mapping
-its own chunks, and the first failing order stops the table: a word that
-is refused or escapes, or a term that is not finite, raises from the block
-that finds it.
+multiplier, its weight and so its term. In dim 1 the sum therefore runs
+over necklaces: only the least rotation of each word is evaluated, and
+its term counts once for each of its period d (the number of distinct
+rotations). The products d * t are summed exactly, in integer limbs, and
+an order's exact block sums are added and rounded once, so its value does
+not depend on the blocks. Closed-form words are walked once per order,
+every level of their prefix tree in blocks of words; iterated ones come in
+fixed ranges of words, which split over the threads. Counting one
+rotation's rounding d times cannot grow the relative error of a sum whose
+terms share one sign, but where terms cancel it can, so an order whose
+terms, in all its chunks together, are not all real of one sign is
+evaluated word by word, as every order is in dim >= 2. The orders are
+taken in turn, each mapping its own chunks, and the first failing order
+stops the table: a word whose multiplier is refused, or a term that is not
+finite, raises from the block that finds it.
 
 Word fixed points are closed-form for all-Moebius systems and iterated for
 user maps. A Moebius system whose coefficients and weight factors are all
@@ -45,8 +48,7 @@ values on neither, so the traces are bit-identical at any thread count.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import starmap
@@ -56,31 +58,18 @@ import numpy as np
 
 from ._parallel import chunk_ranges, map_ordered
 from .dynamics import (
-    _ESCAPE_SLACK,
     _WORD_BLOCK,
     DEFAULT_WORD_BUDGET,
     _fold_blocks,
-    _mark_exits,
     _word_count,
     batch_fixed_points,
     batch_orbit,
+    enclosing_radius,
     word_letters,
 )
-from .errors import (
-    EscapedDomain,
-    NotContracting,
-    RootFindingFailure,
-    TransferOperatorError,
-)
+from .errors import NotContracting, RootFindingFailure, TransferOperatorError
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import (
-    _ROUND_OUT,
-    CountableTruncated,
-    _image_reach,
-    _letter_groups,
-    _real_data,
-    _weigh,
-)
+from .systems import CountableTruncated, _letter_groups, _real_data, _weigh
 
 # terms per exact block sum in _exact_sum, and the bound on the periods
 _BLOCK = 1 << 13
@@ -123,20 +112,24 @@ class DeterminantSeries:
 def _trace_rows(sys_, orders, word_budget, tol, threads):
     """The TraceValue of each order, the orders taken in turn.
 
-    Every order's words are counted against the budget before any work. In
-    dim 1 an order first evaluates its necklace representatives. If its
-    terms, in all chunks together, can cancel, the order is evaluated word
-    by word instead (see the module docstring), as every order is in dim
-    >= 2. A closed-form pass is one chunk, all its words walked once in
-    blocks; an iterated pass maps fixed word ranges over the threads, since
-    its batches decide how long fixed points are iterated. Each block's
-    sums are exact, so an order's value is their total rounded once,
-    whatever the chunks and blocks. A block raises its first failing word
-    or a term that is not finite, and the first failing chunk raises: its
-    order and all later ones stop there, even an order whose other chunks'
-    terms can cancel. So does a value past the double range. A truncated
-    countable alphabet is refused first.
+    A dim-1 system is admitted first (enclosing_radius, whose errors it
+    raises), then a truncated countable alphabet is refused, and every
+    order's words are counted against the budget, all before any word is
+    evaluated. In dim 1 an order first evaluates its necklace
+    representatives. If its terms, in all chunks together, can cancel, the
+    order is evaluated word by word instead (see the module docstring), as
+    every order is in dim >= 2. A closed-form pass is one chunk, all its
+    words walked once in blocks; an iterated pass maps fixed word ranges
+    over the threads, since its batches decide how long fixed points are
+    iterated. Each block's sums are exact, so an order's value is their
+    total rounded once, whatever the chunks and blocks. A block raises its
+    first refused word or a term that is not finite, and the first failing
+    chunk raises: its order and all later ones stop there, even an order
+    whose other chunks' terms can cancel. So does a value past the double
+    range.
     """
+    if sys_.dim == 1:
+        enclosing_radius(sys_)
     if isinstance(sys_.alphabet, CountableTruncated):
         raise TransferOperatorError(
             "the determinant route needs a finite alphabet, and "
@@ -145,10 +138,8 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     totals = {n: _word_count(sys_, n, word_budget) for n in orders}
     d, size = sys_.dim, sys_.n_letters
     moebius = sys_.coefficients is not None
-    # decided once for the table: whether the image discs make the necklace
-    # walk redundant, and whether the words can be taken in float64
-    words = (partial(_moebius_words, sys_, walk=not _orbits_stay_inside(sys_),
-                     real=_real_data(sys_)) if moebius
+    # decided once for the table: whether the words can be taken in float64
+    words = (partial(_moebius_words, sys_, real=_real_data(sys_)) if moebius
              else partial(_iterated_words, sys_, tol=tol))
 
     def evaluate(n, necklaces):
@@ -182,11 +173,10 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     return rows
 
 
-def _summary(n, size, d, index, period, wgt, mult, z, exits):
+def _summary(n, size, d, index, period, wgt, mult):
     """One block of order n's words, of an alphabet of size letters in
     dimension d: its exact sums and the signs of its terms (_signs). Its
-    first failing word raises, and so does a term that is not finite. The
-    fixed points z are not read."""
+    first refused word raises, and so does a term that is not finite."""
     if d == 1:
         denom = 1.0 - mult
         refused = ~(np.abs(mult) < 1.0 - 1e-9)
@@ -195,18 +185,12 @@ def _summary(n, size, d, index, period, wgt, mult, z, exits):
         denom = np.linalg.det(np.eye(d) - mult)
         refused = ~(np.abs(denom) >= 1e-12)
         why = "det(I - T') = {:.3g}, which is singular"
-    # every rotation of a word shares its multiplier, and the fixed point
-    # of its rotation by k is the k-th point of its orbit
-    failed = refused | (exits >= 0)
-    if failed.any():
-        r = int(np.argmax(failed))
+    # every rotation of a word shares its multiplier
+    if refused.any():
+        r = int(np.argmax(refused))
         word = word_letters(size, n, index[r:r + 1])[0]
-        if refused[r]:
-            raise NotContracting(f"word {tuple(word.tolist())} has "
-                                 + why.format(denom[r]))
-        word = tuple(np.roll(word, -exits[r]).tolist())
-        raise EscapedDomain(f"word {word} has its attracting fixed "
-                            "point outside the ball")
+        raise NotContracting(f"word {tuple(word.tolist())} has "
+                             + why.format(denom[r]))
     terms = _divide(wgt, denom) if d == 1 else _quotient(wgt, denom)
     if not np.isfinite(period * terms).all():
         raise TransferOperatorError(
@@ -259,13 +243,12 @@ def _divide(a, b, out=None, where=True):
 
 def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     """Yields the words lo..hi-1 of length n as one block: their
-    lexicographic indices, periods, weight, multiplier, fixed point z and
-    the first orbit point outside the ball (as batch_orbit marks them),
-    by fixed-point iteration: the necklace representatives with necklaces,
-    else every word, each checked at its own fixed point. Nothing when the
-    range holds no word to evaluate. The batch is iterated until its worst
-    word converges, so a word's bits depend on the batch."""
-    size, ball = sys_.n_letters, sys_.domain
+    lexicographic indices, periods, weight and multiplier, by fixed-point
+    iteration: the necklace representatives with necklaces, else every
+    word. Nothing when the range holds no word to evaluate. The batch is
+    iterated until its worst word converges, so a word's bits depend on the
+    batch."""
+    size = sys_.n_letters
     (words, period, _, _), = _fold_blocks(size, n, lo, hi, None, (),
                                           necklaces, size ** n)
     if not words.size:
@@ -273,91 +256,70 @@ def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     letters = word_letters(size, n, words)
     groups = [_letter_groups(col) for col in letters.T]
     z = batch_fixed_points(sys_, letters, tol, groups)
-    if necklaces:
-        wgt, mult, _, exits = batch_orbit(sys_, letters, z, groups, ball)
-    else:
-        (wgt, mult, _), exits = (batch_orbit(sys_, letters, z, groups),
-                                 _mark_exits(ball, z))
-    yield words, period, wgt, mult, z, exits
+    wgt, mult, _ = batch_orbit(sys_, letters, z, groups)
+    yield words, period, wgt, mult
 
 
-def _orbits_stay_inside(sys_):
-    """Whether the image discs prove that no orbit point of an accepted
-    fixed point leaves the ball, so that the necklace walk would mark
-    nothing: every letter maps the ball of radius rho (1 + _ESCAPE_SLACK),
-    in which a fixed point is accepted, into the closed ball of radius
-    rho, its reach rounded outward, and a walk step's rounding stays within
-    the slack. That rounding is bounded by 8 ulps of each part of the
-    quotient (a y + b) / (c y + e) over the least |c y + e|, the gap, plus
-    8 ulps of the image's distance from the origin."""
-    ball = sys_.domain
-    rho, far = ball.radius, abs(ball.center) + ball.radius
-    wide = replace(ball, radius=rho * (1.0 + _ESCAPE_SLACK) * _ROUND_OUT)
-    reach, _, gap, _ = _image_reach(sys_.coefficients, wide)
-    if not (reach * _ROUND_OUT <= rho).all():
-        return False
-    a, b, c, e = np.abs(sys_.coefficients.T)
-    y = abs(ball.center) + wide.radius      # the largest |y| of a step
-    step = (a * y + b + far * (c * y + e)) / gap + far
-    return bool((8.0 * math.ulp(1.0) * step <= rho * _ESCAPE_SLACK).all())
-
-
-def _moebius_words(sys_, n, lo, hi, necklaces, walk=True, real=False):
+def _moebius_words(sys_, n, lo, hi, necklaces, real=False):
     """As _iterated_words, in closed form from the system's coefficients, in
-    the blocks of a _fold_blocks walk of _WORD_BLOCK words. q = C z + E is
-    the larger root of q^2 - tr q + det and the multiplier is det / q^2.
-    Under a weight law with one power p a word's weight is its factors'
-    product times the multiplier^p; other weights follow z's orbit. With
-    necklaces and walk, n - 1 Moebius steps walk each orbit for the
-    rotations' fixed points; without walk the caller knows the walk would
-    mark nothing. With real, which needs real coefficients and law factors
-    (systems._real_data), the words are taken in float64 with the bits of
-    the complex path; a word whose roots are not real, which has a
+    the blocks of a _fold_blocks walk of _WORD_BLOCK words. The multiplier
+    is det / q^2, q the root _larger_root gives. Under a weight law with
+    one power p a word's weight is its factors' product times the
+    multiplier^p; other weights follow the orbit of the word's fixed point
+    (_fixed_points). With real, which needs real coefficients and law
+    factors (systems._real_data), the words are taken in float64 with the
+    bits of the complex path; a word whose roots are not real, which has a
     multiplier of modulus 1, gets the multiplier NaN, which is refused as
     well."""
-    size, ball, coefficients = sys_.n_letters, sys_.domain, sys_.coefficients
+    size, coefficients = sys_.n_letters, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
     if real:
         coefficients, factor = coefficients.real, factor.real
     mob = tuple(coefficients.T)
     # a product of letter determinants: AE - BC of a long word cancels
     dets = mob[0] * mob[3] - mob[1] * mob[2]
-    walk = necklaces and walk
     uniform = power is not None and (power == power[0]).all()
 
     def tail(words, period, fold, prods):
-        A, B, C, E = fold
         det, wgt = prods
-        tr = A + E
-        with np.errstate(invalid="ignore"):     # a real word's complex roots
-            s = np.sqrt(tr * tr - 4.0 * det)
-        q = tr + s
-        tr -= s                     # the roots, doubled: keep the larger one
-        q = np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
+        q = _larger_root(fold, det)
         mult = _divide(det, q * q, out=det)
-        qa, qe = q - A, np.subtract(q, E, out=q)    # z = B / qa = qe / C, and
-        pick = (C == 0) | (np.abs(qa) > np.abs(qe))  # the larger keeps digits
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = _divide(qe, C, out=qe)
-            _divide(B, qa, out=z, where=pick)
-        exits = _mark_exits(ball, z)
-        # the letter matrix only where the walk or per-word weights read it
-        letters = word_letters(size, n, words) if walk or not uniform else None
-        if walk:
-            y = z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for k, col in enumerate(letters.T[:-1], 1):
-                    y = sys_.apply_letters(col, y)
-                    _mark_exits(ball, y, exits, k)
         if uniform:
             wgt = _weigh(wgt, power[0], mult, wgt)
         else:
-            wgt = batch_orbit(sys_, letters, z)[0]
-        return words, period, wgt, mult, z, exits
+            wgt = batch_orbit(sys_, word_letters(size, n, words),
+                              _fixed_points(fold, q))[0]
+        return words, period, wgt, mult
 
     # filter and starmap hold no block once the next is made
     return starmap(tail, filter(lambda block: len(block[0]), _fold_blocks(
         size, n, lo, hi, mob, (dets, factor), necklaces, _WORD_BLOCK)))
+
+
+def _larger_root(fold, det):
+    """q = C z + E at the attracting fixed point z of each folded word
+    (A, B, C, E) of determinant det: the larger root of q^2 - (A + E) q +
+    det."""
+    A, _, _, E = fold
+    tr = A + E
+    with np.errstate(invalid="ignore"):         # a real word's complex roots
+        s = np.sqrt(tr * tr - 4.0 * det)
+    q = tr + s
+    tr -= s                     # the roots, doubled: keep the larger one
+    return np.where(np.abs(tr) > np.abs(q), tr, q) / 2.0
+
+
+def _fixed_points(fold, q):
+    """The attracting fixed point z of each folded word (A, B, C, E), from
+    q = C z + E (_larger_root): z = B / (q - A) = (q - E) / C, the quotient
+    with the larger divisor, which keeps digits."""
+    A, B, C, E = fold
+    qa, qe = q - A, q - E
+    pick = (C == 0) | (np.abs(qa) > np.abs(qe))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = _divide(qe, C, out=qe)
+        _divide(B, qa, out=z, where=pick)
+    return z
 
 
 def _exact_sum(period, x):
@@ -391,7 +353,8 @@ def _exact_sum(period, x):
 def trace(sys_, n, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13, threads=1):
     """tau(L^n): the length-n word sum of weight / det(I - multiplier).
 
-    Raises BudgetExceeded when |alphabet|^n > word_budget rather than
+    A dim-1 system that is not admissible raises enclosing_radius's error
+    before any word. Raises BudgetExceeded when |alphabet|^n > word_budget rather than
     silently truncating. The tolerance of iterated fixed points (default
     1e-13) is tighter than downstream eigenvalue targets because the
     summand's sensitivity is bounded by the (1 - gamma)^(-d) factor.
@@ -405,8 +368,9 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
                 threads=1):
     """Traces for orders 1..M as one table.
 
-    BudgetExceeded is raised before any work when an order needs more than
-    word_budget words.
+    A dim-1 system that is not admissible raises enclosing_radius's error,
+    and BudgetExceeded is raised when an order needs more than word_budget
+    words, both before any word is evaluated.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -311,7 +311,7 @@ def batch_fixed_points(sys_, letters, tol=1e-13, groups=None):
         f"(last step {step:.3g})")
 
 
-def batch_orbit(sys_, letters, z, groups=None, ball=None):
+def batch_orbit(sys_, letters, z, groups=None):
     """Weight product, derivative product, and end point along each word's
     orbit started at the batch z, one point per row of letters (count, n).
     In dim >= 2 the derivative product is a (count, dim, dim) stack of
@@ -319,11 +319,6 @@ def batch_orbit(sys_, letters, z, groups=None, ball=None):
     batch_fixed_points; each column is grouped when it is reached if it is
     not given. In-place products keep numpy from swapping operands on large
     batches.
-
-    With a ball, a fourth array gives for each word the first k < n whose
-    orbit point z_k (z_0 = z, z_k the image of z_(k-1) under letter k) lies
-    outside the ball, or -1. When z is the word's fixed point, z_k is the
-    fixed point of the word rotated left by k.
     """
     count, n = letters.shape
     d = sys_.dim
@@ -331,8 +326,7 @@ def batch_orbit(sys_, letters, z, groups=None, ball=None):
     mult = (np.ones(count, dtype=complex) if d == 1
             else np.tile(np.eye(d, dtype=complex), (count, 1, 1)))
     y = np.array(z, dtype=complex, copy=True)
-    exits = None if ball is None else _mark_exits(ball, y)
-    for k, (col, grp) in enumerate(zip(letters.T, groups or [None] * n)):
+    for col, grp in zip(letters.T, groups or [None] * n):
         deriv = sys_.derivative_letters(col, y, grp)
         np.multiply(wgt, sys_.weight_letters(col, y, deriv, grp), out=wgt)
         if d == 1:
@@ -340,9 +334,7 @@ def batch_orbit(sys_, letters, z, groups=None, ball=None):
         else:
             mult = np.matmul(deriv, mult)
         y = sys_.apply_letters(col, y, grp)
-        if exits is not None and k < n - 1:
-            _mark_exits(ball, y, exits, k + 1)
-    return (wgt, mult, y) if ball is None else (wgt, mult, y, exits)
+    return wgt, mult, y
 
 
 def _outside(ball, y):
@@ -350,15 +342,6 @@ def _outside(ball, y):
     escape slack; NaN is not in it."""
     return ~(_point_norm(y - _batch_center(ball))
              <= ball.radius * (1 + _ESCAPE_SLACK))
-
-
-def _mark_exits(ball, y, exits=None, k=0):
-    """Mark with k each point of the batch y _outside the ball that has no
-    mark yet; the marks start at -1 when exits is not given."""
-    if exits is None:
-        exits = np.full(y.shape[-1], -1)
-    exits[_outside(ball, y) & (exits < 0)] = k
-    return exits
 
 
 # ---------------------------------------------------------------------------

@@ -750,10 +750,11 @@ def validate_system(sys_, margin=0.1, grid=1024):
     validated in closed form (_exact_sups), and grid is not used. Any other
     system is sampled on the boundary circle (the maximum principle puts
     the sup of any |analytic| there) and the grid doubles until both
-    monitored sups change by less than 1e-10. The safety terms are half the
-    largest adjacent-sample jump, a sampled stand-in for a Lipschitz bound.
-    Either way the alphabet's tail data are added. The report carries
-    failures; this function raises only for unusable arguments.
+    monitored sups change by less than 1e-10, or one is not finite, which
+    the note names. The safety terms are half the largest adjacent-sample
+    jump, a sampled stand-in for a Lipschitz bound. Either way the
+    alphabet's tail data are added. The report carries failures; this
+    function raises only for unusable arguments.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError(f"margin must be in (0,1), got {margin!r}")
@@ -770,9 +771,8 @@ def validate_system(sys_, margin=0.1, grid=1024):
         image_safety = weight_safety = 0.0
         g = 0
     else:
-        img_sup, w_sup, worst, image_safety, weight_safety, g = (
+        img_sup, w_sup, worst, image_safety, weight_safety, g, note = (
             _sampled_sups(sys_, grid))
-        note = ValidationReport.note
 
     limit = (1.0 - margin) * sys_.domain.radius
     contained = (img_sup + image_safety <= limit) and (tail_sup <= limit)
@@ -856,12 +856,15 @@ def _exact_sups(sys_):
 
 
 def _sampled_sups(sys_, grid):
-    """Image sup, weight sup, worst branch, both safety terms and the final
-    grid size, sampled on a doubling boundary grid."""
+    """Image sup, weight sup, worst branch, both safety terms, the final
+    grid size and the note, sampled on a doubling boundary grid. The first
+    grid with a sup that is not finite is the last, and the note names that
+    sup."""
     ball = sys_.domain
     c = ball.center
     g = max(int(grid), 16)
     prev = None
+    note = ValidationReport.note
     while True:
         zs = ball.boundary_points(g)
         images = wabs = dist = None     # free the coarser grid's tables first
@@ -872,6 +875,12 @@ def _sampled_sups(sys_, grid):
         worst = int(np.argmax(dist.max(axis=1))) + 1
         wsum = wabs.sum(axis=0)
         w_sup = float(wsum.max())
+        if not (math.isfinite(img_sup) and math.isfinite(w_sup)):
+            name, value = (("image", img_sup) if not math.isfinite(img_sup)
+                           else ("weight", w_sup))
+            note = (f"{name} sup {value!r} on a boundary grid of {g} points, "
+                    "non-rigorous")
+            break
         if prev is not None and (
             abs(img_sup - prev[0]) < _REFINE_TOL
             and abs(w_sup - prev[1]) < _REFINE_TOL
@@ -884,7 +893,7 @@ def _sampled_sups(sys_, grid):
         np.concatenate([dist, dist[:, :1]], axis=1), axis=1))))
     weight_safety = 0.5 * float(np.max(np.abs(np.diff(
         np.concatenate([wsum, wsum[:1]])))))
-    return img_sup, w_sup, worst, image_safety, weight_safety, g
+    return img_sup, w_sup, worst, image_safety, weight_safety, g, note
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
                                               line):
     # the operator is only defined on a ball that each branch maps inside
     # itself: spectrum and determinant run the check bounds runs before
-    # they assemble or trace anything, with the same error line and no
-    # file, so no trace failure (an escaping word, the identity's
+    # they assemble or trace anything (determinant in trace_table), with
+    # the same error line and no file, so no trace failure (the identity's
     # multiplier 1) is reported instead
     cfg = write_cfg(tmp_path, payload)
     out_dir = tmp_path / "results"
@@ -164,14 +164,31 @@ def test_spectrum_refuses_what_bounds_refuses(tmp_path, capsys, payload,
 
 def test_pole_inside_is_one_line_in_every_subcommand(tmp_path, capsys):
     # every subcommand checks admission first, finite sups before the
-    # enclosing ratio, so one fault reads the same in all four, determinant
-    # too, though its traces would find the word (2, 1) escaping
+    # enclosing ratio, so one fault reads the same in all four; determinant
+    # checks it in trace_table
     cfg = write_cfg(tmp_path, _POLE_INSIDE_CFG)
     errs = []
     for command in ("validate", "spectrum", "bounds", "determinant"):
         assert main([command, "--config", cfg]) == 1
         errs.append(capsys.readouterr().err)
     assert errs == [errs[0]] * 4 and errs[0].startswith("error: the sups")
+
+
+def test_near_rotation_is_admitted_and_its_word_refused(tmp_path, capsys):
+    # z -> (1 - 1e-12) z maps the unit disc into a smaller disc, so the
+    # system is admitted and spectrum runs, but the determinant route
+    # refuses its word's multiplier
+    cfg = write_cfg(tmp_path, {"system": {
+        "family": "affine_list",
+        "params": [{"a": 1.0 - 1e-12, "b": 0.0, "weight": 1.0}],
+        "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["determinant", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: word (1,) has multiplier of modulus >= "
+                            "1 - 1e-9, so z* does not attract\n")
 
 
 _FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}

@@ -16,13 +16,16 @@ from transferspec import (
     BudgetExceeded,
     DeterminantSeries,
     EscapedDomain,
+    InadmissibleDomain,
     NoConvergence,
     NotContracting,
+    NotEnclosed,
     RootFindingFailure,
     TraceTable,
     TransferOperatorError,
     determinant_coefficients,
     determinant_zeros,
+    enclosing_radius,
     export_determinant_json,
     fixed_point,
     make_affine,
@@ -155,6 +158,71 @@ def _no_work(*args, **plan):
     raise AssertionError("words were evaluated")
 
 
+def _refused_as_enclosing_radius_refuses(sys_, monkeypatch,
+                                         call=lambda s: trace_table(s, 3)):
+    """call(sys_) raises the error enclosing_radius raises on sys_, of its
+    type and with its text, before any word block is made; returns it."""
+    with pytest.raises(TransferOperatorError) as want:
+        enclosing_radius(sys_)
+    with monkeypatch.context() as spy:
+        spy.setattr(determinant, "_moebius_words", _no_work)
+        spy.setattr(determinant, "_iterated_words", _no_work)
+        with pytest.raises(TransferOperatorError) as got:
+            call(sys_)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    return want.value
+
+
+_NOT_ADMITTED = {
+    # the console-script step's systems: a pole inside the disc, images
+    # that reach past it, a disc near the top of the double range, and the
+    # identity, whose images reach the radius
+    "pole": {"family": "moebius_list",
+             "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": e,
+                         "weight": "neg_derivative"} for e in (0.5, 3.0)],
+             "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}},
+    "escape": {"family": "affine_list",
+               "params": [{"a": -0.9, "b": b, "weight": 1.0}
+                          for b in (0.1995, 0.0)],
+               "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}},
+    "far": {"family": "moebius_list",
+            "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0,
+                        "weight": "neg_derivative"}],
+            "domain": {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}},
+    "identity": {"family": "affine_list",
+                 "params": [{"a": 1.0, "b": 0.0, "weight": 1.0}],
+                 "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}},
+}
+_NOT_ADMITTED_TEXT = {
+    "pole": (InadmissibleDomain, "the sups are not finite: pole of branch 1 "
+                                 "on or inside the closed ball"),
+    "escape": (NotEnclosed, "branch images reach 1.0995 >= radius 1 "
+                            "(r = 1.0995)"),
+    "far": (InadmissibleDomain, "the sups are not finite: pole of branch 1 "
+                                "on or inside the closed ball"),
+    "identity": (NotEnclosed, "branch images reach 1 >= radius 1 (r = 1)"),
+}
+
+
+@pytest.mark.parametrize("call", [lambda s: trace(s, 2),
+                                  lambda s: trace_table(s, 4)],
+                         ids=["trace", "trace_table"])
+@pytest.mark.parametrize("name", sorted(_NOT_ADMITTED))
+def test_system_that_is_not_admitted_is_refused_before_any_word(
+        name, call, monkeypatch):
+    # the trace formula holds for admissible systems: a dim-1 system is
+    # admitted first, as enclosing_radius admits it, with its error; as
+    # plain maps its sups are sampled, and the far disc's samples overflow
+    sys_ = system_from_descriptor(_NOT_ADMITTED[name])
+    err = _refused_as_enclosing_radius_refuses(sys_, monkeypatch, call)
+    assert (type(err), str(err)) == _NOT_ADMITTED_TEXT[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _refused_as_enclosing_radius_refuses(as_plain_maps(sys_),
+                                             monkeypatch, call)
+
+
 def test_trace_table_budget_checked_before_any_work(gauss4, monkeypatch):
     # gauss4 is all-Moebius, so its words go through the closed form
     monkeypatch.setattr(determinant, "_moebius_words", _no_work)
@@ -226,6 +294,16 @@ def _words(sys_, n, lo, hi, necklaces, **plan):
     return tuple(map(np.concatenate, zip(*blocks))) if blocks else None
 
 
+def _word_fixed_points(sys_, n, lo, hi, necklaces):
+    """The words of a range and their closed-form fixed points, as
+    _moebius_words takes them for weights that follow the orbit."""
+    a, b, c, e = mob = tuple(sys_.coefficients.T)
+    words, _, fold, (det,) = whole_walk(sys_.n_letters, n, lo, hi, mob,
+                                        (a * e - b * c,), necklaces)
+    q = determinant._larger_root(fold, det)
+    return words, determinant._fixed_points(fold, q)
+
+
 _PAIR = [(0.4 + 0.1j, 0.1, 0.3 - 0.2j, 2.0),
          (0.2 - 0.3j, 0.3 + 0.1j, 0.25 + 0.15j, 1.8)]
 ORACLE_CASES = {
@@ -287,7 +365,8 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
     A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)
                                for col in letters.T)
     # the letter-by-letter fold fixes each representative's z to rounding
-    z = whole[4]
+    words, z = _word_fixed_points(sys_, n, 0, total, True)
+    assert np.array_equal(words, reps)
     residual = np.abs((A * z + B) / (C * z + E) - z)
     assert (residual <= 4 * np.finfo(float).eps
             * np.maximum(np.abs(z), 1.0)).all()
@@ -311,19 +390,23 @@ def test_moebius_words_fold_matches_letter_by_letter_fold():
 
 def _escaping_rotation():
     """(1, 2) fixes -0.945, inside the unit disc, and its rotation (2, 1)
-    fixes 1.05, outside."""
+    fixes 1.05, outside: the first letter's image reaches past the disc."""
     return make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0)],
                        [make_const(1.0), make_const(1.0)],
                        make_ball(0.0, 1.0))
 
 
 @pytest.mark.parametrize("plain", [False, True])
-def test_escape_of_a_rotation_is_refused(plain):
-    # the sum over the class of (1, 2) still refuses the rotation (2, 1),
-    # by name
+def test_escape_of_a_rotation_is_refused(plain, monkeypatch):
+    # no rotation of an admitted system's word can escape, so the system is
+    # refused as enclosing_radius refuses it, before the class of (1, 2)
+    # is summed; its sampled reach is a little larger
     sys_ = _escaping_rotation()
-    with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its attr"):
-        trace(as_plain_maps(sys_) if plain else sys_, 2)
+    err = _refused_as_enclosing_radius_refuses(
+        as_plain_maps(sys_) if plain else sys_, monkeypatch,
+        lambda s: trace(s, 2))
+    assert isinstance(err, NotEnclosed)
+    assert str(err).startswith("branch images reach 1.099")
 
 
 # T' on an increasing branch, -T' on a decreasing one and a positive
@@ -363,7 +446,7 @@ def test_cancelling_terms_are_summed_word_by_word():
     entries, center, radius, _ = ORACLE_CASES["complex-derivative"]
     sys_, _, _ = _moebius_case(entries, center, radius)
     n = 6
-    _, _, wgt, mult, _, _ = _words(sys_, n, 0, 2 ** n, False)
+    _, _, wgt, mult = _words(sys_, n, 0, 2 ** n, False)
     terms = wgt / (1.0 - mult)
     assert trace(sys_, n).value == complex(math.fsum(terms.real),
                                            math.fsum(terms.imag))
@@ -379,7 +462,7 @@ def test_cancelling_order_is_summed_word_by_word_in_every_chunk(plain):
                                 (0.2, 0.3, 0.25, 1.8, "derivative")],
                                [0.1, 0.05], 1.0)
     n = 17
-    _, _, wgt, mult, _, _ = _words(sys_, n, 0, 2 ** n, False)
+    _, _, wgt, mult = _words(sys_, n, 0, 2 ** n, False)
     terms = wgt / (1.0 - mult)
     want = complex(math.fsum(terms.real), math.fsum(terms.imag))
     got = trace(as_plain_maps(sys_) if plain else sys_, n).value
@@ -443,24 +526,43 @@ def test_real_words_have_imaginary_part_positive_zero(gauss4, monkeypatch):
     assert zeros and not any(zeros)
 
 
+# z -> (1 - 1e-12) z maps the unit disc into the disc of radius 1 - 1e-12,
+# so a system with it is admitted, but its multiplier is refused
+_NEAR_ROTATION = 1.0 - 1e-12
+
+
 def test_first_failing_word_is_named_in_any_block(monkeypatch):
-    # the rotation (2, 1) of (1, 2) fixes 1.05, outside the unit disc, and
-    # (3, 3) has multiplier 1: the first failing word, in lexicographic
-    # order, is named, whether the two lie in one block or not
-    sys_ = make_system([make_affine(-0.9, 0.1995), make_affine(-0.9, 0.0),
-                        make_affine(1.0, 0.0)], [make_const(1.0)] * 3,
-                       make_ball(0.0, 1.0))
+    # the words (2, 2), (2, 3) and (3, 3) of near rotations have
+    # multipliers of modulus 1 - 2e-12: the first failing word, in
+    # lexicographic order, is named, whether they lie in one block or not
+    sys_ = make_system([make_affine(0.5, 0.1),
+                        make_affine(-_NEAR_ROTATION, 0.0),
+                        make_affine(_NEAR_ROTATION, 0.0)],
+                       [make_const(1.0)] * 3, make_ball(0.0, 1.0))
     for block in (1, 1 << 14):
         monkeypatch.setattr(determinant, "_WORD_BLOCK", block)
-        with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its"):
+        with pytest.raises(NotContracting,
+                           match=r"^word \(2, 2\) has multiplier"):
             trace(sys_, 2)
+
+
+def _near_inverses():
+    """z -> r (z + 1/2) / (1 + z/2) and z -> r (z - 1/2) / (1 - z/2) for
+    r = 1 - 1e-12: each is r times an automorphism of the unit disc, the
+    inverse of the other's, and has multiplier about 1/3, but the word
+    (1, 2) is close to r^2 times the identity, of multiplier about
+    1 - 2e-12."""
+    r = _NEAR_ROTATION
+    return make_system([make_moebius(r, r / 2, 0.5, 1.0),
+                        make_moebius(r, -r / 2, -0.5, 1.0)],
+                       [make_const(1.0)] * 2, make_ball(0.0, 1.0))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_first_failing_order_stops_the_table(threads, monkeypatch):
-    # order 2 fails at the rotation (2, 1) of (1, 2), and no later order is
-    # evaluated
-    sys_ = _escaping_rotation()
+    # order 1 passes, order 2 fails at the word (1, 2), and no later order
+    # is evaluated
+    sys_ = _near_inverses()
     orders = []
     words = determinant._moebius_words
 
@@ -469,7 +571,7 @@ def test_first_failing_order_stops_the_table(threads, monkeypatch):
         return words(sys_, n, *args, **plan)
 
     monkeypatch.setattr(determinant, "_moebius_words", recorded)
-    with pytest.raises(EscapedDomain, match=r"word \(2, 1\) has its attr"):
+    with pytest.raises(NotContracting, match=r"^word \(1, 2\) has mult"):
         trace_table(sys_, 6, threads=threads)
     assert max(orders) == 2
 
@@ -477,16 +579,15 @@ def test_first_failing_order_stops_the_table(threads, monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failing_necklace_chunk_raises_though_other_chunks_cancel(
         threads, monkeypatch):
-    # order 11's 177,147 words fill three chunks. Letter 1 is z -> 1.1 -
-    # 0.9 z, and 2 and 3 are z -> 0.1 z: a necklace's representative ends
-    # in 2 or 3 and its fixed point lies inside the unit disc, but the
-    # rotation that ends in (2, 1) fixes a point near 1.05. The first
-    # chunk's necklace pass raises that rotation by name, though the terms
-    # of the later chunks, weighted 1j per letter 3, cancel; the every-word
-    # pass is not run, where iteration from the center would name the same
-    # word as leaving the ball on its way to its fixed point
+    # order 11's 177,147 words fill three chunks. Letter 1 is the near
+    # rotation z -> (1 - 1e-12) z, and 2 and 3 are z -> 0.1 z: every word
+    # fixes the center, so iteration stops at once, and only the word
+    # (1, ..., 1) has a multiplier that is refused. The first chunk's
+    # necklace pass raises it by name, though the terms of the later
+    # chunks, weighted 1j per letter 3, cancel; the every-word pass is not
+    # run
     sys_ = as_plain_maps(make_system(
-        [make_affine(-0.9, 1.1), make_affine(0.1, 0.0),
+        [make_affine(_NEAR_ROTATION, 0.0), make_affine(0.1, 0.0),
          make_affine(0.1, 0.0)],
         [make_const(1.0), make_const(1.0), make_const(1j)],
         make_ball(0.0, 1.0)))
@@ -498,9 +599,10 @@ def test_failing_necklace_chunk_raises_though_other_chunks_cancel(
         return words(sys_, n, lo, hi, necklaces, **plan)
 
     monkeypatch.setattr(determinant, "_iterated_words", recorded)
-    with pytest.raises(EscapedDomain,
-                       match=r"^word \(1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1\) has "
-                             "its attracting fixed point outside the ball$"):
+    with pytest.raises(NotContracting,
+                       match=r"^word \(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1\) has "
+                             r"multiplier of modulus >= 1 - 1e-9, so z\* does "
+                             "not attract$"):
         trace(sys_, 11, threads=threads)
     assert passes and all(passes)
 
@@ -522,12 +624,12 @@ def test_aberth_roots_of_degree_zero_and_of_zero():
 
 
 def test_trace_error_names_word_plainly():
-    # the identity's only word has multiplier 1, so its fixed point does
-    # not attract; the message names the word as plain integers, not
-    # numpy scalars
+    # the near rotation's only word has multiplier 1 - 1e-12, so its fixed
+    # point is refused as not attracting; the message names the word as
+    # plain integers, not numpy scalars
     sys_ = system_from_descriptor({
         "family": "affine_list",
-        "params": [{"a": 1.0, "b": 0.0, "weight": 1.0}],
+        "params": [{"a": _NEAR_ROTATION, "b": 0.0, "weight": 1.0}],
         "domain": {"center": [0.0, 0.0], "radius": 1.0, "dim": 1}})
     with pytest.raises(NotContracting) as err:
         trace_table(sys_, 8)
@@ -536,11 +638,14 @@ def test_trace_error_names_word_plainly():
 
 
 def test_trace_past_the_double_range_is_refused():
-    # three order-1 terms of 1e308 / 1.5 sum to 2e308, past the largest
-    # double: the error names the order rather than overflowing
-    sys_ = make_system([make_affine(-0.5, b) for b in (0.0, 0.1, -0.1)],
-                       [make_const(1e308)] * 3, make_ball(0.0, 1.0))
-    with pytest.raises(TransferOperatorError, match="order-1 trace"):
+    # z -> z/2 +- 0.1 of weight 5e307 have W = 1e308, a double, so the
+    # system is admitted, but the two order-1 terms of 5e307 / 0.5 sum to
+    # 2e308, past the largest double: the error names the order rather
+    # than overflowing
+    sys_ = make_system([make_affine(0.5, b) for b in (0.1, -0.1)],
+                       [make_const(5e307)] * 2, make_ball(0.0, 1.0))
+    with pytest.raises(TransferOperatorError,
+                       match="^the order-1 trace lies past the double range$"):
         trace_table(sys_, 2)
 
 
@@ -672,6 +777,12 @@ _MATCH = {NotContracting: r"word \(1,\) has multiplier",
           EscapedDomain: r"word \(1,\)", NoConvergence: "did not converge"}
 
 
+def _skip_admission(monkeypatch):
+    """Let trace and trace_table skip admission, to reach the words of a
+    system that is not admitted."""
+    monkeypatch.setattr(determinant, "enclosing_radius", lambda sys_: None)
+
+
 @pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("a, center, closed, iterated", [
     (1.0, 0.0, NotContracting, NotContracting),
@@ -679,16 +790,28 @@ _MATCH = {NotContracting: r"word \(1,\) has multiplier",
     # modulus, so neither attracts and iteration never settles
     (-1.0, 0.1, NotContracting, NoConvergence),
     (cmath.exp(1j), 0.1, NotContracting, NoConvergence),
-    # z -> 2z attracts only at infinity, where the closed form gives 0/0
-    (2.0, 0.1, EscapedDomain, EscapedDomain),
+    # z -> 2z attracts only at infinity, where the closed form's fixed
+    # point is 0/0 and its multiplier 1/2: no word is refused
+    (2.0, 0.1, None, EscapedDomain),
 ])
 def test_word_without_attracting_fixed_point_is_rejected(plain, a, center,
-                                                         closed, iterated):
+                                                         closed, iterated,
+                                                         monkeypatch):
+    # the images of z -> a z reach the radius, so the system is refused as
+    # enclosing_radius refuses it, before any word. Past admission its word
+    # is refused as closed or iterated names, or not at all
     sys_ = make_system([make_affine(a, 0.0)], [make_const(1.0)],
                        make_ball(center, 1.0))
+    sys_ = as_plain_maps(sys_) if plain else sys_
+    assert isinstance(_refused_as_enclosing_radius_refuses(
+        sys_, monkeypatch, lambda s: trace(s, 1)), NotEnclosed)
+    _skip_admission(monkeypatch)
     err = iterated if plain else closed
+    if err is None:
+        assert trace(sys_, 1).value == 2.0      # 1 / (1 - 1/2)
+        return
     with pytest.raises(err, match=_MATCH[err]):
-        trace(as_plain_maps(sys_) if plain else sys_, 1)
+        trace(sys_, 1)
 
 
 # the benchmark's letter orders of gauss4's shifts for seeds 0, 1 and 2
@@ -737,67 +860,45 @@ def test_real_words_keep_the_bits_of_complex_words(name, monkeypatch):
     # z -> -1/z has the roots +-i: a negative discriminant
     ("elliptic", 2.0)])
 def test_refusals_are_the_same_on_the_real_path(a, center, monkeypatch):
+    # no such system is admitted, so it is refused as enclosing_radius
+    # refuses it, before any word. Past admission the words taken in
+    # float64 keep the bits of the complex words: the same refusals, and
+    # for z -> 2z the same values
     branch = (make_moebius(0.0, -1.0, 1.0, 0.0) if a == "elliptic"
               else make_affine(a, 0.0))
     sys_ = make_system([branch], [make_const(1.0)], make_ball(center, 1.0))
+    assert isinstance(_refused_as_enclosing_radius_refuses(
+        sys_, monkeypatch, lambda s: trace(s, 1)), NotEnclosed)
+    _skip_admission(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         real = [_bits(lambda: trace(sys_, n)) for n in (1, 2, 3)]
         monkeypatch.setattr(determinant, "_real_data", lambda sys_: False)
         assert [_bits(lambda: trace(sys_, n)) for n in (1, 2, 3)] == real
-    refusals = ("NotContracting: word (1", "EscapedDomain: word (1")
-    assert all(r.startswith(refusals) for r in real)
-
-
-def _count_steps(sys_, monkeypatch):
-    """Count the letter steps of sys_ taken from now on."""
-    steps = []
-    apply_letters = sys_.apply_letters
-
-    def counting(col, *args):
-        steps.append(len(col))
-        return apply_letters(col, *args)
-
-    monkeypatch.setattr(sys_, "apply_letters", counting)
-    return steps
-
-
-def test_walk_is_skipped_where_the_image_discs_keep_orbits_inside(
-        gauss4, monkeypatch):
-    # gauss4 maps the ball into the disc of radius 1 about its center, well
-    # inside the radius 1.5, so no orbit point can leave it
-    assert determinant._orbits_stay_inside(gauss4)
-    steps = _count_steps(gauss4, monkeypatch)
-    trace_table(gauss4, 8, threads=2)
-    assert steps == []
-
-
-def test_walk_runs_where_the_reach_passes_the_radius(monkeypatch):
-    # z -> -0.9 z + 0.15 reaches 1.05 from the center of the unit disc,
-    # though no periodic orbit leaves it: the walk runs, and whether it
-    # runs changes no value
-    sys_ = make_system([make_affine(-0.9, 0.15), make_affine(0.5, 0.0)],
-                       [make_const(1.0), make_const(0.5)],
-                       make_ball(0.0, 1.0))
-    assert not determinant._orbits_stay_inside(sys_)
-    steps = _count_steps(sys_, monkeypatch)
-    walked = [repr(trace(sys_, n)) for n in range(1, 9)]
-    assert steps
-    monkeypatch.setattr(determinant, "_orbits_stay_inside", lambda sys_: True)
-    assert [repr(trace(sys_, n)) for n in range(1, 9)] == walked
+    assert all(r.startswith("NotContracting: word (1")
+               for r in real) == (a != 2.0)
 
 
 @pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("overshoot, escapes", [(0.5e-9, False),
                                                 (2e-9, True)])
-def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes):
-    # z -> z/2 + b fixes 2b; the ball is the unit disc, and both paths
-    # forgive the same slack of 1e-9 radius
+def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes,
+                                         monkeypatch):
+    # z -> z/2 + b fixes 2b, just outside the unit disc, so its image
+    # reaches past the radius: the system is refused as enclosing_radius
+    # refuses it, before any word. Past admission only iteration checks a
+    # fixed point against the ball, and it forgives a slack of 1e-9 radius
     sys_ = make_system([make_affine(0.5, (1.0 + overshoot) / 2)],
                        [make_const(1.0)], make_ball(0.0, 1.0))
     sys_ = as_plain_maps(sys_) if plain else sys_
-    if escapes:
-        with pytest.raises(EscapedDomain, match=r"word \(1, 1\)"):
+    err = _refused_as_enclosing_radius_refuses(sys_, monkeypatch,
+                                               lambda s: trace(s, 2))
+    assert isinstance(err, NotEnclosed)
+    if not plain:
+        assert str(err) == "branch images reach 1 >= radius 1 (r = 1)"
+    _skip_admission(monkeypatch)
+    if plain and escapes:
+        with pytest.raises(EscapedDomain, match=r"^word \(1, 1\) maps"):
             trace(sys_, 2)
     else:
         assert trace(sys_, 2).value == pytest.approx(4.0 / 3.0, rel=1e-14)
@@ -806,7 +907,8 @@ def test_fixed_point_outside_ball_escapes(plain, overshoot, escapes):
 def test_closed_form_fixed_point_without_pole(affine_half):
     # C = 0: the fixed point is B / (q - A); z -> z/2 + 0.3 fixes 0.6
     for n in (1, 5, 12):
-        _, _, _, mult, z, _ = _words(affine_half, n, 0, 1, True)
+        mult = _words(affine_half, n, 0, 1, True)[3]
+        _, z = _word_fixed_points(affine_half, n, 0, 1, True)
         assert z[0] == pytest.approx(0.6, abs=1e-15)
         assert oracles.compose(affine_half, (1,) * n)(z[0]) == pytest.approx(
             z[0], abs=1e-15)
@@ -824,8 +926,8 @@ def test_closed_form_fixed_point_near_affine():
 
 def _word_map_residual(sys_, n):
     """The largest |T_w(z) - z| over every length-n word w at the z that
-    _moebius_words gives it, T_w the word's folded Moebius matrix."""
-    index, _, _, _, z, _ = _words(sys_, n, 0, sys_.n_letters ** n, False)
+    _word_fixed_points gives it, T_w the word's folded Moebius matrix."""
+    index, z = _word_fixed_points(sys_, n, 0, sys_.n_letters ** n, False)
     letters = word_letters(sys_.n_letters, n, index)
     A, B, C, E = _fold_moebius(tuple(x[col - 1] for x in sys_.coefficients.T)
                                for col in letters.T)
@@ -836,7 +938,7 @@ def test_max_residual_is_word_map_at_fixed_point(gauss4):
     # every word's closed-form z is fixed by its folded matrix and by its
     # branches composed one by one, to rounding
     n = 3
-    index, _, _, _, z, _ = _words(gauss4, n, 0, 4 ** n, False)
+    index, z = _word_fixed_points(gauss4, n, 0, 4 ** n, False)
     letters = word_letters(4, n, index)
     words = [tuple(int(l) for l in row) for row in letters]
     # composing the branches one by one rounds differently from the

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transferspec import (
+    AnalyticMap,
+    TransferOperatorError,
+    contraction_details,
+    make_ball,
+    make_const,
+    make_system,
+    trace_table,
+)
 from transferspec._dual import Dual, derivative_scalar, jacobian
 
 
@@ -55,6 +64,27 @@ def test_jacobian_coupled_map():
     J = jacobian(f, z, 2)
     want = np.array([[z[1], z[0]], [1.0, 2 * z[1]]])
     assert np.allclose(J, want, rtol=1e-14)
+
+
+def test_numpy_function_of_a_dual_is_one_error():
+    # dual numbers take field arithmetic and integer powers only: np.exp is
+    # refused by name, at a point, on a batch and in the routes that
+    # differentiate a plain map, not with numpy's TypeError
+    fn = AnalyticMap(lambda z: np.exp(z) / 4)
+    sys_ = make_system([fn], [make_const(1.0)], make_ball(0.0, 1.0))
+    for call in (lambda: fn.derivative(0.3),
+                 lambda: fn.derivative(np.array([0.3, 0.2])),
+                 lambda: trace_table(sys_, 3),
+                 lambda: contraction_details(sys_, 2)):
+        with pytest.raises(TransferOperatorError) as err:
+            call()
+        assert type(err.value) is TransferOperatorError
+        assert str(err.value) == ("np.exp cannot take a dual number; give "
+                                  "the map a derivative rule (AnalyticMap's "
+                                  "deriv)")
+    # the map itself, and a numpy scalar times a dual, are unchanged
+    assert fn(0.3) == np.exp(0.3) / 4
+    assert (np.float64(2.0) * Dual(3.0, 1.0)).eps == 2.0
 
 
 def test_non_holomorphic_use_fails_loudly():

@@ -21,6 +21,7 @@ from transferspec import (
     MapWeightSystem,
     TransferOperatorError,
     assemble_matrix,
+    enclosing_radius,
     make_affine,
     make_ball,
     make_const,
@@ -673,6 +674,31 @@ def test_validate_pole_on_or_inside_ball_is_not_contained(e, radius):
     assert rep.image_sup == rep.weight_sup == rep.W == math.inf
     assert rep.worst_branch == 2
     assert rep.note == "pole of branch 2 on or inside the closed ball"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.parametrize("branch, weight, note", [
+    (AnalyticMap(lambda z: z * np.nan), make_const(1.0), "image sup nan"),
+    # 1 / (z - 1) has its pole at a grid point
+    (AnalyticMap(lambda z: 1.0 / (z - 1.0)), make_const(1.0),
+     "image sup inf"),
+    (make_affine(0.5, 0.0), AnalyticMap(lambda z: 1.0 / (z - 1.0)),
+     "weight sup inf")], ids=["nan", "image-pole", "weight-pole"])
+def test_sampled_sup_that_is_not_finite_ends_the_refinement(branch, weight,
+                                                            note):
+    # a NaN sup compares false and an infinite one never settles, so the
+    # grid used to double to its cap: the first grid with a sup that is not
+    # finite is the last, and the note and the admission error name it
+    sys_ = make_system([make_affine(0.5, 0.1), branch],
+                       [make_const(1.0), weight], make_ball(0.0, 1.0))
+    rep = validate_system(sys_)
+    assert rep.grid_used == 1024
+    note += " on a boundary grid of 1024 points, non-rigorous"
+    assert rep.note == note
+    with pytest.raises(InadmissibleDomain) as err:
+        enclosing_radius(sys_)
+    assert str(err.value) == "the sups are not finite: " + note
 
 
 def test_validate_monotone_in_margin(gauss200):

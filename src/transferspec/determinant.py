@@ -90,8 +90,13 @@ class TraceValue:
 
 @dataclass(frozen=True)
 class TraceTable:
-    orders: tuple
+    """The traces t_1..t_M: values[n - 1] is the order-n trace."""
+
     values: tuple
+
+    @property
+    def orders(self):
+        return tuple(range(1, len(self.values) + 1))
 
 
 @dataclass(frozen=True)
@@ -375,8 +380,7 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
     if M < 1:
         raise ValueError("M must be >= 1")
     rows = _trace_rows(sys_, range(1, M + 1), word_budget, tol, threads)
-    return TraceTable(tuple(r.order for r in rows),
-                      tuple(r.value for r in rows))
+    return TraceTable(tuple(r.value for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +389,6 @@ def trace_table(sys_, M, word_budget=DEFAULT_WORD_BUDGET, tol=1e-13,
 
 def determinant_coefficients(traces):
     """Newton's identities: c_0 = 1, c_m = -(1/m) sum_{k<=m} t_k c_{m-k}."""
-    orders = traces.orders
-    if tuple(orders) != tuple(range(1, len(orders) + 1)):
-        raise ValueError("trace table must cover orders 1..M contiguously")
     t = traces.values
     coeffs = [1.0 + 0.0j]
     for m in range(1, len(t) + 1):
@@ -463,13 +464,12 @@ def _aberth_roots(coeffs):
     ax = np.abs(x)
     for m, c in enumerate(coeffs):
         scale += abs(c) * ax ** (deg - m)
-    bad = np.abs(np.polyval(coeffs, x)) > 1e-12 * np.maximum(scale, 1e-300)
+    resid, floor = np.abs(np.polyval(coeffs, x)), np.maximum(scale, 1e-300)
+    bad = resid > 1e-12 * floor
     if bad.any():
-        worst = int(np.argmax(np.abs(np.polyval(coeffs, x)) / np.maximum(scale, 1e-300)))
         raise RootFindingFailure(
             f"{int(bad.sum())} of {deg} roots failed the residual contract; "
-            f"worst relative residual "
-            f"{abs(np.polyval(coeffs, x[worst])) / max(scale[worst], 1e-300):.3g}")
+            f"worst relative residual {np.max(resid / floor):.3g}")
     return x
 
 

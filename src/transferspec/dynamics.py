@@ -200,7 +200,9 @@ def fixed_point(map_, domain, tol=1e-13, max_iter=200_000):
 
     Stops when a step is below tol * (1 - q); on success the reported
     residual |T(z*) - z*| is below tol. Contractions as weak as q = 0.999
-    converge within the default iteration allowance.
+    converge within the default iteration allowance. An iterate outside
+    the ball, by the rule of batch_fixed_points (_outside: farther than
+    radius * (1 + 1e-9) from the center, or NaN), raises EscapedDomain.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -217,7 +219,7 @@ def fixed_point(map_, domain, tol=1e-13, max_iter=200_000):
         z1 = map_(z)
         if d > 1:
             z1 = np.asarray(z1, dtype=complex)
-        if not domain.contains(z1, slack=_ESCAPE_SLACK * domain.radius):
+        if _outside(domain, np.reshape(z1, (d, 1) if d > 1 else 1))[0]:
             raise EscapedDomain(
                 f"iterate {it} left the ball (|z - center| = "
                 f"{norm(np.asarray(z1) - np.asarray(domain.center)):.6g} > "

@@ -102,12 +102,11 @@ def assemble_matrix(sys_, ball=None, N=32):
     grid = 4 * N
     # the upper half circle k = 0..grid/2 holds every sample of a system
     # that is conjugation-symmetric about a real center: one carried by
-    # real arrays, or a finite one of callables whose samples at the
-    # conjugate points show it
+    # real arrays, or one of callables (finite, as only the Gauss builder
+    # attaches a tail) whose samples at the conjugate points show it
     gathered = sys_.coefficients is None or sys_.law is None
     g = None
-    if c.imag == 0.0 and (_real_data(sys_)
-                          or gathered and sys_.alphabet is None):
+    if c.imag == 0.0 and (_real_data(sys_) or gathered):
         g = _power_table(sys_, ball, N, grid // 2 + 1, mirrored=gathered)
     real = g is not None
     if not real:

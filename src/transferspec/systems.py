@@ -11,13 +11,14 @@ with branches 1/(i+z) and weights 1/(i+z)^2), validation of the
 strict-containment geometry (closed form for Moebius systems, a boundary
 grid otherwise), and JSON descriptor parsing.
 
-Countably infinite families are represented by truncation at an index
-i_max plus analytic tail data supplied by the family constructor: a bound
-on the summed sup norms of the dropped weights, a bound on how far the
-dropped branch images reach from the ball center, and a callable
-evaluating the dropped branches' contribution to weighted power sums in
-closed form. Generic user systems must be finite; summability of a
-black-box infinite family is not checkable.
+The one countably infinite family, the continued-fraction one, is
+represented by truncation at an index i_max plus analytic tail data that
+make_gauss_system alone attaches: a bound on the summed sup norms of the
+dropped weights, a bound on how far the dropped branch images reach from
+the ball center, and a callable evaluating the dropped branches'
+contribution to weighted power sums in closed form. Generic user systems
+must be finite; summability of a black-box infinite family is not
+checkable.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ class BallDomain:
             raise DimensionUnsupported("boundary sampling needs dim 1")
         k = np.arange(m if count is None else count)
         return self.center + self.radius * np.exp(2j * np.pi * k / m)
-
-    def contains(self, z, slack=0.0):
-        """Whether a point (or each point of an array) lies in the closed
-        ball inflated by slack."""
-        if self.dim == 1:
-            return np.abs(np.asarray(z) - self.center) <= self.radius + slack
-        diff = np.asarray(z, dtype=complex) - np.asarray(self.center, dtype=complex)
-        return np.linalg.norm(diff) <= self.radius + slack
 
 
 def make_ball(center, radius, dim=1):
@@ -276,10 +269,11 @@ class MapWeightSystem:
     """Branches, weights, domain, and alphabet, plus vectorized letter gathers.
 
     Instances are immutable by convention. Letters are 1-based; letter l
-    uses branches[l-1] and weights[l-1]. alphabet None means the finite
-    alphabet of the branches. For CountableTruncated alphabets the stored
-    lists cover letters 1..i_max and the tail is represented by the
-    alphabet's analytic data.
+    uses branches[l-1] and weights[l-1]. A system of maps has the finite
+    alphabet of its branches (alphabet None); only make_gauss_system
+    attaches a CountableTruncated one, its lists covering letters 1..i_max.
+    system_id is fixed at build by _system_id, so a system of maps is
+    named by its label, letter count and domain, not its maps.
 
     The closed forms read coefficients, the rows (a, b, c, e) when every
     branch is a dim-1 Moebius map, and law = (factor, power) when every
@@ -288,15 +282,11 @@ class MapWeightSystem:
     arrays derives its maps from them when first asked.
     """
 
-    def __init__(self, branches, weights, domain, alphabet=None,
-                 label="custom"):
+    def __init__(self, branches, weights, domain, label="custom"):
         branches, weights, dim = tuple(branches), tuple(weights), domain.dim
         if not branches or len(branches) != len(weights):
             raise InvalidDomain(f"{len(branches)} branches and {len(weights)} "
                                 "weights; one of each per letter is needed")
-        if alphabet is not None and alphabet.i_max != len(branches):
-            raise InvalidDomain(f"alphabet describes {alphabet.i_max} letters "
-                                f"but {len(branches)} branches were supplied")
         if dim >= 2:    # a constant holds in any dim: rebuilt for this one
             weights = tuple(_Weight(w.law[0], 0, dim=dim) if isinstance(
                 w, _Weight) and w.law[1] == 0 else w for w in weights)
@@ -314,20 +304,20 @@ class MapWeightSystem:
                                                 w.coefficients))
                for b, w in zip(branches, weights)):  # complex factors
             law = tuple(map(np.array, zip(*(w.law for w in weights))))
-        self._fill(coefficients, law, domain, alphabet, label, None)
+        self._fill(coefficients, law, domain, None,
+                   _system_id((label, len(branches), domain)))
         self.branches, self.weights = branches, weights
 
     @classmethod
-    def _from_arrays(cls, coefficients, law, domain, alphabet, label,
-                     descriptor):
+    def _from_arrays(cls, coefficients, law, domain, alphabet, system_id):
         """A dim-1 system carried by its coefficients and weight law."""
         sys_ = cls.__new__(cls)
-        sys_._fill(coefficients, law, domain, alphabet, label, descriptor)
+        sys_._fill(coefficients, law, domain, alphabet, system_id)
         return sys_
 
-    def _fill(self, coefficients, law, domain, alphabet, label, descriptor):
+    def _fill(self, coefficients, law, domain, alphabet, system_id):
         self.coefficients, self.law, self.domain = coefficients, law, domain
-        self.alphabet, self.label, self.descriptor = alphabet, label, descriptor
+        self.alphabet, self.system_id = alphabet, system_id
 
     # -- basic accessors ----------------------------------------------------
 
@@ -350,23 +340,10 @@ class MapWeightSystem:
         return len(self.branches if self.coefficients is None
                    else self.coefficients)
 
-    @property
-    def system_id(self):
-        """Short stable identifier derived from the descriptor (or label)."""
-        if self.descriptor is not None:
-            blob = json.dumps(self.descriptor, sort_keys=True,
-                              separators=(",", ":"))
-            tag = self.descriptor.get("family", "custom")
-        else:
-            blob = repr((self.label, self.n_letters, self.domain))
-            tag = self.label
-        digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
-        return f"{tag}-{digest}"
-
     def __repr__(self):
         kind = "finite" if self.alphabet is None else "truncated"
-        return (f"MapWeightSystem({self.label}, letters={self.n_letters}, "
-                f"dim={self.dim}, alphabet={kind})")
+        return (f"MapWeightSystem({self.system_id}, letters={self.n_letters}"
+                f", dim={self.dim}, alphabet={kind})")
 
     # -- vectorized letter gathers -------------------------------------------
 
@@ -420,6 +397,19 @@ class MapWeightSystem:
         return out
 
 
+def _system_id(source):
+    """The short stable id of a system built from source: a descriptor
+    dict gives its family and the hash of its canonical JSON, a tuple
+    (label, letter count, domain) its label and the hash of its repr. A
+    system takes its id once, at build."""
+    if isinstance(source, dict):
+        tag = source["family"]
+        blob = json.dumps(source, sort_keys=True, separators=(",", ":"))
+    else:
+        tag, blob = source[0], repr(source)
+    return f"{tag}-{hashlib.sha1(blob.encode()).hexdigest()[:10]}"
+
+
 def _letter_groups(letters):
     """(letter, positions) for each letter that occurs in the int column
     letters, in letter order; the positions ascend."""
@@ -440,7 +430,8 @@ def _real_data(sys_):
 
 
 def make_system(branches, weights, domain, label="custom"):
-    """A finite system from explicit branch and weight lists."""
+    """A finite system from explicit branch and weight lists. Its id names
+    only the label, the letter count and the domain."""
     return MapWeightSystem(branches, weights, domain, label=label)
 
 
@@ -558,7 +549,7 @@ def _gauss_tail_cutoff(i_max, count, center, low):
         cutoff = need
 
 
-def _gauss_power_tail(i_max, domain):
+def _gauss_power_tail(i_max):
     """Closed-form tail power sums for the continued-fraction weights.
 
     Returns tail(z, count, center) with row n holding
@@ -664,16 +655,12 @@ def make_gauss_system(i_max, domain=None):
         i_max=i_max,
         weight_tail_bound=_gauss_weight_tail_bound(i_max, domain),
         image_tail_sup=_gauss_image_tail_sup(i_max, domain),
-        power_tail=_gauss_power_tail(i_max, domain),
+        power_tail=_gauss_power_tail(i_max),
     )
-    descriptor = {
-        "family": "gauss",
-        "params": [],
-        "domain": {"center": [c.real, c.imag], "radius": rho, "dim": 1},
-        "i_max": i_max,
-    }
+    descriptor = {"family": "gauss", "params": [], "i_max": i_max, "domain": {
+        "center": [c.real, c.imag], "radius": rho, "dim": 1}}
     return MapWeightSystem._from_arrays(coefficients, law, domain, alphabet,
-                                        "gauss", descriptor)
+                                        _system_id(descriptor))
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +842,7 @@ def _exact_sups(sys_):
     return float(reach[worst]) * _ROUND_OUT, w_sup, worst + 1, note
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sampled_sups(sys_, grid):
     """Image sup, weight sup, worst branch, both safety terms, the final
     grid size and the note, sampled on a doubling boundary grid. The first
@@ -996,4 +984,4 @@ def system_from_descriptor(desc):
         laws.append(_parse_weight(entry.get("weight", 1.0), where))
     law = tuple(map(np.array, zip(*laws)))    # complex factors, int powers
     return MapWeightSystem._from_arrays(np.array(rows), law, domain, None,
-                                        family, desc)
+                                        _system_id(desc))

@@ -342,6 +342,45 @@ def hzeta_reference(s, a, dps=60, head=64, bern_terms=24):
 
 
 # ---------------------------------------------------------------------------
+# the Gauss operator's Galerkin matrix in Hurwitz zeta values
+
+
+def gauss_zeta_matrix_mp(N, c, rho, dps=30):
+    """The N x N leading block of the continued-fraction operator's matrix
+    in the basis ((z - c)/rho)^m, in mpmath at dps digits:
+
+    M[m][n] = rho^(m-n) (-1)^m sum_{k<=n} C(n,k) (-c)^(n-k) C(m+k+1, m)
+              zeta(m+k+2, 1+c),
+
+    from L e_n(z) = rho^-n sum_k C(n,k) (-c)^(n-k) zeta(k+2, 1+z) and the
+    Taylor series of zeta(s, 1+z) about z = c. No branch is sampled and no
+    tail is cut. The binomial sum cancels heavily, so it needs many more
+    digits than the result keeps. Entries are mpf for a real c and rho.
+    """
+    with mp.workdps(dps):
+        c, rho = mp.mpf(c), mp.mpf(rho)
+        zeta = [mp.zeta(s + 2, 1 + c) for s in range(2 * N - 1)]
+        M = mp.matrix(N, N)
+        for n in range(N):
+            coef = [mp.binomial(n, k) * (-c) ** (n - k) for k in range(n + 1)]
+            for m in range(N):
+                total = mp.fsum(coef[k] * mp.binomial(m + k + 1, m)
+                                * zeta[m + k] for k in range(n + 1))
+                M[m, n] = (-1) ** m * rho ** (m - n) * total
+        return M
+
+
+def gauss_zeta_eigenvalues_mp(N, c, rho, dps=30):
+    """The eigenvalues of gauss_zeta_matrix_mp(N, c, rho, dps) by mp.eig at
+    dps digits, as mpc numbers sorted by non-increasing modulus. Their
+    error is the truncation at N, which shrinks geometrically in N."""
+    with mp.workdps(dps):
+        vals = mp.eig(gauss_zeta_matrix_mp(N, c, rho, dps), left=False,
+                      right=False)
+        return sorted(vals, key=lambda v: -abs(v))
+
+
+# ---------------------------------------------------------------------------
 # polynomial helpers
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import transferspec
@@ -189,6 +190,19 @@ def test_near_rotation_is_admitted_and_its_word_refused(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: word (1,) has multiplier of modulus >= "
                             "1 - 1e-9, so z* does not attract\n")
+
+
+def test_eigensolver_failure_is_one_error_line(tmp_path, capsys,
+                                              monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    assert main(["spectrum", "--config", write_cfg(tmp_path, AFFINE_CFG)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: dense eigensolver failed: Eigenvalues did "
+                            "not converge\n")
 
 
 _FAR_DISC = {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}

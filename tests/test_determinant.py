@@ -217,10 +217,8 @@ def test_system_that_is_not_admitted_is_refused_before_any_word(
     sys_ = system_from_descriptor(_NOT_ADMITTED[name])
     err = _refused_as_enclosing_radius_refuses(sys_, monkeypatch, call)
     assert (type(err), str(err)) == _NOT_ADMITTED_TEXT[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _refused_as_enclosing_radius_refuses(as_plain_maps(sys_),
-                                             monkeypatch, call)
+    _refused_as_enclosing_radius_refuses(as_plain_maps(sys_), monkeypatch,
+                                         call)
 
 
 def test_trace_table_budget_checked_before_any_work(gauss4, monkeypatch):
@@ -605,6 +603,19 @@ def test_failing_necklace_chunk_raises_though_other_chunks_cancel(
                              "not attract$"):
         trace(sys_, 11, threads=threads)
     assert passes and all(passes)
+
+
+def test_iterated_range_without_a_necklace_yields_nothing():
+    # at order 18 over two letters the words 2 * 2^16 .. 3 * 2^16 - 1 all
+    # start (2, 1), so each has a lesser rotation: the range holds 2^16
+    # words and no necklace
+    sys_ = as_plain_maps(make_system(
+        [make_affine(0.5, 0.0), make_affine(0.5, 0.5)],
+        [make_const(1.0)] * 2, make_ball(0.5, 1.0)))
+    lo, hi = 2 << 16, 3 << 16
+    assert whole_walk(2, 18, lo, hi)[0].size == 1 << 16
+    assert list(determinant._iterated_words(sys_, 18, lo, hi, True,
+                                            tol=1e-13)) == []
 
 
 def test_trace_orders_below_one_are_refused(affine_half):
@@ -1099,9 +1110,7 @@ def test_trace_table_budget_checked_before_any_work_dim2(monkeypatch):
 
 
 def _table(values):
-    values = tuple(complex(v) for v in values)
-    orders = tuple(range(1, len(values) + 1))
-    return TraceTable(orders, values)
+    return TraceTable(tuple(complex(v) for v in values))
 
 
 def test_coefficients_affine_first_two():
@@ -1142,12 +1151,6 @@ def test_coefficients_match_infinite_product(affine_half):
     series = determinant_coefficients(tt)
     want = oracles.product_poly_coeffs([0.5 ** k for k in range(64)])[:13]
     assert np.max(np.abs(np.asarray(series.coefficients) - want)) < 1e-12
-
-
-def test_coefficients_require_contiguous_orders():
-    tt = TraceTable((1, 3), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        determinant_coefficients(tt)
 
 
 # ---------------------------------------------------------------------------
@@ -1260,6 +1263,17 @@ def test_aberth_stops_at_the_rounding_floor_and_polishes(monkeypatch):
     assert len(got) == len(want) == 10
     for x in got:
         assert oracles.root_distance_mp(x, want) <= 2e-16
+
+
+def test_aberth_failure_names_the_worst_residual(monkeypatch):
+    # steps that never move the start leave every root of (x-1)(x-2)(x-3)
+    # off the residual contract
+    monkeypatch.setattr(determinant, "_aberth_step",
+                        lambda x, p, dp: np.zeros_like(x))
+    with pytest.raises(RootFindingFailure) as err:
+        _aberth_roots([1.0, -6.0, 11.0, -6.0])
+    assert str(err.value) == ("3 of 3 roots failed the residual contract; "
+                              "worst relative residual 0.981")
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,6 +27,17 @@ def test_arithmetic_rules():
     assert q.eps == pytest.approx(-1 / 9)
 
 
+def test_signs_division_by_a_number_and_a_real_power():
+    x = Dual(3.0, 1.0)
+    assert ((-x).val, (-x).eps) == (-3.0, -1.0)
+    assert +x is x
+    assert ((x / 4).val, (x / 4).eps) == (0.75, 0.25)
+    with pytest.raises(TypeError) as err:
+        x ** 0.5
+    assert str(err.value) == ("Dual supports integer powers only; write "
+                              "fractional powers in closed form")
+
+
 def test_power_rule_including_negative_exponents():
     x = Dual(2.0, 1.0)
     p = x ** 5

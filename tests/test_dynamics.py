@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -599,6 +600,23 @@ def test_enclosing_radius_refuses_as_the_cli_does():
         enclosing_radius(escape)
     assert str(err.value) == ("branch images reach 1.0995 >= radius 1 "
                               "(r = 1.0995)")
+
+
+def test_sampled_admission_of_a_far_disc_refuses_without_a_warning():
+    # the console-script step's far.json system, 1/(2 + z) on the disc of
+    # centre 1e308 i and radius 1e308, as plain maps: the boundary samples
+    # overflow, and the refusal names the NaN sup with no numpy warning
+    far = system_from_descriptor({
+        "family": "moebius_list",
+        "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0,
+                    "weight": "neg_derivative"}],
+        "domain": {"center": [0.0, 1e308], "radius": 1e308, "dim": 1}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InadmissibleDomain) as err:
+            enclosing_radius(as_plain_maps(far))
+    assert str(err.value) == ("the sups are not finite: image sup nan on a "
+                              "boundary grid of 1024 points, non-rigorous")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import pathlib
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from transferspec import spectra, systems
 from transferspec import (
     AnalyticMap,
     DimensionUnsupported,
+    SolverFailure,
     TransferOperatorError,
     assemble_matrix,
     eigenvalues,
@@ -62,8 +66,7 @@ def _with_tail(sys_, value, dtype):
         return np.full((count, len(z)), value, dtype=dtype)
     alphabet = dataclasses.replace(sys_.alphabet, power_tail=tail)
     return systems.MapWeightSystem._from_arrays(
-        sys_.coefficients, sys_.law, sys_.domain, alphabet, "gauss",
-        sys_.descriptor)
+        sys_.coefficients, sys_.law, sys_.domain, alphabet, sys_.system_id)
 
 
 def test_assemble_includes_the_gauss_tail(gauss200):
@@ -259,6 +262,51 @@ def test_gauss_second_eigenvalue_vs_collocation(gauss200):
     assert seq.values[1].real == pytest.approx(-0.30366300289873, abs=1e-10)
 
 
+_DISC_A, _DISC_B = (1.0, 1.5), (0.8, 1.2)
+# |lambda_k(24) - lambda_k(40)|, k = 1..7, of gauss_zeta_eigenvalues_mp at
+# N = 24 and 30 digits against N = 40 at 40 digits: the size-24 oracle's
+# truncation error on each disc, which the comparisons below allow twice
+_ZETA24_ERROR = {
+    _DISC_A: (3.3e-9, 1.5e-8, 4.5e-8, 1.3e-7, 3.2e-7, 7.4e-7, 1.5e-6),
+    _DISC_B: (1.6e-10, 7.0e-10, 2.1e-9, 6.1e-9, 1.6e-8, 3.9e-8, 8.5e-8),
+}
+
+
+def _wirsing_mp():
+    """bench/oracles.WIRSING's 35-digit literal as an mpmath number."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "bench"
+            / "oracles.py").read_text()
+    return mpmath.mpf(re.search(r"^WIRSING = ([0-9.]+)$", text,
+                                re.M).group(1))
+
+
+def test_gauss_spectrum_matches_the_zeta_galerkin_oracle():
+    # the Hurwitz-zeta Galerkin matrix shares only the basis with the code
+    # under test: no branch sampling, no tail cut, no FFT. By the paper's
+    # theorem the spectrum is the same on both discs, so each disc's
+    # oracle, the collocation on [0, 1] and the preset's size-128
+    # eigenvalues on both discs must agree within the oracle's error
+    tol = {disc: [2 * e for e in err] for disc, err in _ZETA24_ERROR.items()}
+    zeta = {}
+    with mpmath.workdps(30):
+        wirsing = _wirsing_mp()
+        for disc in (_DISC_A, _DISC_B):
+            vals = oracles.gauss_zeta_eigenvalues_mp(24, *disc, dps=30)
+            assert abs(abs(vals[1]) - wirsing) <= tol[disc][1]
+            zeta[disc] = [complex(v) for v in vals]
+    coll = oracles.collocation_eigenvalues_gauss()     # stable to 1e-9
+    for k in range(7):
+        assert abs(zeta[_DISC_B][k] - coll[k]) <= tol[_DISC_B][k] + 1e-9
+    for k in range(5):
+        assert (abs(zeta[_DISC_A][k] - zeta[_DISC_B][k])
+                <= tol[_DISC_A][k] + tol[_DISC_B][k])
+    for disc in (_DISC_A, _DISC_B):
+        seq = spectral_sequence(make_gauss_system(200, make_ball(*disc)),
+                                N=128)
+        for k in range(5):
+            assert abs(seq.values[k] - zeta[_DISC_B][k]) <= tol[_DISC_B][k]
+
+
 def test_universality_across_balls(gauss200):
     a = spectral_sequence(gauss200, N=40)
     b = spectral_sequence(gauss200, ball=make_ball(0.9, 1.3), N=40)
@@ -338,6 +386,17 @@ def test_eigensolver_runs_on_one_blas_thread(monkeypatch):
         assert get_threads() == 2       # the caller's count comes back
     finally:
         set_threads(before)
+
+
+def test_eigensolver_failure_is_a_solver_failure(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    with pytest.raises(SolverFailure) as err:
+        eigenvalues(np.eye(3))
+    assert str(err.value) == ("dense eigensolver failed: Eigenvalues did "
+                              "not converge")
 
 
 @pytest.mark.parametrize("data, solver_dtype", [

@@ -320,7 +320,10 @@ def cmd_bounds(cfg, args):
     elif cfg.system is not None:
         sys_ = _require_system(cfg)
         val, ratio = _admitted(sys_, cfg)
-        prof = BoundProfile(val.W, ratio, sys_.dim)
+        try:    # a ratio that underflows to 0 has no profile
+            prof = BoundProfile(val.W, ratio, sys_.dim)
+        except ValueError as err:
+            raise TransferOperatorError(f"no bound profile: {err}")
         seq = spectral_sequence(sys_, N=cfg.matrix_size)
         rep = verify_bounds(seq, prof)
         rows, weyl = rep.rows, rep.weyl

@@ -293,8 +293,9 @@ def batch_fixed_points(sys_, letters, tol=1e-13, groups=None):
     prev_step = None
     for _ in range(_MAX_SWEEPS):
         z1 = z
-        for col, grp in zip(letters.T, groups):
-            z1 = sys_.apply_letters(col, z1, grp)
+        with np.errstate(invalid="ignore"):     # _outside refuses a NaN
+            for col, grp in zip(letters.T, groups):
+                z1 = sys_.apply_letters(col, z1, grp)
         off = _outside(ball, z1)
         if off.any():
             bad = int(np.argmax(off))

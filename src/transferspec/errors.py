@@ -27,7 +27,8 @@ class InadmissibleDomain(TransferOperatorError):
 
 
 class NoConvergence(TransferOperatorError):
-    """Fixed-point iteration did not reach the requested tolerance."""
+    """Fixed-point iteration missed its tolerance, or fixed_point's limit
+    point has |T'| >= 1, so the map is not a strict contraction there."""
 
 
 class EscapedDomain(TransferOperatorError):
@@ -41,8 +42,10 @@ class BudgetExceeded(TransferOperatorError):
 
 
 class NotContracting(TransferOperatorError):
-    """The sampled contraction factor is >= 1, so the adapted metric of the
-    requested order does not exist."""
+    """A word does not contract: on the trace route its multiplier has
+    modulus >= 1 - 1e-9 (dim 1) or det(I - T') is singular (dim >= 2); in
+    the exact contraction sup its pole lies on or inside the closed ball.
+    A sampled contraction factor >= 1 only makes validate report not ok."""
 
 
 class NotEnclosed(TransferOperatorError):

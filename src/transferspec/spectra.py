@@ -135,7 +135,8 @@ def _power_table(sys_, ball, N, count, mirrored=False):
     a tail. With mirrored, each column block's branches are also sampled
     at the conjugates of its points, in the same gather, and None comes
     back at the first block whose images or weights there are not the
-    exact conjugates of those at the points.
+    exact conjugates of those at the points. Entries past the double
+    range are left to assemble_matrix's finiteness check.
     """
     c, rho = complex(ball.center), float(ball.radius)
     zs = ball.boundary_points(4 * N, count)
@@ -146,7 +147,8 @@ def _power_table(sys_, ball, N, count, mirrored=False):
         # its small products run 10-20x slower on more BLAS threads
         with _one_blas_thread():
             g = np.asarray(sys_.alphabet.power_tail(zs, N, c), dtype=complex)
-        g *= (rho ** -np.arange(N, dtype=float))[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= (rho ** -np.arange(N, dtype=float))[:, None]
     else:
         g = np.zeros((N, zs.size), dtype=complex)
 
@@ -164,9 +166,10 @@ def _power_table(sys_, ball, N, count, mirrored=False):
             w = np.ascontiguousarray(w[:, :half])
         else:
             s, w = _branch_values_on_grid(sys_, zs[cols])
-        np.subtract(s, c, out=s)        # the base (t - c) / rho, in place
-        np.divide(s, rho, out=s)
-        _power_sums(w, s, g[:, cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(s, c, out=s)    # the base (t - c) / rho, in place
+            np.divide(s, rho, out=s)
+            _power_sums(w, s, g[:, cols])
     return g
 
 

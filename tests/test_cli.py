@@ -29,15 +29,39 @@ AFFINE_CFG = {
     },
 }
 
-GAUSS4_CFG = {
+
+def continued_fraction_cfg(shifts):
+    """Branches 1/(e + z) for e in shifts, weights -T', on the disc
+    (1, 1.5)."""
+    return {
+        "system": {
+            "family": "moebius_list",
+            "params": [
+                {"a": 0.0, "b": 1.0, "c": 1.0, "e": float(e),
+                 "weight": "neg_derivative"}
+                for e in shifts
+            ],
+            "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1},
+        },
+    }
+
+
+GAUSS4_CFG = continued_fraction_cfg((1, 2, 3, 4))
+
+# three letters with complex coefficients, whose terms cancel, so each
+# order's every-word fold runs in complex arithmetic
+THREE_LETTER_CFG = {
     "system": {
         "family": "moebius_list",
         "params": [
-            {"a": 0.0, "b": 1.0, "c": 1.0, "e": float(i),
-             "weight": "neg_derivative"}
-            for i in (1, 2, 3, 4)
+            {"a": [0.4, 0.1], "b": 0.1, "c": [0.3, -0.2], "e": 2.0,
+             "weight": "derivative"},
+            {"a": [0.2, -0.3], "b": [0.3, 0.1], "c": [0.25, 0.15], "e": 1.8,
+             "weight": "neg_derivative"},
+            {"a": [0.1, 0.05], "b": -0.2, "c": [0.0, 0.1], "e": 2.2,
+             "weight": "derivative"},
         ],
-        "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1},
+        "domain": {"center": [0.1, 0.05], "radius": 1.0, "dim": 1},
     },
 }
 
@@ -544,10 +568,22 @@ def test_determinant_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert json.loads(one)["cross_check"]["count"] >= 1
 
 
-def test_cli_runs_start_no_thread_pool(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("payload, argv", [
+    (dict(GAUSS4_CFG, contraction_order=9), ["validate"]),
+    (GAUSS4_CFG, ["determinant", "--trace-order", "10"]),
+    (THREE_LETTER_CFG, ["determinant", "--trace-order", "9"]),
+    (THREE_LETTER_CFG, ["determinant", "--trace-order", "11"]),
+    (continued_fraction_cfg((1, 2)), ["determinant", "--trace-order", "20"]),
+    (continued_fraction_cfg((1, 2, 3, 4, 5)),
+     ["determinant", "--trace-order", "8"]),
+], ids=["gauss4-validate-9", "gauss4-determinant-10", "three-letter-9",
+        "three-letter-11", "two-letter-20", "five-letter-8"])
+def test_cli_runs_start_no_thread_pool(tmp_path, capsys, monkeypatch,
+                                       payload, argv):
     # every system the CLI builds is a Moebius system, walked in closed
     # form on the calling thread: --threads 2 starts no pool and changes no
-    # byte, for a contraction over 4^9 words and a trace order over 4^10
+    # byte, for a contraction over 4^9 words, for trace orders over 4^10,
+    # 3^11, 2^20 and 5^8 words, and where the terms cancel
     pools = []
     real = _parallel.ThreadPoolExecutor
 
@@ -556,16 +592,15 @@ def test_cli_runs_start_no_thread_pool(tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", spy)
-    cfg = write_cfg(tmp_path, dict(GAUSS4_CFG, contraction_order=9))
-    for argv in (["validate"], ["determinant", "--trace-order", "10"]):
-        runs = []
-        for threads in ("1", "2"):
-            out_dir = tmp_path / f"{argv[0]}-{threads}"
-            code = main(argv + ["--config", cfg, "--threads", threads,
-                                "--out", str(out_dir)])
-            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-            runs.append((code, capsys.readouterr(), files))
-        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2]
+    cfg = write_cfg(tmp_path, payload)
+    runs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"results-{threads}"
+        code = main(argv + ["--config", cfg, "--threads", threads,
+                            "--out", str(out_dir)])
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        runs.append((code, capsys.readouterr(), files))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2]
     assert pools == []
 
 
@@ -707,6 +742,33 @@ def test_bounds_profile_past_the_double_range_is_an_error(tmp_path, capsys):
     assert captured.err == ("error: bound_general at n = 1 lies past the "
                             "double range\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("a, radius, refused, line", [
+    (1e-200, 1e-200, ("bounds",),
+     "no bound profile: r must lie in (0, 1), got 0.0"),
+    (0.5, 1e-310, ("spectrum", "determinant", "bounds"),
+     "the 64 x 64 matrix has an entry that is not finite"),
+], ids=["ratio-underflows", "subnormal-radius"])
+def test_tiny_disc_is_refused_with_one_error_line(tmp_path, capsys, a,
+                                                  radius, refused, line):
+    # z -> a z on a disc about 0 so small that its image reach underflows
+    # to a ratio of 0, which has no bound profile, or of a subnormal
+    # radius, whose samples (T(z) - c) / rho overflow: admitted, so
+    # validate exits 0, and each refusal is one line, not a traceback or
+    # numpy warnings
+    cfg = write_cfg(tmp_path, {"system": {
+        "family": "affine_list",
+        "params": [{"a": a, "b": 0.0, "weight": 1.0}],
+        "domain": {"center": [0.0, 0.0], "radius": radius, "dim": 1}}})
+    for command in ("validate", "spectrum", "determinant", "bounds"):
+        code = main([command, "--config", cfg])
+        captured = capsys.readouterr()
+        if command in refused:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: {line}\n"
+        else:
+            assert (code, captured.err) == (0, "")
 
 
 def test_gauss_centre_far_out_is_an_error(tmp_path, capsys):
@@ -854,11 +916,20 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("size", [128, 81])
+@pytest.mark.parametrize("center, radius", [(1.0, 1.5), (0.8, 1.2)],
+                         ids=["disc-a", "disc-b"])
+def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path, center,
+                                                      radius, size):
+    # at size 81 the 2N refinement samples 325 points of the half circle:
+    # four power-sum blocks of 81 columns and one left-over column, which
+    # joins the last block
     if spectra._openblas_thread_calls() is None:
         pytest.skip("no OpenBLAS thread setter found; the eigenvalues' "
                     "last digits may follow the BLAS thread count")
-    cfg = write_cfg(tmp_path, GAUSS_PRESET_CFG)
+    system = dict(GAUSS_PRESET_CFG["system"],
+                  domain={"center": [center, 0.0], "radius": radius, "dim": 1})
+    cfg = write_cfg(tmp_path, {"system": system})
     src = os.path.dirname(os.path.dirname(transferspec.__file__))
     outs = []
     for threads in ("1", "2"):
@@ -867,11 +938,11 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
             p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "transferspec.cli", "spectrum",
-             "--config", cfg, "--matrix-size", "128"],
+             "--config", cfg, "--matrix-size", str(size)],
             capture_output=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert outs[0].count(b"\n") == 257       # header and 256 rows
+    assert outs[0].count(b"\n") == 2 * size + 1     # header and 2N rows
     assert outs[0] == outs[1]
 
 

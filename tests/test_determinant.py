@@ -175,9 +175,10 @@ def _refused_as_enclosing_radius_refuses(sys_, monkeypatch,
 
 
 _NOT_ADMITTED = {
-    # the console-script step's systems: a pole inside the disc, images
-    # that reach past it, a disc near the top of the double range, and the
-    # identity, whose images reach the radius
+    # 1/(0.5 + z) and 1/(3 + z), with a pole inside the unit disc;
+    # -0.9 z + 0.1995 and -0.9 z, whose images reach past it; 1/(2 + z) on
+    # a disc near the top of the double range; and the identity, whose
+    # images reach the radius
     "pole": {"family": "moebius_list",
              "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": e,
                          "weight": "neg_derivative"} for e in (0.5, 3.0)],
@@ -467,8 +468,9 @@ def test_cancelling_order_is_summed_word_by_word_in_every_chunk(plain):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-# the five-letter real system and the complex three-letter system of the
-# console-script step in CI
+# the five-letter real system, branches 1/(e + z) for e = 1..5 on the disc
+# (1, 1.5), and a three-letter system with complex coefficients, whose
+# terms cancel
 FIVE_DESC = {"family": "moebius_list",
              "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": float(e),
                          "weight": "neg_derivative"} for e in range(1, 6)],

@@ -334,7 +334,6 @@ def _no_words(*args, **kwargs):
     raise AssertionError("words were evaluated")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_iterate_escapes_on_the_first_sweep(monkeypatch):
     # NaN is not inside the ball: the first word through the NaN branch is
     # refused on the first sweep, not iterated to the sweep limit.
@@ -603,9 +602,9 @@ def test_enclosing_radius_refuses_as_the_cli_does():
 
 
 def test_sampled_admission_of_a_far_disc_refuses_without_a_warning():
-    # the console-script step's far.json system, 1/(2 + z) on the disc of
-    # centre 1e308 i and radius 1e308, as plain maps: the boundary samples
-    # overflow, and the refusal names the NaN sup with no numpy warning
+    # 1/(2 + z) on the disc of centre 1e308 i and radius 1e308, as plain
+    # maps: the boundary samples overflow, and the refusal names the NaN
+    # sup with no numpy warning
     far = system_from_descriptor({
         "family": "moebius_list",
         "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 2.0,

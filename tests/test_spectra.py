@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import as_plain_maps
-from transferspec import spectra, systems
+from transferspec import cli, spectra, systems
 from transferspec import (
     AnalyticMap,
     DimensionUnsupported,
@@ -159,18 +159,31 @@ def test_real_route_takes_conjugation_symmetric_systems(case, real, gauss200,
         assert np.array_equal(m.view(np.int64), twin.view(np.int64))
 
 
-@pytest.mark.parametrize("N", [16, 64])
-@pytest.mark.parametrize("name", ["gauss4", "affine_half", "real-moebius"])
+def _gauss4_lambdas():
+    """gauss4 as bare lambdas with no derivatives: branches 1/(e + z),
+    weights 1/((e + z)(e + z))."""
+    shifts = (1.0, 2.0, 3.0, 4.0)
+    branches = [AnalyticMap(lambda z, e=e: 1.0 / (e + z)) for e in shifts]
+    weights = [AnalyticMap(lambda z, e=e: 1.0 / ((e + z) * (e + z)))
+               for e in shifts]
+    return make_system(branches, weights, make_ball(1.0, 1.5))
+
+
+@pytest.mark.parametrize("name, N", [
+    (name, N) for name in ("affine_half", "gauss4", "real-moebius")
+    for N in (16, 64)] + [("gauss4-lambdas", 64)])
 def test_plain_maps_of_a_real_system_give_its_sequence(name, N, request):
     # the same branches and weights as plain callables are sampled at the
     # conjugate points instead of read off real arrays, and give the
-    # Moebius system's eigenvalues, value for value
-    sys_ = systems.system_from_descriptor(_moebius_desc("derivative")) \
-        if name == "real-moebius" else request.getfixturevalue(name)
-    want = spectral_sequence(sys_, N=N)
-    got = spectral_sequence(as_plain_maps(sys_), N=N)
-    assert got.values == want.values
-    assert got.reliable_count == want.reliable_count
+    # Moebius system's spectrum CSV, byte for byte
+    if name == "gauss4-lambdas":
+        sys_, plain = request.getfixturevalue("gauss4"), _gauss4_lambdas()
+    else:
+        sys_ = systems.system_from_descriptor(_moebius_desc("derivative")) \
+            if name == "real-moebius" else request.getfixturevalue(name)
+        plain = as_plain_maps(sys_)
+    want = cli._spectrum_csv_text(spectral_sequence(sys_, N=N))
+    assert cli._spectrum_csv_text(spectral_sequence(plain, N=N)) == want
 
 
 def test_real_plain_maps_give_a_spectrum_closed_under_conjugation():

@@ -31,7 +31,12 @@ from .errors import (
     NotContracting,
     NotEnclosed,
 )
-from .systems import _derivative_sups, _letter_groups, validate_system
+from .systems import (
+    _derivative_sups,
+    _letter_groups,
+    _real_data,
+    validate_system,
+)
 
 _Q_CAP = 0.999
 _ESCAPE_SLACK = 1e-9
@@ -403,7 +408,11 @@ def _first_max(results, start):
 
 
 def _exact_contraction(sys_, n, total):
-    mob = tuple(sys_.coefficients.T)
+    coefficients = sys_.coefficients
+    # a real system's words fold in float64 (systems._real_data): a
+    # real-valued complex product, sum and modulus have the bits of their
+    # float64 counterparts
+    mob = tuple((coefficients.real if _real_data(sys_) else coefficients).T)
     # |det| of a word is the product of its letters' |det|: AE - BC of the
     # folded word cancels on long words
     dets = np.abs(mob[0] * mob[3] - mob[1] * mob[2])
@@ -411,13 +420,16 @@ def _exact_contraction(sys_, n, total):
     def best(words, period, fold, prods):
         vals, _ = _derivative_sups(prods[0], fold[2], fold[3], sys_.domain)
         r = int(np.argmax(vals))
-        return float(vals[r]), int(words[r]), fold[2][r], fold[3][r]
+        return float(vals[r]), int(words[r])
 
-    value, idx, C, E = _first_max((best(*block) for block in _fold_blocks(
+    value, idx = _first_max((best(*block) for block in _fold_blocks(
         sys_.n_letters, n, 0, total, mob, (dets,), False, _WORD_BLOCK)
-        if len(block[0])), (-1.0, 0, 0.0, 1.0))
+        if len(block[0])), (-1.0, 0))
     word = tuple(word_letters(sys_.n_letters, n, np.array([idx]))[0].tolist())
     if value == math.inf:
+        # the pole of the word's complex fold, the sign of a zero too
+        _, _, (C,), (E,) = _fold_moebius(
+            coefficients[np.subtract(word, 1), :, None])
         raise NotContracting(
             f"word {word} has its pole {complex(-E / C):.6g} on or inside "
             "the closed ball, so sup |T_word'| on its boundary is infinite")

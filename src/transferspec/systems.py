@@ -23,13 +23,19 @@ checkable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 
 import numpy as np
+
+try:
+    # the interpreter's own SHA-1: hashlib's loads OpenSSL's libcrypto,
+    # megabytes of resident memory in every process, for one short digest
+    from _sha1 import sha1
+except ImportError:         # an interpreter built without it
+    from hashlib import sha1
 
 from ._dual import derivative_scalar, jacobian
 from ._zeta import hzeta_rows, normal_orders, trigamma, unshifted_floor
@@ -407,7 +413,7 @@ def _system_id(source):
         blob = json.dumps(source, sort_keys=True, separators=(",", ":"))
     else:
         tag, blob = source[0], repr(source)
-    return f"{tag}-{hashlib.sha1(blob.encode()).hexdigest()[:10]}"
+    return f"{tag}-{sha1(blob.encode()).hexdigest()[:10]}"
 
 
 def _letter_groups(letters):
@@ -457,18 +463,18 @@ def _gauss_weight_tail_bound(i_max, domain):
     return float(vals.sum() + remainder)
 
 
-def _gauss_image_tail_sup(i_max, domain):
-    """Upper bound for sup_{i > i_max} sup_D |1/(i+z) - center|.
+def _gauss_image_tail_sup(i_max, domain, reach):
+    """Upper bound for sup_{i > i_max} sup_D |1/(i+z) - center|, given the
+    reach (_image_reach) of each branch 1, 2, ..., i_max + 4000 in reach.
 
-    Branch i maps the ball onto a disc computable in closed form; a probe
-    block of branches has the reach of its image disc (_image_reach), and
-    the remaining branches are covered by |center| + max modulus of their
-    image discs, which decreases in i, or for a real center by the real
-    interval (0, b] that holds the diameters of those discs.
+    Branch i maps the ball onto a disc computable in closed form; the probe
+    block i_max + 1, ..., i_max + 4000 has the reach of its image discs,
+    and the remaining branches are covered by |center| + max modulus of
+    their image discs, which decreases in i, or for a real center by the
+    real interval (0, b] that holds the diameters of those discs.
     """
     c, rho = domain.center, domain.radius
-    probe = float(_image_reach(_gauss_rows(i_max + 1, i_max + 4001),
-                               domain)[0].max())
+    probe = float(reach[i_max:i_max + 4000].max())
     start = i_max + 4001 + c.real - rho
     if c.imag == 0.0 and start > 0:
         # each far disc is symmetric about the real axis, with its real
@@ -641,12 +647,14 @@ def make_gauss_system(i_max, domain=None):
             raise InadmissibleDomain(
                 f"pole of branch {i} at {-i} touches the closed ball")
 
-    # exact image discs of all branches i >= 1, with a 2% margin
-    reach = _gauss_image_tail_sup(0, domain)
-    if reach > 0.98 * rho:
+    # exact image discs of all branches i >= 1, with a 2% margin, and of
+    # the dropped ones, from one probe of the branches 1..i_max+4000
+    reach = _image_reach(_gauss_rows(1, i_max + 4001), domain)[0]
+    everywhere = _gauss_image_tail_sup(0, domain, reach)
+    if everywhere > 0.98 * rho:
         raise InadmissibleDomain(
-            f"branch images reach {reach:.6g} from the center; not strictly "
-            f"inside radius {rho:.6g}")
+            f"branch images reach {everywhere:.6g} from the center; not "
+            f"strictly inside radius {rho:.6g}")
 
     # the weights -T'
     coefficients = _gauss_rows(1, i_max + 1)
@@ -654,7 +662,7 @@ def make_gauss_system(i_max, domain=None):
     alphabet = CountableTruncated(
         i_max=i_max,
         weight_tail_bound=_gauss_weight_tail_bound(i_max, domain),
-        image_tail_sup=_gauss_image_tail_sup(i_max, domain),
+        image_tail_sup=_gauss_image_tail_sup(i_max, domain, reach),
         power_tail=_gauss_power_tail(i_max),
     )
     descriptor = {"family": "gauss", "params": [], "i_max": i_max, "domain": {
@@ -720,8 +728,12 @@ def _derivative_sups(det, C, E, ball):
     |C c + E| - |C| rho: the least |C z + E| on the circle, signed, so it
     is negative when the pole -E/C lies inside the ball. The sup is taken
     at the circle point nearest the pole; a pole on or inside the closed
-    ball (gap <= 0) gives inf."""
-    gap = np.abs(C * ball.center + E) - np.abs(C) * ball.radius
+    ball (gap <= 0) gives inf. A real center is taken as a float, so real
+    C and E stay in float64, with the bits of the complex product."""
+    c = ball.center
+    if c.imag == 0.0:
+        c = c.real
+    gap = np.abs(C * c + E) - np.abs(C) * ball.radius
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(gap > 0.0, det / (gap * gap), np.inf), gap
 

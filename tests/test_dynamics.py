@@ -42,7 +42,8 @@ from transferspec.dynamics import (
 )
 from transferspec.systems import AnalyticMap
 
-from conftest import as_plain_maps, whole_walk
+from conftest import GAUSS4_DESC, as_plain_maps, whole_walk
+from test_determinant import REAL_CASES, _bits
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +533,104 @@ def test_contraction_exact_pole_on_circle():
             "params": [{"a": 0.0, "b": 1.0, "c": 1.0, "e": 0.5,
                         "weight": 1.0}],
             "domain": {"center": [1.0, 0.0], "radius": 1.5, "dim": 1}}
-    with pytest.raises(NotContracting, match=r"\(1,\)"):
+    with pytest.raises(NotContracting) as err:
         contraction_details(system_from_descriptor(desc), 1)
+    assert str(err.value) == (
+        "word (1,) has its pole -0.5+0j on or inside the closed ball, so "
+        "sup |T_word'| on its boundary is infinite")
 
 
-@pytest.mark.parametrize("n", [1, 2])
+POLES_INSIDE = {1: "word (1,) has its pole -0.5+0j",
+                2: "word (1, 1) has its pole -0.52+0j",
+                3: "word (1, 1, 1) has its pole -0.519231+0j"}
+
+
+@pytest.mark.parametrize("n", sorted(POLES_INSIDE))
 def test_contraction_exact_pole_inside_ball(n):
     # the pole -0.5 of 0.01/(z + 0.5) lies inside the disc (1, 2), and so
     # does -0.52, the pole of its square: the sup on the circle is not the
-    # finite value at the circle point nearest the pole
-    sys_ = make_system([make_moebius(0.0, 0.01, 1.0, 0.5)], [make_const(1.0)],
+    # finite value at the circle point nearest the pole. The pole is the
+    # one of the word's complex fold, the sign of its zero too
+    with pytest.raises(NotContracting) as err:
+        contraction_details(_pole_inside(), n)
+    assert str(err.value) == (POLES_INSIDE[n] + " on or inside the closed "
+                              "ball, so sup |T_word'| on its boundary is "
+                              "infinite")
+
+
+def test_contraction_exact_pole_keeps_the_sign_of_its_zero():
+    # z / (z - 2) on the disc (2, 1): the complex fold's pole is 2-0j,
+    # where a fold in float64 would give 2+0j
+    with pytest.raises(NotContracting) as err:
+        contraction_details(_pole_at_centre(), 1)
+    assert str(err.value) == (
+        "word (1,) has its pole 2-0j on or inside the closed ball, so sup "
+        "|T_word'| on its boundary is infinite")
+
+
+def _pole_at_centre():
+    return make_system([make_moebius(0.5, 0.0, 0.5, -1.0)], [make_const(1.0)],
+                       make_ball(2.0, 1.0))
+
+
+def _pole_inside():
+    return make_system([make_moebius(0.0, 0.01, 1.0, 0.5)], [make_const(1.0)],
                        make_ball(1.0, 2.0))
-    with pytest.raises(NotContracting,
-                       match=r"word \(1,( 1)?\) .* on or inside the closed ball"):
-        contraction_details(sys_, n)
+
+
+def _pole_on_circle():
+    return make_system([make_moebius(0.0, 1.0, 1.0, 0.5)], [make_const(1.0)],
+                       make_ball(1.0, 1.5))
+
+
+def _gauss_disc(center, radius):
+    return lambda: make_gauss_system(200, make_ball(center, radius))
+
+
+REAL_CONTRACTION_CASES = {
+    **{name: (make, range(1, 7)) for name, make in REAL_CASES.items()},
+    "gauss-disc-a": (_gauss_disc(1.0, 1.5), (1, 2)),
+    "gauss-disc-b": (_gauss_disc(0.8, 1.2), (1, 2)),
+    "gauss4": (lambda: system_from_descriptor(GAUSS4_DESC), range(1, 10)),
+    # a real system about a centre off the real axis: only the words
+    # are real, and the gap's product with the centre stays complex
+    "real-pair-complex-centre": (lambda: make_system(
+        [make_moebius(0.5, 0.1, 0.2, 1.0), make_moebius(-0.3, 0.2, 0.1, 1.5)],
+        [make_const(1.0)] * 2, make_ball(0.3 + 0.2j, 1.0)), range(1, 7)),
+    "pole-on-circle": (_pole_on_circle, (1, 2, 3)),
+    "pole-inside": (_pole_inside, (1, 2, 3)),
+    "pole-at-centre": (_pole_at_centre, (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_CONTRACTION_CASES))
+def test_real_contraction_keeps_the_bits_of_complex_words(name, monkeypatch):
+    # a real system's words fold in float64, and a real centre is a float:
+    # every value, word, tie and refusal is the one the complex path gives
+    make, orders = REAL_CONTRACTION_CASES[name]
+    sys_ = make()
+    assert dynamics._real_data(sys_)
+
+    def every_order():
+        return [_bits(lambda: contraction_details(sys_, n)) for n in orders]
+
+    real = every_order()
+    monkeypatch.setattr(dynamics, "_real_data", lambda sys_: False)
+    assert every_order() == real
+
+
+def test_real_contraction_walks_float64_columns(gauss200, monkeypatch):
+    # the Gauss preset's words fold in float64, not complex128
+    seen = []
+    walk = dynamics._fold_blocks
+
+    def spy(size, n, lo, hi, mob, factors, *rest):
+        seen.append([x.dtype for x in mob + factors])
+        return walk(size, n, lo, hi, mob, factors, *rest)
+
+    monkeypatch.setattr(dynamics, "_fold_blocks", spy)
+    contraction_details(gauss200, 2)
+    assert seen == [[np.dtype(np.float64)] * 5]
 
 
 # ---------------------------------------------------------------------------

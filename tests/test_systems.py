@@ -3,6 +3,9 @@
 import cmath
 import copy
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import transferspec
 from transferspec import (
     AnalyticMap,
     CountableTruncated,
@@ -543,7 +547,9 @@ def test_validate_gauss_exact_report(gauss200):
     (1.0 + 0.25j, 1.5, None),   # complex centre: the |c| + b cover
 ])
 def test_gauss_image_tail_sup_covers_far_branches(center, radius, want):
-    got = systems._gauss_image_tail_sup(200, make_ball(center, radius))
+    ball = make_ball(center, radius)
+    reaches = systems._image_reach(systems._gauss_rows(1, 4201), ball)[0]
+    got = systems._gauss_image_tail_sup(200, ball, reaches)
     if want is not None:
         assert got == pytest.approx(want, rel=1e-15)
     # branches in and far past the probe block, in extended precision
@@ -551,6 +557,36 @@ def test_gauss_image_tail_sup_covers_far_branches(center, radius, want):
         lambda z, i=i: abs(1 / (i + z) - center), center, radius, points=64)
         for i in (201, 4201, 5000, 10 ** 6))
     assert reach <= got
+
+
+def _probe_tail_sup(i_max, domain):
+    """_gauss_image_tail_sup with only its probe block's reaches, taken on
+    that block's rows alone."""
+    block = systems._gauss_rows(i_max + 1, i_max + 4001)
+    reach = np.concatenate([np.full(i_max, np.nan),
+                            systems._image_reach(block, domain)[0]])
+    return systems._gauss_image_tail_sup(i_max, domain, reach)
+
+
+@pytest.mark.parametrize("center, radius", [
+    (1.0, 1.5), (0.8, 1.2), (0.6 + 0.3j, 1.0), (3.0, 2.5), (1.0, 0.4),
+    (1.0 + 0.25j, 1.5)])
+def test_gauss_build_takes_both_image_probes_from_one(center, radius):
+    # the build probes the branches 1..i_max+4000 once: the 98 % rule reads
+    # the first 4000 of them and the tail sup the last 4000, with the bits
+    # of a probe of each block on its own
+    ball = make_ball(center, radius)
+    everywhere = _probe_tail_sup(0, ball)
+    for i_max in (1, 10, 200, 500):
+        if everywhere > 0.98 * radius:
+            with pytest.raises(InadmissibleDomain) as err:
+                make_gauss_system(i_max, ball)
+            assert str(err.value) == (
+                f"branch images reach {everywhere:.6g} from the center; not "
+                f"strictly inside radius {radius:.6g}")
+        else:
+            tail = make_gauss_system(i_max, ball).alphabet.image_tail_sup
+            assert repr(tail) == repr(_probe_tail_sup(i_max, ball))
 
 
 _EXACT_CASES = {
@@ -831,6 +867,20 @@ def test_system_id_is_fixed_at_build():
     desc["family"] = "moebius_list"
     assert sys_.system_id == system_from_descriptor(AFFINE_DESC).system_id
     assert sys_.system_id == "affine_list-e112ec41ce"
+
+
+def test_system_ids_load_no_openssl():
+    # the ids are SHA-1 digests from the interpreter's own module: hashlib
+    # would load OpenSSL's libcrypto into every process that builds one
+    code = ("import sys, transferspec as ts; "
+            "print(ts.make_gauss_system(200).system_id, "
+            "'_hashlib' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(transferspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    assert proc.stdout == "gauss-3b66110e9c False\n"
 
 
 def test_system_of_maps_is_named_by_label_letters_and_domain():

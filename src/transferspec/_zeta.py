@@ -1,19 +1,15 @@
-"""Shifted power sums zeta(s, a) = sum_{k>=0} (a+k)^(-s) for integer s >= 2.
+"""Shifted power sums zeta(s, a) = sum_{k>=0} (a+k)^(-s).
 
-Evaluated by Euler-Maclaurin: sum the first few terms directly, then expand
-the remainder around b = a + shift. The shift is chosen so that the
-asymptotic correction terms decay well below double precision before the
-Bernoulli series starts diverging; with ten Bernoulli terms the result is
-accurate to a few ulp for every s up to several hundred (checked against
-high-precision direct summation in the tests). hzeta_rows evaluates the
-orders 2, ..., count+1 at once, at arguments that need no shift.
-normal_orders counts the leading orders whose value can be a normal double
-at given arguments; past them zeta(s, a) is below the smallest normal
-number, so a caller may ask hzeta_rows for those orders only.
-
-The argument a may be a numpy array (vectorized over grid points); Re(a+k)
-must be positive for all summed k, which holds for the tail sums this
-package needs (a = i_max + 1 + z with z in a ball well right of -i_max).
+trigamma is zeta(2, x), the Gauss weight tail's exact sum, at any x with
+Re x > 0. It is evaluated by Euler-Maclaurin: sum the first few terms
+directly, then expand the remainder around b = x + shift, with the shift
+chosen so that ten Bernoulli terms take the correction below double
+precision before that series starts diverging. hzeta_rows evaluates the
+orders 2, ..., count+1 at once, at arguments a large enough that no order
+needs a shift: the Gauss tail's power sums. normal_orders counts the
+leading orders whose value can be a normal double at given arguments;
+past them zeta(s, a) is below the smallest normal number, so a caller may
+ask hzeta_rows for those orders only.
 """
 
 from __future__ import annotations
@@ -48,39 +44,6 @@ def normal_orders(count, x):
     return int(np.count_nonzero(log_bound >= _LOG_TINY))
 
 
-def hzeta_int(s, a):
-    """zeta(s, a) for integer s >= 2; a scalar or ndarray with Re a > 0."""
-    if not isinstance(s, (int, np.integer)) or s < 2:
-        raise ValueError(f"hzeta_int needs an integer s >= 2, got {s!r}")
-    s = int(s)
-    a = np.asarray(a, dtype=complex)
-    if np.any(a.real <= 0):
-        raise ValueError("hzeta_int requires Re a > 0")
-
-    # Push the expansion point far enough right that the correction series
-    # converges rapidly; the threshold grows with s because the Pochhammer
-    # factors in the Bernoulli terms grow like s^(2v).
-    amin = float(np.min(np.abs(a)))
-    shift = 0
-    while amin + shift < unshifted_floor(s):
-        shift += 16
-
-    head = np.zeros_like(a)
-    for j in range(shift):
-        head = head + (a + j) ** (-s)
-
-    b = a + shift
-    binv = 1.0 / b
-    tail = b ** (1 - s) / (s - 1) + 0.5 * b ** (-s)
-    fac = float(s)                      # (s)(s+1)...(s+2v-2), updated per term
-    bpow = b ** (-s) * binv
-    for v, bern in enumerate(_BERN, start=1):
-        tail = tail + (bern / math.factorial(2 * v)) * fac * bpow
-        fac *= (s + 2 * v - 1) * (s + 2 * v)
-        bpow = bpow * binv * binv
-    return head + tail
-
-
 def hzeta_rows(count, a):
     """Row j holds zeta(j+2, a) for j < count, for a 1-d array a with
     Re a > 0 and |a| >= unshifted_floor(count + 1), so no order needs a
@@ -106,5 +69,26 @@ def hzeta_rows(count, a):
 
 
 def trigamma(x):
-    """sum_{k>=0} (x+k)^(-2) for real or complex x with Re x > 0."""
-    return hzeta_int(2, x)
+    """zeta(2, x) = sum_{k>=0} (x+k)^(-2) for real or complex x, or an array
+    of them, with Re x > 0."""
+    a = np.asarray(x, dtype=complex)
+    if np.any(a.real <= 0):
+        raise ValueError("trigamma requires Re x > 0")
+
+    # an expansion point far enough right for the series to converge fast
+    amin = float(np.min(np.abs(a)))
+    shift = 0
+    while amin + shift < unshifted_floor(2):
+        shift += 16
+
+    head = sum((a + j) ** (-2) for j in range(shift))
+    b = a + shift
+    binv = 1.0 / b
+    tail = b ** (-1) + 0.5 * b ** (-2)
+    fac = 2.0                           # (2)(3)...(2v), updated per term
+    bpow = b ** (-2) * binv
+    for v, bern in enumerate(_BERN, start=1):
+        tail = tail + (bern / math.factorial(2 * v)) * fac * bpow
+        fac *= (2 * v + 1) * (2 * v + 2)
+        bpow = bpow * binv * binv
+    return head + tail

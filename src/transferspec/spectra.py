@@ -9,9 +9,9 @@ coefficient of g_n at c, times rho^m. Because every branch image lies in a
 strictly smaller concentric ball, the integrands are analytic past the
 contour and the trapezoidal coefficients converge geometrically.
 
-For a truncated countable family the alphabet's closed-form tail power
-sums add the dropped branches' contribution analytically, so the matrix
-represents the full operator rather than its truncation.
+For the truncated Gauss family the closed-form tail power sums add the
+dropped branches' contribution analytically, so the matrix represents the
+full operator rather than its truncation.
 
 A conjugation-symmetric system has g_n(conj z) = conj g_n(z), and the
 grid is symmetric about the real axis, so the samples are Hermitian and
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import systems
 from .errors import DimensionUnsupported, SolverFailure, TransferOperatorError
 from .systems import (
     CountableTruncated,
@@ -130,13 +131,13 @@ def assemble_matrix(sys_, ball=None, N=32):
 
 
 def _power_table(sys_, ball, N, count, mirrored=False):
-    """The (N, count) table of g_n, n < N, at the first count of the
-    4N boundary points, with the tail's scaled rows when the alphabet has
-    a tail. With mirrored, each column block's branches are also sampled
-    at the conjugates of its points, in the same gather, and None comes
-    back at the first block whose images or weights there are not the
-    exact conjugates of those at the points. Entries past the double
-    range are left to assemble_matrix's finiteness check.
+    """The (N, count) table of g_n, n < N, at the first count of the 4N
+    boundary points, plus the scaled rows of systems._gauss_power_tail for
+    a countable alphabet. With mirrored, each column block's branches are
+    also sampled at the conjugates of its points, in the same gather, and
+    None comes back at the first block whose images or weights there are
+    not the exact conjugates of those at the points. Entries past the
+    double range are left to assemble_matrix's finiteness check.
     """
     c, rho = complex(ball.center), float(ball.radius)
     zs = ball.boundary_points(4 * N, count)
@@ -146,7 +147,7 @@ def _power_table(sys_, ball, N, count, mirrored=False):
     if isinstance(sys_.alphabet, CountableTruncated):
         # its small products run 10-20x slower on more BLAS threads
         with _one_blas_thread():
-            g = np.asarray(sys_.alphabet.power_tail(zs, N, c), dtype=complex)
+            g = systems._gauss_power_tail(sys_.alphabet.i_max)(zs, N, c)
         with np.errstate(over="ignore", invalid="ignore"):
             g *= (rho ** -np.arange(N, dtype=float))[:, None]
     else:

@@ -14,11 +14,11 @@ grid otherwise), and JSON descriptor parsing.
 The one countably infinite family, the continued-fraction one, is
 represented by truncation at an index i_max plus analytic tail data that
 make_gauss_system alone attaches: a bound on the summed sup norms of the
-dropped weights, a bound on how far the dropped branch images reach from
-the ball center, and a callable evaluating the dropped branches'
-contribution to weighted power sums in closed form. Generic user systems
-must be finite; summability of a black-box infinite family is not
-checkable.
+dropped weights and a bound on how far the dropped branch images reach
+from the ball center. The dropped branches' contribution to weighted power
+sums has a closed form, _gauss_power_tail, which the matrix route calls.
+Generic user systems must be finite; summability of a black-box infinite
+family is not checkable.
 """
 
 from __future__ import annotations
@@ -256,19 +256,13 @@ class CountableTruncated:
 
     weight_tail_bound bounds sum_{i > i_max} sup_D |w_i|.
     image_tail_sup bounds sup_{i > i_max} sup_D |T_i(z) - center(D)|.
-    power_tail is a callable (z_points, count, center) -> array of shape
-    (count, len(z_points)) whose row n holds
-    sum_{i > i_max} w_i(z) * (T_i(z) - center)^n evaluated in closed form;
-    it lets the matrix discretization represent the full operator instead
-    of the truncation. When the stored letters are real, so is the tail:
-    at conj z and a real center it gives the conjugate rows, which lets the
-    matrix route sample it on the upper half circle only.
+    Only make_gauss_system builds one, so the dropped branches' power sums
+    are those of _gauss_power_tail(i_max).
     """
 
     i_max: int
     weight_tail_bound: float
     image_tail_sup: float
-    power_tail: object
 
 
 class MapWeightSystem:
@@ -445,44 +439,49 @@ def make_system(branches, weights, domain, label="custom"):
 # the continued-fraction (Gauss) family
 
 
-def _gauss_weight_tail_bound(i_max, domain):
-    """Upper bound for sum_{i > i_max} sup_D |i + z|^(-2).
+# the branches past i_max whose tail data are summed or probed one by one
+_GAUSS_PROBE = 4000
 
-    The sup of |i+z|^(-2) over the closed ball is (|i + c| - rho)^(-2).
-    For real centers this sums to an exact trigamma value; otherwise a
-    partial sum plus an integral majorant is used.
+
+def _gauss_weight_tail_bound(i_max, domain, gap):
+    """Upper bound for sum_{i > i_max} sup_D |i + z|^(-2), given the gap
+    (_image_reach) of the branches 1, 2, ..., i_max + _GAUSS_PROBE.
+
+    The sup of |i+z|^(-2) over the closed ball is (|i + c| - rho)^(-2), and
+    the gap of 1/(i+z) is |i + c| - rho. For real centers this sums to an
+    exact trigamma value; otherwise the probe block's terms plus an integral
+    majorant of the rest are used.
     """
     c, rho = domain.center, domain.radius
     if c.imag == 0.0:
         start = i_max + 1 + c.real - rho
         if start > 0:
             return float(trigamma(start).real)
-    block = np.arange(i_max + 1, i_max + 4001)
-    vals = (np.abs(block + c) - rho) ** -2.0
-    remainder = 1.0 / (i_max + 4000 - abs(c) - rho)
+    vals = gap[i_max:i_max + _GAUSS_PROBE] ** -2.0
+    remainder = 1.0 / (i_max + _GAUSS_PROBE - abs(c) - rho)
     return float(vals.sum() + remainder)
 
 
 def _gauss_image_tail_sup(i_max, domain, reach):
     """Upper bound for sup_{i > i_max} sup_D |1/(i+z) - center|, given the
-    reach (_image_reach) of each branch 1, 2, ..., i_max + 4000 in reach.
+    reach (_image_reach) of the branches 1, 2, ..., i_max + _GAUSS_PROBE.
 
     Branch i maps the ball onto a disc computable in closed form; the probe
-    block i_max + 1, ..., i_max + 4000 has the reach of its image discs,
-    and the remaining branches are covered by |center| + max modulus of
-    their image discs, which decreases in i, or for a real center by the
+    block i_max + 1, ..., i_max + _GAUSS_PROBE has the reach of its image
+    discs, and the remaining branches are covered by |center| + max modulus
+    of their image discs, which decreases in i, or for a real center by the
     real interval (0, b] that holds the diameters of those discs.
     """
     c, rho = domain.center, domain.radius
-    probe = float(reach[i_max:i_max + 4000].max())
-    start = i_max + 4001 + c.real - rho
+    probe = float(reach[i_max:i_max + _GAUSS_PROBE].max())
+    start = i_max + _GAUSS_PROBE + 1 + c.real - rho
     if c.imag == 0.0 and start > 0:
         # each far disc is symmetric about the real axis, with its real
         # diameter inside (0, b]: no point of it is farther from c than 0 or b
         b = 1.0 / start
         far = max(abs(c.real), abs(b - c.real))
     else:
-        far = abs(c) + 1.0 / (i_max + 4001 - abs(c) - rho)
+        far = abs(c) + 1.0 / (i_max + _GAUSS_PROBE + 1 - abs(c) - rho)
     return max(probe, far)
 
 
@@ -572,6 +571,8 @@ def _gauss_power_tail(i_max):
     built in long double and rounded once, so its entries carry about one
     rounding each, not one per row of the recurrence; where long double is
     double (as on some platforms) it has the double recurrence's rounding.
+    At conj z and a real center the rows are the conjugates, so the matrix
+    route may sample the tail on the upper half circle only.
     """
 
     def tail(z, count, center, i_max=i_max):
@@ -621,11 +622,11 @@ def make_gauss_system(i_max, domain=None):
     The weights are the negated branch derivatives, a sign choice that makes
     the leading transfer-operator eigenvalue exactly 1 (the weighted branch
     sum telescopes against h(z) = 1/(1+z)). The alphabet is truncated at
-    i_max with closed-form tail data, including exact weighted power sums of
-    the dropped branches, so downstream consumers can represent the full
-    countable family. Admissibility is closed-form geometry: the domain is
-    rejected when a pole touches it or when the exact image discs of the
-    branches reach past 98% of its radius.
+    i_max with closed-form tail bounds, and the matrix route adds the
+    dropped branches' exact power sums (_gauss_power_tail). Admissibility
+    is closed-form geometry: the domain is rejected when a pole touches it
+    or when the exact image discs of the branches reach past 98% of its
+    radius.
     """
     if (isinstance(i_max, bool) or not isinstance(i_max, (int, np.integer))
             or i_max < 1):
@@ -647,9 +648,10 @@ def make_gauss_system(i_max, domain=None):
             raise InadmissibleDomain(
                 f"pole of branch {i} at {-i} touches the closed ball")
 
-    # exact image discs of all branches i >= 1, with a 2% margin, and of
-    # the dropped ones, from one probe of the branches 1..i_max+4000
-    reach = _image_reach(_gauss_rows(1, i_max + 4001), domain)[0]
+    # exact image discs of all branches i >= 1, with a 2% margin, and the
+    # dropped ones' tail data, from one probe of the rows 1..i_max+_GAUSS_PROBE
+    rows = _gauss_rows(1, i_max + _GAUSS_PROBE + 1)
+    reach, _, gap, _ = _image_reach(rows, domain)
     everywhere = _gauss_image_tail_sup(0, domain, reach)
     if everywhere > 0.98 * rho:
         raise InadmissibleDomain(
@@ -657,13 +659,12 @@ def make_gauss_system(i_max, domain=None):
             f"strictly inside radius {rho:.6g}")
 
     # the weights -T'
-    coefficients = _gauss_rows(1, i_max + 1)
+    coefficients = rows[:i_max].copy()
     law = (np.full(i_max, -1.0, dtype=complex), np.ones(i_max, dtype=int))
     alphabet = CountableTruncated(
         i_max=i_max,
-        weight_tail_bound=_gauss_weight_tail_bound(i_max, domain),
+        weight_tail_bound=_gauss_weight_tail_bound(i_max, domain, gap),
         image_tail_sup=_gauss_image_tail_sup(i_max, domain, reach),
-        power_tail=_gauss_power_tail(i_max),
     )
     descriptor = {"family": "gauss", "params": [], "i_max": i_max, "domain": {
         "center": [c.real, c.imag], "radius": rho, "dim": 1}}

@@ -189,6 +189,82 @@ def moebius_contraction_mp(params, center, radius, n, dps=40):
 
 
 # ---------------------------------------------------------------------------
+# Moebius conjugates of affine systems: exact spectra of dense operators
+
+
+# a = (0.5, 0.3+0.2i), b = (0.1, -0.2), constant weights (1, 0.7), conjugated
+# by h(z) = (z + 0.5)/(0.3 z + 1): D = h(unit disc) has centre 0.21978 and
+# radius 0.93407, and the matrix is dense, complex and not normal
+C1 = {"a": (0.5, 0.3 + 0.2j), "b": (0.1, -0.2), "weights": (1.0, 0.7),
+      "h": (1.0, 0.5, 0.3, 1.0)}
+
+
+def _json_number(z):
+    z = complex(z)
+    return z.real if z.imag == 0.0 else [z.real, z.imag]
+
+
+def conjugate_descriptor(a, b, weights, h, dps=40):
+    """The moebius_list descriptor of T_i = h o A_i o h^-1 with constant
+    weights w_i, for A_i(u) = a_i u + b_i contracting the unit disc and
+    h = (p, q, r, s) the map z -> (p z + q)/(r z + s) with its pole off the
+    closed unit disc, on D = h(unit disc) (moebius_image_disc).
+
+    f -> f o h carries the operator of T on H(D) to that of A on H(unit
+    disc), so the spectrum is conjugate_eigenvalues_mp's and the traces
+    are conjugate_traces_mp's. Each T_i is the matrix product H A_i adj(H),
+    taken in mpmath and rounded once per coefficient.
+    """
+    with mp.workdps(dps):
+        p, q, r, s = (mp.mpc(x) for x in h)
+        adj = mp.matrix([[s, -q], [-r, p]])
+        params = []
+        for ai, bi, wi in zip(a, b, weights):
+            t = mp.matrix([[p, q], [r, s]]) * mp.matrix(
+                [[mp.mpc(ai), mp.mpc(bi)], [0, 1]]) * adj
+            params.append({key: _json_number(complex(t[k // 2, k % 2]))
+                           for k, key in enumerate("abce")}
+                          | {"weight": _json_number(wi)})
+    center, radius = moebius_image_disc(*h, 0.0, 1.0)
+    return {"family": "moebius_list", "params": params,
+            "domain": {"center": [center.real, center.imag],
+                       "radius": radius, "dim": 1}}
+
+
+def conjugate_eigenvalues_mp(a, weights, count, dps=40):
+    """The count leading values of {sum_i w_i a_i^k : k >= 0}, mpmath
+    numbers sorted by non-increasing modulus: the spectrum of every
+    conjugate_descriptor system of these multipliers and weights."""
+    with mp.workdps(dps):
+        am = [mp.mpc(x) for x in a]
+        wm = [mp.mpc(x) for x in weights]
+        top, total = max(abs(x) for x in am), sum(abs(x) for x in wm)
+        vals = [mp.fsum(w * x ** k for w, x in zip(wm, am))
+                for k in range(count + 64)]
+        vals.sort(key=lambda v: -abs(v))
+        # no value past those computed can reach the last one kept
+        assert total * top ** len(vals) < abs(vals[count - 1])
+        return vals[:count]
+
+
+def conjugate_traces_mp(a, weights, orders, dps=40):
+    """tr L^n = sum over the words u of length n of w_u / (1 - a_u), with
+    w_u and a_u the products of the letters' weights and multipliers, for
+    each n in orders, as complex numbers."""
+    with mp.workdps(dps):
+        letters = [(mp.mpc(w), mp.mpc(x)) for w, x in zip(weights, a)]
+        out = []
+        for n in orders:
+            terms = []
+            for word in itertools.product(letters, repeat=n):
+                w = mp.fprod(wl for wl, _ in word)
+                x = mp.fprod(xl for _, xl in word)
+                terms.append(w / (1 - x))
+            out.append(complex(mp.fsum(terms)))
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Chebyshev collocation on [0, 1]
 
 
@@ -304,16 +380,6 @@ def collocation_eigenvalues_gauss(K=32, i_direct=4000, gl_points=20,
         return np.linalg.eigvals(A)
 
     return _stable(collocate(K), collocate(fine), tol)
-
-
-def gauss_operator_apply(h, z, i_terms=200_000):
-    """Directly sum (L h)(z) = sum_i h(1/(i+z))/(i+z)^2 for the full Gauss
-    operator, by brute force over many branches plus a crude remainder check.
-    Convergence is ~1/i_terms; callers pick i_terms to suit their tolerance.
-    """
-    i = np.arange(1, i_terms + 1, dtype=float)
-    u = 1.0 / (i + z)
-    return np.sum(h(u) * u ** 2)
 
 
 # ---------------------------------------------------------------------------

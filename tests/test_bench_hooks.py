@@ -1,11 +1,12 @@
 """The benchmark's trace hooks must find what they wrap.
 
 bench/tracing.py wraps library functions by module attribute, the letter
-gathers by method name and the Gauss tail through the factory that
-make_gauss_system looks up. A refactor that moves one of these leaves the
-benchmark running but silently zeroes its per-layer metric, so these checks
-fail instead. The benchmark's stages and hooks also read result fields by
-name, and a trim that drops one must fail here, not in the benchmark.
+gathers by method name and the Gauss tail through the factory that the
+matrix assembly looks up on the systems module at each call. A refactor
+that moves one of these leaves the benchmark running but silently zeroes
+its per-layer metric, so these checks fail instead. The benchmark's stages
+and hooks also read result fields by name, and a trim that drops one must
+fail here, not in the benchmark.
 """
 
 import dataclasses
@@ -73,3 +74,18 @@ def test_gauss_assembly_goes_through_the_tail_factory(monkeypatch):
     monkeypatch.setattr(systems, "_gauss_power_tail", counting_factory)
     assemble_matrix(make_gauss_system(20), N=8)
     assert calls == [8]
+
+
+def test_a_traced_run_records_each_layer(tracing, gauss4):
+    # a system built before the tracer is installed still has its tail
+    # traced: the assembly looks the factory up when it runs
+    sys_ = make_gauss_system(20)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        transferspec.spectral_sequence(sys_, N=8)
+        transferspec.trace_table(gauss4, 3)
+    for name in ("spectra.assemble", "spectra.power_tail", "spectra.eig",
+                 "determinant.trace"):
+        spans = [sp for sp in tracer.spans if sp.name == name]
+        assert spans and all(sp.end > sp.start for sp in spans), name
+    assert tracing.pass_metrics(tracer.spans)["spectra.power_tail_s"] > 0

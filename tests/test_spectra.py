@@ -1,6 +1,5 @@
 """Circle-basis discretization, eigenvalue extraction, sequence ordering."""
 
-import dataclasses
 import math
 import pathlib
 import re
@@ -60,30 +59,17 @@ def test_assemble_affine_upper_triangular_binomial():
     assert np.max(np.abs(m - want)) < 1e-12
 
 
-def _with_tail(sys_, value, dtype):
-    """sys_ with a power tail whose every row entry is value, in dtype."""
-    def tail(z, count, center):
-        return np.full((count, len(z)), value, dtype=dtype)
-    alphabet = dataclasses.replace(sys_.alphabet, power_tail=tail)
-    return systems.MapWeightSystem._from_arrays(
-        sys_.coefficients, sys_.law, sys_.domain, alphabet, sys_.system_id)
-
-
-def test_assemble_includes_the_gauss_tail(gauss200):
+def test_assemble_includes_the_gauss_tail(gauss200, monkeypatch):
     # the matrix of the full family differs from that of the 200 branches
     # alone, whose tail is zero
     m = assemble_matrix(gauss200, N=8)
     assert m.shape == (8, 8)
-    assert not np.array_equal(
-        m, assemble_matrix(_with_tail(gauss200, 0.0, float), N=8))
 
+    def no_tail(i_max):
+        return lambda z, count, center: np.zeros((count, len(z)), complex)
 
-def test_assemble_takes_a_float_tail_table(gauss200):
-    # power_tail may return float64 rows: the matrix is the one the same
-    # rows as complex numbers give
-    got = assemble_matrix(_with_tail(gauss200, 1e-3, float), N=8)
-    assert np.array_equal(
-        got, assemble_matrix(_with_tail(gauss200, 1e-3, complex), N=8))
+    monkeypatch.setattr(systems, "_gauss_power_tail", no_tail)
+    assert not np.array_equal(m, assemble_matrix(gauss200, N=8))
 
 
 def test_assemble_rejects_higher_dimension(diag2d):
@@ -318,6 +304,28 @@ def test_gauss_spectrum_matches_the_zeta_galerkin_oracle():
                                 N=128)
         for k in range(5):
             assert abs(seq.values[k] - zeta[_DISC_B][k]) <= tol[_DISC_B][k]
+
+
+@pytest.mark.parametrize("disc", [_DISC_A, _DISC_B])
+def test_gauss_leading_eigenvectors_match_closed_forms(disc):
+    # lambda_1 = 1 has the eigenfunction h(z) = 1 / ((1 + z) ln 2) and the
+    # invariant functional l(f) = int_0^1 f, so in the basis ((z - c)/rho)^m
+    # h_m = (-rho/(1+c))^m / ((1+c) ln 2) and
+    # l_m = ((1-c)^(m+1) - (-c)^(m+1)) / ((m+1) rho^m), with <l, h> = 1.
+    # Vectors come from eig here only: printed values stay on eigvals
+    c, rho = disc
+    m = np.arange(128)
+    h = (-rho / (1 + c)) ** m / ((1 + c) * math.log(2))
+    ell = ((1 - c) ** (m + 1) - (-c) ** (m + 1)) / ((m + 1) * rho ** m)
+    matrix = assemble_matrix(make_gauss_system(200, make_ball(c, rho)), N=128)
+    found = []
+    for mat, want in ((matrix, h), (matrix.T, ell)):
+        vals, vecs = np.linalg.eig(mat)
+        vec = vecs[:, np.argmin(np.abs(vals - 1.0))]
+        vec = vec * (want[0] / vec[0])
+        assert np.max(np.abs(vec - want)) <= 1e-15
+        found.append(vec)
+    assert abs(found[1] @ found[0] - 1.0) <= 1e-15
 
 
 def test_universality_across_balls(gauss200):

@@ -394,8 +394,7 @@ def _worst_row_distance(got, want):
 
 
 def test_gauss_power_tail_matches_high_precision_sum():
-    sys_ = make_gauss_system(50, make_ball(1.0, 1.5))
-    tail = sys_.alphabet.power_tail
+    tail = systems._gauss_power_tail(50)
     zs = make_ball(1.0, 1.5).boundary_points(7)
     got = tail(zs, 4, 1.0 + 0.0j)
     assert np.max(np.abs(got - _power_tail_oracle(50, zs, 4))) < 1e-12
@@ -406,11 +405,10 @@ def test_gauss_power_tail_explicit_branches_match_high_precision_sum():
     # zeta rows' no-shift floor 1.3 * 17 + 25), so branches 11..47 are
     # summed directly, in column blocks; the grid ends in a partial block,
     # and the oracle checks columns on both sides of each block boundary
-    sys_ = make_gauss_system(10, make_ball(1.0, 1.5))
     width = systems._BLOCK_ENTRIES // 37
     m = 2 * width + 5
     zs = make_ball(1.0, 1.5).boundary_points(m)
-    got = sys_.alphabet.power_tail(zs, 16, 1.0 + 0.0j)
+    got = systems._gauss_power_tail(10)(zs, 16, 1.0 + 0.0j)
     cols = [0, width - 1, width, 2 * width, m - 1]
     want = _power_tail_oracle(10, zs[cols], 16)
     assert np.max(np.abs(got[:, cols] - want)) < 1e-12
@@ -439,7 +437,7 @@ def test_gauss_power_tail_asks_only_for_normal_zeta_orders(monkeypatch):
 
     monkeypatch.setattr(systems, "hzeta_rows", counting)
     zs = make_ball(1.0, 1.5).boundary_points(1024)
-    out = make_gauss_system(200).alphabet.power_tail(zs, 256, 1.0 + 0.0j)
+    out = systems._gauss_power_tail(200)(zs, 256, 1.0 + 0.0j)
     assert out.shape == (256, 1024)
     assert calls and set(calls) == {132}
 
@@ -463,11 +461,9 @@ def test_gauss_power_tail_at_cli_sizes_matches_oracle(center, radius, count):
     # center; every row of four spread columns, relative to the row's scale.
     # At 128 and 256 the tail is all zeta rows; at 512 it also sums
     # branches past i_max directly
-    ball = make_ball(center, radius)
     grid = 4 * count
     zs = center + radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    got = make_gauss_system(200, ball).alphabet.power_tail(
-        zs, count, complex(center))
+    got = systems._gauss_power_tail(200)(zs, count, complex(center))
     cols = [0, grid // 4 + 1, grid // 2, grid - 3]
     want = _power_tail_oracle(200, zs[cols], count, center)
     distance = _worst_row_distance(got[:, cols], want)
@@ -587,6 +583,30 @@ def test_gauss_build_takes_both_image_probes_from_one(center, radius):
         else:
             tail = make_gauss_system(i_max, ball).alphabet.image_tail_sup
             assert repr(tail) == repr(_probe_tail_sup(i_max, ball))
+
+
+@pytest.mark.parametrize("center", [1.0, 1.0 + 0.25j])
+def test_gauss_build_makes_and_probes_its_rows_once(center, monkeypatch):
+    # one table of the branches 1..i_max+_GAUSS_PROBE and one probe of it
+    # give the coefficients, the 98 % rule and both tail bounds; a complex
+    # centre's weight bound reads the probe's gaps
+    calls = []
+
+    def spy(name):
+        real = getattr(systems, name)
+
+        def counted(*args):
+            calls.append((name, real(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(systems, name, counted)
+
+    spy("_gauss_rows")
+    spy("_image_reach")
+    sys_ = make_gauss_system(200, make_ball(center, 1.5))
+    assert [name for name, _ in calls] == ["_gauss_rows", "_image_reach"]
+    rows = calls[0][1]
+    assert len(rows) == 200 + systems._GAUSS_PROBE
+    assert np.array_equal(sys_.coefficients, rows[:200])
 
 
 _EXACT_CASES = {

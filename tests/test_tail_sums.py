@@ -8,7 +8,25 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from transferspec._zeta import hzeta_int, hzeta_rows, normal_orders, trigamma
+from transferspec._zeta import (
+    hzeta_rows,
+    normal_orders,
+    trigamma,
+    unshifted_floor,
+)
+
+
+def _hzeta(s, a):
+    """zeta(s, a) from the package: trigamma at s = 2; at a higher order the
+    first terms summed here, in steps of 16 until |a + shift| reaches the
+    no-shift floor of order s, plus hzeta_rows' row of order s there."""
+    if s == 2:
+        return complex(trigamma(a))
+    shift = 0
+    while abs(a + shift) < unshifted_floor(s):
+        shift += 16
+    head = sum((a + j) ** (-s) for j in range(shift))
+    return head + complex(hzeta_rows(s - 1, np.array([a + shift]))[-1, 0])
 
 
 def test_trigamma_at_one():
@@ -26,7 +44,7 @@ def test_trigamma_vs_scipy_real_arguments():
 @pytest.mark.parametrize("s", [2, 3, 5, 12, 40, 200])
 @pytest.mark.parametrize("a", [0.75, 3.0, 51.5 + 0.25j, 2.0 - 1.4j, 201.0 + 1.0j])
 def test_hzeta_vs_arbitrary_precision(s, a):
-    got = complex(hzeta_int(s, a))
+    got = _hzeta(s, a)
     want = oracles.hzeta_reference(s, a)
     assert abs(got - want) <= 5e-13 * max(1.0, abs(want))
 
@@ -35,18 +53,21 @@ def test_hzeta_vectorized_matches_scalar():
     # the expansion shift is shared across an array, so vector and scalar
     # paths may differ in the last ulps; accuracy and determinism must hold
     zs = np.array([1.5 + 0.2j, 7.0, 33.0 - 5.0j, 400.0])
-    got = hzeta_int(3, zs)
-    want = np.array([complex(hzeta_int(3, z)) for z in zs])
+    got = trigamma(zs)
+    want = np.array([complex(trigamma(z)) for z in zs])
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    assert np.array_equal(got, hzeta_int(3, zs))
+    assert np.array_equal(got, trigamma(zs))
 
 
 def test_hzeta_recurrence():
-    # zeta(s, a) - zeta(s, a+1) = a^(-s), the defining shift identity
-    for s in (2, 6):
-        for a in (1.25, 4.0 + 0.5j):
-            lhs = complex(hzeta_int(s, a)) - complex(hzeta_int(s, a + 1))
-            assert lhs == pytest.approx(a ** (-s), rel=1e-13)
+    # zeta(s, a) - zeta(s, a+1) = a^(-s), the defining shift identity: of
+    # trigamma at s = 2, of hzeta_rows' rows at s = 6 past their floor
+    for a in (1.25, 4.0 + 0.5j):
+        lhs = complex(trigamma(a)) - complex(trigamma(a + 1))
+        assert lhs == pytest.approx(a ** (-2), rel=1e-13)
+    for a in (40.25, 44.0 + 0.5j):
+        rows = hzeta_rows(5, np.array([a, a + 1]))
+        assert rows[4, 0] - rows[4, 1] == pytest.approx(a ** (-6), rel=1e-13)
 
 
 @pytest.mark.parametrize("count, a", [
@@ -99,12 +120,12 @@ def test_hzeta_rows_refuses_arguments_it_would_need_to_shift():
 
 
 def test_hzeta_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="^trigamma requires Re x > 0$"):
+        trigamma(-3.0)
     with pytest.raises(ValueError):
-        hzeta_int(1, 2.0)
+        trigamma(0.0)
     with pytest.raises(ValueError):
-        hzeta_int(2.5, 2.0)
-    with pytest.raises(ValueError):
-        hzeta_int(2, -3.0)
+        trigamma(np.array([1.0, -0.5 + 2.0j]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,6 +136,6 @@ def test_hzeta_rejects_bad_arguments():
 )
 def test_hzeta_property_vs_reference(s, re, im):
     a = complex(re, im)
-    got = complex(hzeta_int(s, a))
+    got = _hzeta(s, a)
     want = oracles.hzeta_reference(s, a)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

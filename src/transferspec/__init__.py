@@ -58,7 +58,6 @@ from .errors import (
     RootFindingFailure,
     SolverFailure,
     TransferOperatorError,
-    WrongDimension,
 )
 from .spectra import (
     EigenvalueSequence,
@@ -94,7 +93,7 @@ __all__ = [
     "InvalidDomain", "MapWeightSystem", "NoConvergence", "NotContracting",
     "NotEnclosed", "RootFindingFailure", "SolverFailure",
     "TraceTable", "TraceValue", "TransferOperatorError",
-    "ValidationReport", "VerificationReport", "WeylRow", "WrongDimension",
+    "ValidationReport", "VerificationReport", "WeylRow",
     "assemble_matrix", "bound_combined", "bound_d1", "bound_general",
     "bound_hardy", "bound_table", "contraction_details",
     "crossover_N", "crossover_report", "determinant_coefficients",

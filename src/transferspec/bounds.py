@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WrongDimension
+from .errors import DimensionUnsupported
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _stretched(profile, n):
 def bound_d1(profile, n):
     """W n^(1/2) r^((n-1)/2): the sharper one-dimensional bound."""
     if profile.d != 1:
-        raise WrongDimension(
+        raise DimensionUnsupported(
             f"the d=1 bound is undefined for dimension {profile.d}")
     if n < 1:
         raise ValueError("n must be >= 1")

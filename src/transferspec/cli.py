@@ -43,7 +43,7 @@ from .errors import (
     TransferOperatorError,
 )
 from .spectra import spectral_sequence
-from .systems import system_from_descriptor, validate_system
+from .systems import DEFAULT_GRID, system_from_descriptor, validate_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,7 +61,7 @@ class RunConfig:
     agreement_tol: float = 1e-6
     margin: float = 0.1
     contraction_order: int = 2
-    grid: int = 1024
+    grid: int = DEFAULT_GRID
     threads: int = 1
     out_dir: str | None = None
 

@@ -69,7 +69,7 @@ from .dynamics import (
 )
 from .errors import NotContracting, RootFindingFailure, TransferOperatorError
 from .spectra import EigenvalueSequence, _agreeing_prefix, sort_eigenvalues
-from .systems import CountableTruncated, _letter_groups, _real_data, _weigh
+from .systems import _letter_groups, _real_data, _weigh
 
 # terms per exact block sum in _exact_sum, and the bound on the periods
 _BLOCK = 1 << 13
@@ -118,9 +118,9 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     """The TraceValue of each order, the orders taken in turn.
 
     A dim-1 system is admitted first (enclosing_radius, whose errors it
-    raises), then a truncated countable alphabet is refused, and every
-    order's words are counted against the budget, all before any word is
-    evaluated. In dim 1 an order first evaluates its necklace
+    raises), then any alphabet (always truncated countable) is refused, and
+    every order's words are counted against the budget, all before any
+    word is evaluated. In dim 1 an order first evaluates its necklace
     representatives. If its terms, in all chunks together, can cancel, the
     order is evaluated word by word instead (see the module docstring), as
     every order is in dim >= 2. A closed-form pass is one chunk, all its
@@ -135,7 +135,7 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     """
     if sys_.dim == 1:
         enclosing_radius(sys_)
-    if isinstance(sys_.alphabet, CountableTruncated):
+    if sys_.alphabet is not None:
         raise TransferOperatorError(
             "the determinant route needs a finite alphabet, and "
             f"{sys_.system_id} truncates a countable one; use spectrum for "
@@ -143,8 +143,7 @@ def _trace_rows(sys_, orders, word_budget, tol, threads):
     totals = {n: _word_count(sys_, n, word_budget) for n in orders}
     d, size = sys_.dim, sys_.n_letters
     moebius = sys_.coefficients is not None
-    # decided once for the table: whether the words can be taken in float64
-    words = (partial(_moebius_words, sys_, real=_real_data(sys_)) if moebius
+    words = (partial(_moebius_words, sys_) if moebius
              else partial(_iterated_words, sys_, tol=tol))
 
     def evaluate(n, necklaces):
@@ -265,20 +264,20 @@ def _iterated_words(sys_, n, lo, hi, necklaces, tol):
     yield words, period, wgt, mult
 
 
-def _moebius_words(sys_, n, lo, hi, necklaces, real=False):
+def _moebius_words(sys_, n, lo, hi, necklaces):
     """As _iterated_words, in closed form from the system's coefficients, in
     the blocks of a _fold_blocks walk of _WORD_BLOCK words. The multiplier
     is det / q^2, q the root _larger_root gives. Under a weight law with
     one power p a word's weight is its factors' product times the
     multiplier^p; other weights follow the orbit of the word's fixed point
-    (_fixed_points). With real, which needs real coefficients and law
-    factors (systems._real_data), the words are taken in float64 with the
-    bits of the complex path; a word whose roots are not real, which has a
+    (_fixed_points). A system of real coefficients and law factors
+    (systems._real_data) has its words taken in float64 with the bits of
+    the complex path; a word whose roots are not real, which has a
     multiplier of modulus 1, gets the multiplier NaN, which is refused as
     well."""
     size, coefficients = sys_.n_letters, sys_.coefficients
     factor, power = sys_.law or (np.ones(size), None)
-    if real:
+    if _real_data(sys_):
         coefficients, factor = coefficients.real, factor.real
     mob = tuple(coefficients.T)
     # a product of letter determinants: AE - BC of a long word cancels

@@ -32,6 +32,7 @@ from .errors import (
     NotEnclosed,
 )
 from .systems import (
+    DEFAULT_GRID,
     _derivative_sups,
     _letter_groups,
     _real_data,
@@ -373,8 +374,8 @@ def _word_count(sys_, n, word_budget):
     return total
 
 
-def contraction_details(sys_, n, grid=256, word_budget=DEFAULT_WORD_BUDGET,
-                        threads=1):
+def contraction_details(sys_, n, grid=DEFAULT_GRID,
+                        word_budget=DEFAULT_WORD_BUDGET, threads=1):
     """Sup over all length-n words of |T_word'| on the boundary circle, with
     the maximizing word.
 
@@ -467,7 +468,7 @@ def _sampled_contraction(sys_, n, grid, total, threads):
 # enclosing radius
 
 
-def enclosing_radius(sys_, grid=1024):
+def enclosing_radius(sys_, grid=DEFAULT_GRID):
     """Smallest ratio r with all branch images inside the concentric ball
     of radius r * radius, read off validate_system: in closed form for
     Moebius systems, else sampled on grid boundary points. Truncated-tail

@@ -53,11 +53,7 @@ class NotEnclosed(TransferOperatorError):
 
 
 class DimensionUnsupported(TransferOperatorError):
-    """Operation implemented for ambient dimension 1 only."""
-
-
-class WrongDimension(TransferOperatorError):
-    """A bound evaluator specific to one dimension was called with another."""
+    """Operation implemented or defined for ambient dimension 1 only."""
 
 
 class SolverFailure(TransferOperatorError):

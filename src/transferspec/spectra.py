@@ -44,7 +44,6 @@ import numpy as np
 from . import systems
 from .errors import DimensionUnsupported, SolverFailure, TransferOperatorError
 from .systems import (
-    CountableTruncated,
     MapWeightSystem,
     _branch_values_on_grid,
     _column_blocks,
@@ -132,22 +131,23 @@ def assemble_matrix(sys_, ball=None, N=32):
 
 def _power_table(sys_, ball, N, count, mirrored=False):
     """The (N, count) table of g_n, n < N, at the first count of the 4N
-    boundary points, plus the scaled rows of systems._gauss_power_tail for
-    a countable alphabet. With mirrored, each column block's branches are
-    also sampled at the conjugates of its points, in the same gather, and
-    None comes back at the first block whose images or weights there are
-    not the exact conjugates of those at the points. Entries past the
-    double range are left to assemble_matrix's finiteness check.
+    boundary points, plus, for a system with an alphabet, the scaled rows
+    of systems._gauss_power_tail(n_letters). With mirrored, each column
+    block's branches are also sampled at the conjugates of its points, in
+    the same gather, and None comes back at the first block whose images
+    or weights there are not the exact conjugates of those at the points.
+    Entries past the double range are left to assemble_matrix's finiteness
+    check.
     """
     c, rho = complex(ball.center), float(ball.radius)
     zs = ball.boundary_points(4 * N, count)
 
     # the tail's table, scaled, is the start of the power sums: S + tail
     # and tail + S are the same sum
-    if isinstance(sys_.alphabet, CountableTruncated):
+    if sys_.alphabet is not None:
         # its small products run 10-20x slower on more BLAS threads
         with _one_blas_thread():
-            g = systems._gauss_power_tail(sys_.alphabet.i_max)(zs, N, c)
+            g = systems._gauss_power_tail(sys_.n_letters)(zs, N, c)
         with np.errstate(over="ignore", invalid="ignore"):
             g *= (rho ** -np.arange(N, dtype=float))[:, None]
     else:

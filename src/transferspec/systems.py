@@ -47,6 +47,7 @@ from .errors import (
     InvalidDomain,
 )
 
+DEFAULT_GRID = 1024  # boundary points of a sampled sup, unless named
 _GRID_CAP = 1 << 14
 _REFINE_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 14  # entries of one column block of the power sums
@@ -252,15 +253,14 @@ def make_const(value):
 
 @dataclass(frozen=True, eq=False)
 class CountableTruncated:
-    """Alphabet {1, 2, ...} truncated at i_max, with analytic tail data.
+    """Alphabet {1, 2, ...} cut at i_max, the letter count, with tail data.
 
     weight_tail_bound bounds sum_{i > i_max} sup_D |w_i|.
     image_tail_sup bounds sup_{i > i_max} sup_D |T_i(z) - center(D)|.
     Only make_gauss_system builds one, so the dropped branches' power sums
-    are those of _gauss_power_tail(i_max).
+    are those of _gauss_power_tail(n_letters).
     """
 
-    i_max: int
     weight_tail_bound: float
     image_tail_sup: float
 
@@ -271,53 +271,24 @@ class MapWeightSystem:
     Instances are immutable by convention. Letters are 1-based; letter l
     uses branches[l-1] and weights[l-1]. A system of maps has the finite
     alphabet of its branches (alphabet None); only make_gauss_system
-    attaches a CountableTruncated one, its lists covering letters 1..i_max.
+    attaches a CountableTruncated one, its arrays covering its letters.
     system_id is fixed at build by _system_id, so a system of maps is
     named by its label, letter count and domain, not its maps.
 
     The closed forms read coefficients, the rows (a, b, c, e) when every
     branch is a dim-1 Moebius map, and law = (factor, power) when every
     weight is factor * (T')^power, power 0 (make_const) or 1 (+-T' beside
-    its own branch T); each is None otherwise. A system built from the
-    arrays derives its maps from them when first asked.
+    its own branch T); each is None otherwise. A builder passes them with
+    the maps the system was built from, if any; a system of numbers
+    derives its maps from them when first asked.
     """
 
-    def __init__(self, branches, weights, domain, label="custom"):
-        branches, weights, dim = tuple(branches), tuple(weights), domain.dim
-        if not branches or len(branches) != len(weights):
-            raise InvalidDomain(f"{len(branches)} branches and {len(weights)} "
-                                "weights; one of each per letter is needed")
-        if dim >= 2:    # a constant holds in any dim: rebuilt for this one
-            weights = tuple(_Weight(w.law[0], 0, dim=dim) if isinstance(
-                w, _Weight) and w.law[1] == 0 else w for w in weights)
-            for w in weights:
-                if not (isinstance(w, AnalyticMap) and w.dim == dim):
-                    raise InvalidDomain(f"weight {w!r} is neither a constant "
-                                        f"nor a map of the domain's dim {dim}")
-        coefficients = law = None
-        if dim == 1 and all(isinstance(b, _Moebius) for b in branches):
-            coefficients = np.array([b.coefficients for b in branches])
-        # the law takes the T' of the letter's branch: a +-T' weight joins
-        # it only beside the branch it was made for
-        if all(isinstance(w, _Weight) and (w.law[1] == 0 or isinstance(
-                b, _Moebius) and np.array_equal(b.coefficients,
-                                                w.coefficients))
-               for b, w in zip(branches, weights)):  # complex factors
-            law = tuple(map(np.array, zip(*(w.law for w in weights))))
-        self._fill(coefficients, law, domain, None,
-                   _system_id((label, len(branches), domain)))
-        self.branches, self.weights = branches, weights
-
-    @classmethod
-    def _from_arrays(cls, coefficients, law, domain, alphabet, system_id):
-        """A dim-1 system carried by its coefficients and weight law."""
-        sys_ = cls.__new__(cls)
-        sys_._fill(coefficients, law, domain, alphabet, system_id)
-        return sys_
-
-    def _fill(self, coefficients, law, domain, alphabet, system_id):
+    def __init__(self, coefficients, law, domain, system_id, alphabet=None,
+                 branches=None, weights=None):
         self.coefficients, self.law, self.domain = coefficients, law, domain
         self.alphabet, self.system_id = alphabet, system_id
+        if branches is not None:
+            self.branches, self.weights = branches, weights
 
     # -- basic accessors ----------------------------------------------------
 
@@ -431,8 +402,31 @@ def _real_data(sys_):
 
 def make_system(branches, weights, domain, label="custom"):
     """A finite system from explicit branch and weight lists. Its id names
-    only the label, the letter count and the domain."""
-    return MapWeightSystem(branches, weights, domain, label=label)
+    only the label, the letter count and the domain. It has coefficients
+    when every branch is a Moebius map, and a law when every weight is a
+    constant or a +-T' beside the branch it was made for (a borrowed one
+    is called as its map)."""
+    branches, weights, dim = tuple(branches), tuple(weights), domain.dim
+    if not branches or len(branches) != len(weights):
+        raise InvalidDomain(f"{len(branches)} branches and {len(weights)} "
+                            "weights; one of each per letter is needed")
+    if dim >= 2:    # a constant holds in any dim: rebuilt for this one
+        weights = tuple(_Weight(w.law[0], 0, dim=dim) if isinstance(
+            w, _Weight) and w.law[1] == 0 else w for w in weights)
+        for w in weights:
+            if not (isinstance(w, AnalyticMap) and w.dim == dim):
+                raise InvalidDomain(f"weight {w!r} is neither a constant "
+                                    f"nor a map of the domain's dim {dim}")
+    coefficients = law = None
+    if dim == 1 and all(isinstance(b, _Moebius) for b in branches):
+        coefficients = np.array([b.coefficients for b in branches])
+    if all(isinstance(w, _Weight) and (w.law[1] == 0 or isinstance(
+            b, _Moebius) and np.array_equal(b.coefficients, w.coefficients))
+           for b, w in zip(branches, weights)):     # complex factors
+        law = tuple(map(np.array, zip(*(w.law for w in weights))))
+    return MapWeightSystem(coefficients, law, domain,
+                           _system_id((label, len(branches), domain)),
+                           branches=branches, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +656,13 @@ def make_gauss_system(i_max, domain=None):
     coefficients = rows[:i_max].copy()
     law = (np.full(i_max, -1.0, dtype=complex), np.ones(i_max, dtype=int))
     alphabet = CountableTruncated(
-        i_max=i_max,
         weight_tail_bound=_gauss_weight_tail_bound(i_max, domain, gap),
         image_tail_sup=_gauss_image_tail_sup(i_max, domain, reach),
     )
     descriptor = {"family": "gauss", "params": [], "i_max": i_max, "domain": {
         "center": [c.real, c.imag], "radius": rho, "dim": 1}}
-    return MapWeightSystem._from_arrays(coefficients, law, domain, alphabet,
-                                        _system_id(descriptor))
+    return MapWeightSystem(coefficients, law, domain, _system_id(descriptor),
+                           alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +736,7 @@ def _derivative_sups(det, C, E, ball):
 _ROUND_OUT = 1.0 + 4.0 * math.ulp(1.0)
 
 
-def validate_system(sys_, margin=0.1, grid=1024):
+def validate_system(sys_, margin=0.1, grid=DEFAULT_GRID):
     """Strict containment of the branch images, plus the weight sup W.
 
     A dim-1 system of Moebius branches with +-T' or constant weights is
@@ -763,7 +756,7 @@ def validate_system(sys_, margin=0.1, grid=1024):
             "validation is implemented for dim 1 only")
 
     tail_sup = tail_bound = 0.0
-    if isinstance(sys_.alphabet, CountableTruncated):
+    if sys_.alphabet is not None:
         tail_sup = float(sys_.alphabet.image_tail_sup)
         tail_bound = float(sys_.alphabet.weight_tail_bound)
     if sys_.coefficients is not None and sys_.law is not None:
@@ -996,5 +989,4 @@ def system_from_descriptor(desc):
         rows.append(_moebius_row(*coef))
         laws.append(_parse_weight(entry.get("weight", 1.0), where))
     law = tuple(map(np.array, zip(*laws)))    # complex factors, int powers
-    return MapWeightSystem._from_arrays(np.array(rows), law, domain, None,
-                                        _system_id(desc))
+    return MapWeightSystem(np.array(rows), law, domain, _system_id(desc))

@@ -198,6 +198,20 @@ def moebius_contraction_mp(params, center, radius, n, dps=40):
 C1 = {"a": (0.5, 0.3 + 0.2j), "b": (0.1, -0.2), "weights": (1.0, 0.7),
       "h": (1.0, 0.5, 0.3, 1.0)}
 
+# a = (0.4, -0.45), b = (0.5, -0.4), derivative weights, conjugated by
+# h(z) = z/(0.6 z + 1): D has centre -0.9375 and radius 1.5625, and the
+# system is real; its spectrum {0.4^(k+1) + (-0.45)^(k+1)} is hard to reach
+C2 = {"a": (0.4, -0.45), "b": (0.5, -0.4), "weights": "derivative",
+      "h": (1.0, 0.0, 0.6, 1.0)}
+
+# weights (1, w) with 1 + w = -|0.6^5 + w (-0.3)^5| (1 + 3e-7): the
+# eigenvalues -0.0803853605 (k = 0) and +0.0803853364 (k = 5), fifth and
+# sixth in modulus, differ in modulus by 3.0e-7 relative; h(z) = (z +
+# 0.2i)/(0.4 z + 1) makes the coefficients complex, the spectrum real
+NEAR_TIE = {"a": (0.6, -0.3), "b": (0.3, -0.4),
+            "weights": (1.0, -1.0803853605417173),
+            "h": (1.0, 0.2j, 0.4, 1.0)}
+
 
 def _json_number(z):
     z = complex(z)
@@ -206,15 +220,21 @@ def _json_number(z):
 
 def conjugate_descriptor(a, b, weights, h, dps=40):
     """The moebius_list descriptor of T_i = h o A_i o h^-1 with constant
-    weights w_i, for A_i(u) = a_i u + b_i contracting the unit disc and
-    h = (p, q, r, s) the map z -> (p z + q)/(r z + s) with its pole off the
-    closed unit disc, on D = h(unit disc) (moebius_image_disc).
+    weights w_i, or with weights="derivative" the weights T_i', for
+    A_i(u) = a_i u + b_i contracting the unit disc and h = (p, q, r, s) the
+    map z -> (p z + q)/(r z + s) with its pole off the closed unit disc, on
+    D = h(unit disc) (moebius_image_disc).
 
-    f -> f o h carries the operator of T on H(D) to that of A on H(unit
-    disc), so the spectrum is conjugate_eigenvalues_mp's and the traces
+    f -> f o h, or f -> (f o h) h' for derivative weights, carries the
+    operator of T on H(D) to that of A on H(unit disc) with weights w_i,
+    or a_i, so the spectrum is conjugate_eigenvalues_mp's and the traces
     are conjugate_traces_mp's. Each T_i is the matrix product H A_i adj(H),
     taken in mpmath and rounded once per coefficient.
     """
+    if weights == "derivative":
+        weights = ["derivative"] * len(a)
+    else:
+        weights = [_json_number(w) for w in weights]
     with mp.workdps(dps):
         p, q, r, s = (mp.mpc(x) for x in h)
         adj = mp.matrix([[s, -q], [-r, p]])
@@ -224,7 +244,7 @@ def conjugate_descriptor(a, b, weights, h, dps=40):
                 [[mp.mpc(ai), mp.mpc(bi)], [0, 1]]) * adj
             params.append({key: _json_number(complex(t[k // 2, k % 2]))
                            for k, key in enumerate("abce")}
-                          | {"weight": _json_number(wi)})
+                          | {"weight": wi})
     center, radius = moebius_image_disc(*h, 0.0, 1.0)
     return {"family": "moebius_list", "params": params,
             "domain": {"center": [center.real, center.imag],
@@ -232,12 +252,13 @@ def conjugate_descriptor(a, b, weights, h, dps=40):
 
 
 def conjugate_eigenvalues_mp(a, weights, count, dps=40):
-    """The count leading values of {sum_i w_i a_i^k : k >= 0}, mpmath
-    numbers sorted by non-increasing modulus: the spectrum of every
-    conjugate_descriptor system of these multipliers and weights."""
+    """The count leading values of {sum_i w_i a_i^k : k >= 0}, with w_i =
+    a_i for weights="derivative", mpmath numbers sorted by non-increasing
+    modulus: the spectrum of every conjugate_descriptor system of these
+    multipliers and weights."""
     with mp.workdps(dps):
         am = [mp.mpc(x) for x in a]
-        wm = [mp.mpc(x) for x in weights]
+        wm = am if weights == "derivative" else [mp.mpc(x) for x in weights]
         top, total = max(abs(x) for x in am), sum(abs(x) for x in wm)
         vals = [mp.fsum(w * x ** k for w, x in zip(wm, am))
                 for k in range(count + 64)]
@@ -249,8 +270,11 @@ def conjugate_eigenvalues_mp(a, weights, count, dps=40):
 
 def conjugate_traces_mp(a, weights, orders, dps=40):
     """tr L^n = sum over the words u of length n of w_u / (1 - a_u), with
-    w_u and a_u the products of the letters' weights and multipliers, for
-    each n in orders, as complex numbers."""
+    w_u and a_u the products of the letters' weights and multipliers (w_u
+    = a_u for weights="derivative"), for each n in orders, as complex
+    numbers."""
+    if weights == "derivative":
+        weights = a
     with mp.workdps(dps):
         letters = [(mp.mpc(w), mp.mpc(x)) for w, x in zip(weights, a)]
         out = []

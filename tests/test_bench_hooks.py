@@ -6,12 +6,15 @@ matrix assembly looks up on the systems module at each call. A refactor
 that moves one of these leaves the benchmark running but silently zeroes
 its per-layer metric, so these checks fail instead. The benchmark's stages
 and hooks also read result fields by name, and a trim that drops one must
-fail here, not in the benchmark.
+fail here, not in the benchmark. Each workload's stages pass the
+benchmark's own checks once here, so a library change that drops an
+argument, flag or config key a stage passes fails here too.
 """
 
 import dataclasses
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -89,3 +92,36 @@ def test_a_traced_run_records_each_layer(tracing, gauss4):
         spans = [sp for sp in tracer.spans if sp.name == name]
         assert spans and all(sp.end > sp.start for sp in spans), name
     assert tracing.pass_metrics(tracer.spans)["spectra.power_tail_s"] > 0
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # bench/workloads.py imports bench/oracles.py as oracles, a name the
+    # suite's own oracles module holds: that one is put back at once
+    suite = sys.modules.pop("oracles", None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        module = importlib.import_module("workloads")
+    for name in ("oracles", "workloads"):
+        del sys.modules[name]
+    if suite is not None:
+        sys.modules["oracles"] = suite
+    return module
+
+
+@pytest.mark.parametrize("name", ["gauss-validate", "gauss-spectrum",
+                                  "gauss4-determinant", "user-maps"])
+def test_each_workload_passes_its_checks(workloads, name, tmp_path):
+    # one pass of the benchmark's stages at seed 1, read and checked as
+    # bench/run.py reads and checks them; exit code 2 fails a stage there
+    wl = workloads.WORKLOADS[name](1, tmp_path)
+    wl.prepare()
+    values = {}
+    for op, _span, stage in wl.ops(wl.build()):
+        raw = stage()
+        assert getattr(raw, "code", 0) != 2, (op, raw.stderr)
+        values[op] = wl.read(op, raw)
+    problems = wl.check(values, wl.reference())
+    assert not any(problems.values()), problems
+    problems = wl.final(values)
+    assert not any(problems.values()), problems

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from transferspec import (
     BoundProfile,
+    DimensionUnsupported,
     EigenvalueSequence,
-    WrongDimension,
     bound_combined,
     bound_d1,
     bound_general,
@@ -96,7 +96,8 @@ def test_bound_d1_examples():
 
 
 def test_bound_d1_rejects_higher_dimension():
-    with pytest.raises(WrongDimension):
+    with pytest.raises(DimensionUnsupported,
+                       match="the d=1 bound is undefined for dimension 2"):
         bound_d1(BoundProfile(1.0, 0.5, 2), 3)
 
 

@@ -504,6 +504,16 @@ def test_contraction_exact_thread_count_independent():
     assert one.word == (4,) * 9
 
 
+def test_sampled_contraction_default_grid_is_validations(gauss4):
+    # the 256-point grid is every fourth point of the default 1024-point
+    # one, so the default sampled sup can only rise toward the exact sup
+    plain = as_plain_maps(gauss4)
+    for n in (1, 2, 3):
+        default = contraction_details(plain, n)
+        assert default == contraction_details(plain, n, grid=1024)
+        assert default.value >= contraction_details(plain, n, grid=256).value
+
+
 @pytest.mark.parametrize("name", ["gauss4", "two_thirds", "complex"])
 def test_contraction_exact_matches_sampled_plain_maps(name, request):
     sys_ = (_complex_pair() if name == "complex"

@@ -110,7 +110,7 @@ def reference_matrix(sys_, N, half, ball=None):
         g[n] = (w * powers).sum(axis=0)
         powers = np.multiply(powers, s)
     if isinstance(sys_.alphabet, systems.CountableTruncated):
-        tail = reference_tail(sys_.alphabet.i_max, zs, N, c)
+        tail = reference_tail(sys_.n_letters, zs, N, c)
         g += tail * (rho ** -np.arange(N, dtype=float))[:, None]
     if half:
         cols = np.fft.hfft(g, n=grid, axis=1) / grid

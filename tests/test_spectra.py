@@ -409,6 +409,33 @@ def test_eigensolver_runs_on_one_blas_thread(monkeypatch):
         set_threads(before)
 
 
+def test_no_openblas_setter_leaves_the_threads_alone(monkeypatch):
+    # where no OpenBLAS setter is found the solve and the tail run as they
+    # are: the lock that guards the setter is never taken
+    class Untouched:
+        def __enter__(self):
+            raise AssertionError("the BLAS thread lock was taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(spectra, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(spectra, "_BLAS_LOCK", Untouched())
+    with spectra._one_blas_thread():
+        pass
+    # N = 24, as at N = 8 the truncation alone leaves lambda_1 off by 1e-6
+    seq = spectral_sequence(make_gauss_system(20), N=24)
+    assert abs(seq.values[0] - 1.0) <= 1e-14
+
+
+def test_openblas_lookup_without_proc_maps_finds_none(monkeypatch):
+    def no_file(*args, **kwargs):
+        raise OSError("no /proc/self/maps")
+
+    monkeypatch.setattr("builtins.open", no_file)
+    assert spectra._openblas_thread_calls.__wrapped__() is None
+
+
 def test_eigensolver_failure_is_a_solver_failure(monkeypatch):
     def fails(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -2,6 +2,7 @@
 
 import cmath
 import copy
+import dataclasses
 import math
 import os
 import subprocess
@@ -889,18 +890,34 @@ def test_system_id_is_fixed_at_build():
     assert sys_.system_id == "affine_list-e112ec41ce"
 
 
-def test_system_ids_load_no_openssl():
-    # the ids are SHA-1 digests from the interpreter's own module: hashlib
-    # would load OpenSSL's libcrypto into every process that builds one
-    code = ("import sys, transferspec as ts; "
-            "print(ts.make_gauss_system(200).system_id, "
-            "'_hashlib' in sys.modules)")
+def _fresh_python(code):
+    """The standard output of code in a new interpreter that imports the
+    package from this tree."""
     src = os.path.dirname(os.path.dirname(transferspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=env, check=True)
-    assert proc.stdout == "gauss-3b66110e9c False\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True).stdout
+
+
+def test_system_ids_load_no_openssl():
+    # the ids are SHA-1 digests from the interpreter's own module: hashlib
+    # would load OpenSSL's libcrypto into every process that builds one
+    assert _fresh_python(
+        "import sys, transferspec as ts; "
+        "print(ts.make_gauss_system(200).system_id, "
+        "'_hashlib' in sys.modules)") == "gauss-3b66110e9c False\n"
+
+
+def test_system_ids_without_the_interpreters_sha1():
+    # an interpreter built without _sha1 takes hashlib's SHA-1: same ids
+    assert _fresh_python(
+        "import hashlib, sys; sys.modules['_sha1'] = None; "
+        "import transferspec as ts; "
+        "print(ts.make_gauss_system(200).system_id, "
+        f"ts.system_from_descriptor({GAUSS4_DESC!r}).system_id, "
+        "ts.systems.sha1 is hashlib.sha1)") == (
+        "gauss-3b66110e9c moebius_list-eb3caeaedb True\n")
 
 
 def test_system_of_maps_is_named_by_label_letters_and_domain():
@@ -914,8 +931,11 @@ def test_system_of_maps_is_named_by_label_letters_and_domain():
 
 
 def test_alphabet_is_truncated_for_gauss(gauss200):
+    # truncated at the letter count: the alphabet holds only the tail data
     assert isinstance(gauss200.alphabet, CountableTruncated)
-    assert gauss200.alphabet.i_max == 200
+    assert gauss200.n_letters == 200
+    assert [f.name for f in dataclasses.fields(CountableTruncated)] == [
+        "weight_tail_bound", "image_tail_sup"]
 
 
 def test_vectorized_branch_evaluation_matches_scalar(gauss4):
@@ -1042,9 +1062,31 @@ def test_gauss_preset_and_moebius_maps_are_one_representation():
     built = make_system([make_moebius(0, 1, 1, i) for i in range(1, 21)],
                         preset.weights, preset.domain)
     assert built.alphabet is None
-    _same_system(MapWeightSystem._from_arrays(
-        preset.coefficients, preset.law, preset.domain, None,
-        preset.system_id), built, 3)
+    _same_system(MapWeightSystem(preset.coefficients, preset.law,
+                                 preset.domain, preset.system_id), built, 3)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: make_system([make_affine(0.5, 0.3)], [make_const(1.0)],
+                         make_ball(0.6, 1.0), label="pair"),
+     "letters=1, dim=1, alphabet=finite)"),
+    (lambda: system_from_descriptor(GAUSS4_DESC),
+     "letters=4, dim=1, alphabet=finite)"),
+    (lambda: make_gauss_system(7), "letters=7, dim=1, alphabet=truncated)"),
+], ids=["make_system", "descriptor", "gauss"])
+def test_every_builder_goes_through_the_one_constructor(build, want,
+                                                        monkeypatch):
+    calls = []
+    init = MapWeightSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MapWeightSystem, "__init__", spy)
+    sys_ = build()
+    assert len(calls) == 1
+    assert repr(sys_) == f"MapWeightSystem({sys_.system_id}, " + want
 
 
 def test_borrowed_derivative_weight_is_called_as_its_map():
